@@ -14,7 +14,6 @@ from .core import (
     TriMesh,
     build_topology,
     face_geometry,
-    face_ring,
     flap_of_edge,
     geometric_neighborhood,
     vertex_normals,
@@ -100,7 +99,6 @@ __all__ = [
     "edge_weights",
     "ev",
     "face_geometry",
-    "face_ring",
     "filter_bnf",
     "filter_gnf",
     "filter_l1median",

@@ -167,10 +167,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        config = parse_config(args.config)
-    except FileNotFoundError:
-        raise
+    config = parse_config(args.config)
     out = run_bench(config, args.out, jobs=args.jobs)
     print(out)
     return EXIT_OK
@@ -214,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         "gnf: (r, sigma_s_mult, sigma_r, n_iter, v_iter)",
     )
     p.add_argument("--use-clusters", action="store_true")
-    p.add_argument("--seed", type=int, default=0, help="reserved; current backends are deterministic")
     _add_segment_flags(p)
     _add_prefilter_flags(p)
     p.add_argument("-o", "--output", default=None)

@@ -7,7 +7,6 @@ so they can be built once and shared read-only between pipeline stages.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,34 +277,6 @@ def flap_of_edge(mesh: TriMesh, topo: TopologyCache, edge_id: int) -> Flap:
         faces=(f_a, f_b),
         vertex_ids=(v1, v2, v3, v4),
     )
-
-
-def face_ring(topo: TopologyCache, face_id: int, k: int) -> set[int]:
-    """Faces within *k* edge-adjacency hops of *face_id*, seed excluded.
-
-    Plain breadth-first search over ``face_adjacent``; k = 0 gives the
-    empty set.
-    """
-    if not 0 <= face_id < topo.n_faces:
-        raise IndexError(f"face id {face_id} out of range")
-    seen = {face_id}
-    ring: set[int] = set()
-    frontier = deque([face_id])
-    adjacent = topo.face_adjacent
-    for _ in range(k):
-        if not frontier:
-            break
-        next_frontier: deque[int] = deque()
-        while frontier:
-            f = frontier.popleft()
-            for nb in adjacent[f]:
-                nb = int(nb)
-                if nb >= 0 and nb not in seen:
-                    seen.add(nb)
-                    ring.add(nb)
-                    next_frontier.append(nb)
-        frontier = next_frontier
-    return ring
 
 
 def geometric_neighborhood(

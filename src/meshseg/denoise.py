@@ -39,7 +39,6 @@ from .core import (
     TriMesh,
     build_topology,
     face_geometry,
-    face_ring,
     geometric_neighborhood,
 )
 from .errors import LabelLengthMismatchError

@@ -25,10 +25,11 @@ from .errors import DegenerateFlapError
 AREA_EPS_FACTOR = 1e-12
 
 
-def _operator_on_points(p1, p2, p3, p4):
-    """Operator values for stacked flap points; shapes (..., 3).
+def operator_coefficients(p1, p2, p3, p4):
+    """D(e) coefficients for stacked flap points; shapes (..., 3).
 
-    Returns (values, area123, area134); no degeneracy handling here.
+    Returns (c1, c2, c3, c4, area123, area134); no degeneracy handling
+    here.
     """
     e = p3 - p1
     ee = np.einsum("...i,...i->...", e, e)
@@ -46,6 +47,15 @@ def _operator_on_points(p1, p2, p3, p4):
         + area134 * np.einsum("...i,...i->...", p2 - p1, p1 - p3)
     ) / denom
     c4 = area123 / total
+    return c1, c2, c3, c4, area123, area134
+
+
+def _operator_on_points(p1, p2, p3, p4):
+    """Operator values for stacked flap points; shapes (..., 3).
+
+    Returns (values, area123, area134); no degeneracy handling here.
+    """
+    c1, c2, c3, c4, area123, area134 = operator_coefficients(p1, p2, p3, p4)
     values = (
         c1[..., None] * p1
         + c2[..., None] * p2

@@ -29,6 +29,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import cg
 
 from .core import Flap, FaceGeometry, TopologyCache, TriMesh, build_topology, face_geometry
+from .edgeop import operator_coefficients
 from .errors import SolverDivergedError
 
 
@@ -96,30 +97,6 @@ def _flap_vertex_table(mesh: TriMesh, topo: TopologyCache):
     return interior, np.stack([v1, v2, v3, v4], axis=1)
 
 
-def _operator_coefficients(mesh: TriMesh, flap_vertices: np.ndarray) -> np.ndarray:
-    """(n_interior, 4) frozen D(e) coefficients at the input geometry."""
-    pts = mesh.vertices
-    p1 = pts[flap_vertices[:, 0]]
-    p2 = pts[flap_vertices[:, 1]]
-    p3 = pts[flap_vertices[:, 2]]
-    p4 = pts[flap_vertices[:, 3]]
-    e = p3 - p1
-    ee = np.einsum("ij,ij->i", e, e)
-    a123 = 0.5 * np.linalg.norm(np.cross(p2 - p1, e), axis=-1)
-    a134 = 0.5 * np.linalg.norm(np.cross(e, p4 - p1), axis=-1)
-    total = a123 + a134
-    denom = ee * total
-    c1 = (
-        a123 * np.einsum("ij,ij->i", p4 - p3, e)
-        + a134 * np.einsum("ij,ij->i", p1 - p3, p3 - p2)
-    ) / denom
-    c3 = (
-        a123 * np.einsum("ij,ij->i", e, p1 - p4)
-        + a134 * np.einsum("ij,ij->i", p2 - p1, p1 - p3)
-    ) / denom
-    return np.stack([c1, a134 / total, c3, a123 / total], axis=1)
-
-
 def assemble_system(
     mesh: TriMesh,
     params: PrefilterParams,
@@ -146,7 +123,9 @@ def assemble_system(
 
     rows = np.repeat(np.arange(m), 4)
     cols = flap_vertices.reshape(-1)
-    d_coeff = _operator_coefficients(mesh, flap_vertices)
+    # D(e) coefficients frozen at the input geometry, one row per flap.
+    flap_points = (mesh.vertices[flap_vertices[:, k]] for k in range(4))
+    d_coeff = np.stack(operator_coefficients(*flap_points)[:4], axis=1)
     a_op = sp.csr_matrix((d_coeff.reshape(-1), (rows, cols)), shape=(m, n))
     r_coeff = np.tile(np.array([0.5, -0.5, 0.5, -0.5]), m)
     b_op = sp.csr_matrix((r_coeff, (rows, cols)), shape=(m, n))

@@ -1,21 +1,23 @@
 """Face clustering: region growing bounded by the edge operator, then
 absorption of small clusters into their best large neighbor.
 
-Growing is a flood fill over face adjacency in which an edge may be
-crossed only while ||D(e)|| stays strictly below ``d_thr``; seeds are
-taken in ascending face id, so labels are deterministic and numbered by
-first discovery. Refinement reassigns every face of each undersized
-cluster to the large cluster in its surrounding ring whose normals agree
-best (sum of cosines), computed against a snapshot of the pre-refinement
-labels so the pass order cannot cascade.
+Both steps work on one sparse face-adjacency graph over interior edges.
+Growing keeps only the edges with ||D(e)|| strictly below ``d_thr`` and
+takes the graph's connected components, numbered by their minimum face
+id, so labels are deterministic. Refinement reassigns every face of each
+undersized cluster to the large cluster in its surrounding ring whose
+normals agree best (sum of cosines); the ring reaches at least as far as
+the nearest large-cluster face. Decisions read a snapshot of the
+pre-refinement labels, so they cannot cascade.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .core import (
     FaceGeometry,
@@ -23,7 +25,6 @@ from .core import (
     TriMesh,
     build_topology,
     face_geometry,
-    face_ring,
 )
 from .edgeop import EdgeOperatorField, edge_operator_field
 from .errors import LabelLengthMismatchError
@@ -46,7 +47,6 @@ class SegmentParams:
     refine: bool = True
     ring_depth: int = 2
     baseline_mode: str = "edgeop"
-    refine_passes: int = 1
 
     def __post_init__(self):
         if not (self.d_thr >= 0):  # also rejects NaN
@@ -60,8 +60,6 @@ class SegmentParams:
                 f"baseline_mode must be one of {BASELINE_MODES}, "
                 f"got {self.baseline_mode!r}"
             )
-        if self.refine_passes < 1:
-            raise ValueError("refine_passes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -93,29 +91,59 @@ class ClusterLabels:
         return cls(labels=labels, cluster_count=count, cluster_sizes=sizes)
 
 
+def _face_graph(topo: TopologyCache, edge_mask: np.ndarray | None = None) -> sp.csr_matrix:
+    """Symmetric (F, F) face adjacency over interior edges, restricted to
+    the edges where *edge_mask* is True when one is given."""
+    keep = ~topo.boundary_edge_mask
+    if edge_mask is not None:
+        keep &= edge_mask
+    a, b = topo.edge_faces[keep].T
+    n = topo.n_faces
+    return sp.csr_matrix(
+        (np.ones(2 * len(a), dtype=np.int8), (np.r_[a, b], np.r_[b, a])), shape=(n, n)
+    )
+
+
 def _grow(topo: TopologyCache, edge_passes: np.ndarray) -> np.ndarray:
-    """Connected components of faces over passing edges; labels numbered
-    by first discovery with seeds in ascending face id."""
-    labels = np.full(topo.n_faces, -1, dtype=np.int64)
-    adjacent = topo.face_adjacent
-    face_edges = topo.face_edges
-    current = 0
-    for seed in range(topo.n_faces):
-        if labels[seed] >= 0:
-            continue
-        labels[seed] = current
-        queue = deque([seed])
-        while queue:
-            face = queue.popleft()
-            for slot in range(3):
-                neighbor = adjacent[face, slot]
-                if neighbor < 0 or labels[neighbor] >= 0:
-                    continue
-                if edge_passes[face_edges[face, slot]]:
-                    labels[neighbor] = current
-                    queue.append(neighbor)
-        current += 1
-    return labels
+    """Connected components of faces over passing edges, numbered by
+    their minimum face id (first discovery with seeds in ascending id)."""
+    _, components = csgraph.connected_components(
+        _face_graph(topo, edge_passes), directed=False
+    )
+    first_face = np.unique(components, return_index=True)[1]
+    return np.unique(first_face[components], return_inverse=True)[1].astype(np.int64)
+
+
+def _rings(graph: sp.csr_matrix, sources: np.ndarray, depth: np.ndarray):
+    """Pairs (i, g), as two arrays, of every face g within depth[i]
+    edge-adjacency hops of face sources[i], the source itself excluded.
+
+    All sources advance one BFS level per step. On an undirected graph
+    the neighbours of level k lie in levels k - 1, k and k + 1, so the
+    two latest levels are all that must be removed from each expansion.
+    """
+    n = graph.shape[0]
+    m = len(sources)
+    level = np.arange(m, dtype=np.int64) * n + sources  # keys owner * n + face
+    previous = level[:0]
+    reached = [previous]
+    for hop in range(1, int(depth.max(initial=0)) + 1):
+        level = level[depth[level // n] >= hop]
+        if level.size == 0:
+            break
+        frontier = sp.csr_matrix(
+            (np.ones(level.size, dtype=np.int8), (level // n, level % n)), shape=(m, n)
+        )
+        step = frontier @ graph
+        step.sum_duplicates()  # canonical: each (owner, face) once, sorted
+        step = step.tocoo()
+        following = step.row.astype(np.int64) * n + step.col
+        seen = np.concatenate((previous, level))
+        following = following[~np.isin(following, seen, assume_unique=True)]
+        reached.append(following)
+        previous, level = level, following
+    keys = np.concatenate(reached)
+    return keys // n, keys % n
 
 
 def region_grow(
@@ -124,7 +152,8 @@ def region_grow(
     field: EdgeOperatorField,
     d_thr: float,
 ) -> ClusterLabels:
-    """Flood-fill faces across edges with ||D(e)|| strictly below *d_thr*.
+    """Connected components of faces joined across edges with ||D(e)||
+    strictly below *d_thr*.
 
     Boundary edges carry an infinite norm, so they never merge faces; a
     d_thr of +inf merges each connected component into one cluster, and
@@ -147,13 +176,15 @@ def refine(
     """Absorb clusters smaller than ``min_cluster_size`` into large ones.
 
     Every face of an undersized cluster is reassigned to the large
-    cluster with the highest sum of normal cosines over the face's
-    ring (depth ``ring_depth``, grown further if no large cluster is in
-    sight); ties pick the lowest label. Faces whose entire connectivity
-    component contains no large cluster fall back to the globally
-    largest cluster. If *no* cluster is large, everything merges into
-    the largest one. Decisions read a snapshot of the input labels, so
-    nothing cascades within one pass. Labels are recompacted afterward.
+    cluster with the highest sum of normal cosines over the face's ring:
+    the faces within max(``ring_depth``, hops to the nearest large-cluster
+    face) edge-adjacency hops, found by one multi-source breadth-first
+    search from all large-cluster faces. Ties pick the lowest label.
+    Faces whose connectivity component contains no large cluster fall
+    back to the globally largest cluster; if *no* cluster is large,
+    everything merges into the largest one. Decisions read a snapshot of
+    the input labels, so nothing cascades. Labels are recompacted
+    afterward.
     """
     sizes = clusters.cluster_sizes
     if clusters.cluster_count == 0:
@@ -170,38 +201,34 @@ def refine(
     if small_label.all():
         new_labels[:] = globally_largest
     else:
+        graph = _face_graph(topo)
+        is_small = small_label[snapshot]
+        hops = csgraph.dijkstra(
+            graph,
+            directed=False,
+            indices=np.flatnonzero(~is_small),
+            unweighted=True,
+            min_only=True,
+        )
+        small_faces = np.flatnonzero(is_small)
+        stranded = np.isinf(hops[small_faces])
+        new_labels[small_faces[stranded]] = globally_largest
+        sources = small_faces[~stranded]
+        depth = np.maximum(params.ring_depth, hops[sources]).astype(np.int64)
+
+        owner, face = _rings(graph, sources, depth)
+        large = ~is_small[face]
+        owner, face = owner[large], face[large]
         normals = geometry.normals
-        small_faces = np.flatnonzero(small_label[snapshot])
-        for face in small_faces:
-            face = int(face)
-            depth = params.ring_depth
-            ring = face_ring(topo, face, depth)
-            # Grow the ring until it reaches a large cluster or stalls
-            # (component exhausted).
-            while True:
-                ring_ids = np.fromiter(ring, dtype=np.int64, count=len(ring))
-                ring_labels = snapshot[ring_ids] if len(ring_ids) else ring_ids
-                candidate = len(ring_ids) > 0 and (~small_label[ring_labels]).any()
-                if candidate:
-                    break
-                depth += 1
-                bigger = face_ring(topo, face, depth)
-                if len(bigger) == len(ring):
-                    break
-                ring = bigger
-            if not candidate:
-                new_labels[face] = globally_largest
-                continue
-            keep = ~small_label[ring_labels]
-            cosines = normals[ring_ids[keep]] @ normals[face]
-            score = np.bincount(
-                ring_labels[keep], weights=cosines, minlength=clusters.cluster_count
-            )
-            # Only large clusters actually present in the ring may win.
-            eligible = np.zeros(clusters.cluster_count, dtype=bool)
-            eligible[ring_labels[keep]] = True
-            score[~eligible] = -np.inf
-            new_labels[face] = int(np.argmax(score))
+        cosines = np.einsum("ij,ij->i", normals[face], normals[sources[owner]])
+        n_labels = clusters.cluster_count
+        keys, group = np.unique(owner * n_labels + snapshot[face], return_inverse=True)
+        score = np.bincount(group, weights=cosines)
+        owner, label = keys // n_labels, keys % n_labels
+        # Per owner: highest score first, ties to the lowest label.
+        order = np.lexsort((label, -score, owner))
+        first = order[np.diff(owner[order], prepend=-1) != 0]
+        new_labels[sources[owner[first]]] = label[first]
 
     _, compact = np.unique(new_labels, return_inverse=True)
     return ClusterLabels.from_array(compact.astype(np.int64), topo.n_faces)
@@ -249,12 +276,5 @@ def segment(
         clusters = region_grow(work, topo, field, params.d_thr)
 
     if params.refine:
-        for _ in range(params.refine_passes):
-            refined = refine(work, topo, geometry, clusters, params)
-            if refined.cluster_count == clusters.cluster_count and np.array_equal(
-                refined.labels, clusters.labels
-            ):
-                clusters = refined
-                break
-            clusters = refined
+        clusters = refine(work, topo, geometry, clusters, params)
     return clusters

@@ -8,7 +8,6 @@ from meshseg.core import (
     TriMesh,
     build_topology,
     face_geometry,
-    face_ring,
     flap_of_edge,
     geometric_neighborhood,
     vertex_normals,
@@ -302,31 +301,6 @@ def test_every_interior_cube_edge_has_flap():
 # ---------------------------------------------------------------------------
 # Neighborhood queries
 # ---------------------------------------------------------------------------
-
-
-def test_face_ring_depth_zero_is_empty():
-    topo = build_topology(cube(1))
-    assert face_ring(topo, 0, 0) == set()
-
-
-def test_face_ring_depth_one_is_edge_adjacency():
-    topo = build_topology(cube(1))
-    ring = face_ring(topo, 0, 1)
-    expected = {int(f) for f in topo.face_adjacent[0] if f >= 0}
-    assert ring == expected
-    assert 0 not in ring
-
-
-def test_face_ring_grows_monotonically():
-    topo = build_topology(cube(3))
-    prev = set()
-    for k in range(1, 5):
-        ring = face_ring(topo, 0, k)
-        assert prev <= ring
-        prev = ring
-    # Depth large enough reaches every other face of the closed cube.
-    full = face_ring(topo, 0, 100)
-    assert len(full) == 12 * 9 - 1
 
 
 def test_geometric_neighborhood_radius():

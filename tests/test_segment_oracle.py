@@ -1,0 +1,224 @@
+"""Scalar reference for region growing and refinement, and the property
+tests that hold the sparse-graph implementation in ``meshseg.segment``
+to it label for label.
+
+The reference walks faces one at a time: a breadth-first flood fill for
+growing and, for refinement, a ring around each small-cluster face that
+grows one hop at a time until it sees a large cluster. Labels must match
+exactly; the library adds the cosines in another order, which could only
+matter where two labels' sums agree to rounding.
+"""
+
+from collections import deque
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from meshseg import TriMesh, cube, plane
+from meshseg.core import TopologyCache, build_topology, face_geometry
+from meshseg.edgeop import edge_operator_field
+from meshseg.noise import NoiseSpec, add_noise
+from meshseg.prefilter import PrefilterParams, prefilter
+from meshseg.segment import ClusterLabels, SegmentParams, refine, region_grow
+
+PREFILTER = PrefilterParams(5, 5, 2)
+
+
+def face_ring(topo: TopologyCache, face_id: int, k: int) -> set[int]:
+    """Faces within *k* edge-adjacency hops of *face_id*, seed excluded.
+
+    Plain breadth-first search over ``face_adjacent``; k = 0 gives the
+    empty set.
+    """
+    if not 0 <= face_id < topo.n_faces:
+        raise IndexError(f"face id {face_id} out of range")
+    seen = {face_id}
+    ring: set[int] = set()
+    frontier = deque([face_id])
+    adjacent = topo.face_adjacent
+    for _ in range(k):
+        if not frontier:
+            break
+        next_frontier: deque[int] = deque()
+        while frontier:
+            f = frontier.popleft()
+            for nb in adjacent[f]:
+                nb = int(nb)
+                if nb >= 0 and nb not in seen:
+                    seen.add(nb)
+                    ring.add(nb)
+                    next_frontier.append(nb)
+        frontier = next_frontier
+    return ring
+
+
+def grow_reference(topo: TopologyCache, edge_passes: np.ndarray) -> np.ndarray:
+    """Flood fill over passing edges, seeds in ascending face id, labels
+    numbered by first discovery."""
+    labels = np.full(topo.n_faces, -1, dtype=np.int64)
+    current = 0
+    for seed in range(topo.n_faces):
+        if labels[seed] >= 0:
+            continue
+        labels[seed] = current
+        queue = deque([seed])
+        while queue:
+            face = queue.popleft()
+            for slot in range(3):
+                neighbor = topo.face_adjacent[face, slot]
+                if neighbor < 0 or labels[neighbor] >= 0:
+                    continue
+                if edge_passes[topo.face_edges[face, slot]]:
+                    labels[neighbor] = current
+                    queue.append(neighbor)
+        current += 1
+    return labels
+
+
+def refine_reference(topo, geometry, clusters: ClusterLabels, params: SegmentParams):
+    """Per-face refinement: grow each small face's ring from ring_depth
+    until it holds a large-cluster face or stops growing, then pick the
+    large label with the highest cosine sum (ties to the lowest)."""
+    sizes = clusters.cluster_sizes
+    small_label = sizes < params.min_cluster_size
+    if clusters.cluster_count == 0 or not small_label.any():
+        return clusters.labels
+    snapshot = clusters.labels
+    new_labels = snapshot.copy()
+    globally_largest = int(np.argmax(sizes))
+    if small_label.all():
+        new_labels[:] = globally_largest
+    else:
+        normals = geometry.normals
+        for face in np.flatnonzero(small_label[snapshot]):
+            face = int(face)
+            depth = params.ring_depth
+            ring = face_ring(topo, face, depth)
+            while True:
+                ring_ids = np.fromiter(ring, dtype=np.int64, count=len(ring))
+                ring_labels = snapshot[ring_ids] if len(ring_ids) else ring_ids
+                candidate = len(ring_ids) > 0 and (~small_label[ring_labels]).any()
+                if candidate:
+                    break
+                depth += 1
+                bigger = face_ring(topo, face, depth)
+                if len(bigger) == len(ring):
+                    break
+                ring = bigger
+            if not candidate:
+                new_labels[face] = globally_largest
+                continue
+            keep = ~small_label[ring_labels]
+            cosines = normals[ring_ids[keep]] @ normals[face]
+            score = np.bincount(
+                ring_labels[keep], weights=cosines, minlength=clusters.cluster_count
+            )
+            eligible = np.zeros(clusters.cluster_count, dtype=bool)
+            eligible[ring_labels[keep]] = True
+            score[~eligible] = -np.inf
+            new_labels[face] = int(np.argmax(score))
+    return np.unique(new_labels, return_inverse=True)[1].astype(np.int64)
+
+
+def assert_matches_reference(mesh, d_thr, params):
+    topo = build_topology(mesh)
+    geometry = face_geometry(mesh)
+    field = edge_operator_field(mesh, topo)
+    raw = region_grow(mesh, topo, field, d_thr)
+    np.testing.assert_array_equal(raw.labels, grow_reference(topo, field.norms < d_thr))
+    refined = refine(mesh, topo, geometry, raw, params)
+    np.testing.assert_array_equal(
+        refined.labels, refine_reference(topo, geometry, raw, params)
+    )
+    return raw, refined
+
+
+# ---------------------------------------------------------------------------
+# The reference ring itself
+# ---------------------------------------------------------------------------
+
+
+def test_face_ring_depth_zero_is_empty():
+    topo = build_topology(cube(1))
+    assert face_ring(topo, 0, 0) == set()
+
+
+def test_face_ring_depth_one_is_edge_adjacency():
+    topo = build_topology(cube(1))
+    ring = face_ring(topo, 0, 1)
+    expected = {int(f) for f in topo.face_adjacent[0] if f >= 0}
+    assert ring == expected
+    assert 0 not in ring
+
+
+def test_face_ring_grows_monotonically():
+    topo = build_topology(cube(3))
+    prev = set()
+    for k in range(1, 5):
+        ring = face_ring(topo, 0, k)
+        assert prev <= ring
+        prev = ring
+    # Depth large enough reaches every other face of the closed cube.
+    full = face_ring(topo, 0, 100)
+    assert len(full) == 12 * 9 - 1
+
+
+# ---------------------------------------------------------------------------
+# Library labels equal the reference's
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    subdiv=st.sampled_from([8, 16]),
+    seed=st.integers(0, 2**16),
+    k=st.floats(0.02, 0.08),
+    ring_depth=st.integers(1, 3),
+    min_cluster_size=st.sampled_from([10, 50, 200]),
+)
+def test_segmentation_matches_reference(subdiv, seed, k, ring_depth, min_cluster_size):
+    # Prefiltered noisy cubes at these k mix small and large clusters;
+    # below k = 0.02 nearly every cluster is small.
+    noisy = add_noise(cube(subdiv), NoiseSpec(0.5, "normal", seed=seed))
+    d_thr = k * build_topology(noisy).mean_edge_length
+    params = SegmentParams(d_thr, min_cluster_size=min_cluster_size, ring_depth=ring_depth)
+    assert_matches_reference(prefilter(noisy, PREFILTER), d_thr, params)
+
+
+def test_component_without_large_cluster_goes_to_globally_largest():
+    """A lone cube(1) beside a cube(4): its six 2-face sides have no large
+    cluster anywhere in their component, so they all join the globally
+    largest cluster (lowest label among equal sizes)."""
+    big, small = cube(4), cube(1)
+    mesh = TriMesh(
+        np.concatenate([big.vertices, small.vertices + 10.0]),
+        np.concatenate([big.faces, small.faces + big.n_vertices]),
+    )
+    raw, refined = assert_matches_reference(
+        mesh, 1e-4, SegmentParams(1e-4, min_cluster_size=10)
+    )
+    assert raw.cluster_count == 12
+    assert refined.cluster_count == 6
+    lone = refined.labels[big.n_faces :]
+    assert (lone == refined.labels[0]).all()
+
+
+def test_equal_scores_go_to_the_lowest_label():
+    """On a flat grid every cosine is 1: a lone small face that sees one
+    face of label 0 and one of label 1 scores them equally and takes 0."""
+    mesh = plane(4)
+    topo = build_topology(mesh)
+    geometry = face_geometry(mesh)
+    face = 9
+    first, second, third = (int(f) for f in topo.face_adjacent[face])
+    labels = (geometry.centroids[:, 0] > 0.5).astype(np.int64)
+    labels[[face, third]] = 2
+    labels[first], labels[second] = 0, 1
+    raw = ClusterLabels.from_array(labels)
+    params = SegmentParams(0.1, min_cluster_size=3, ring_depth=1)
+    refined = refine(mesh, topo, geometry, raw, params)
+    np.testing.assert_array_equal(
+        refined.labels, refine_reference(topo, geometry, raw, params)
+    )
+    assert refined.labels[face] == refined.labels[first] == 0
