@@ -15,7 +15,6 @@ from .core import (
     build_topology,
     face_geometry,
     flap_of_edge,
-    geometric_neighborhood,
     vertex_normals,
 )
 from .denoise import (
@@ -30,9 +29,7 @@ from .denoise import (
     filter_l1median,
     filter_normals,
     filter_unf,
-    neighbors,
     params_from_tuple,
-    params_to_tuple,
     vertex_update,
 )
 from .edgeop import EdgeOperatorField, edge_operator, edge_operator_field, write_norms_csv
@@ -52,7 +49,7 @@ from .errors import (
 )
 from .fileio import ColorMap, read_labels, read_obj, write_labels, write_obj, write_ply_colored
 from .fixtures import cube, icosahedron, make_fixture, plane
-from .metrics import MetricsReport, TriangleBVH, compute_report, ev, msae
+from .metrics import TriangleBVH, ev, msae
 from .noise import NoiseSpec, add_noise
 from .prefilter import PrefilterParams, edge_weights, prefilter, quadratic_energy, regularizer
 from .segment import ClusterLabels, SegmentParams, refine, region_grow, segment
@@ -77,7 +74,6 @@ __all__ = [
     "LabelLengthMismatchError",
     "MeshError",
     "MeshParseError",
-    "MetricsReport",
     "NoiseSpec",
     "NonManifoldEdgeError",
     "NonTriangleFaceError",
@@ -91,7 +87,6 @@ __all__ = [
     "ZeroAreaFaceError",
     "add_noise",
     "build_topology",
-    "compute_report",
     "cube",
     "denoise",
     "edge_operator",
@@ -105,13 +100,10 @@ __all__ = [
     "filter_normals",
     "filter_unf",
     "flap_of_edge",
-    "geometric_neighborhood",
     "icosahedron",
     "make_fixture",
     "msae",
-    "neighbors",
     "params_from_tuple",
-    "params_to_tuple",
     "plane",
     "prefilter",
     "quadratic_energy",

@@ -245,14 +245,9 @@ def run_bench(config: BenchConfig, out_dir, jobs: int = 0) -> Path:
             )
 
     workers = jobs if jobs > 0 else min(4, os.cpu_count() or 1)
-    if workers == 1:
-        rows = [_run_job(job, noisy, truth, clusters) for job in job_list]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_job, job, noisy, truth, clusters) for job in job_list
-            ]
-            rows = [f.result() for f in futures]  # submission order, not finish order
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_job, job, noisy, truth, clusters) for job in job_list]
+        rows = [f.result() for f in futures]  # submission order, not finish order
 
     model_name = Path(config.model).name
     with open(out / "results.csv", "w", encoding="utf-8", newline="\n") as fh:

@@ -98,15 +98,16 @@ def cmd_segment(args) -> int:
         ring_depth=args.ring_depth,
         baseline_mode=args.baseline,
     )
-    pf = _prefilter_params(args) if args.prefilter else None
-    clusters = segment(mesh, params, prefilter_params=pf)
+    # segment() would prefilter the same way; doing it here lets the norms
+    # CSV reuse the relaxed mesh instead of solving the system again.
+    work = prefilter(mesh, _prefilter_params(args)) if args.prefilter else mesh
+    clusters = segment(work, params)
     prefix = Path(args.out_prefix) if args.out_prefix else Path(args.mesh).with_suffix("")
     labels_path = prefix.parent / f"{prefix.name}_labels.txt"
     ply_path = prefix.parent / f"{prefix.name}_clusters.ply"
     write_labels(clusters.labels, labels_path)
     write_ply_colored(mesh, clusters.labels, ply_path)
     if args.dump_norms:
-        work = prefilter(mesh, pf) if pf is not None else mesh
         topo = build_topology(work)
         field = edge_operator_field(work, topo)
         write_norms_csv(topo, field, prefix.parent / f"{prefix.name}_norms.csv")

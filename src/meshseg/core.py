@@ -279,26 +279,6 @@ def flap_of_edge(mesh: TriMesh, topo: TopologyCache, edge_id: int) -> Flap:
     )
 
 
-def geometric_neighborhood(
-    mesh: TriMesh, topo: TopologyCache, face_id: int, r: float
-) -> set[int]:
-    """Faces whose centroid lies within ``r * mean_edge_length`` of
-    *face_id*'s centroid, the seed itself excluded.
-
-    The radius scales with the mesh's mean edge length so the same *r*
-    means the same thing across resolutions.
-    """
-    if not 0 <= face_id < topo.n_faces:
-        raise IndexError(f"face id {face_id} out of range")
-    centroids = mesh.vertices[mesh.faces].mean(axis=1)
-    radius = float(r) * topo.mean_edge_length
-    d2 = np.einsum(
-        "ij,ij->i", centroids - centroids[face_id], centroids - centroids[face_id]
-    )
-    hits = np.flatnonzero(d2 <= radius * radius)
-    return {int(h) for h in hits if h != face_id}
-
-
 def vertex_normals(mesh: TriMesh, geometry: FaceGeometry | None = None) -> np.ndarray:
     """Area-weighted vertex normals, (V, 3); zero rows for isolated vertices."""
     if geometry is None:

@@ -28,19 +28,12 @@ any prefiltering applies to the segmentation stage only.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
 
-from .core import (
-    FaceGeometry,
-    TopologyCache,
-    TriMesh,
-    build_topology,
-    face_geometry,
-    geometric_neighborhood,
-)
+from .core import FaceGeometry, TopologyCache, TriMesh, build_topology, face_geometry
 from .errors import LabelLengthMismatchError
 from .prefilter import PrefilterParams
 from .segment import ClusterLabels, SegmentParams, segment
@@ -137,9 +130,6 @@ DenoiseParams = Union[UnfParams, BnfParams, GnfParams, L1Params]
 
 PARAM_TYPES = {"unf": UnfParams, "bnf": BnfParams, "gnf": GnfParams, "l1": L1Params}
 
-#: Number of scalars each method's --params tuple takes, in declaration order.
-PARAM_ARITY = {"unf": 3, "bnf": 3, "gnf": 5, "l1": 3}
-
 
 def params_from_tuple(method: str, values) -> DenoiseParams:
     """Build a params object from the flat numeric tuple used by the CLI
@@ -147,7 +137,7 @@ def params_from_tuple(method: str, values) -> DenoiseParams:
     if method not in PARAM_TYPES:
         raise ValueError(f"unknown method {method!r}; expected one of {sorted(PARAM_TYPES)}")
     values = list(values)
-    arity = PARAM_ARITY[method]
+    arity = len(fields(PARAM_TYPES[method]))
     if len(values) != arity:
         raise ValueError(f"method {method!r} takes {arity} parameters, got {len(values)}")
     head = [float(v) for v in values[:-2]]
@@ -158,18 +148,6 @@ def params_from_tuple(method: str, values) -> DenoiseParams:
             raise ValueError(f"iteration counts must be integers, got {v!r}")
         tail.append(int(f))
     return PARAM_TYPES[method](*head, *tail)
-
-
-def params_to_tuple(params: DenoiseParams) -> tuple:
-    if isinstance(params, UnfParams):
-        return (params.t, params.n_iter, params.v_iter)
-    if isinstance(params, BnfParams):
-        return (params.sigma_r, params.n_iter, params.v_iter)
-    if isinstance(params, GnfParams):
-        return (params.r, params.sigma_s_mult, params.sigma_r, params.n_iter, params.v_iter)
-    if isinstance(params, L1Params):
-        return (params.angle_max_deg, params.n_iter, params.v_iter)
-    raise TypeError(f"not a denoise params object: {params!r}")
 
 
 def _as_label_array(labels, n_faces: int):
@@ -185,35 +163,6 @@ def _as_label_array(labels, n_faces: int):
             f"expected {n_faces} labels, got shape {arr.shape}"
         )
     return arr
-
-
-def neighbors(
-    mesh: TriMesh,
-    topo: TopologyCache,
-    face: int,
-    labels=None,
-    scheme: str = "edge-ring",
-    r: float | None = None,
-) -> set[int]:
-    """Filtering neighborhood of one face under the cluster constraint.
-
-    scheme "edge-ring" returns the up-to-three faces across the face's
-    edges; scheme "geometric" returns every face whose centroid lies
-    within ``r`` mean edge lengths. With *labels*, only same-label faces
-    survive. The face itself is never included.
-    """
-    if scheme == "edge-ring":
-        base = {int(nb) for nb in topo.face_adjacent[face] if nb >= 0}
-    elif scheme == "geometric":
-        if r is None:
-            raise ValueError("scheme 'geometric' needs the radius r")
-        base = geometric_neighborhood(mesh, topo, face, r)
-    else:
-        raise ValueError(f"unknown neighborhood scheme {scheme!r}")
-    arr = _as_label_array(labels, topo.n_faces)
-    if arr is None:
-        return base
-    return {nb for nb in base if arr[nb] == arr[face]}
 
 
 def _sorted_ring(topo: TopologyCache) -> np.ndarray:
@@ -433,15 +382,12 @@ def filter_gnf(
         -np.einsum("pi,pi->p", pair_cdiff, pair_cdiff) / (2.0 * sigma_s * sigma_s)
     )
 
-    # Guidance candidates: the face itself first, then its neighbors.
-    cand_counts = np.diff(offsets) + 1
-    cand_offsets = np.concatenate(([0], np.cumsum(cand_counts)))
-    cand_ids = np.empty(cand_offsets[-1], dtype=np.int64)
-    cand_ids[cand_offsets[:-1]] = np.arange(n_faces)
-    fill = np.ones(len(cand_ids), dtype=bool)
-    fill[cand_offsets[:-1]] = False
-    cand_ids[fill] = nbr_ids
-    cand_owner = np.repeat(np.arange(n_faces, dtype=np.int64), cand_counts)
+    # Guidance candidates: each face itself, then every radius pair. The
+    # per-sweep lexsort keys on owner first and id last, a total order, so
+    # after it owner i's candidates start at offsets[i] + i.
+    cand_ids = np.concatenate((np.arange(n_faces), nbr_ids))
+    cand_owner = np.concatenate((np.arange(n_faces), owner))
+    cand_starts = offsets[:-1] + np.arange(n_faces)
 
     # Patch membership: self + (constrained) edge ring, padded to 4.
     safe, ring_valid = _ring_tables(topo, label_array)
@@ -471,7 +417,7 @@ def filter_gnf(
         order = np.lexsort(
             (cand_ids, cand_centroid_dist, consistency[cand_ids], cand_owner)
         )
-        winners = cand_ids[order[cand_offsets[:-1]]]
+        winners = cand_ids[order[cand_starts]]
         guidance = patch_normal[winners]
 
         gdiff = guidance[owner] - guidance[nbr_ids]

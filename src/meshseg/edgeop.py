@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Flap, FaceGeometry, TopologyCache, TriMesh, face_geometry
+from .core import Flap, TopologyCache, TriMesh
 from .errors import DegenerateFlapError
 
 #: Flap faces with area below AREA_EPS_FACTOR * l_e^2 are degenerate.
@@ -48,6 +48,19 @@ def operator_coefficients(p1, p2, p3, p4):
     ) / denom
     c4 = area123 / total
     return c1, c2, c3, c4, area123, area134
+
+
+def flap_vertex_table(mesh: TriMesh, topo: TopologyCache):
+    """(interior edge ids, (n_interior, 4) vertex ids per flap), the
+    columns p1, p2, p3, p4 as in :func:`meshseg.core.flap_of_edge`."""
+    interior = topo.interior_edge_ids
+    edges = topo.edges[interior]
+    face_sum = mesh.faces.sum(axis=1)
+    v1 = edges[:, 0]
+    v3 = edges[:, 1]
+    v2 = face_sum[topo.edge_faces[interior, 0]] - v1 - v3
+    v4 = face_sum[topo.edge_faces[interior, 1]] - v1 - v3
+    return interior, np.stack([v1, v2, v3, v4], axis=1)
 
 
 def _operator_on_points(p1, p2, p3, p4):
@@ -120,19 +133,11 @@ def edge_operator_field(mesh: TriMesh, topo: TopologyCache) -> EdgeOperatorField
     n_edges = topo.n_edges
     values = np.zeros((n_edges, 3), dtype=np.float64)
     norms = np.full(n_edges, np.inf, dtype=np.float64)
-    interior = topo.interior_edge_ids
+    interior, flap_vertices = flap_vertex_table(mesh, topo)
     if interior.size:
-        edges = topo.edges[interior]
-        f_a = topo.edge_faces[interior, 0]
-        f_b = topo.edge_faces[interior, 1]
-        face_sum = mesh.faces.sum(axis=1)
-        v1 = edges[:, 0]
-        v3 = edges[:, 1]
-        v2 = face_sum[f_a] - v1 - v3
-        v4 = face_sum[f_b] - v1 - v3
-        pts = mesh.vertices
+        flap_points = mesh.vertices[flap_vertices.T]  # (4, n_interior, 3)
         with np.errstate(invalid="ignore", divide="ignore"):
-            vals, a123, a134 = _operator_on_points(pts[v1], pts[v2], pts[v3], pts[v4])
+            vals, a123, a134 = _operator_on_points(*flap_points)
         floor = AREA_EPS_FACTOR * topo.mean_edge_length**2
         bad = (a123 < floor) | (a134 < floor)
         if bad.any():

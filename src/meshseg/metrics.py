@@ -4,25 +4,19 @@
   face normals; demands identical connectivity.
 - ev: mean squared distance from result vertices to the truth surface,
   normalized by the squared truth bounding-box diagonal. Distances are
-  exact point-to-triangle distances; an AABB tree makes them cheap, and
-  a brute-force twin of the same arithmetic exists for verification.
+  exact point-to-triangle distances found through an AABB tree; a
+  brute-force twin of the same arithmetic is the reference it is tested
+  against.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import TriMesh, face_geometry
 from .errors import ConnectivityMismatchError, EmptyMeshError
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    msae: float
-    ev: float
 
 
 def _check_same_connectivity(result: TriMesh, truth: TriMesh) -> None:
@@ -192,10 +186,10 @@ class TriangleBVH:
         return np.array([self.sq_distance(p) for p in points], dtype=np.float64)
 
 
-def ev(result: TriMesh, truth: TriMesh, method: str = "bvh") -> float:
+def ev(result: TriMesh, truth: TriMesh) -> float:
     """Mean squared vertex-to-truth-surface distance over the squared
-    truth bounding-box diagonal. *method* is "bvh" or "brute"; both are
-    exact and must agree to rounding."""
+    truth bounding-box diagonal, with exact distances from a
+    :class:`TriangleBVH` over *truth*."""
     if truth.n_faces == 0 or truth.n_vertices == 0:
         raise EmptyMeshError("ev needs a truth mesh with faces")
     if result.n_vertices == 0:
@@ -205,15 +199,6 @@ def ev(result: TriMesh, truth: TriMesh, method: str = "bvh") -> float:
     diag2 = float(extent @ extent)
     if diag2 == 0.0:
         raise ValueError("truth bounding box is a point; ev is undefined")
-    if method == "bvh":
-        d2 = TriangleBVH(truth).sq_distances(result.vertices)
-    elif method == "brute":
-        d2 = brute_force_sq_distances(result.vertices, truth)
-    else:
-        raise ValueError(f"unknown ev method {method!r}")
+    d2 = TriangleBVH(truth).sq_distances(result.vertices)
     return float(d2.mean() / diag2)
 
-
-def compute_report(result: TriMesh, truth: TriMesh) -> MetricsReport:
-    """Both metrics in one go (shared connectivity required)."""
-    return MetricsReport(msae=msae(result, truth), ev=ev(result, truth))

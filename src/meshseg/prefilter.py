@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import cg
 
 from .core import Flap, FaceGeometry, TopologyCache, TriMesh, build_topology, face_geometry
-from .edgeop import operator_coefficients
+from .edgeop import flap_vertex_table, operator_coefficients
 from .errors import SolverDivergedError
 
 
@@ -85,36 +85,19 @@ def regularizer(flap: Flap) -> np.ndarray:
     return 0.5 * (flap.p1 + flap.p3) - 0.5 * (flap.p2 + flap.p4)
 
 
-def _flap_vertex_table(mesh: TriMesh, topo: TopologyCache):
-    """(n_interior, 4) vertex ids per interior flap, columns p1, p2, p3, p4."""
-    interior = topo.interior_edge_ids
-    edges = topo.edges[interior]
-    face_sum = mesh.faces.sum(axis=1)
-    v1 = edges[:, 0]
-    v3 = edges[:, 1]
-    v2 = face_sum[topo.edge_faces[interior, 0]] - v1 - v3
-    v4 = face_sum[topo.edge_faces[interior, 1]] - v1 - v3
-    return interior, np.stack([v1, v2, v3, v4], axis=1)
-
-
-def assemble_system(
-    mesh: TriMesh,
-    params: PrefilterParams,
-    topo: TopologyCache | None = None,
-    geometry: FaceGeometry | None = None,
-):
+def assemble_system(mesh: TriMesh, params: PrefilterParams):
     """Sparse SPD system matrix M = I + alpha A'WA + beta B'WB.
 
-    Returns (M, A, B, w_interior) where A and B map stacked vertex
-    coordinates (per scalar coordinate) to per-interior-edge operator and
-    regularizer values, and w_interior are the interior edge weights.
+    Builds *mesh*'s topology and face geometry, and freezes the operator
+    coefficients and edge weights at its positions. Returns
+    (M, A, B, w_interior) where A and B map stacked vertex coordinates
+    (per scalar coordinate) to per-interior-edge operator and regularizer
+    values, and w_interior are the interior edge weights.
     """
-    if topo is None:
-        topo = build_topology(mesh)
-    if geometry is None:
-        geometry = face_geometry(mesh)
+    topo = build_topology(mesh)
+    geometry = face_geometry(mesh)
     n = mesh.n_vertices
-    interior, flap_vertices = _flap_vertex_table(mesh, topo)
+    interior, flap_vertices = flap_vertex_table(mesh, topo)
     m = len(interior)
     if m == 0:
         ident = sp.identity(n, format="csr")
@@ -141,15 +124,15 @@ def assemble_system(
 
 
 def quadratic_energy(
-    mesh: TriMesh,
-    candidate_vertices: np.ndarray,
-    params: PrefilterParams,
-    topo: TopologyCache | None = None,
-    geometry: FaceGeometry | None = None,
+    mesh: TriMesh, candidate_vertices: np.ndarray, params: PrefilterParams
 ) -> float:
     """Objective value at *candidate_vertices* with coefficients frozen
-    at *mesh*'s geometry (the quantity :func:`prefilter` minimizes)."""
-    _, a_op, b_op, w_int = assemble_system(mesh, params, topo, geometry)
+    at *mesh*'s geometry (the quantity :func:`prefilter` minimizes).
+
+    Scalar reference for the tests: it reassembles the system from
+    *mesh* on every call.
+    """
+    _, a_op, b_op, w_int = assemble_system(mesh, params)
     q = np.asarray(candidate_vertices, dtype=np.float64)
     data = float(((q - mesh.vertices) ** 2).sum())
     smooth = 0.0
@@ -162,13 +145,9 @@ def quadratic_energy(
     return data + smooth
 
 
-def prefilter(
-    mesh: TriMesh,
-    params: PrefilterParams | None = None,
-    topo: TopologyCache | None = None,
-) -> TriMesh:
+def prefilter(mesh: TriMesh, params: PrefilterParams | None = None) -> TriMesh:
     """Solve the frozen-coefficient quadratic problem, returning the
-    relaxed mesh (same connectivity).
+    relaxed mesh (same connectivity). The topology is built from *mesh*.
 
     With alpha == beta == 0 the system is the identity and the input
     positions are returned bit-for-bit. CG starts from the input
@@ -183,7 +162,7 @@ def prefilter(
         params = PrefilterParams()
     if mesh.n_vertices == 0:
         return mesh.with_vertices(mesh.vertices)
-    system, _, _, _ = assemble_system(mesh, params, topo)
+    system, _, _, _ = assemble_system(mesh, params)
     max_iter = params.max_iter_for(mesh.n_vertices)
     out = np.empty_like(mesh.vertices)
     for k in range(3):

@@ -1,0 +1,60 @@
+"""The package surface: ``meshseg.__all__`` names each public object once,
+and no module under ``src/meshseg`` imports a name it never uses.
+
+The import check is a small ``ast`` walk rather than a linter, so it
+runs wherever the tests run. A name counts as used when it appears as a
+bare name anywhere in the module (annotations included) or as a string
+in the module's ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import meshseg
+
+PACKAGE_DIR = Path(meshseg.__file__).resolve().parent
+
+
+def test_all_names_resolve_once():
+    names = meshseg.__all__
+    assert len(names) == len(set(names)), sorted(n for n in names if names.count(n) > 1)
+    missing = [name for name in names if not hasattr(meshseg, name)]
+    assert not missing
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements in *source* that nothing reads."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported(tree)
+    return sorted(name for name in imported if name not in used)
+
+
+def test_unused_imports_are_found():
+    source = "import os\nimport numpy as np\nfrom .core import A, B\nprint(np, A)\n"
+    assert unused_imports(source) == ["B", "os"]
+    assert unused_imports("from .core import A\n__all__ = ['A']\n") == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

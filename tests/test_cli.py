@@ -7,9 +7,13 @@ import pytest
 from meshseg import cube, plane
 from meshseg.bench import parse_config
 from meshseg.cli import EXIT_IO, EXIT_METRIC_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from meshseg.fileio import read_obj, write_obj
+from meshseg.core import build_topology
+from meshseg.edgeop import edge_operator_field
+from meshseg.fileio import read_labels, read_obj, write_obj
 from meshseg.metrics import msae
 from meshseg.noise import NoiseSpec, add_noise
+from meshseg.prefilter import PrefilterParams, prefilter
+from meshseg.segment import SegmentParams, segment
 
 
 def write_fixture(tmp_path, name, mesh):
@@ -84,9 +88,30 @@ def test_segment_dump_norms(tmp_path):
     csv_path = tmp_path / "cube_norms.csv"
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "edge_id,v0,v1,norm"
-    from meshseg.core import build_topology
-
     assert len(lines) - 1 == build_topology(cube(3)).n_edges
+
+
+def test_segment_prefilter_dump_norms(tmp_path):
+    """With --prefilter the norms CSV scores the relaxed mesh, and the
+    labels match segment() prefiltering on its own."""
+    noisy = add_noise(cube(4), NoiseSpec(0.5, "normal", seed=23))
+    path = write_fixture(tmp_path, "noisy.obj", noisy)
+    flags = ["--dthr", "0.05", "--prefilter", "--alpha", "5", "--beta", "5", "--sigma-w", "2"]
+    assert main(["segment", str(path), *flags, "--dump-norms"]) == EXIT_OK
+
+    mesh = read_obj(path)
+    pf = PrefilterParams(alpha=5.0, beta=5.0, sigma_w=2.0)
+    work = prefilter(mesh, pf)
+    field = edge_operator_field(work, build_topology(work))
+    rows = (tmp_path / "noisy_norms.csv").read_text().splitlines()[1:]
+    norms = np.array([float(row.split(",")[3]) for row in rows])
+    np.testing.assert_array_equal(norms, field.norms)
+    raw = edge_operator_field(mesh, build_topology(mesh)).norms
+    assert not np.array_equal(norms, raw)
+
+    labels = read_labels(tmp_path / "noisy_labels.txt")
+    expected = segment(mesh, SegmentParams(d_thr=0.05), prefilter_params=pf)
+    np.testing.assert_array_equal(labels, expected.labels)
 
 
 def test_segment_missing_file(tmp_path, capsys):

@@ -9,7 +9,6 @@ from meshseg.core import (
     build_topology,
     face_geometry,
     flap_of_edge,
-    geometric_neighborhood,
     vertex_normals,
 )
 from meshseg.errors import (
@@ -296,26 +295,6 @@ def test_every_interior_cube_edge_has_flap():
     for eid in topo.interior_edge_ids:
         flap = flap_of_edge(mesh, topo, int(eid))
         assert len(set(flap.vertex_ids)) == 4
-
-
-# ---------------------------------------------------------------------------
-# Neighborhood queries
-# ---------------------------------------------------------------------------
-
-
-def test_geometric_neighborhood_radius():
-    mesh = cube(2)
-    topo = build_topology(mesh)
-    geo = face_geometry(mesh)
-    hood = geometric_neighborhood(mesh, topo, 0, 2.0)
-    assert 0 not in hood
-    limit = 2.0 * topo.mean_edge_length
-    dists = np.linalg.norm(geo.centroids[sorted(hood)] - geo.centroids[0], axis=1)
-    assert (dists <= limit).all()
-    # Faces just past the radius are excluded.
-    outside = set(range(mesh.n_faces)) - hood - {0}
-    far = np.linalg.norm(geo.centroids[sorted(outside)] - geo.centroids[0], axis=1)
-    assert (far > limit).all()
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,23 @@
 """Tests for the two-step normal-filtering denoisers and their
 cluster-constrained variants."""
 
+from dataclasses import astuple, fields
+
 import numpy as np
 import pytest
 
 from meshseg import cube, plane
 from meshseg.core import build_topology, face_geometry
 from meshseg.denoise import (
-    PARAM_ARITY,
     BnfParams,
     GnfParams,
     L1Params,
     UnfParams,
+    _ring_tables,
     denoise,
     filter_normals,
     mean_adjacent_centroid_distance,
-    neighbors,
     params_from_tuple,
-    params_to_tuple,
     vertex_update,
 )
 from meshseg.metrics import msae
@@ -56,12 +56,9 @@ def test_param_validation():
 
 def test_params_tuple_round_trip():
     for params in ALL_PARAMS:
-        method = {UnfParams: "unf", BnfParams: "bnf", GnfParams: "gnf", L1Params: "l1"}[
-            type(params)
-        ]
-        values = params_to_tuple(params)
-        assert len(values) == PARAM_ARITY[method]
-        back = params_from_tuple(method, values)
+        values = astuple(params)
+        assert len(values) == len(fields(params))
+        back = params_from_tuple(params.method, values)
         assert back == params
 
 
@@ -80,23 +77,18 @@ def test_params_from_tuple_validates():
 
 
 def test_edge_ring_neighbors_respect_labels():
+    """The ring tables every edge-ring filter reads: face 0's valid
+    entries are its edge neighbors, cut to its own cluster by labels."""
     mesh = cube(2)
     topo = build_topology(mesh)
     labels = np.arange(mesh.n_faces) // 8  # the six sides by construction
-    free = neighbors(mesh, topo, 0, scheme="edge-ring")
-    constrained = neighbors(mesh, topo, 0, labels=labels, scheme="edge-ring")
-    assert constrained <= free
+    free = {int(nb) for nb in topo.face_adjacent[0] if nb >= 0}
+    safe, valid = _ring_tables(topo, None)
+    assert set(safe[0][valid[0]].tolist()) == free
+    safe, valid = _ring_tables(topo, labels)
+    constrained = set(safe[0][valid[0]].tolist())
+    assert constrained < free
     assert constrained == {nb for nb in free if labels[nb] == labels[0]}
-
-
-def test_geometric_neighbors_need_radius():
-    mesh = cube(2)
-    topo = build_topology(mesh)
-    with pytest.raises(ValueError):
-        neighbors(mesh, topo, 0, scheme="geometric")
-    hood = neighbors(mesh, topo, 0, scheme="geometric", r=2.0)
-    assert 0 not in hood
-    assert hood
 
 
 def test_mean_adjacent_centroid_distance_plane():

@@ -8,10 +8,8 @@ from meshseg import cube, plane
 from meshseg.core import TriMesh
 from meshseg.errors import ConnectivityMismatchError, EmptyMeshError
 from meshseg.metrics import (
-    MetricsReport,
     TriangleBVH,
     brute_force_sq_distances,
-    compute_report,
     ev,
     msae,
     point_triangles_sq_distance,
@@ -105,7 +103,7 @@ def test_point_triangle_all_regions():
 def test_ev_zero_on_identical():
     mesh = cube(2)
     assert ev(mesh, mesh) == 0.0
-    assert ev(mesh, mesh, method="brute") == 0.0
+    assert (brute_force_sq_distances(mesh.vertices, mesh) == 0.0).all()
 
 
 def test_ev_lifted_plane_oracle():
@@ -117,7 +115,9 @@ def test_ev_lifted_plane_oracle():
     lifted = truth.with_vertices(truth.vertices + np.array([0.0, 0.0, h]))
     expected = h * h / 2.0
     assert ev(lifted, truth) == pytest.approx(expected, rel=1e-12)
-    assert ev(lifted, truth, method="brute") == pytest.approx(expected, rel=1e-12)
+    np.testing.assert_allclose(
+        brute_force_sq_distances(lifted.vertices, truth), h * h, rtol=1e-12
+    )
 
 
 def test_ev_is_scale_invariant():
@@ -136,12 +136,6 @@ def test_ev_does_not_require_shared_connectivity():
     probe = plane(2)
     value = ev(probe, truth)
     assert np.isfinite(value) and value >= 0.0
-
-
-def test_ev_rejects_unknown_method():
-    mesh = cube(1)
-    with pytest.raises(ValueError):
-        ev(mesh, mesh, method="fast")
 
 
 def test_ev_empty_meshes():
@@ -195,22 +189,3 @@ def test_bvh_single_triangle_and_tiny_leaves():
         rtol=0.0,
         atol=1e-12,
     )
-
-
-# ---------------------------------------------------------------------------
-# Combined report
-# ---------------------------------------------------------------------------
-
-
-def test_compute_report_matches_individual_metrics():
-    truth = cube(2)
-    result = add_noise(truth, NoiseSpec(0.3, "normal", seed=9))
-    report = compute_report(result, truth)
-    assert isinstance(report, MetricsReport)
-    assert report.msae == msae(result, truth)
-    assert report.ev == ev(result, truth)
-
-
-def test_compute_report_checks_connectivity():
-    with pytest.raises(ConnectivityMismatchError):
-        compute_report(plane(2), cube(2))
