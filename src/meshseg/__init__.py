@@ -42,6 +42,7 @@ from .errors import (
     LabelLengthMismatchError,
     MeshError,
     MeshParseError,
+    NonFiniteVertexError,
     NonManifoldEdgeError,
     NonTriangleFaceError,
     SolverDivergedError,
@@ -49,7 +50,7 @@ from .errors import (
 )
 from .fileio import ColorMap, read_labels, read_obj, write_labels, write_obj, write_ply_colored
 from .fixtures import cube, icosahedron, make_fixture, plane
-from .metrics import TriangleBVH, ev, msae
+from .metrics import ev, msae
 from .noise import NoiseSpec, add_noise
 from .prefilter import PrefilterParams, edge_weights, prefilter, quadratic_energy, regularizer
 from .segment import ClusterLabels, SegmentParams, refine, region_grow, segment
@@ -75,13 +76,13 @@ __all__ = [
     "MeshError",
     "MeshParseError",
     "NoiseSpec",
+    "NonFiniteVertexError",
     "NonManifoldEdgeError",
     "NonTriangleFaceError",
     "PrefilterParams",
     "SegmentParams",
     "SolverDivergedError",
     "TopologyCache",
-    "TriangleBVH",
     "TriMesh",
     "UnfParams",
     "ZeroAreaFaceError",

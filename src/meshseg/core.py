@@ -8,12 +8,14 @@ so they can be built once and shared read-only between pipeline stages.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .errors import (
     BoundaryEdgeError,
     DegenerateFaceError,
+    NonFiniteVertexError,
     NonManifoldEdgeError,
     ZeroAreaFaceError,
 )
@@ -40,6 +42,9 @@ class TriMesh:
             raise ValueError(f"vertices must have shape (V, 3), got {v.shape}")
         if f.ndim != 2 or f.shape[1] != 3:
             raise ValueError(f"faces must have shape (F, 3), got {f.shape}")
+        if not np.isfinite(v).all():
+            bad = np.flatnonzero(~np.isfinite(v).all(axis=1))[:8].tolist()
+            raise NonFiniteVertexError(f"vertices with non-finite coordinates: {bad}")
         if f.size:
             if f.min() < 0 or f.max() >= len(v):
                 raise IndexError("face vertex index out of range")
@@ -148,13 +153,14 @@ def build_topology(mesh: TriMesh) -> TopologyCache:
         topo.mean_edge_length = 0.0
         return topo
 
-    # Halfedges in corner order: (v0,v1), (v1,v2), (v2,v0) per face.
-    halfedges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    halfedges = np.sort(halfedges, axis=1)
-    edges, inverse, counts = np.unique(
-        halfedges, axis=0, return_inverse=True, return_counts=True
+    # Halfedges in corner order: (v0,v1), (v1,v2), (v2,v0) per face, each
+    # sorted and keyed as v0 * V + v1, which orders edges like their rows.
+    halfedges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    n_v = mesh.n_vertices
+    keys, inverse, counts = np.unique(
+        halfedges[:, 0] * n_v + halfedges[:, 1], return_inverse=True, return_counts=True
     )
-    inverse = inverse.reshape(-1)
+    edges = np.stack((keys // n_v, keys % n_v), axis=1)
     if counts.max() > 2:
         bad = np.flatnonzero(counts > 2)[:8]
         raise NonManifoldEdgeError(
@@ -230,6 +236,50 @@ def face_geometry(mesh: TriMesh) -> FaceGeometry:
     for arr in (normals, areas, centroids):
         arr.setflags(write=False)
     return FaceGeometry(normals=normals, areas=areas, centroids=centroids)
+
+
+def stencil_pairs(query_points, site_lo, site_hi, cell: float, reach: int):
+    """Yield ``(query ids, site ids)`` candidate pairs on a grid of *cell*
+    cubes, one stencil offset at a time.
+
+    A site sits in every cell its box ``site_lo..site_hi`` touches; a
+    query gathers the cells up to *reach* cells from its own on each
+    axis. So every site whose box lies within ``reach * cell`` of a query
+    on each axis is yielded for it at least once.
+    """
+    if len(query_points) == 0 or len(site_lo) == 0:
+        return
+    lo = np.floor(site_lo / cell).astype(np.int64)
+    span = np.floor(site_hi / cell).astype(np.int64) - lo + 1
+    sites, cells = [], []
+    for step in product(*(range(n) for n in span.max(axis=0))):
+        inside = np.flatnonzero((np.asarray(step) < span).all(axis=1))
+        sites.append(inside)
+        cells.append(lo[inside] + step)
+    sites, cells = np.concatenate(sites), np.concatenate(cells)
+
+    # Lexicographic int64 cell key over the sites' cells padded by reach.
+    origin = cells.min(axis=0) - reach
+    dims = cells.max(axis=0) + reach + 1 - origin
+    if np.prod(dims.astype(float)) >= 2.0**62:
+        raise ValueError(f"a grid of {dims.tolist()} cells overflows its int64 keys")
+
+    def key(c):
+        c = c - origin
+        return (c[:, 0] * dims[1] + c[:, 1]) * dims[2] + c[:, 2]
+
+    site_keys = key(cells)
+    order = np.argsort(site_keys, kind="stable")
+    sorted_keys, sorted_sites = site_keys[order], sites[order]
+    query_cells = np.floor(query_points / cell).astype(np.int64)
+    for offset in product(range(-reach, reach + 1), repeat=3):
+        target = query_cells + offset
+        queries = np.flatnonzero(((target >= origin) & (target < origin + dims)).all(axis=1))
+        keys = key(target[queries])
+        first = np.searchsorted(sorted_keys, keys, side="left")
+        counts = np.searchsorted(sorted_keys, keys, side="right") - first
+        slots = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
+        yield np.repeat(queries, counts), sorted_sites[slots]
 
 
 @dataclass(frozen=True)

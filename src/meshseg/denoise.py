@@ -33,7 +33,9 @@ from typing import Union
 
 import numpy as np
 
-from .core import FaceGeometry, TopologyCache, TriMesh, build_topology, face_geometry
+from .core import (
+    FaceGeometry, TopologyCache, TriMesh, build_topology, face_geometry, stencil_pairs,
+)
 from .errors import LabelLengthMismatchError
 from .prefilter import PrefilterParams
 from .segment import ClusterLabels, SegmentParams, segment
@@ -318,35 +320,25 @@ def filter_l1median(
     return normals
 
 
-def _radius_csr(
-    centroids: np.ndarray,
-    radius: float,
-    label_array=None,
-    chunk: int = 256,
-):
+def _radius_csr(centroids: np.ndarray, radius: float, label_array=None):
     """All faces within *radius* of each face's centroid (self excluded,
     same cluster only when labels given) as CSR (neighbor_ids, offsets);
-    neighbor ids ascend within each face."""
-    n_faces = len(centroids)
-    counts = np.zeros(n_faces, dtype=np.int64)
-    pieces = []
+    neighbor ids ascend within each face. Candidates come from the cell
+    grid of :func:`stencil_pairs` with cell = *radius*."""
+    owners, ids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     r2 = radius * radius
-    for start in range(0, n_faces, chunk):
-        stop = min(start + chunk, n_faces)
-        block = centroids[start:stop]
-        diff = block[:, None, :] - centroids[None, :, :]
-        within = np.einsum("bfi,bfi->bf", diff, diff) <= r2
-        within[np.arange(stop - start), np.arange(start, stop)] = False
+    for q, s in stencil_pairs(centroids, centroids, centroids, radius, 1):
+        diff = centroids[q] - centroids[s]
+        keep = (np.einsum("pi,pi->p", diff, diff) <= r2) & (q != s)
         if label_array is not None:
-            within &= label_array[None, :] == label_array[start:stop, None]
-        rows, cols = np.nonzero(within)
-        counts[start:stop] = within.sum(axis=1)
-        pieces.append(cols.astype(np.int64))
-    neighbor_ids = (
-        np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
-    )
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    return neighbor_ids, offsets
+            keep &= label_array[q] == label_array[s]
+        owners.append(q[keep])
+        ids.append(s[keep])
+    owner = np.concatenate(owners)
+    nbr = np.concatenate(ids)
+    order = np.lexsort((nbr, owner))
+    counts = np.bincount(owner, minlength=len(centroids))
+    return nbr[order], np.concatenate(([0], np.cumsum(counts)))
 
 
 def filter_gnf(

@@ -9,6 +9,10 @@ class DegenerateFaceError(MeshError):
     """A face references the same vertex more than once."""
 
 
+class NonFiniteVertexError(MeshError):
+    """A vertex coordinate is NaN or infinite."""
+
+
 class NonManifoldEdgeError(MeshError):
     """An edge is shared by more than two faces."""
 

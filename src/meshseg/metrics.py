@@ -4,18 +4,16 @@
   face normals; demands identical connectivity.
 - ev: mean squared distance from result vertices to the truth surface,
   normalized by the squared truth bounding-box diagonal. Distances are
-  exact point-to-triangle distances found through an AABB tree; a
-  brute-force twin of the same arithmetic is the reference it is tested
-  against.
+  exact point-to-triangle distances over the triangles a cell grid
+  gathers near each point; a brute-force scan with the same arithmetic
+  is the reference it is tested against.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
-from .core import TriMesh, face_geometry
+from .core import TriMesh, face_geometry, stencil_pairs
 from .errors import ConnectivityMismatchError, EmptyMeshError
 
 
@@ -43,11 +41,12 @@ def msae(result: TriMesh, truth: TriMesh) -> float:
 
 
 def point_triangles_sq_distance(point: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Exact squared distance from one point to each triangle, (K,).
+    """Exact squared distance from *point* to each triangle, (K,).
 
     Vectorized closest-point-on-triangle (Ericson, "Real-Time Collision
-    Detection", section 5.1.5). Triangles are (K, 3, 3); degenerate
-    triangles are the caller's problem.
+    Detection", section 5.1.5). Triangles are (K, 3, 3); *point* is one
+    point (3,) or one point per triangle (K, 3). Degenerate triangles are
+    the caller's problem.
     """
     a = triangles[:, 0]
     b = triangles[:, 1]
@@ -111,85 +110,34 @@ def brute_force_sq_distances(points: np.ndarray, truth: TriMesh) -> np.ndarray:
     return out
 
 
-class TriangleBVH:
-    """Static AABB tree over a mesh's triangles (median split on the
-    longest centroid axis, stable ordering) answering exact squared
-    point-to-surface distances via best-first traversal."""
+def sq_distances(points, truth: TriMesh) -> np.ndarray:
+    """Exact squared surface distance per point, gathered on a cell grid.
 
-    __slots__ = ("_triangles", "_lo", "_hi", "_left", "_right", "_leaf_tris")
-
-    def __init__(self, mesh: TriMesh, leaf_size: int = 4):
-        if mesh.n_faces == 0:
-            raise EmptyMeshError("cannot build a BVH over zero faces")
-        self._triangles = mesh.vertices[mesh.faces]
-        tri_lo = self._triangles.min(axis=1)
-        tri_hi = self._triangles.max(axis=1)
-        centroids = self._triangles.mean(axis=1)
-
-        lo, hi, left, right, leaf_tris = [], [], [], [], []
-
-        def build(ids: np.ndarray) -> int:
-            node = len(lo)
-            lo.append(tri_lo[ids].min(axis=0))
-            hi.append(tri_hi[ids].max(axis=0))
-            left.append(-1)
-            right.append(-1)
-            leaf_tris.append(None)
-            if len(ids) <= leaf_size:
-                leaf_tris[node] = ids
-                return node
-            cent = centroids[ids]
-            axis = int(np.argmax(cent.max(axis=0) - cent.min(axis=0)))
-            order = np.argsort(cent[:, axis], kind="stable")
-            half = len(ids) // 2
-            left[node] = build(ids[order[:half]])
-            right[node] = build(ids[order[half:]])
-            return node
-
-        # Median split keeps the depth logarithmic, so plain recursion
-        # is safe even for meshes far larger than this package targets.
-        build(np.arange(mesh.n_faces))
-        self._lo = np.asarray(lo)
-        self._hi = np.asarray(hi)
-        self._left = left
-        self._right = right
-        self._leaf_tris = leaf_tris
-
-    def _box_sq_distance(self, node: int, point: np.ndarray) -> float:
-        gap = np.maximum(self._lo[node] - point, 0.0)
-        gap = np.maximum(gap, point - self._hi[node])
-        return float(gap @ gap)
-
-    def sq_distance(self, point) -> float:
-        """Exact squared distance from *point* to the surface."""
-        point = np.asarray(point, dtype=np.float64)
-        best = np.inf
-        heap = [(self._box_sq_distance(0, point), 0)]
-        while heap:
-            bound, node = heapq.heappop(heap)
-            if bound >= best:
-                break  # every remaining node is at least this far
-            tris = self._leaf_tris[node]
-            if tris is not None:
-                d = point_triangles_sq_distance(point, self._triangles[tris]).min()
-                if d < best:
-                    best = float(d)
-                continue
-            for child in (self._left[node], self._right[node]):
-                child_bound = self._box_sq_distance(child, point)
-                if child_bound < best:
-                    heapq.heappush(heap, (child_bound, child))
-        return best
-
-    def sq_distances(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=np.float64)
-        return np.array([self.sq_distance(p) for p in points], dtype=np.float64)
+    The cell h is the largest triangle bounding-box extent, so each
+    triangle sits in at most 8 cells. A point whose best d² over its
+    27-cell block is below h² is settled, because any triangle outside
+    the block is farther than h; the rest try the 125-cell block (exact
+    below (2h)²), and any still unsettled scan every triangle.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    triangles = truth.vertices[truth.faces]
+    lo, hi = triangles.min(axis=1), triangles.max(axis=1)
+    h = float((hi - lo).max(initial=0.0))
+    best = np.full(len(points), np.inf)
+    todo = np.arange(len(points))
+    for reach in (1, 2):
+        for q, t in stencil_pairs(points[todo], lo, hi, h, reach):
+            ids = todo[q]
+            np.minimum.at(best, ids, point_triangles_sq_distance(points[ids], triangles[t]))
+        todo = todo[best[todo] >= (reach * h) ** 2]
+    best[todo] = brute_force_sq_distances(points[todo], truth)
+    return best
 
 
 def ev(result: TriMesh, truth: TriMesh) -> float:
     """Mean squared vertex-to-truth-surface distance over the squared
-    truth bounding-box diagonal, with exact distances from a
-    :class:`TriangleBVH` over *truth*."""
+    truth bounding-box diagonal, with exact distances from
+    :func:`sq_distances`."""
     if truth.n_faces == 0 or truth.n_vertices == 0:
         raise EmptyMeshError("ev needs a truth mesh with faces")
     if result.n_vertices == 0:
@@ -199,6 +147,5 @@ def ev(result: TriMesh, truth: TriMesh) -> float:
     diag2 = float(extent @ extent)
     if diag2 == 0.0:
         raise ValueError("truth bounding box is a point; ev is undefined")
-    d2 = TriangleBVH(truth).sq_distances(result.vertices)
-    return float(d2.mean() / diag2)
+    return float(sq_distances(result.vertices, truth).mean() / diag2)
 

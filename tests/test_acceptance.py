@@ -26,7 +26,7 @@ from meshseg.denoise import (
 from meshseg.edgeop import edge_operator, edge_operator_field
 from meshseg.fileio import write_obj
 from meshseg.fixtures import icosahedron
-from meshseg.metrics import TriangleBVH, brute_force_sq_distances, ev, msae
+from meshseg.metrics import brute_force_sq_distances, ev, msae, sq_distances
 from meshseg.noise import NoiseSpec, add_noise
 from meshseg.prefilter import PrefilterParams, assemble_system, prefilter, quadratic_energy
 from meshseg.segment import SegmentParams, region_grow, segment
@@ -427,7 +427,7 @@ def test_10_distance_tree_matches_brute_force():
         queries = add_noise(
             truth, NoiseSpec(float(rng.uniform(0.1, 0.8)), "normal", seed=trial)
         ).vertices
-        tree = TriangleBVH(truth).sq_distances(queries)
+        tree = sq_distances(queries, truth)
         brute = brute_force_sq_distances(queries, truth)
         worst = max(worst, float(np.abs(tree - brute).max()))
     _gate(

@@ -1,5 +1,6 @@
 """The package surface: ``meshseg.__all__`` names each public object once,
-and no module under ``src/meshseg`` imports a name it never uses.
+no module under ``src/meshseg`` imports a name it never uses, and the
+distance searches run without loading ``scipy.spatial``.
 
 The import check is a small ``ast`` walk rather than a linter, so it
 runs wherever the tests run. A name counts as used when it appears as a
@@ -8,6 +9,9 @@ in the module's ``__all__``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +62,23 @@ def test_unused_imports_are_found():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_spatial_searches_do_not_import_scipy_spatial():
+    """``ev`` and the guided filter's radius search run on a numpy cell
+    grid; importing ``scipy.spatial`` would cost several MB of RSS."""
+    script = (
+        "import sys\n"
+        "from meshseg import GnfParams, NoiseSpec, add_noise, cube, denoise, ev\n"
+        "noisy = add_noise(cube(2), NoiseSpec(0.3, 'normal', seed=1))\n"
+        "ev(denoise(noisy, GnfParams(2, 2, 0.35, 2, 1)), cube(2))\n"
+        "print('scipy.spatial' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -282,6 +282,20 @@ def test_eval_io_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["eval", "segment"])
+def test_non_finite_coordinate_exit_code(tmp_path, capsys, command):
+    good = write_fixture(tmp_path, "good.obj", cube(1))
+    bad = tmp_path / "nan.obj"
+    bad.write_text(good.read_text().replace("v 0.0 0.0 0.0", "v nan 0.0 0.0", 1))
+    assert "nan" in bad.read_text()
+    argv = {
+        "eval": ["eval", str(bad), str(good)],
+        "segment": ["segment", str(bad), "--dthr", "0.1"],
+    }[command]
+    assert main(argv) == EXIT_IO
+    assert "non-finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------

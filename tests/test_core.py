@@ -9,11 +9,13 @@ from meshseg.core import (
     build_topology,
     face_geometry,
     flap_of_edge,
+    stencil_pairs,
     vertex_normals,
 )
 from meshseg.errors import (
     BoundaryEdgeError,
     DegenerateFaceError,
+    NonFiniteVertexError,
     NonManifoldEdgeError,
     ZeroAreaFaceError,
 )
@@ -76,6 +78,16 @@ def test_trimesh_rejects_repeated_vertex_in_face():
         TriMesh(vertices=np.zeros((3, 3)), faces=np.array([[0, 1, 1]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trimesh_rejects_non_finite_coordinates(bad):
+    verts = cube(2).vertices.copy()
+    verts[5, 1] = bad
+    with pytest.raises(NonFiniteVertexError, match=r"\[5\]"):
+        TriMesh(verts, cube(2).faces)
+    with pytest.raises(NonFiniteVertexError):
+        cube(2).with_vertices(verts)
+
+
 def test_with_vertices_keeps_faces_shared():
     mesh = single_triangle()
     moved = mesh.with_vertices(mesh.vertices + 1.0)
@@ -99,6 +111,20 @@ def test_cube_topology_counts():
     assert not topo.boundary_edge_mask.any()
     # Euler characteristic of a sphere-topology mesh: V - E + F = 2.
     assert mesh.n_vertices - topo.n_edges + mesh.n_faces == 2
+
+
+@pytest.mark.parametrize("mesh", [cube(5), icosahedron(3), plane(4)], ids=repr)
+def test_edges_are_the_sorted_unique_halfedge_rows(mesh):
+    halfedges = np.sort(mesh.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    rows, inverse, counts = np.unique(
+        halfedges, axis=0, return_inverse=True, return_counts=True
+    )
+    topo = build_topology(mesh)
+    np.testing.assert_array_equal(topo.edges, rows)
+    np.testing.assert_array_equal(topo.face_edges.ravel(), inverse.ravel())
+    np.testing.assert_array_equal(
+        (topo.edge_faces >= 0).sum(axis=1), counts
+    )
 
 
 def test_cube_mean_edge_length_exact():
@@ -317,3 +343,35 @@ def test_vertex_normals_cube_corners():
     for vid, pos in enumerate(mesh.vertices):
         outward = pos - 0.5
         assert np.dot(normals[vid], outward) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Cell-grid stencil
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("reach", [1, 2])
+def test_stencil_pairs_yield_every_near_pair(reach):
+    """Every (query, box) pair whose per-axis gap is at most reach * cell
+    comes out; queries outside the sites' grid are no problem."""
+    rng = np.random.default_rng(4)
+    queries = rng.uniform(-1.0, 2.0, size=(80, 3))
+    lo = rng.uniform(0.0, 1.0, size=(50, 3))
+    hi = lo + rng.uniform(0.0, 0.25, size=(50, 3))
+    cell = 0.25
+    found = set()
+    for q, s in stencil_pairs(queries, lo, hi, cell, reach):
+        found |= set(zip(q.tolist(), s.tolist()))
+    gap = np.maximum(lo[None] - queries[:, None], queries[:, None] - hi[None]).max(axis=2)
+    near = set(zip(*(a.tolist() for a in np.nonzero(gap <= reach * cell))))
+    assert near and near <= found
+
+
+def test_stencil_pairs_edge_cases():
+    points = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    none = np.zeros((0, 3))
+    assert list(stencil_pairs(none, points, points, 1.0, 1)) == []
+    assert list(stencil_pairs(points, none, none, 1.0, 1)) == []
+    far = np.array([[0.0, 0.0, 0.0], [1e7, 1e7, 1e7]])
+    with pytest.raises(ValueError, match="int64"):
+        list(stencil_pairs(far, far, far, 1.0, 1))

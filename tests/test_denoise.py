@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from meshseg import cube, plane
-from meshseg.core import build_topology, face_geometry
+from meshseg.core import TriMesh, build_topology, face_geometry
 from meshseg.denoise import (
     BnfParams,
     GnfParams,
     L1Params,
     UnfParams,
+    _radius_csr,
     _ring_tables,
     denoise,
     filter_normals,
@@ -180,6 +181,19 @@ def test_empty_constrained_neighborhood_keeps_normal(params):
     labels[0] = 1  # isolate face 0
     normals = filter_normals(mesh, topo, geo, params, labels)
     np.testing.assert_allclose(normals[0], geo.normals[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: type(p).__name__)
+def test_empty_mesh_denoises_to_empty(params):
+    empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    result = denoise(empty, params)
+    assert (result.n_vertices, result.n_faces) == (0, 0)
+
+
+def test_radius_csr_of_no_centroids():
+    for labels in (None, np.zeros(0, dtype=np.int64)):
+        nbr_ids, offsets = _radius_csr(np.zeros((0, 3)), 1.0, labels)
+        assert nbr_ids.tolist() == [] and offsets.tolist() == [0]
 
 
 def test_cluster_constraint_preserves_cube_creases():

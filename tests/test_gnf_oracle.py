@@ -2,8 +2,9 @@
 that holds ``meshseg.denoise._radius_csr`` to it row for row.
 
 The reference scans every face centroid for one seed face at a time;
-the library builds all rows at once in chunks. Rows must hold the same
-face ids, ascending.
+the library builds all rows at once from the candidate pairs of a cell
+grid (``meshseg.core.stencil_pairs``). Rows must hold the same face ids,
+ascending.
 """
 
 import numpy as np

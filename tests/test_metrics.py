@@ -1,5 +1,6 @@
 """Tests for the denoising quality metrics (normal-angle error and
-normalized vertex-to-surface distance) and the AABB tree behind them."""
+normalized vertex-to-surface distance) and the cell-grid distance
+search behind them."""
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ import pytest
 from meshseg import cube, plane
 from meshseg.core import TriMesh
 from meshseg.errors import ConnectivityMismatchError, EmptyMeshError
+import meshseg.metrics
 from meshseg.metrics import (
-    TriangleBVH,
     brute_force_sq_distances,
     ev,
     msae,
     point_triangles_sq_distance,
+    sq_distances,
 )
 from meshseg.noise import NoiseSpec, add_noise
 
@@ -145,12 +147,10 @@ def test_ev_empty_meshes():
         ev(mesh, empty)
     with pytest.raises(EmptyMeshError):
         ev(empty, mesh)
-    with pytest.raises(EmptyMeshError):
-        TriangleBVH(empty)
 
 
 # ---------------------------------------------------------------------------
-# AABB tree vs. exhaustive scan
+# Cell-grid search vs. exhaustive scan
 # ---------------------------------------------------------------------------
 
 
@@ -158,7 +158,6 @@ def test_bvh_matches_brute_force():
     rng = np.random.default_rng(11)
     for trial in range(5):
         truth = add_noise(cube(3), NoiseSpec(0.3, "normal", seed=trial))
-        tree = TriangleBVH(truth)
         points = np.concatenate(
             [
                 rng.uniform(-0.5, 1.5, size=(20, 3)),  # near / inside
@@ -167,25 +166,49 @@ def test_bvh_matches_brute_force():
             ]
         )
         np.testing.assert_allclose(
-            tree.sq_distances(points),
+            sq_distances(points, truth),
             brute_force_sq_distances(points, truth),
             rtol=0.0,
             atol=1e-12,
         )
 
 
-def test_bvh_single_triangle_and_tiny_leaves():
+def test_sq_distances_single_triangle_and_every_exit(monkeypatch):
+    """A point settles in the 27-cell pass below height h (the cell),
+    in the 125-cell pass below 2h, and in the exhaustive scan beyond."""
     tri = TriMesh(
         np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
         np.array([[0, 1, 2]], dtype=np.int64),
     )
-    tree = TriangleBVH(tri, leaf_size=1)
-    assert tree.sq_distance((0.2, 0.2, 1.0)) == pytest.approx(1.0, abs=1e-14)
-    big = TriangleBVH(cube(4), leaf_size=1)
-    pts = np.random.default_rng(3).uniform(-1, 2, size=(10, 3))
+    assert sq_distances(np.array([[0.2, 0.2, 1.0]]), tri)[0] == pytest.approx(
+        1.0, abs=1e-14
+    )
+
+    truth = plane(8)
+    h = 1.0 / 8.0  # largest triangle bounding-box extent
+    xy = np.random.default_rng(5).uniform(0.0, 1.0, size=(12, 2))
+    heights = np.repeat([0.5 * h, 1.5 * h, 3.0 * h], 4)
+    points = np.column_stack([xy, heights])
+
+    passes, scanned = [], []
+    stencil = meshseg.metrics.stencil_pairs
+    brute = meshseg.metrics.brute_force_sq_distances
+
+    def counting_stencil(query_points, site_lo, site_hi, cell, reach):
+        passes.append((reach, len(query_points)))
+        return stencil(query_points, site_lo, site_hi, cell, reach)
+
+    def counting_brute(pts, mesh):
+        scanned.append(len(pts))
+        return brute(pts, mesh)
+
+    monkeypatch.setattr(meshseg.metrics, "stencil_pairs", counting_stencil)
+    monkeypatch.setattr(meshseg.metrics, "brute_force_sq_distances", counting_brute)
+    got = sq_distances(points, truth)
+    monkeypatch.undo()
+
+    assert passes == [(1, 12), (2, 8)]
+    assert scanned == [4]
     np.testing.assert_allclose(
-        big.sq_distances(pts),
-        brute_force_sq_distances(pts, cube(4)),
-        rtol=0.0,
-        atol=1e-12,
+        got, brute_force_sq_distances(points, truth), rtol=0.0, atol=0.0
     )
