@@ -8,7 +8,7 @@ so they can be built once and shared read-only between pipeline stages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import pairwise, product
 
 import numpy as np
 
@@ -142,17 +142,6 @@ def build_topology(mesh: TriMesh) -> TopologyCache:
     topo.n_faces = mesh.n_faces
 
     faces = mesh.faces
-    if mesh.n_faces == 0:
-        topo.edges = np.zeros((0, 2), dtype=np.int64)
-        topo.edge_faces = np.zeros((0, 2), dtype=np.int64)
-        topo.face_edges = np.zeros((0, 3), dtype=np.int64)
-        topo.face_adjacent = np.zeros((0, 3), dtype=np.int64)
-        topo.vertex_face_offsets = np.zeros(mesh.n_vertices + 1, dtype=np.int64)
-        topo.vertex_face_ids = np.zeros(0, dtype=np.int64)
-        topo.edge_lengths = np.zeros(0, dtype=np.float64)
-        topo.mean_edge_length = 0.0
-        return topo
-
     # Halfedges in corner order: (v0,v1), (v1,v2), (v2,v0) per face, each
     # sorted and keyed as v0 * V + v1, which orders edges like their rows.
     halfedges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
@@ -161,7 +150,7 @@ def build_topology(mesh: TriMesh) -> TopologyCache:
         halfedges[:, 0] * n_v + halfedges[:, 1], return_inverse=True, return_counts=True
     )
     edges = np.stack((keys // n_v, keys % n_v), axis=1)
-    if counts.max() > 2:
+    if counts.max(initial=0) > 2:
         bad = np.flatnonzero(counts > 2)[:8]
         raise NonManifoldEdgeError(
             f"edges with more than two incident faces: {edges[bad].tolist()}"
@@ -187,13 +176,11 @@ def build_topology(mesh: TriMesh) -> TopologyCache:
     vorder = np.argsort(vflat, kind="stable")
     topo.vertex_face_ids = (vorder // 3).astype(np.int64)
     vcounts = np.bincount(vflat, minlength=mesh.n_vertices)
-    topo.vertex_face_offsets = np.concatenate(
-        ([0], np.cumsum(vcounts))
-    ).astype(np.int64)
+    topo.vertex_face_offsets = np.concatenate(([0], np.cumsum(vcounts))).astype(np.int64)
 
     deltas = mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]]
     topo.edge_lengths = np.linalg.norm(deltas, axis=1)
-    topo.mean_edge_length = float(topo.edge_lengths.mean())
+    topo.mean_edge_length = float(topo.edge_lengths.mean()) if len(edges) else 0.0
 
     for arr in (edges, edge_faces, face_edges, face_adjacent):
         arr.setflags(write=False)
@@ -238,9 +225,20 @@ def face_geometry(mesh: TriMesh) -> FaceGeometry:
     return FaceGeometry(normals=normals, areas=areas, centroids=centroids)
 
 
+# Pairs per batch from stencil_pairs: caps its callers' working memory.
+_PAIR_BATCH = 1 << 12
+
+
+def _rank(table, values):
+    """Index of each value in the sorted, non-empty *table*; -1 if absent."""
+    at = np.searchsorted(table, values).clip(max=len(table) - 1)
+    return np.where(table[at] == values, at, -1)
+
+
 def stencil_pairs(query_points, site_lo, site_hi, cell: float, reach: int):
     """Yield ``(query ids, site ids)`` candidate pairs on a grid of *cell*
-    cubes, one stencil offset at a time.
+    cubes, one stencil offset at a time, in batches of at most
+    ``_PAIR_BATCH`` pairs plus those of one query.
 
     A site sits in every cell its box ``site_lo..site_hi`` touches; a
     query gathers the cells up to *reach* cells from its own on each
@@ -258,28 +256,30 @@ def stencil_pairs(query_points, site_lo, site_hi, cell: float, reach: int):
         cells.append(lo[inside] + step)
     sites, cells = np.concatenate(sites), np.concatenate(cells)
 
-    # Lexicographic int64 cell key over the sites' cells padded by reach.
-    origin = cells.min(axis=0) - reach
-    dims = cells.max(axis=0) + reach + 1 - origin
-    if np.prod(dims.astype(float)) >= 2.0**62:
-        raise ValueError(f"a grid of {dims.tolist()} cells overflows its int64 keys")
-
-    def key(c):
-        c = c - origin
-        return (c[:, 0] * dims[1] + c[:, 1]) * dims[2] + c[:, 2]
-
-    site_keys = key(cells)
+    # A cell is keyed by the ranks of its occupied coordinates: the x and
+    # y ranks give a column, whose rank pairs with the z rank. Keys stay
+    # below the number of registrations squared however far apart the
+    # sites are; a cell that holds no site keys to -1.
+    (xs, ix), (ys, iy), (zs, iz) = (np.unique(c, return_inverse=True) for c in cells.T)
+    columns, site_columns = np.unique(ix * len(ys) + iy, return_inverse=True)
+    site_keys = site_columns * len(zs) + iz
     order = np.argsort(site_keys, kind="stable")
     sorted_keys, sorted_sites = site_keys[order], sites[order]
     query_cells = np.floor(query_points / cell).astype(np.int64)
-    for offset in product(range(-reach, reach + 1), repeat=3):
-        target = query_cells + offset
-        queries = np.flatnonzero(((target >= origin) & (target < origin + dims)).all(axis=1))
-        keys = key(target[queries])
-        first = np.searchsorted(sorted_keys, keys, side="left")
-        counts = np.searchsorted(sorted_keys, keys, side="right") - first
-        slots = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
-        yield np.repeat(queries, counts), sorted_sites[slots]
+    near = query_cells[:, :, None] + np.arange(-reach, reach + 1)
+    rx, ry, rz = (_rank(axis, near[:, i]).T for i, axis in enumerate((xs, ys, zs)))
+    for x, y in product(rx, ry):
+        column = np.where((x >= 0) & (y >= 0), _rank(columns, x * len(ys) + y), -1)
+        for z in rz:
+            keys = np.where((column >= 0) & (z >= 0), column * len(zs) + z, -1)
+            first = np.searchsorted(sorted_keys, keys, side="left")
+            counts = np.searchsorted(sorted_keys, keys, side="right") - first
+            ends = np.cumsum(counts)
+            marks = np.arange(0, ends[-1] + _PAIR_BATCH, _PAIR_BATCH)
+            for a, b in pairwise(np.unique(np.searchsorted(ends, marks, side="right"))):
+                n = counts[a:b]
+                slots = np.arange(n.sum()) + np.repeat(first[a:b] - np.cumsum(n) + n, n)
+                yield np.repeat(np.arange(a, b), n), sorted_sites[slots]
 
 
 @dataclass(frozen=True)

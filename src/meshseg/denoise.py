@@ -167,24 +167,18 @@ def _as_label_array(labels, n_faces: int):
     return arr
 
 
-def _sorted_ring(topo: TopologyCache) -> np.ndarray:
-    """face_adjacent with each row sorted ascending, -1 padding last."""
+def _ring_tables(topo: TopologyCache, label_array):
+    """(safe, valid): each face's edge ring in ascending face id with
+    boundary slots last. Boundary slots read face 0 in *safe* and False
+    in *valid*, which with labels is also False for other clusters."""
     ring = topo.face_adjacent.copy()
     sentinel = np.iinfo(np.int64).max
     ring[ring < 0] = sentinel
     ring.sort(axis=1)
-    ring[ring == sentinel] = -1
-    return ring
-
-
-def _ring_tables(topo: TopologyCache, label_array):
-    """(ring, safe_ring, valid) neighbor tables with the cluster mask."""
-    ring = _sorted_ring(topo)
-    valid = ring >= 0
+    valid = ring != sentinel
     safe = np.where(valid, ring, 0)
     if label_array is not None:
-        own = label_array[:, None]
-        valid = valid & (label_array[safe] == own)
+        valid &= label_array[safe] == label_array[:, None]
     return safe, valid
 
 
@@ -206,8 +200,7 @@ def _normalize_rows(vectors: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     """Row-normalize, keeping *fallback* rows where the norm vanishes."""
     norms = np.linalg.norm(vectors, axis=1)
     ok = norms > 0.0
-    out = np.where(ok[:, None], vectors / np.where(ok, norms, 1.0)[:, None], fallback)
-    return out
+    return np.where(ok[:, None], vectors / np.where(ok, norms, 1.0)[:, None], fallback)
 
 
 def filter_unf(

@@ -4,9 +4,9 @@
   face normals; demands identical connectivity.
 - ev: mean squared distance from result vertices to the truth surface,
   normalized by the squared truth bounding-box diagonal. Distances are
-  exact point-to-triangle distances over the triangles a cell grid
-  gathers near each point; a brute-force scan with the same arithmetic
-  is the reference it is tested against.
+  exact point-to-triangle distances over the triangles that cell grids,
+  one per triangle size tier, gather near each point; a brute-force scan
+  with the same arithmetic is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -111,26 +111,38 @@ def brute_force_sq_distances(points: np.ndarray, truth: TriMesh) -> np.ndarray:
 
 
 def sq_distances(points, truth: TriMesh) -> np.ndarray:
-    """Exact squared surface distance per point, gathered on a cell grid.
+    """Exact squared surface distance per point, gathered on cell grids.
 
-    The cell h is the largest triangle bounding-box extent, so each
-    triangle sits in at most 8 cells. A point whose best d² over its
-    27-cell block is below h² is settled, because any triangle outside
-    the block is farther than h; the rest try the 125-cell block (exact
-    below (2h)²), and any still unsettled scan every triangle.
+    Triangles are split into tiers by the power of two of their largest
+    bounding-box extent; a tier's cell h is its largest extent, so one big
+    triangle never coarsens the grid of the small ones. Every point first
+    gathers its 27-cell block in every tier. Per tier, a point whose best
+    d² is below h² is settled (the tier's other triangles are farther than
+    h); the rest try the 125-cell block (exact below (2h)²), then scan the
+    tier's triangles.
     """
     points = np.asarray(points, dtype=np.float64)
     triangles = truth.vertices[truth.faces]
     lo, hi = triangles.min(axis=1), triangles.max(axis=1)
-    h = float((hi - lo).max(initial=0.0))
+    extent = (hi - lo).max(axis=1)
+    power = np.frexp(extent)[1]
+    tiers = [np.flatnonzero(power == p) for p in np.unique(power)]
     best = np.full(len(points), np.inf)
-    todo = np.arange(len(points))
-    for reach in (1, 2):
-        for q, t in stencil_pairs(points[todo], lo, hi, h, reach):
+
+    def gather(todo, faces, reach):
+        h = extent[faces].max()
+        for q, t in stencil_pairs(points[todo], lo[faces], hi[faces], h, reach):
             ids = todo[q]
-            np.minimum.at(best, ids, point_triangles_sq_distance(points[ids], triangles[t]))
-        todo = todo[best[todo] >= (reach * h) ** 2]
-    best[todo] = brute_force_sq_distances(points[todo], truth)
+            d2 = point_triangles_sq_distance(points[ids], triangles[faces[t]])
+            np.minimum.at(best, ids, d2)
+        return todo[best[todo] >= (reach * h) ** 2]
+
+    everyone = np.arange(len(points))
+    unsettled = [gather(everyone, faces, 1) for faces in tiers]
+    for faces, todo in zip(tiers, unsettled):
+        todo = gather(todo[best[todo] >= extent[faces].max() ** 2], faces, 2)
+        part = TriMesh(truth.vertices, truth.faces[faces])
+        best[todo] = np.minimum(best[todo], brute_force_sq_distances(points[todo], part))
     return best
 
 

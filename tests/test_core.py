@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import meshseg.core
 from meshseg import cube, icosahedron, plane
 from meshseg.core import (
     TriMesh,
@@ -372,6 +373,23 @@ def test_stencil_pairs_edge_cases():
     none = np.zeros((0, 3))
     assert list(stencil_pairs(none, points, points, 1.0, 1)) == []
     assert list(stencil_pairs(points, none, none, 1.0, 1)) == []
-    far = np.array([[0.0, 0.0, 0.0], [1e7, 1e7, 1e7]])
-    with pytest.raises(ValueError, match="int64"):
-        list(stencil_pairs(far, far, far, 1.0, 1))
+
+    # 1e13 cells apart on each axis: far more than an int64 key over the
+    # full cell box could count, but only two cells are occupied.
+    far = np.array([[0.0, 0.0, 0.0], [1e-7, 0.0, 0.0], [1e7, 1e7, 1e7]])
+    found = set()
+    for q, s in stencil_pairs(far, far, far, 1e-6, 1):
+        found |= set(zip(q.tolist(), s.tolist()))
+    assert found == {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)}
+
+
+def test_stencil_pairs_batches_cap_memory():
+    """Each offset's pairs come in batches of about _PAIR_BATCH, and the
+    batches of all offsets add up to every pair exactly once."""
+    rng = np.random.default_rng(8)
+    sites = rng.uniform(0.0, 1.0, size=(300, 3))
+    queries = rng.uniform(0.0, 1.0, size=(200, 3))
+    batches = list(stencil_pairs(queries, sites, sites, 1.0, 1))
+    assert max(len(q) for q, _ in batches) <= meshseg.core._PAIR_BATCH + 300
+    pairs = np.concatenate([q * 300 + s for q, s in batches])
+    assert np.array_equal(np.sort(pairs), np.arange(200 * 300))

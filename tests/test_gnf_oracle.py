@@ -80,3 +80,18 @@ def test_radius_csr_matches_reference(make_mesh, r, labelled):
         if labels is not None:
             expected = {nb for nb in expected if labels[nb] == labels[face]}
         assert nbr_ids[offsets[face]:offsets[face + 1]].tolist() == sorted(expected)
+
+
+def test_radius_csr_tiny_radius_far_apart():
+    """A radius of 1e-6 over centroids 1e7 apart: the grid spans 1e13
+    cells per axis, and the rows still match the reference."""
+    centroids = np.array([[0.0, 0.0, 0.0], [1e-7, 0.0, 0.0], [1e7, 1e7, 1e7]])
+    nbr_ids, offsets = _radius_csr(centroids, 1e-6)
+    assert nbr_ids.tolist() == [1, 0]
+    assert offsets.tolist() == [0, 1, 2, 2]
+    mesh = _noisy_plane()
+    topo = build_topology(mesh)
+    nbr_ids, offsets = _radius_csr(
+        face_geometry(mesh).centroids, 1e-6 * topo.mean_edge_length
+    )
+    assert len(nbr_ids) == 0 and len(offsets) == mesh.n_faces + 1

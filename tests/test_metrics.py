@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from meshseg import cube, plane
+import meshseg.core
 from meshseg.core import TriMesh
 from meshseg.errors import ConnectivityMismatchError, EmptyMeshError
 import meshseg.metrics
@@ -212,3 +213,58 @@ def test_sq_distances_single_triangle_and_every_exit(monkeypatch):
     np.testing.assert_allclose(
         got, brute_force_sq_distances(points, truth), rtol=0.0, atol=0.0
     )
+
+
+def test_sq_distances_one_big_triangle_keeps_the_grid_fine(monkeypatch):
+    """A triangle spanning the whole box gets a grid tier of its own:
+    the plane's small triangles are still gathered from small cells, so
+    far fewer than all (point, triangle) pairs are evaluated and no batch
+    outgrows the stencil's cap."""
+    base = plane(16)
+    n = base.n_vertices
+    truth = TriMesh(
+        np.vstack([base.vertices, [[0.0, 0.0, -0.5], [1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]]),
+        np.vstack([base.faces, [[n, n + 1, n + 2]]]),
+    )
+    rng = np.random.default_rng(6)
+    points = np.concatenate(
+        [
+            add_noise(base, NoiseSpec(0.3, "normal", seed=6)).vertices,
+            rng.uniform(-0.5, 1.5, size=(40, 3)),
+        ]
+    )
+
+    batches = []
+    stencil = meshseg.metrics.stencil_pairs
+
+    def counting_stencil(*args):
+        for q, t in stencil(*args):
+            batches.append(len(q))
+            yield q, t
+
+    monkeypatch.setattr(meshseg.metrics, "stencil_pairs", counting_stencil)
+    got = sq_distances(points, truth)
+    monkeypatch.undo()
+
+    np.testing.assert_allclose(
+        got, brute_force_sq_distances(points, truth), rtol=0.0, atol=0.0
+    )
+    assert sum(batches) < len(points) * truth.n_faces // 4
+    assert max(batches) <= meshseg.core._PAIR_BATCH + truth.n_faces
+
+
+def test_sq_distances_tiny_triangles_far_apart():
+    """Two triangles 1e-3 across and 1e4 apart: the grid spans 1e7 cells
+    per axis and still answers exactly."""
+    small = np.array([[0.0, 0.0, 0.0], [1e-3, 0.0, 0.0], [0.0, 1e-3, 0.0]])
+    truth = TriMesh(
+        np.vstack([small, small + 1e4]), np.array([[0, 1, 2], [3, 4, 5]])
+    )
+    points = np.vstack([small + 1e-4, small + 1e4 - 1e-4, [[5e3, 5e3, 5e3]]])
+    np.testing.assert_allclose(
+        sq_distances(points, truth),
+        brute_force_sq_distances(points, truth),
+        rtol=0.0,
+        atol=0.0,
+    )
+    assert np.isfinite(ev(truth.with_vertices(truth.vertices + 1e-5), truth))
