@@ -235,6 +235,31 @@ def _rank(table, values):
     return np.where(table[at] == values, at, -1)
 
 
+def _cell_index(site_lo, site_hi, cell: float):
+    """Each site registered in every cell its box touches, as (sorted cell
+    keys, their sites, the occupied x/y/z coordinates, the occupied
+    columns); the per-registration set-up arrays end with the call.
+
+    A cell is keyed by the ranks of its occupied coordinates: the x and
+    y ranks give a column, whose rank pairs with the z rank. Keys stay
+    below the number of registrations squared however far apart the
+    sites are.
+    """
+    lo = np.floor(site_lo / cell).astype(np.int64)
+    span = np.floor(site_hi / cell).astype(np.int64) - lo + 1
+    sites, cells = [], []
+    for step in product(*(range(n) for n in span.max(axis=0))):
+        inside = np.flatnonzero((np.asarray(step) < span).all(axis=1))
+        sites.append(inside)
+        cells.append(lo[inside] + step)
+    sites, cells = np.concatenate(sites), np.concatenate(cells)
+    (xs, ix), (ys, iy), (zs, iz) = (np.unique(c, return_inverse=True) for c in cells.T)
+    columns, site_columns = np.unique(ix * len(ys) + iy, return_inverse=True)
+    site_keys = site_columns * len(zs) + iz
+    order = np.argsort(site_keys, kind="stable")
+    return site_keys[order], sites[order], (xs, ys, zs), columns
+
+
 def stencil_pairs(query_points, site_lo, site_hi, cell: float, reach: int):
     """Yield ``(query ids, site ids)`` candidate pairs on a grid of *cell*
     cubes, one stencil offset at a time, in batches of at most
@@ -247,27 +272,14 @@ def stencil_pairs(query_points, site_lo, site_hi, cell: float, reach: int):
     """
     if len(query_points) == 0 or len(site_lo) == 0:
         return
-    lo = np.floor(site_lo / cell).astype(np.int64)
-    span = np.floor(site_hi / cell).astype(np.int64) - lo + 1
-    sites, cells = [], []
-    for step in product(*(range(n) for n in span.max(axis=0))):
-        inside = np.flatnonzero((np.asarray(step) < span).all(axis=1))
-        sites.append(inside)
-        cells.append(lo[inside] + step)
-    sites, cells = np.concatenate(sites), np.concatenate(cells)
-
-    # A cell is keyed by the ranks of its occupied coordinates: the x and
-    # y ranks give a column, whose rank pairs with the z rank. Keys stay
-    # below the number of registrations squared however far apart the
-    # sites are; a cell that holds no site keys to -1.
-    (xs, ix), (ys, iy), (zs, iz) = (np.unique(c, return_inverse=True) for c in cells.T)
-    columns, site_columns = np.unique(ix * len(ys) + iy, return_inverse=True)
-    site_keys = site_columns * len(zs) + iz
-    order = np.argsort(site_keys, kind="stable")
-    sorted_keys, sorted_sites = site_keys[order], sites[order]
+    sorted_keys, sorted_sites, (xs, ys, zs), columns = _cell_index(site_lo, site_hi, cell)
+    # Ranks of the coordinates near each query, per axis; a coordinate or
+    # cell that holds no site ranks and keys to -1. A generator keeps its
+    # locals across yields, so the set-up arrays are freed first.
     query_cells = np.floor(query_points / cell).astype(np.int64)
     near = query_cells[:, :, None] + np.arange(-reach, reach + 1)
     rx, ry, rz = (_rank(axis, near[:, i]).T for i, axis in enumerate((xs, ys, zs)))
+    del query_cells, near
     for x, y in product(rx, ry):
         column = np.where((x >= 0) & (y >= 0), _rank(columns, x * len(ys) + y), -1)
         for z in rz:

@@ -32,6 +32,7 @@ from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import (
     FaceGeometry, TopologyCache, TriMesh, build_topology, face_geometry, stencil_pairs,
@@ -348,9 +349,12 @@ def filter_gnf(
     normal difference; face i picks, among itself and its geometric
     neighbors, the patch with the smallest consistency (ties: smaller
     patch-centroid distance, then smaller face id) and adopts its
-    area-weighted normal as guidance g_i. The new normal is then the
-    joint bilateral blend of neighbor normals with spatial weights on
-    centroid distance and range weights on guidance difference.
+    area-weighted normal as guidance g_i. Only the consistencies change
+    between sweeps, so the tie-break order is ranked once and a sweep
+    takes the first minimum in it. The new normal is then the joint
+    bilateral blend of neighbor normals with spatial weights on centroid
+    distance and range weights on guidance difference, summed in
+    ascending neighbor id.
     """
     label_array = _as_label_array(labels, topo.n_faces)
     n_faces = topo.n_faces
@@ -367,9 +371,8 @@ def filter_gnf(
         -np.einsum("pi,pi->p", pair_cdiff, pair_cdiff) / (2.0 * sigma_s * sigma_s)
     )
 
-    # Guidance candidates: each face itself, then every radius pair. The
-    # per-sweep lexsort keys on owner first and id last, a total order, so
-    # after it owner i's candidates start at offsets[i] + i.
+    # Guidance candidates: each face itself, then every radius pair. Ranked
+    # by owner, owner i's run starts at offsets[i] + i and is never empty.
     cand_ids = np.concatenate((np.arange(n_faces), nbr_ids))
     cand_owner = np.concatenate((np.arange(n_faces), owner))
     cand_starts = offsets[:-1] + np.arange(n_faces)
@@ -386,6 +389,10 @@ def filter_gnf(
     cand_centroid_dist = np.linalg.norm(
         patch_centroid[cand_ids] - centroids[cand_owner], axis=1
     )
+    ranked_ids = cand_ids[np.lexsort((cand_ids, cand_centroid_dist, cand_owner))]
+    run_lengths = np.diff(offsets) + 1
+    # Sparse rows in ascending neighbor id; each sweep sets their weights.
+    blend = sp.csr_array((pair_spatial, nbr_ids, offsets), shape=(n_faces, n_faces))
 
     pair_mask = member_valid[:, :, None] & member_valid[:, None, :]
     two_sr2 = 2.0 * params.sigma_r * params.sigma_r
@@ -398,21 +405,15 @@ def filter_gnf(
         patch_normal = _normalize_rows(
             (member_area[:, :, None] * member_normals).sum(axis=1), normals
         )
-        # Lexicographic argmin per face: consistency, centroid gap, id.
-        order = np.lexsort(
-            (cand_ids, cand_centroid_dist, consistency[cand_ids], cand_owner)
-        )
-        winners = cand_ids[order[cand_starts]]
-        guidance = patch_normal[winners]
+        # Lexicographic argmin per face: consistency, then the static rank.
+        ranked = consistency[ranked_ids]
+        run_min = np.minimum.reduceat(ranked, cand_starts)
+        hits = np.flatnonzero(ranked == np.repeat(run_min, run_lengths))
+        guidance = patch_normal[ranked_ids[hits[np.searchsorted(hits, cand_starts)]]]
 
         gdiff = guidance[owner] - guidance[nbr_ids]
-        range_w = np.exp(-np.einsum("pi,pi->p", gdiff, gdiff) / two_sr2)
-        pair_w = pair_spatial * range_w
-        summed = np.zeros((n_faces, 3), dtype=np.float64)
-        weighted = pair_w[:, None] * normals[nbr_ids]
-        for k in range(3):
-            summed[:, k] = np.bincount(owner, weights=weighted[:, k], minlength=n_faces)
-        normals = _normalize_rows(summed, normals)
+        blend.data = pair_spatial * np.exp(-np.einsum("pi,pi->p", gdiff, gdiff) / two_sr2)
+        normals = _normalize_rows(blend @ normals, normals)
     return normals
 
 

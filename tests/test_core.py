@@ -1,5 +1,7 @@
 """Tests for the mesh container, topology cache, and local queries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -393,3 +395,25 @@ def test_stencil_pairs_batches_cap_memory():
     assert max(len(q) for q, _ in batches) <= meshseg.core._PAIR_BATCH + 300
     pairs = np.concatenate([q * 300 + s for q, s in batches])
     assert np.array_equal(np.sort(pairs), np.arange(200 * 300))
+
+
+def test_stencil_pairs_frees_set_up_before_first_yield():
+    """At its first yield the generator holds the sorted keys and sites
+    (16 bytes a registration) and the per-axis rank tables (72 bytes a
+    query at reach 1), not the per-registration set-up arrays; the bound
+    leaves room for one offset's working arrays."""
+    mesh = plane(64)
+    tri = mesh.vertices[mesh.faces]
+    lo, hi = tri.min(axis=1), tri.max(axis=1)
+    cell = float((hi - lo).max())
+    span = np.floor(hi / cell) - np.floor(lo / cell) + 1
+    registrations = int(span.prod(axis=1).sum())
+    needed = 16 * registrations + 72 * mesh.n_vertices
+    tracemalloc.start()
+    try:
+        pairs = stencil_pairs(mesh.vertices, lo, hi, cell, 1)
+        next(pairs)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * needed

@@ -1,18 +1,31 @@
-"""Scalar reference for the guided filter's radius search, and the test
-that holds ``meshseg.denoise._radius_csr`` to it row for row.
+"""References for the guided filter, and the tests that hold
+``meshseg.denoise`` to them.
 
-The reference scans every face centroid for one seed face at a time;
-the library builds all rows at once from the candidate pairs of a cell
-grid (``meshseg.core.stencil_pairs``). Rows must hold the same face ids,
-ascending.
+- Radius search: the reference scans every face centroid for one seed
+  face at a time; the library builds all rows at once from the candidate
+  pairs of a cell grid (``meshseg.core.stencil_pairs``). Rows must hold
+  the same face ids, ascending.
+- Guidance choice: the reference sorts every face's candidates by
+  (consistency, centroid gap, id) on every sweep and blends with one
+  ``bincount`` per axis; the library ranks by (centroid gap, id) once,
+  takes the first minimum per face, and blends with a sparse product.
+  Normals must agree bit for bit, so every tie goes the same way.
 """
 
 import numpy as np
 import pytest
 
-from meshseg import cube, plane
+from meshseg import cube, icosahedron, plane
 from meshseg.core import TopologyCache, TriMesh, build_topology, face_geometry
-from meshseg.denoise import _radius_csr
+from meshseg.denoise import (
+    GnfParams,
+    _as_label_array,
+    _normalize_rows,
+    _radius_csr,
+    _ring_tables,
+    filter_normals,
+    mean_adjacent_centroid_distance,
+)
 from meshseg.noise import NoiseSpec, add_noise
 
 
@@ -59,6 +72,12 @@ def _noisy_plane():
     return add_noise(plane(6), NoiseSpec(0.3, "normal", seed=11))
 
 
+def _six_sides(n_faces):
+    # cube(m) emits its six sides one after another, 2*m*m faces each;
+    # a plane gets six bands of faces in the same way.
+    return np.arange(n_faces) // (n_faces // 6)
+
+
 @pytest.mark.parametrize("make_mesh", [_noisy_cube, _noisy_plane])
 @pytest.mark.parametrize("r", [1.0, 2.0])
 @pytest.mark.parametrize("labelled", [False, True])
@@ -68,9 +87,7 @@ def test_radius_csr_matches_reference(make_mesh, r, labelled):
     mesh = make_mesh()
     topo = build_topology(mesh)
     n_faces = mesh.n_faces
-    # cube(m) emits its six sides one after another, 2*m*m faces each;
-    # the plane gets six bands of faces in the same way.
-    labels = np.arange(n_faces) // (n_faces // 6) if labelled else None
+    labels = _six_sides(n_faces) if labelled else None
     nbr_ids, offsets = _radius_csr(
         face_geometry(mesh).centroids, r * topo.mean_edge_length, labels
     )
@@ -95,3 +112,89 @@ def test_radius_csr_tiny_radius_far_apart():
         face_geometry(mesh).centroids, 1e-6 * topo.mean_edge_length
     )
     assert len(nbr_ids) == 0 and len(offsets) == mesh.n_faces + 1
+
+
+def reference_filter_gnf(mesh, topo, geometry, params, labels=None):
+    """The guided filter with a full lexsort of the guidance candidates
+    on every sweep and a per-axis ``bincount`` blend."""
+    label_array = _as_label_array(labels, topo.n_faces)
+    n_faces = topo.n_faces
+    areas = geometry.areas
+    centroids = geometry.centroids
+    sigma_c = mean_adjacent_centroid_distance(topo, geometry)
+    sigma_s = params.sigma_s_mult * sigma_c
+    radius = params.r * topo.mean_edge_length
+
+    nbr_ids, offsets = _radius_csr(centroids, radius, label_array)
+    owner = np.repeat(np.arange(n_faces, dtype=np.int64), np.diff(offsets))
+    pair_cdiff = centroids[owner] - centroids[nbr_ids]
+    pair_spatial = areas[nbr_ids] * np.exp(
+        -np.einsum("pi,pi->p", pair_cdiff, pair_cdiff) / (2.0 * sigma_s * sigma_s)
+    )
+
+    # The lexsort keys on owner first and id last, a total order, so after
+    # it owner i's candidates start at offsets[i] + i.
+    cand_ids = np.concatenate((np.arange(n_faces), nbr_ids))
+    cand_owner = np.concatenate((np.arange(n_faces), owner))
+    cand_starts = offsets[:-1] + np.arange(n_faces)
+
+    safe, ring_valid = _ring_tables(topo, label_array)
+    members = np.concatenate([np.arange(n_faces)[:, None], safe], axis=1)
+    member_valid = np.concatenate(
+        [np.ones((n_faces, 1), dtype=bool), ring_valid], axis=1
+    )
+    member_area = areas[members] * member_valid
+    patch_centroid = (member_area[:, :, None] * centroids[members]).sum(axis=1)
+    patch_centroid /= member_area.sum(axis=1, keepdims=True)
+    cand_centroid_dist = np.linalg.norm(
+        patch_centroid[cand_ids] - centroids[cand_owner], axis=1
+    )
+
+    pair_mask = member_valid[:, :, None] & member_valid[:, None, :]
+    two_sr2 = 2.0 * params.sigma_r * params.sigma_r
+    normals = geometry.normals
+    for _ in range(params.n_iter):
+        member_normals = normals[members]
+        diffs = member_normals[:, :, None, :] - member_normals[:, None, :, :]
+        d2 = np.einsum("fabi,fabi->fab", diffs, diffs)
+        consistency = np.sqrt(np.where(pair_mask, d2, 0.0).max(axis=(1, 2)))
+        patch_normal = _normalize_rows(
+            (member_area[:, :, None] * member_normals).sum(axis=1), normals
+        )
+        order = np.lexsort(
+            (cand_ids, cand_centroid_dist, consistency[cand_ids], cand_owner)
+        )
+        guidance = patch_normal[cand_ids[order[cand_starts]]]
+
+        gdiff = guidance[owner] - guidance[nbr_ids]
+        range_w = np.exp(-np.einsum("pi,pi->p", gdiff, gdiff) / two_sr2)
+        pair_w = pair_spatial * range_w
+        summed = np.zeros((n_faces, 3), dtype=np.float64)
+        weighted = pair_w[:, None] * normals[nbr_ids]
+        for k in range(3):
+            summed[:, k] = np.bincount(owner, weights=weighted[:, k], minlength=n_faces)
+        normals = _normalize_rows(summed, normals)
+    return normals
+
+
+@pytest.mark.parametrize(
+    "mesh, labelled",
+    [
+        (cube(4), False),
+        (cube(4), True),
+        (icosahedron(2), False),
+        (_noisy_cube(), True),
+    ],
+    ids=["cube", "cube-sides", "icosahedron", "noisy-cube-sides"],
+)
+def test_gnf_guidance_ties_match_reference(mesh, labelled):
+    """On a clean mesh every patch inside a flat side, and every patch of a
+    regular icosahedron, ties on consistency with its neighbours', so
+    the centroid-gap and id tie-breaks pick most guidance patches."""
+    topo = build_topology(mesh)
+    geometry = face_geometry(mesh)
+    labels = _six_sides(mesh.n_faces) if labelled else None
+    params = GnfParams(2.0, 2.0, 0.35, 3, 0)
+    got = filter_normals(mesh, topo, geometry, params, labels)
+    want = reference_filter_gnf(mesh, topo, geometry, params, labels)
+    assert got.tobytes() == want.tobytes()
