@@ -11,7 +11,9 @@ Four normal-filter backends share one harness:
 - ``gnf``: joint bilateral over a geometric neighborhood, steered by
   guidance normals chosen per face as the most consistent small patch.
 - ``l1``: weighted geometric median (Weiszfeld) of edge-ring normals
-  within an angular gate.
+  within an angular gate. The Weiszfeld loop runs component-major over
+  the faces with gated weight only, each sum spelled out in the order
+  of numpy's row-major ``einsum`` reductions.
 
 Passing cluster labels restricts every neighborhood (and the gnf
 guidance patches) to faces of the same cluster, which is what keeps
@@ -264,6 +266,59 @@ def filter_bnf(
     return normals
 
 
+def _slot_sum(weights, points, prod, out):
+    """out[i] = (w0·p0[i] + w1·p1[i]) + w2·p2[i], einsum("fk,fki->fi")'s order."""
+    np.multiply(weights, points, out=prod)
+    np.add(prod[:, 0], prod[:, 1], out=out)
+    return np.add(out, prod[:, 2], out=out)
+
+
+def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray) -> np.ndarray:
+    """Weighted geometric median of each column's three ring normals.
+
+    Component-major: *points* is (3 components, 3 ring slots, A), *weights*
+    (3 slots, A) and *wsum* (A,) their positive sums. Starts from the
+    weighted mean and takes Weiszfeld steps until no column moves by
+    WEISZFELD_MOVE_TOL; the steps write into buffers allocated once here.
+    Every sum keeps the order numpy's einsum/sum give the row-major form
+    (squared distance (x² + z²) + y², slot sums (s0 + s1) + s2, squared
+    move (x² + y²) + z²), so the median is bit-identical to it. Returns
+    the (3, A) median.
+    """
+    prod = np.empty_like(points)
+    inv = np.empty_like(weights)
+    inv_sum = np.empty_like(wsum)
+    move = np.empty_like(wsum)
+    stuck = np.empty(wsum.shape, dtype=bool)
+    median = _slot_sum(weights, points, prod, np.empty_like(points[:, 0]))
+    np.divide(median, wsum, out=median)
+    candidate = np.empty_like(median)
+    for _step in range(WEISZFELD_MAX_ITER):
+        np.subtract(median[:, None, :], points, out=prod)
+        np.multiply(prod, prod, out=prod)
+        np.add(prod[0], prod[2], out=inv)
+        np.add(inv, prod[1], out=inv)
+        np.sqrt(inv, out=inv)
+        np.maximum(inv, WEISZFELD_DIST_FLOOR, out=inv)
+        np.divide(weights, inv, out=inv)
+        np.add(inv[0], inv[1], out=inv_sum)
+        np.add(inv_sum, inv[2], out=inv_sum)
+        _slot_sum(inv, points, prod, candidate)
+        np.logical_not(np.greater(inv_sum, 0.0, out=stuck), out=stuck)
+        np.copyto(inv_sum, 1.0, where=stuck)
+        np.divide(candidate, inv_sum, out=candidate)
+        np.copyto(candidate, median, where=stuck)
+        np.subtract(candidate, median, out=median)  # the old median is spent
+        np.multiply(median, median, out=median)
+        np.add(median[0], median[1], out=move)
+        np.add(move, median[2], out=move)
+        median, candidate = candidate, median
+        # sqrt is monotone, so the root of the largest square is the largest move.
+        if np.sqrt(move.max(initial=0.0)) < WEISZFELD_MOVE_TOL:
+            break
+    return median
+
+
 def filter_l1median(
     mesh: TriMesh,
     topo: TopologyCache,
@@ -277,7 +332,9 @@ def filter_l1median(
     normals lie within angle_max_deg of the center normal; the weighted
     geometric median uses spatial Gaussian weights and Weiszfeld
     iteration (cap 20, movement tolerance 1e-8, distances floored at
-    1e-12 to step over candidate points).
+    1e-12 to step over candidate points). Only faces with gated weight
+    take Weiszfeld steps (see :func:`_weiszfeld`); the others keep their
+    normal.
     """
     label_array = _as_label_array(labels, topo.n_faces)
     safe, valid = _ring_tables(topo, label_array)
@@ -294,22 +351,12 @@ def filter_l1median(
         weights = np.where(valid & (dots >= cos_gate), spatial, 0.0)
         wsum = weights.sum(axis=1)
         has = wsum > 0.0
-        denom = np.where(has, wsum, 1.0)
-        median = np.einsum("fk,fki->fi", weights, nbr_normals) / denom[:, None]
-        for _step in range(WEISZFELD_MAX_ITER):
-            delta = median[:, None, :] - nbr_normals
-            dist = np.sqrt(np.einsum("fki,fki->fk", delta, delta))
-            inv = weights / np.maximum(dist, WEISZFELD_DIST_FLOOR)
-            inv_sum = inv.sum(axis=1)
-            ok = inv_sum > 0.0
-            candidate = np.einsum("fk,fki->fi", inv, nbr_normals) / np.where(
-                ok, inv_sum, 1.0
-            )[:, None]
-            candidate = np.where(ok[:, None], candidate, median)
-            moves = np.linalg.norm(candidate - median, axis=1)
-            median = candidate
-            if float(moves.max(initial=0.0)) < WEISZFELD_MOVE_TOL:
-                break
+        median = np.zeros_like(normals)
+        median[has] = _weiszfeld(
+            np.take(normals.T, safe[has].T, axis=1),
+            np.ascontiguousarray(weights[has].T),
+            wsum[has],
+        ).T
         normals = np.where(has[:, None], _normalize_rows(median, normals), normals)
     return normals
 

@@ -19,6 +19,7 @@ from .core import TriMesh
 from .errors import LabelLengthMismatchError, MeshParseError, NonTriangleFaceError
 
 GOLDEN_RATIO_CONJUGATE = 0.618034
+ROWS_PER_WRITE = 4096
 
 
 def read_obj(path) -> TriMesh:
@@ -83,13 +84,20 @@ def read_obj(path) -> TriMesh:
     )
 
 
+def _write_rows(fh, row_format: str, table: np.ndarray) -> None:
+    """Write *row_format* filled with each row of *table*. Values come
+    from ``tolist()``, so floats print as ``repr`` (shortest round-trip)
+    and integers as ``str``; rows are formatted ROWS_PER_WRITE at a time."""
+    for start in range(0, len(table), ROWS_PER_WRITE):
+        rows = table[start:start + ROWS_PER_WRITE]
+        fh.write((row_format * len(rows)).format(*rows.ravel().tolist()))
+
+
 def write_obj(mesh: TriMesh, path) -> None:
     """Write *mesh* to *path*; output is V + F lines, byte-deterministic."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for x, y, z in mesh.vertices:
-            fh.write(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n")
-        for a, b, c in mesh.faces:
-            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+        _write_rows(fh, "v {!r} {!r} {!r}\n", mesh.vertices)
+        _write_rows(fh, "f {} {} {}\n", mesh.faces + 1)
 
 
 @dataclass(frozen=True)
@@ -143,18 +151,15 @@ def write_ply_colored(mesh: TriMesh, labels, path) -> None:
         fh.write("property uchar green\n")
         fh.write("property uchar blue\n")
         fh.write("end_header\n")
-        for x, y, z in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
-        for (a, b, c), (r, g, b_) in zip(mesh.faces, face_colors):
-            fh.write(f"3 {a} {b} {c} {r} {g} {b_}\n")
+        _write_rows(fh, "{!r} {!r} {!r}\n", mesh.vertices)
+        _write_rows(fh, "3 {} {} {} {} {} {}\n", np.hstack((mesh.faces, face_colors)))
 
 
 def write_labels(labels, path) -> None:
     """One integer label per line, in face order."""
     labels = np.asarray(labels, dtype=np.int64)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for lab in labels:
-            fh.write(f"{int(lab)}\n")
+        _write_rows(fh, "{}\n", labels[:, None])
 
 
 def read_labels(path) -> np.ndarray:

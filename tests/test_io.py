@@ -9,6 +9,7 @@ from meshseg.errors import (
     MeshParseError,
     NonTriangleFaceError,
 )
+from meshseg import fileio
 from meshseg.fileio import (
     ColorMap,
     read_labels,
@@ -125,6 +126,40 @@ def test_ply_structure(tmp_path):
         assert parts[0] == "3"
         assert [int(p) for p in parts[1:4]] == mesh.faces[fid].tolist()
         assert tuple(int(p) for p in parts[4:7]) == cmap[labels[fid]]
+
+
+def _rows_one_by_one(mesh, labels):
+    """OBJ and PLY bodies formatted one NumPy-scalar row at a time."""
+    obj = "".join(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n" for x, y, z in mesh.vertices)
+    obj += "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.faces)
+    colors = ColorMap.for_count(int(labels.max()) + 1).colors[labels]
+    ply = "".join(f"{float(x)!r} {float(y)!r} {float(z)!r}\n" for x, y, z in mesh.vertices)
+    ply += "".join(
+        f"3 {a} {b} {c} {r} {g} {b_}\n" for (a, b, c), (r, g, b_) in zip(mesh.faces, colors)
+    )
+    return obj, ply
+
+
+@pytest.mark.parametrize("rows_per_write", [fileio.ROWS_PER_WRITE, 7])
+def test_writers_match_row_by_row_formatting(tmp_path, monkeypatch, rows_per_write):
+    """Signed zero, a tiny value and an inexact sum print exactly as the
+    per-row formatter prints them, also when the rows span several writes."""
+    monkeypatch.setattr(fileio, "ROWS_PER_WRITE", rows_per_write)
+    mesh = add_noise(cube(2), NoiseSpec(0.3, "normal", seed=3))
+    vertices = mesh.vertices.copy()
+    vertices[0] = (-0.0, 1e-300, 0.1 + 0.2)
+    mesh = mesh.with_vertices(vertices)
+    labels = np.arange(mesh.n_faces) % 5
+    write_obj(mesh, tmp_path / "m.obj")
+    write_ply_colored(mesh, labels, tmp_path / "m.ply")
+    obj, ply = _rows_one_by_one(mesh, labels)
+    assert (tmp_path / "m.obj").read_bytes() == obj.encode()
+    assert (tmp_path / "m.obj").read_text().startswith("v -0.0 1e-300 0.30000000000000004\n")
+    ply_bytes = (tmp_path / "m.ply").read_bytes()
+    assert ply_bytes.split(b"end_header\n", 1)[1] == ply.encode()
+    assert ply.startswith("-0.0 1e-300 0.30000000000000004\n")
+    write_labels(labels, tmp_path / "m.txt")
+    assert (tmp_path / "m.txt").read_text() == "".join(f"{int(lab)}\n" for lab in labels)
 
 
 def test_ply_label_length_mismatch(tmp_path):
