@@ -39,6 +39,7 @@ from .errors import (
     DegenerateFaceError,
     DegenerateFlapError,
     EmptyMeshError,
+    InconsistentWindingError,
     LabelLengthMismatchError,
     MeshError,
     MeshParseError,
@@ -71,6 +72,7 @@ __all__ = [
     "FaceGeometry",
     "Flap",
     "GnfParams",
+    "InconsistentWindingError",
     "L1Params",
     "LabelLengthMismatchError",
     "MeshError",

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     BoundaryEdgeError,
     DegenerateFaceError,
+    InconsistentWindingError,
     NonFiniteVertexError,
     NonManifoldEdgeError,
     ZeroAreaFaceError,
@@ -136,6 +137,8 @@ def build_topology(mesh: TriMesh) -> TopologyCache:
     ------
     NonManifoldEdgeError
         If any edge has more than two incident faces.
+    InconsistentWindingError
+        If two faces traverse their shared edge in the same direction.
     """
     topo = TopologyCache.__new__(TopologyCache)
     topo.n_vertices = mesh.n_vertices
@@ -144,7 +147,8 @@ def build_topology(mesh: TriMesh) -> TopologyCache:
     faces = mesh.faces
     # Halfedges in corner order: (v0,v1), (v1,v2), (v2,v0) per face, each
     # sorted and keyed as v0 * V + v1, which orders edges like their rows.
-    halfedges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    directed = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    halfedges = np.sort(directed, axis=1)
     n_v = mesh.n_vertices
     keys, inverse, counts = np.unique(
         halfedges[:, 0] * n_v + halfedges[:, 1], return_inverse=True, return_counts=True
@@ -154,6 +158,14 @@ def build_topology(mesh: TriMesh) -> TopologyCache:
         bad = np.flatnonzero(counts > 2)[:8]
         raise NonManifoldEdgeError(
             f"edges with more than two incident faces: {edges[bad].tolist()}"
+        )
+    # Consistent winding runs each interior edge once from its lower vertex.
+    forward = np.bincount(inverse[directed[:, 0] < directed[:, 1]], minlength=len(keys))
+    flipped = (counts == 2) & (forward != 1)
+    if flipped.any():
+        bad = np.flatnonzero(flipped)[:8]
+        raise InconsistentWindingError(
+            f"edges traversed twice in the same direction: {edges[bad].tolist()}"
         )
 
     # Group halfedges by edge id; stable sort keeps face ids ascending

@@ -10,6 +10,8 @@ Four normal-filter backends share one harness:
   distance), range kernel on normal difference.
 - ``gnf``: joint bilateral over a geometric neighborhood, steered by
   guidance normals chosen per face as the most consistent small patch.
+  The neighborhood is symmetric, so each unordered face pair is tested,
+  weighed and compared once and mirrored into both faces' rows.
 - ``l1``: weighted geometric median (Weiszfeld) of edge-ring normals
   within an angular gate. The Weiszfeld loop runs component-major over
   the faces with gated weight only, each sum spelled out in the order
@@ -365,21 +367,32 @@ def _radius_csr(centroids: np.ndarray, radius: float, label_array=None):
     """All faces within *radius* of each face's centroid (self excluded,
     same cluster only when labels given) as CSR (neighbor_ids, offsets);
     neighbor ids ascend within each face. Candidates come from the cell
-    grid of :func:`stencil_pairs` with cell = *radius*."""
+    grid of :func:`stencil_pairs` with cell = *radius*, which yields each
+    pair both ways: only ``q < s`` is tested, and each pair that passes
+    is mirrored into both rows."""
     owners, ids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     r2 = radius * radius
     for q, s in stencil_pairs(centroids, centroids, centroids, radius, 1):
+        below = q < s
+        q, s = q[below], s[below]
         diff = centroids[q] - centroids[s]
-        keep = (np.einsum("pi,pi->p", diff, diff) <= r2) & (q != s)
+        keep = np.einsum("pi,pi->p", diff, diff) <= r2
         if label_array is not None:
             keep &= label_array[q] == label_array[s]
-        owners.append(q[keep])
-        ids.append(s[keep])
+        owners += [q[keep], s[keep]]
+        ids += [s[keep], q[keep]]
     owner = np.concatenate(owners)
     nbr = np.concatenate(ids)
-    order = np.lexsort((nbr, owner))
+    order = np.argsort(owner * len(centroids) + nbr)
     counts = np.bincount(owner, minlength=len(centroids))
     return nbr[order], np.concatenate(([0], np.cumsum(counts)))
+
+
+def _transpose_slots(owner: np.ndarray, nbr_ids: np.ndarray, n_faces: int):
+    """(upper, mirror) of a symmetric CSR in (owner, nbr) order: the slots
+    with owner < nbr, and the slot of each one's transpose (nbr, owner)."""
+    upper = np.flatnonzero(owner < nbr_ids)
+    return upper, np.argsort(nbr_ids * n_faces + owner)[upper]
 
 
 def filter_gnf(
@@ -402,6 +415,12 @@ def filter_gnf(
     bilateral blend of neighbor normals with spatial weights on centroid
     distance and range weights on guidance difference, summed in
     ascending neighbor id.
+
+    The neighborhood is symmetric, so each unordered face pair is
+    evaluated once and mirrored: the radius test in :func:`_radius_csr`,
+    the range weight (computed for owner < neighbor and copied to the
+    transposed slot), and the patch consistency (over the 6 unordered
+    member pairs).
     """
     label_array = _as_label_array(labels, topo.n_faces)
     n_faces = topo.n_faces
@@ -417,6 +436,9 @@ def filter_gnf(
     pair_spatial = areas[nbr_ids] * np.exp(
         -np.einsum("pi,pi->p", pair_cdiff, pair_cdiff) / (2.0 * sigma_s * sigma_s)
     )
+    upper, mirror = _transpose_slots(owner, nbr_ids, n_faces)
+    upper_owner, upper_nbr = owner[upper], nbr_ids[upper]
+    range_w = np.empty(len(nbr_ids))
 
     # Guidance candidates: each face itself, then every radius pair. Ranked
     # by owner, owner i's run starts at offsets[i] + i and is never empty.
@@ -441,14 +463,18 @@ def filter_gnf(
     # Sparse rows in ascending neighbor id; each sweep sets their weights.
     blend = sp.csr_array((pair_spatial, nbr_ids, offsets), shape=(n_faces, n_faces))
 
-    pair_mask = member_valid[:, :, None] & member_valid[:, None, :]
+    # Consistency is a maximum over the 6 unordered member pairs.
+    pair_a, pair_b = np.triu_indices(4, 1)
+    pair_mask = member_valid[:, pair_a] & member_valid[:, pair_b]
     two_sr2 = 2.0 * params.sigma_r * params.sigma_r
     normals = geometry.normals
     for _ in range(params.n_iter):
         member_normals = normals[members]  # (F, 4, 3)
-        diffs = member_normals[:, :, None, :] - member_normals[:, None, :, :]
-        d2 = np.einsum("fabi,fabi->fab", diffs, diffs)
-        consistency = np.sqrt(np.where(pair_mask, d2, 0.0).max(axis=(1, 2)))
+        # The (F, 6, 1, 3) view keeps the full pair cube's einsum layout,
+        # and with it the order of each squared-distance sum.
+        diffs = (member_normals[:, pair_a] - member_normals[:, pair_b])[:, :, None, :]
+        d2 = np.einsum("fabi,fabi->fab", diffs, diffs)[:, :, 0]
+        consistency = np.sqrt(np.where(pair_mask, d2, 0.0).max(axis=1))
         patch_normal = _normalize_rows(
             (member_area[:, :, None] * member_normals).sum(axis=1), normals
         )
@@ -458,8 +484,11 @@ def filter_gnf(
         hits = np.flatnonzero(ranked == np.repeat(run_min, run_lengths))
         guidance = patch_normal[ranked_ids[hits[np.searchsorted(hits, cand_starts)]]]
 
-        gdiff = guidance[owner] - guidance[nbr_ids]
-        blend.data = pair_spatial * np.exp(-np.einsum("pi,pi->p", gdiff, gdiff) / two_sr2)
+        gdiff = guidance[upper_owner] - guidance[upper_nbr]
+        weight = np.exp(-np.einsum("pi,pi->p", gdiff, gdiff) / two_sr2)
+        range_w[upper] = weight
+        range_w[mirror] = weight
+        blend.data = pair_spatial * range_w
         normals = _normalize_rows(blend @ normals, normals)
     return normals
 
@@ -492,25 +521,22 @@ def vertex_update(
     if mesh.n_faces == 0 or v_iter == 0:
         return mesh.with_vertices(mesh.vertices)
 
+    # Incidences in face-major order: each vertex still meets its faces in
+    # ascending id, so one bincount over (vertex, axis) bins gives the sums
+    # of a vertex-major walk.
     faces = mesh.faces
-    incident_face = topo.vertex_face_ids
-    incident_vertex = np.repeat(np.arange(mesh.n_vertices, dtype=np.int64), counts)
+    bins = (faces.reshape(-1, 1) * 3 + np.arange(3)).ravel()
     divisor = np.where(isolated, 1, counts).astype(np.float64)
-    fn = normals[incident_face]
+    fn = np.repeat(normals, 3, axis=0)
 
     positions = mesh.vertices.copy()
     for _ in range(v_iter):
-        cent = positions[faces].mean(axis=1)
-        gap = np.einsum(
-            "pi,pi->p", fn, cent[incident_face] - positions[incident_vertex]
-        )
+        tri = positions[faces]
+        cent = tri.mean(axis=1)
+        gap = np.einsum("pi,pi->p", fn, (cent[:, None, :] - tri).reshape(-1, 3))
         contrib = fn * gap[:, None]
-        shift = np.zeros((mesh.n_vertices, 3), dtype=np.float64)
-        for k in range(3):
-            shift[:, k] = np.bincount(
-                incident_vertex, weights=contrib[:, k], minlength=mesh.n_vertices
-            )
-        positions = positions + shift / divisor[:, None]
+        shift = np.bincount(bins, weights=contrib.ravel(), minlength=3 * mesh.n_vertices)
+        positions = positions + shift.reshape(-1, 3) / divisor[:, None]
     return mesh.with_vertices(positions)
 
 

@@ -17,6 +17,10 @@ class NonManifoldEdgeError(MeshError):
     """An edge is shared by more than two faces."""
 
 
+class InconsistentWindingError(MeshError):
+    """Two faces traverse their shared edge in the same direction."""
+
+
 class ZeroAreaFaceError(MeshError):
     """A face has exactly zero area, so its normal is undefined."""
 

@@ -7,7 +7,7 @@ import pytest
 from meshseg import cube, plane
 from meshseg.bench import parse_config
 from meshseg.cli import EXIT_IO, EXIT_METRIC_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from meshseg.core import build_topology
+from meshseg.core import TriMesh, build_topology
 from meshseg.edgeop import edge_operator_field
 from meshseg.fileio import read_labels, read_obj, write_obj
 from meshseg.metrics import msae
@@ -294,6 +294,21 @@ def test_non_finite_coordinate_exit_code(tmp_path, capsys, command):
     }[command]
     assert main(argv) == EXIT_IO
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["segment", "denoise"])
+def test_inconsistent_winding_exit_code(tmp_path, capsys, command):
+    mesh = cube(1)
+    faces = mesh.faces.copy()
+    faces[3] = faces[3, ::-1]
+    bad = write_fixture(tmp_path, "flipped.obj", TriMesh(mesh.vertices, faces))
+    argv = {
+        "segment": ["segment", str(bad), "--dthr", "0.1"],
+        "denoise": ["denoise", str(bad), "--method", "bnf", "--params", "0.35,1,1",
+                    "-o", str(tmp_path / "out.obj")],
+    }[command]
+    assert main(argv) == EXIT_IO
+    assert "same direction" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

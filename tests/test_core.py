@@ -18,6 +18,7 @@ from meshseg.core import (
 from meshseg.errors import (
     BoundaryEdgeError,
     DegenerateFaceError,
+    InconsistentWindingError,
     NonFiniteVertexError,
     NonManifoldEdgeError,
     ZeroAreaFaceError,
@@ -228,6 +229,29 @@ def test_nonmanifold_edge_rejected():
     faces = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
     with pytest.raises(NonManifoldEdgeError):
         build_topology(TriMesh(vertices=vertices, faces=faces))
+
+
+@pytest.mark.parametrize("mesh", [cube(3), icosahedron(2), plane(4)], ids=repr)
+def test_flipped_face_rejected(mesh):
+    """Reversing one face makes each of its interior edges run twice in
+    the same direction; the error names those edges."""
+    topo = build_topology(mesh)  # the fixtures themselves pass
+    face = int(np.flatnonzero((topo.face_adjacent >= 0).all(axis=1))[0])
+    faces = mesh.faces.copy()
+    faces[face] = faces[face, ::-1]
+    with pytest.raises(InconsistentWindingError) as info:
+        build_topology(TriMesh(mesh.vertices, faces))
+    for edge in topo.edges[topo.face_edges[face]].tolist():
+        assert str(edge) in str(info.value)
+
+
+def test_winding_error_names_at_most_eight_edges():
+    mesh = cube(4)
+    faces = mesh.faces.copy()
+    faces[::2] = faces[::2, ::-1]
+    with pytest.raises(InconsistentWindingError) as info:
+        build_topology(TriMesh(mesh.vertices, faces))
+    assert str(info.value).count("[") == 9
 
 
 # ---------------------------------------------------------------------------

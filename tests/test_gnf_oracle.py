@@ -5,15 +5,22 @@
   face at a time; the library builds all rows at once from the candidate
   pairs of a cell grid (``meshseg.core.stencil_pairs``). Rows must hold
   the same face ids, ascending.
+  The library tests each unordered pair once and mirrors it, so its rows
+  must also be exactly symmetric.
 - Guidance choice: the reference sorts every face's candidates by
-  (consistency, centroid gap, id) on every sweep and blends with one
-  ``bincount`` per axis; the library ranks by (centroid gap, id) once,
-  takes the first minimum per face, and blends with a sparse product.
-  Normals must agree bit for bit, so every tie goes the same way.
+  (consistency, centroid gap, id) on every sweep, takes each patch's
+  consistency over all 16 ordered member pairs, computes the range
+  weight of every pair slot, and blends with one ``bincount`` per axis;
+  the library ranks by (centroid gap, id) once, takes the first minimum
+  per face, compares the 6 unordered member pairs, weighs each unordered
+  face pair once and blends with a sparse product. Normals must agree
+  bit for bit, so every tie goes the same way.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshseg import cube, icosahedron, plane
 from meshseg.core import TopologyCache, TriMesh, build_topology, face_geometry
@@ -23,6 +30,7 @@ from meshseg.denoise import (
     _normalize_rows,
     _radius_csr,
     _ring_tables,
+    _transpose_slots,
     filter_normals,
     mean_adjacent_centroid_distance,
 )
@@ -114,6 +122,58 @@ def test_radius_csr_tiny_radius_far_apart():
     assert len(nbr_ids) == 0 and len(offsets) == mesh.n_faces + 1
 
 
+# Coordinates on a quarter grid put many centroid pairs at exactly the
+# radius; the others fall anywhere.
+_COORD = st.one_of(st.integers(-8, 8).map(lambda i: i * 0.25), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    points=st.lists(st.tuples(_COORD, _COORD, _COORD), max_size=40),
+    radius=st.sampled_from([0.25, 0.5, 1.0, 0.3, 2.0]),
+    n_labels=st.integers(0, 3),
+    data=st.data(),
+)
+def test_radius_csr_rows_are_symmetric(points, radius, n_labels, data):
+    """j is in row i exactly when i is in row j, with or without labels,
+    and every row ascends strictly without its own face."""
+    centroids = np.array(points, dtype=np.float64).reshape(-1, 3)
+    n = len(centroids)
+    labels = None
+    if n_labels:
+        labels = np.array(
+            data.draw(st.lists(st.integers(0, n_labels - 1), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+    nbr_ids, offsets = _radius_csr(centroids, radius, labels)
+    owner = np.repeat(np.arange(n), np.diff(offsets))
+    assert len(offsets) == n + 1 and offsets[-1] == len(nbr_ids)
+    assert (nbr_ids != owner).all()
+    keys = owner * n + nbr_ids
+    assert (np.diff(keys) > 0).all()
+    np.testing.assert_array_equal(keys, np.sort(nbr_ids * n + owner))
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_transpose_slots_is_an_involution_onto_the_lower_half(labelled):
+    mesh = _noisy_cube()
+    topo = build_topology(mesh)
+    labels = _six_sides(mesh.n_faces) if labelled else None
+    nbr_ids, offsets = _radius_csr(
+        face_geometry(mesh).centroids, 2.0 * topo.mean_edge_length, labels
+    )
+    owner = np.repeat(np.arange(mesh.n_faces), np.diff(offsets))
+    upper, mirror = _transpose_slots(owner, nbr_ids, mesh.n_faces)
+    np.testing.assert_array_equal(upper, np.flatnonzero(owner < nbr_ids))
+    np.testing.assert_array_equal(np.sort(mirror), np.flatnonzero(owner > nbr_ids))
+    transpose = np.full(len(nbr_ids), -1)
+    transpose[upper] = mirror
+    transpose[mirror] = upper
+    np.testing.assert_array_equal(transpose[transpose], np.arange(len(nbr_ids)))
+    np.testing.assert_array_equal(owner[transpose], nbr_ids)
+    np.testing.assert_array_equal(nbr_ids[transpose], owner)
+
+
 def reference_filter_gnf(mesh, topo, geometry, params, labels=None):
     """The guided filter with a full lexsort of the guidance candidates
     on every sweep and a per-axis ``bincount`` blend."""
@@ -195,6 +255,20 @@ def test_gnf_guidance_ties_match_reference(mesh, labelled):
     geometry = face_geometry(mesh)
     labels = _six_sides(mesh.n_faces) if labelled else None
     params = GnfParams(2.0, 2.0, 0.35, 3, 0)
+    got = filter_normals(mesh, topo, geometry, params, labels)
+    want = reference_filter_gnf(mesh, topo, geometry, params, labels)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("labelled", [False, True], ids=["plain", "sides"])
+def test_gnf_benchmark_scenario_matches_reference(labelled):
+    """The gnf sweep of the benchmark: noisy cube(16) at hold-out seed
+    7919, 20 sweeps."""
+    mesh = add_noise(cube(16), NoiseSpec(0.5, "normal", seed=7919))
+    topo = build_topology(mesh)
+    geometry = face_geometry(mesh)
+    labels = _six_sides(mesh.n_faces) if labelled else None
+    params = GnfParams(2.0, 2.0, 0.35, 20, 0)
     got = filter_normals(mesh, topo, geometry, params, labels)
     want = reference_filter_gnf(mesh, topo, geometry, params, labels)
     assert got.tobytes() == want.tobytes()
