@@ -147,8 +147,9 @@ def build_topology(mesh: TriMesh) -> TopologyCache:
     faces = mesh.faces
     # Halfedges in corner order: (v0,v1), (v1,v2), (v2,v0) per face, each
     # sorted and keyed as v0 * V + v1, which orders edges like their rows.
-    directed = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    halfedges = np.sort(directed, axis=1)
+    halfedges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    forward = halfedges[:, 0] < halfedges[:, 1]
+    halfedges.sort(axis=1)
     n_v = mesh.n_vertices
     keys, inverse, counts = np.unique(
         halfedges[:, 0] * n_v + halfedges[:, 1], return_inverse=True, return_counts=True
@@ -160,8 +161,7 @@ def build_topology(mesh: TriMesh) -> TopologyCache:
             f"edges with more than two incident faces: {edges[bad].tolist()}"
         )
     # Consistent winding runs each interior edge once from its lower vertex.
-    forward = np.bincount(inverse[directed[:, 0] < directed[:, 1]], minlength=len(keys))
-    flipped = (counts == 2) & (forward != 1)
+    flipped = (counts == 2) & (np.bincount(inverse[forward], minlength=len(keys)) != 1)
     if flipped.any():
         bad = np.flatnonzero(flipped)[:8]
         raise InconsistentWindingError(
