@@ -470,8 +470,8 @@ def filter_gnf(
     normals = geometry.normals
     for _ in range(params.n_iter):
         member_normals = normals[members]  # (F, 4, 3)
-        # The (F, 6, 1, 3) view keeps the full pair cube's einsum layout,
-        # and with it the order of each squared-distance sum.
+        # The (F, 6, 1, 3) view keeps the einsum layout of the (F, 4, 4)
+        # pair cube that the oracle test compares all 16 pairs in.
         diffs = (member_normals[:, pair_a] - member_normals[:, pair_b])[:, :, None, :]
         d2 = np.einsum("fabi,fabi->fab", diffs, diffs)[:, :, 0]
         consistency = np.sqrt(np.where(pair_mask, d2, 0.0).max(axis=1))
@@ -521,9 +521,9 @@ def vertex_update(
     if mesh.n_faces == 0 or v_iter == 0:
         return mesh.with_vertices(mesh.vertices)
 
-    # Incidences in face-major order: each vertex still meets its faces in
-    # ascending id, so one bincount over (vertex, axis) bins gives the sums
-    # of a vertex-major walk.
+    # Incidences run face-major, so each vertex sums its faces' pulls in
+    # ascending face id; one bincount over (vertex, axis) bins takes all
+    # three axes.
     faces = mesh.faces
     bins = (faces.reshape(-1, 1) * 3 + np.arange(3)).ravel()
     divisor = np.where(isolated, 1, counts).astype(np.float64)

@@ -237,38 +237,33 @@ def reference_filter_gnf(mesh, topo, geometry, params, labels=None):
     return normals
 
 
+def _benchmark_cube():
+    # The gnf sweep of the benchmark, at its hold-out noise seed.
+    return add_noise(cube(16), NoiseSpec(0.5, "normal", seed=7919))
+
+
 @pytest.mark.parametrize(
-    "mesh, labelled",
+    "mesh, labelled, n_iter",
     [
-        (cube(4), False),
-        (cube(4), True),
-        (icosahedron(2), False),
-        (_noisy_cube(), True),
+        (cube(4), False, 3),
+        (cube(4), True, 3),
+        (icosahedron(2), False, 3),
+        (_noisy_cube(), True, 3),
+        (_benchmark_cube(), False, 20),
+        (_benchmark_cube(), True, 20),
     ],
-    ids=["cube", "cube-sides", "icosahedron", "noisy-cube-sides"],
+    ids=["cube", "cube-sides", "icosahedron", "noisy-cube-sides", "bench-cube16",
+         "bench-cube16-sides"],
 )
-def test_gnf_guidance_ties_match_reference(mesh, labelled):
+def test_gnf_guidance_ties_match_reference(mesh, labelled, n_iter):
     """On a clean mesh every patch inside a flat side, and every patch of a
     regular icosahedron, ties on consistency with its neighbours', so
-    the centroid-gap and id tie-breaks pick most guidance patches."""
+    the centroid-gap and id tie-breaks pick most guidance patches. The
+    benchmark's noisy cube(16) runs its 20 sweeps."""
     topo = build_topology(mesh)
     geometry = face_geometry(mesh)
     labels = _six_sides(mesh.n_faces) if labelled else None
-    params = GnfParams(2.0, 2.0, 0.35, 3, 0)
-    got = filter_normals(mesh, topo, geometry, params, labels)
-    want = reference_filter_gnf(mesh, topo, geometry, params, labels)
-    assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("labelled", [False, True], ids=["plain", "sides"])
-def test_gnf_benchmark_scenario_matches_reference(labelled):
-    """The gnf sweep of the benchmark: noisy cube(16) at hold-out seed
-    7919, 20 sweeps."""
-    mesh = add_noise(cube(16), NoiseSpec(0.5, "normal", seed=7919))
-    topo = build_topology(mesh)
-    geometry = face_geometry(mesh)
-    labels = _six_sides(mesh.n_faces) if labelled else None
-    params = GnfParams(2.0, 2.0, 0.35, 20, 0)
+    params = GnfParams(2.0, 2.0, 0.35, n_iter, 0)
     got = filter_normals(mesh, topo, geometry, params, labels)
     want = reference_filter_gnf(mesh, topo, geometry, params, labels)
     assert got.tobytes() == want.tobytes()
