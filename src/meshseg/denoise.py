@@ -463,7 +463,6 @@ def filter_gnf(
     # Sparse rows in ascending neighbor id; each sweep sets their weights.
     blend = sp.csr_array((pair_spatial, nbr_ids, offsets), shape=(n_faces, n_faces))
 
-    # Consistency is a maximum over the 6 unordered member pairs.
     pair_a, pair_b = np.triu_indices(4, 1)
     pair_mask = member_valid[:, pair_a] & member_valid[:, pair_b]
     two_sr2 = 2.0 * params.sigma_r * params.sigma_r
