@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import Flap, TopologyCache, TriMesh
 from .errors import DegenerateFlapError
+from .fileio import _write_rows
 
 #: Flap faces with area below AREA_EPS_FACTOR * l_e^2 are degenerate.
 AREA_EPS_FACTOR = 1e-12
@@ -154,8 +155,12 @@ def edge_operator_field(mesh: TriMesh, topo: TopologyCache) -> EdgeOperatorField
 
 def write_norms_csv(topo: TopologyCache, field: EdgeOperatorField, path) -> None:
     """CSV dump ``edge_id,v0,v1,norm`` for every edge (boundary: inf)."""
+    # An object table, so that tolist() gives ints for the ids and floats
+    # (repr, inf included) for the norms.
+    table = np.empty((topo.n_edges, 4), dtype=object)
+    table[:, 0] = np.arange(topo.n_edges)
+    table[:, 1:3] = topo.edges
+    table[:, 3] = field.norms
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("edge_id,v0,v1,norm\n")
-        for eid in range(topo.n_edges):
-            v0, v1 = topo.edges[eid]
-            fh.write(f"{eid},{v0},{v1},{float(field.norms[eid])!r}\n")
+        _write_rows(fh, "{},{},{},{!r}\n", table)
