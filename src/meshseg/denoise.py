@@ -401,6 +401,16 @@ def _transpose_slots(owner: np.ndarray, nbr_ids: np.ndarray, n_faces: int):
     return upper, np.argsort(nbr_ids * n_faces + owner)[upper]
 
 
+def _guidance_candidates(owner: np.ndarray, nbr_ids: np.ndarray, offsets: np.ndarray):
+    """(cand_ids, cand_owner): each face itself and every pair of a radius
+    CSR, in (owner, id) order, each face inserted after its neighbors
+    below it. Owner i's run starts at offsets[i] + i and is never empty."""
+    n_faces = len(offsets) - 1
+    below = np.bincount(owner[nbr_ids < owner], minlength=n_faces)
+    cand_ids = np.insert(nbr_ids, offsets[:-1] + below, np.arange(n_faces))
+    return cand_ids, np.repeat(np.arange(n_faces), np.diff(offsets) + 1)
+
+
 def _rank_candidates(owner: np.ndarray, gap: np.ndarray, n_faces: int) -> np.ndarray:
     """The order of candidates laid out in (owner, id) order by (owner,
     gap, id), as ``np.lexsort((ids, gap, owner))`` gives it: a stable sort
@@ -461,14 +471,9 @@ def filter_gnf(
     upper_owner, upper_nbr = owner[upper], nbr_ids[upper]
     range_w = np.empty(len(nbr_ids))
 
-    # Guidance candidates: each face itself and every radius pair, in
-    # (owner, id) order, each face inserted after its neighbors below it.
-    # Owner i's run starts at offsets[i] + i and is never empty.
-    below = np.bincount(owner[nbr_ids < owner], minlength=n_faces)
-    cand_ids = np.insert(nbr_ids, offsets[:-1] + below, np.arange(n_faces))
-    run_lengths = np.diff(offsets) + 1
-    cand_owner = np.repeat(np.arange(n_faces), run_lengths)
+    cand_ids, cand_owner = _guidance_candidates(owner, nbr_ids, offsets)
     cand_starts = offsets[:-1] + np.arange(n_faces)
+    run_lengths = np.diff(offsets) + 1
 
     # Patch membership: self + (constrained) edge ring, padded to 4.
     safe, ring_valid = _ring_tables(topo, label_array)
