@@ -10,7 +10,7 @@ import csv
 import numpy as np
 import pytest
 
-from meshseg import cube, plane
+from meshseg import cube, fileio, plane
 from meshseg.core import Flap, TriMesh, build_topology, flap_of_edge
 from meshseg.edgeop import (
     EdgeOperatorField,
@@ -19,6 +19,7 @@ from meshseg.edgeop import (
     write_norms_csv,
 )
 from meshseg.errors import DegenerateFlapError
+from meshseg.noise import NoiseSpec, add_noise
 
 
 def flap_from_points(p1, p2, p3, p4):
@@ -231,3 +232,27 @@ def test_norms_csv_round_trip(tmp_path):
         assert float(row[3]) == field.norms[eid] or (
             row[3] == "inf" and np.isinf(field.norms[eid])
         )
+
+
+def reference_write_norms_csv(topo, field, path):
+    """The norms CSV written one edge at a time from NumPy scalars."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("edge_id,v0,v1,norm\n")
+        for eid in range(topo.n_edges):
+            v0, v1 = topo.edges[eid]
+            fh.write(f"{eid},{v0},{v1},{float(field.norms[eid])!r}\n")
+
+
+@pytest.mark.parametrize("rows_per_write", [fileio.ROWS_PER_WRITE, 7])
+def test_norms_csv_matches_edge_by_edge_writer(tmp_path, monkeypatch, rows_per_write):
+    """A noisy plane has boundary edges (inf) and interior norms that use
+    all 17 digits; the bytes match the edge-by-edge writer, also when the
+    rows span several writes."""
+    monkeypatch.setattr(fileio, "ROWS_PER_WRITE", rows_per_write)
+    mesh = add_noise(plane(8), NoiseSpec(0.3, "normal", seed=3))
+    topo = build_topology(mesh)
+    field = edge_operator_field(mesh, topo)
+    assert np.isinf(field.norms).any() and np.isfinite(field.norms).any()
+    write_norms_csv(topo, field, tmp_path / "got.csv")
+    reference_write_norms_csv(topo, field, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

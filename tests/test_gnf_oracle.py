@@ -28,7 +28,9 @@ from meshseg.denoise import (
     GnfParams,
     _as_label_array,
     _normalize_rows,
+    _guidance_candidates,
     _radius_csr,
+    _rank_candidates,
     _ring_tables,
     _transpose_slots,
     filter_normals,
@@ -172,6 +174,46 @@ def test_transpose_slots_is_an_involution_onto_the_lower_half(labelled):
     np.testing.assert_array_equal(transpose[transpose], np.arange(len(nbr_ids)))
     np.testing.assert_array_equal(owner[transpose], nbr_ids)
     np.testing.assert_array_equal(nbr_ids[transpose], owner)
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_guidance_candidates_run_in_owner_then_id_order(labelled):
+    """Each face's run holds the face itself and its radius neighbors in
+    ascending id, and starts at offsets[i] + i."""
+    mesh = _noisy_cube()
+    topo = build_topology(mesh)
+    n_faces = mesh.n_faces
+    labels = _six_sides(n_faces) if labelled else None
+    nbr_ids, offsets = _radius_csr(
+        face_geometry(mesh).centroids, 2.0 * topo.mean_edge_length, labels
+    )
+    owner = np.repeat(np.arange(n_faces), np.diff(offsets))
+    cand_ids, cand_owner = _guidance_candidates(owner, nbr_ids, offsets)
+    all_ids = np.concatenate((np.arange(n_faces), nbr_ids))
+    all_owner = np.concatenate((np.arange(n_faces), owner))
+    order = np.lexsort((all_ids, all_owner))
+    np.testing.assert_array_equal(cand_ids, all_ids[order])
+    np.testing.assert_array_equal(cand_owner, all_owner[order])
+    starts = offsets[:-1] + np.arange(n_faces)
+    np.testing.assert_array_equal(np.searchsorted(cand_owner, np.arange(n_faces)), starts)
+
+
+@pytest.mark.parametrize("n_faces", [50, 3_000, 70_000])
+def test_rank_candidates_matches_lexsort(n_faces):
+    """Candidates in (owner, id) order with gaps drawn from four values,
+    so most ranks fall to the id tie-break. 50 and 3,000 faces sort the
+    owner key as uint8 and uint16; 70,000 faces as uint32, with owners
+    above 65,535."""
+    rng = np.random.default_rng(17)
+    n_keys = min(5_000, n_faces * n_faces // 2)
+    keys = np.sort(rng.choice(n_faces * n_faces, size=n_keys, replace=False))
+    owner, ids = keys // n_faces, keys % n_faces
+    gap = rng.integers(0, 4, size=len(keys)) * 0.25
+    if n_faces > 65_535:
+        assert (owner > 65_535).any()
+    np.testing.assert_array_equal(
+        _rank_candidates(owner, gap, n_faces), np.lexsort((ids, gap, owner))
+    )
 
 
 def reference_filter_gnf(mesh, topo, geometry, params, labels=None):
