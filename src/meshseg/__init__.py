@@ -8,13 +8,11 @@ filtering + vertex fitting) and score the result against ground truth.
 """
 
 from .core import (
-    Flap,
     FaceGeometry,
     TopologyCache,
     TriMesh,
     build_topology,
     face_geometry,
-    flap_of_edge,
     vertex_normals,
 )
 from .denoise import (
@@ -32,7 +30,7 @@ from .denoise import (
     params_from_tuple,
     vertex_update,
 )
-from .edgeop import EdgeOperatorField, edge_operator, edge_operator_field, write_norms_csv
+from .edgeop import EdgeOperatorField, edge_operator_field, write_norms_csv
 from .errors import (
     BoundaryEdgeError,
     ConnectivityMismatchError,
@@ -53,7 +51,7 @@ from .fileio import ColorMap, read_labels, read_obj, write_labels, write_obj, wr
 from .fixtures import cube, icosahedron, make_fixture, plane
 from .metrics import ev, msae
 from .noise import NoiseSpec, add_noise
-from .prefilter import PrefilterParams, edge_weights, prefilter, quadratic_energy, regularizer
+from .prefilter import PrefilterParams, edge_weights, prefilter
 from .segment import ClusterLabels, SegmentParams, refine, region_grow, segment
 
 __version__ = "0.1.0"
@@ -70,7 +68,6 @@ __all__ = [
     "EdgeOperatorField",
     "EmptyMeshError",
     "FaceGeometry",
-    "Flap",
     "GnfParams",
     "InconsistentWindingError",
     "L1Params",
@@ -92,7 +89,6 @@ __all__ = [
     "build_topology",
     "cube",
     "denoise",
-    "edge_operator",
     "edge_operator_field",
     "edge_weights",
     "ev",
@@ -102,19 +98,16 @@ __all__ = [
     "filter_l1median",
     "filter_normals",
     "filter_unf",
-    "flap_of_edge",
     "icosahedron",
     "make_fixture",
     "msae",
     "params_from_tuple",
     "plane",
     "prefilter",
-    "quadratic_energy",
     "read_labels",
     "read_obj",
     "refine",
     "region_grow",
-    "regularizer",
     "segment",
     "vertex_normals",
     "vertex_update",

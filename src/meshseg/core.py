@@ -13,7 +13,6 @@ from itertools import pairwise, product
 import numpy as np
 
 from .errors import (
-    BoundaryEdgeError,
     DegenerateFaceError,
     InconsistentWindingError,
     NonFiniteVertexError,
@@ -304,53 +303,6 @@ def stencil_pairs(query_points, site_lo, site_hi, cell: float, reach: int):
                 n = counts[a:b]
                 slots = np.arange(n.sum()) + np.repeat(first[a:b] - np.cumsum(n) + n, n)
                 yield np.repeat(np.arange(a, b), n), sorted_sites[slots]
-
-
-@dataclass(frozen=True)
-class Flap:
-    """The two faces around an interior edge.
-
-    ``p1`` and ``p3`` are the shared edge endpoints (p1 has the smaller
-    vertex id); ``p2`` and ``p4`` are the opposite vertices of the lower-
-    and higher-id incident face respectively.
-    """
-
-    p1: np.ndarray
-    p2: np.ndarray
-    p3: np.ndarray
-    p4: np.ndarray
-    faces: tuple[int, int]
-    vertex_ids: tuple[int, int, int, int]
-
-
-def _opposite_vertex(faces: np.ndarray, face_id: int, v0: int, v1: int) -> int:
-    # Face indices are distinct, so the sum identifies the third vertex.
-    return int(faces[face_id].sum() - v0 - v1)
-
-
-def flap_of_edge(mesh: TriMesh, topo: TopologyCache, edge_id: int) -> Flap:
-    """Flap (p1..p4 and incident face pair) of the interior edge *edge_id*.
-
-    Raises
-    ------
-    BoundaryEdgeError
-        If the edge has only one incident face.
-    """
-    f_a, f_b = (int(x) for x in topo.edge_faces[edge_id])
-    if f_b < 0:
-        raise BoundaryEdgeError(f"edge {edge_id} is a boundary edge")
-    v1, v3 = (int(x) for x in topo.edges[edge_id])
-    v2 = _opposite_vertex(mesh.faces, f_a, v1, v3)
-    v4 = _opposite_vertex(mesh.faces, f_b, v1, v3)
-    pts = mesh.vertices
-    return Flap(
-        p1=pts[v1],
-        p2=pts[v2],
-        p3=pts[v3],
-        p4=pts[v4],
-        faces=(f_a, f_b),
-        vertex_ids=(v1, v2, v3, v4),
-    )
 
 
 def vertex_normals(mesh: TriMesh, geometry: FaceGeometry | None = None) -> np.ndarray:

@@ -1,6 +1,10 @@
 """Two-step denoising: iterative face-normal filtering, then vertex fitting.
 
-Four normal-filter backends share one harness:
+Four normal-filter backends share one dispatch (:func:`filter_normals`).
+The three edge-ring filters (unf, bnf, l1) also share one sweep loop,
+:func:`_ring_sweeps`, which gathers each face's ring normals and hands
+them to the filter's per-sweep step, and bnf and l1 share one spatial
+kernel, :func:`_ring_spatial`:
 
 - ``unf``: edge-ring normals whose dot with the center normal exceeds a
   threshold T, each weighted by area·(dot − T)²; the face itself always
@@ -214,12 +218,26 @@ def _normalize_rows(vectors: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return np.where(ok[:, None], vectors / np.where(ok, norms, 1.0)[:, None], fallback)
 
 
+def _ring_sweeps(geometry: FaceGeometry, safe: np.ndarray, n_iter: int, step) -> np.ndarray:
+    """n_iter sweeps of an edge-ring filter: each gathers every face's
+    (F, 3, 3) ring normals and lets ``step(normals, ring_normals)`` return
+    the next normals."""
+    normals = geometry.normals
+    for _ in range(n_iter):
+        normals = step(normals, np.take(normals, safe, axis=0))
+    return normals
+
+
+def _ring_spatial(topo: TopologyCache, geometry: FaceGeometry, safe: np.ndarray) -> np.ndarray:
+    """(F, 3) Gaussian of each ring slot's centroid distance, its scale the
+    mean adjacent-centroid distance."""
+    sigma_c = mean_adjacent_centroid_distance(topo, geometry)
+    cdiff = geometry.centroids[:, None, :] - geometry.centroids[safe]
+    return np.exp(-np.einsum("fki,fki->fk", cdiff, cdiff) / (2.0 * sigma_c * sigma_c))
+
+
 def filter_unf(
-    mesh: TriMesh,
-    topo: TopologyCache,
-    geometry: FaceGeometry,
-    params: UnfParams,
-    labels=None,
+    topo: TopologyCache, geometry: FaceGeometry, params: UnfParams, labels=None
 ) -> np.ndarray:
     """n_iter sweeps of the thresholded normal filter.
 
@@ -227,51 +245,39 @@ def filter_unf(
     normal is weighted by its area·(dot − t)²; the face itself is
     weighted by its area·(1 − t)².
     """
-    label_array = _as_label_array(labels, topo.n_faces)
-    safe, valid = _ring_tables(topo, label_array)
+    safe, valid = _ring_tables(topo, _as_label_array(labels, topo.n_faces))
     areas = geometry.areas
     nbr_areas = areas[safe]
     threshold = params.t
     # The face itself always participates (its self-dot is 1).
     self_w = areas * (1.0 - threshold) ** 2 if threshold < 1.0 else np.zeros_like(areas)
-    normals = geometry.normals
-    for _ in range(params.n_iter):
-        nbr_normals = np.take(normals, safe, axis=0)  # (F, 3nbr, 3)
+
+    def step(normals, nbr_normals):
         dots = np.einsum("fi,fki->fk", normals, nbr_normals)
         weights = np.where(valid & (dots > threshold), nbr_areas * (dots - threshold) ** 2, 0.0)
         summed = np.einsum("fk,fki->fi", weights, nbr_normals) + self_w[:, None] * normals
-        normals = _normalize_rows(summed, normals)
-    return normals
+        return _normalize_rows(summed, normals)
+
+    return _ring_sweeps(geometry, safe, params.n_iter, step)
 
 
 def filter_bnf(
-    mesh: TriMesh,
-    topo: TopologyCache,
-    geometry: FaceGeometry,
-    params: BnfParams,
-    labels=None,
+    topo: TopologyCache, geometry: FaceGeometry, params: BnfParams, labels=None
 ) -> np.ndarray:
     """n_iter sweeps of the bilateral normal filter."""
-    label_array = _as_label_array(labels, topo.n_faces)
-    safe, valid = _ring_tables(topo, label_array)
+    safe, valid = _ring_tables(topo, _as_label_array(labels, topo.n_faces))
     areas = geometry.areas
-    sigma_c = mean_adjacent_centroid_distance(topo, geometry)
-    cdiff = geometry.centroids[:, None, :] - geometry.centroids[safe]
-    spatial = np.exp(
-        -np.einsum("fki,fki->fk", cdiff, cdiff) / (2.0 * sigma_c * sigma_c)
-    )
-    base_w = np.where(valid, areas[safe] * spatial, 0.0)
+    base_w = np.where(valid, areas[safe] * _ring_spatial(topo, geometry, safe), 0.0)
     two_sr2 = 2.0 * params.sigma_r * params.sigma_r
-    normals = geometry.normals
-    for _ in range(params.n_iter):
-        nbr_normals = np.take(normals, safe, axis=0)
+
+    def step(normals, nbr_normals):
         ndiff = normals[:, None, :] - nbr_normals
-        range_w = np.exp(-np.einsum("fki,fki->fk", ndiff, ndiff) / two_sr2)
-        weights = base_w * range_w
+        weights = base_w * np.exp(-np.einsum("fki,fki->fk", ndiff, ndiff) / two_sr2)
         # Self term: both kernels evaluate to 1 at zero distance.
         summed = np.einsum("fk,fki->fi", weights, nbr_normals) + areas[:, None] * normals
-        normals = _normalize_rows(summed, normals)
-    return normals
+        return _normalize_rows(summed, normals)
+
+    return _ring_sweeps(geometry, safe, params.n_iter, step)
 
 
 def _slot_sum(weights, points, prod, out):
@@ -328,11 +334,7 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray) -> np.
 
 
 def filter_l1median(
-    mesh: TriMesh,
-    topo: TopologyCache,
-    geometry: FaceGeometry,
-    params: L1Params,
-    labels=None,
+    topo: TopologyCache, geometry: FaceGeometry, params: L1Params, labels=None
 ) -> np.ndarray:
     """n_iter sweeps of the geometric-median normal filter.
 
@@ -344,17 +346,11 @@ def filter_l1median(
     take Weiszfeld steps (see :func:`_weiszfeld`); the others keep their
     normal.
     """
-    label_array = _as_label_array(labels, topo.n_faces)
-    safe, valid = _ring_tables(topo, label_array)
-    sigma_c = mean_adjacent_centroid_distance(topo, geometry)
-    cdiff = geometry.centroids[:, None, :] - geometry.centroids[safe]
-    spatial = np.exp(
-        -np.einsum("fki,fki->fk", cdiff, cdiff) / (2.0 * sigma_c * sigma_c)
-    )
+    safe, valid = _ring_tables(topo, _as_label_array(labels, topo.n_faces))
+    spatial = _ring_spatial(topo, geometry, safe)
     cos_gate = float(np.cos(np.radians(params.angle_max_deg)))
-    normals = geometry.normals
-    for _ in range(params.n_iter):
-        nbr_normals = np.take(normals, safe, axis=0)
+
+    def step(normals, nbr_normals):
         dots = np.einsum("fi,fki->fk", normals, nbr_normals)
         weights = np.where(valid & (dots >= cos_gate), spatial, 0.0)
         wsum = weights.sum(axis=1)
@@ -365,8 +361,9 @@ def filter_l1median(
             np.ascontiguousarray(weights[has].T),
             wsum[has],
         ).T
-        normals = np.where(has[:, None], _normalize_rows(median, normals), normals)
-    return normals
+        return np.where(has[:, None], _normalize_rows(median, normals), normals)
+
+    return _ring_sweeps(geometry, safe, params.n_iter, step)
 
 
 def _radius_csr(centroids: np.ndarray, radius: float, label_array=None):
@@ -424,11 +421,7 @@ def _rank_candidates(owner: np.ndarray, gap: np.ndarray, n_faces: int) -> np.nda
 
 
 def filter_gnf(
-    mesh: TriMesh,
-    topo: TopologyCache,
-    geometry: FaceGeometry,
-    params: GnfParams,
-    labels=None,
+    topo: TopologyCache, geometry: FaceGeometry, params: GnfParams, labels=None
 ) -> np.ndarray:
     """n_iter sweeps of the guided normal filter.
 
@@ -579,18 +572,15 @@ _FILTERS = {
 
 
 def filter_normals(
-    mesh: TriMesh,
-    topo: TopologyCache,
-    geometry: FaceGeometry,
-    params: DenoiseParams,
-    labels=None,
+    topo: TopologyCache, geometry: FaceGeometry, params: DenoiseParams, labels=None
 ) -> np.ndarray:
     """Dispatch to the backend named by the params type."""
     try:
         backend = _FILTERS[type(params)]
     except KeyError:
         raise TypeError(f"not a denoise params object: {params!r}") from None
-    return backend(mesh, topo, geometry, params, labels)
+    # By keyword: perfbench/spans.py hooks read these arguments by name.
+    return backend(topo=topo, geometry=geometry, params=params, labels=labels)
 
 
 def denoise(
@@ -611,5 +601,5 @@ def denoise(
     if labels is None and segment_params is not None:
         labels = segment(mesh, segment_params, prefilter_params=prefilter_params)
     label_array = _as_label_array(labels, mesh.n_faces)
-    normals = filter_normals(mesh, topo, geometry, params, label_array)
+    normals = filter_normals(topo, geometry, params, label_array)
     return vertex_update(mesh, topo, normals, params.v_iter)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Flap, TopologyCache, TriMesh
+from .core import TopologyCache, TriMesh
 from .errors import DegenerateFlapError
 from .fileio import _write_rows
 
@@ -53,7 +53,8 @@ def operator_coefficients(p1, p2, p3, p4):
 
 def flap_vertex_table(mesh: TriMesh, topo: TopologyCache):
     """(interior edge ids, (n_interior, 4) vertex ids per flap), the
-    columns p1, p2, p3, p4 as in :func:`meshseg.core.flap_of_edge`."""
+    columns p1, p2, p3, p4: the edge endpoints (lower id first) and the
+    opposite vertices of the lower- and higher-id incident face."""
     interior = topo.interior_edge_ids
     edges = topo.edges[interior]
     face_sum = mesh.faces.sum(axis=1)
@@ -62,47 +63,6 @@ def flap_vertex_table(mesh: TriMesh, topo: TopologyCache):
     v2 = face_sum[topo.edge_faces[interior, 0]] - v1 - v3
     v4 = face_sum[topo.edge_faces[interior, 1]] - v1 - v3
     return interior, np.stack([v1, v2, v3, v4], axis=1)
-
-
-def _operator_on_points(p1, p2, p3, p4):
-    """Operator values for stacked flap points; shapes (..., 3).
-
-    Returns (values, area123, area134); no degeneracy handling here.
-    """
-    c1, c2, c3, c4, area123, area134 = operator_coefficients(p1, p2, p3, p4)
-    values = (
-        c1[..., None] * p1
-        + c2[..., None] * p2
-        + c3[..., None] * p3
-        + c4[..., None] * p4
-    )
-    return values, area123, area134
-
-
-def edge_operator(flap: Flap, area_floor: float | None = None) -> np.ndarray:
-    """D(e) for one flap as a length-3 vector.
-
-    *area_floor* is the degenerate-face threshold; when omitted it
-    defaults to AREA_EPS_FACTOR times the squared edge length of the
-    flap itself (the field variant uses the mesh-wide mean edge length
-    instead).
-
-    Raises
-    ------
-    DegenerateFlapError
-        If either flap face has area below the floor.
-    """
-    p1, p2, p3, p4 = flap.p1, flap.p2, flap.p3, flap.p4
-    if area_floor is None:
-        area_floor = AREA_EPS_FACTOR * float(np.dot(p3 - p1, p3 - p1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        values, a123, a134 = _operator_on_points(p1, p2, p3, p4)
-    if a123 < area_floor or a134 < area_floor:
-        raise DegenerateFlapError(
-            f"flap over faces {flap.faces} has areas ({a123:g}, {a134:g}) "
-            f"below the floor {area_floor:g}"
-        )
-    return values
 
 
 @dataclass(frozen=True)
@@ -123,7 +83,7 @@ class EdgeOperatorField:
 
 
 def edge_operator_field(mesh: TriMesh, topo: TopologyCache) -> EdgeOperatorField:
-    """Vectorized :func:`edge_operator` over all interior edges.
+    """D(e) on every interior edge.
 
     Raises
     ------
@@ -136,9 +96,10 @@ def edge_operator_field(mesh: TriMesh, topo: TopologyCache) -> EdgeOperatorField
     norms = np.full(n_edges, np.inf, dtype=np.float64)
     interior, flap_vertices = flap_vertex_table(mesh, topo)
     if interior.size:
-        flap_points = mesh.vertices[flap_vertices.T]  # (4, n_interior, 3)
+        p1, p2, p3, p4 = mesh.vertices[flap_vertices.T]  # (4, n_interior, 3)
         with np.errstate(invalid="ignore", divide="ignore"):
-            vals, a123, a134 = _operator_on_points(*flap_points)
+            c1, c2, c3, c4, a123, a134 = operator_coefficients(p1, p2, p3, p4)
+            vals = c1[:, None] * p1 + c2[:, None] * p2 + c3[:, None] * p3 + c4[:, None] * p4
         floor = AREA_EPS_FACTOR * topo.mean_edge_length**2
         bad = (a123 < floor) | (a134 < floor)
         if bad.any():

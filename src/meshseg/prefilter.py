@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import cg
 
-from .core import Flap, FaceGeometry, TopologyCache, TriMesh, build_topology, face_geometry
+from .core import FaceGeometry, TopologyCache, TriMesh, build_topology, face_geometry
 from .edgeop import flap_vertex_table, operator_coefficients
 from .errors import SolverDivergedError
 
@@ -57,19 +57,12 @@ class PrefilterParams:
         return max(1, math.ceil(10.0 * math.sqrt(max(n_vertices, 1))))
 
 
-def edge_weights(
-    mesh: TriMesh,
-    topo: TopologyCache,
-    geometry: FaceGeometry | None = None,
-    sigma_w: float = 0.35,
-) -> np.ndarray:
+def edge_weights(topo: TopologyCache, geometry: FaceGeometry, sigma_w: float) -> np.ndarray:
     """Per-edge weights exp(-||n_a - n_b||^2 / (2 sigma_w^2)), shape (E,).
 
     Interior entries lie in (0, 1]; boundary edges get 0.0, which simply
     drops them from both energy sums.
     """
-    if geometry is None:
-        geometry = face_geometry(mesh)
     weights = np.zeros(topo.n_edges, dtype=np.float64)
     interior = topo.interior_edge_ids
     if interior.size:
@@ -78,11 +71,6 @@ def edge_weights(
         diff2 = np.einsum("ij,ij->i", n_a - n_b, n_a - n_b)
         weights[interior] = np.exp(-diff2 / (2.0 * sigma_w * sigma_w))
     return weights
-
-
-def regularizer(flap: Flap) -> np.ndarray:
-    """R(e) = midpoint of the edge minus midpoint of the opposite pair."""
-    return 0.5 * (flap.p1 + flap.p3) - 0.5 * (flap.p2 + flap.p4)
 
 
 def assemble_system(mesh: TriMesh, params: PrefilterParams):
@@ -113,7 +101,7 @@ def assemble_system(mesh: TriMesh, params: PrefilterParams):
     r_coeff = np.tile(np.array([0.5, -0.5, 0.5, -0.5]), m)
     b_op = sp.csr_matrix((r_coeff, (rows, cols)), shape=(m, n))
 
-    w_int = edge_weights(mesh, topo, geometry, params.sigma_w)[interior]
+    w_int = edge_weights(topo, geometry, params.sigma_w)[interior]
     w_diag = sp.diags(w_int)
     system = (
         sp.identity(n, format="csr")
@@ -121,28 +109,6 @@ def assemble_system(mesh: TriMesh, params: PrefilterParams):
         + params.beta * (b_op.T @ w_diag @ b_op)
     )
     return system.tocsr(), a_op, b_op, w_int
-
-
-def quadratic_energy(
-    mesh: TriMesh, candidate_vertices: np.ndarray, params: PrefilterParams
-) -> float:
-    """Objective value at *candidate_vertices* with coefficients frozen
-    at *mesh*'s geometry (the quantity :func:`prefilter` minimizes).
-
-    Scalar reference for the tests: it reassembles the system from
-    *mesh* on every call.
-    """
-    _, a_op, b_op, w_int = assemble_system(mesh, params)
-    q = np.asarray(candidate_vertices, dtype=np.float64)
-    data = float(((q - mesh.vertices) ** 2).sum())
-    smooth = 0.0
-    if a_op.shape[0]:
-        d_vals = np.stack([a_op @ q[:, k] for k in range(3)], axis=1)
-        r_vals = np.stack([b_op @ q[:, k] for k in range(3)], axis=1)
-        smooth = params.alpha * float(
-            (w_int * np.einsum("ij,ij->i", d_vals, d_vals)).sum()
-        ) + params.beta * float((w_int * np.einsum("ij,ij->i", r_vals, r_vals)).sum())
-    return data + smooth
 
 
 def prefilter(mesh: TriMesh, params: PrefilterParams | None = None) -> TriMesh:

@@ -19,13 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .core import (
-    FaceGeometry,
-    TopologyCache,
-    TriMesh,
-    build_topology,
-    face_geometry,
-)
+from .core import FaceGeometry, TopologyCache, TriMesh, build_topology, face_geometry
 from .edgeop import EdgeOperatorField, edge_operator_field
 from .errors import LabelLengthMismatchError
 from .prefilter import PrefilterParams, prefilter
@@ -146,12 +140,7 @@ def _rings(graph: sp.csr_matrix, sources: np.ndarray, depth: np.ndarray):
     return keys // n, keys % n
 
 
-def region_grow(
-    mesh: TriMesh,
-    topo: TopologyCache,
-    field: EdgeOperatorField,
-    d_thr: float,
-) -> ClusterLabels:
+def region_grow(topo: TopologyCache, field: EdgeOperatorField, d_thr: float) -> ClusterLabels:
     """Connected components of faces joined across edges with ||D(e)||
     strictly below *d_thr*.
 
@@ -167,11 +156,7 @@ def region_grow(
 
 
 def refine(
-    mesh: TriMesh,
-    topo: TopologyCache,
-    geometry: FaceGeometry,
-    clusters: ClusterLabels,
-    params: SegmentParams,
+    topo: TopologyCache, geometry: FaceGeometry, clusters: ClusterLabels, params: SegmentParams
 ) -> ClusterLabels:
     """Absorb clusters smaller than ``min_cluster_size`` into large ones.
 
@@ -273,8 +258,9 @@ def segment(
         clusters = ClusterLabels.from_array(_grow(topo, passes), work.n_faces)
     else:
         field = edge_operator_field(work, topo)
-        clusters = region_grow(work, topo, field, params.d_thr)
+        clusters = region_grow(topo, field, params.d_thr)
 
     if params.refine:
-        clusters = refine(work, topo, geometry, clusters, params)
+        # By keyword: perfbench/spans.py hooks read these arguments by name.
+        clusters = refine(topo, geometry, clusters=clusters, params=params)
     return clusters

@@ -1,11 +1,14 @@
 """The package surface: ``meshseg.__all__`` names each public object once,
-no module under ``src/meshseg`` imports a name it never uses, and the
-distance searches run without loading ``scipy.spatial``.
+no module under ``src/meshseg`` imports a name or takes a parameter it
+never uses, and the distance searches run without loading
+``scipy.spatial``.
 
-The import check is a small ``ast`` walk rather than a linter, so it
-runs wherever the tests run. A name counts as used when it appears as a
-bare name anywhere in the module (annotations included) or as a string
-in the module's ``__all__``.
+The import and parameter checks are small ``ast`` walks rather than a
+linter, so they run wherever the tests run. An imported name counts as
+used when it appears as a bare name anywhere in the module (annotations
+included) or as a string in the module's ``__all__``; a parameter, when
+it appears as a bare name in its function's body (nested functions
+included).
 """
 
 import ast
@@ -62,6 +65,41 @@ def test_unused_imports_are_found():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """``function.parameter`` for each parameter in *source* that its
+    function's body never reads; ``self`` and ``cls`` are skipped."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            found += [
+                f"{node.name}.{a.arg}" for a in params if a.arg not in read | {"self", "cls"}
+            ]
+    return sorted(found)
+
+
+def test_unused_parameters_are_found():
+    source = (
+        "def f(self, a, b, *args, c, **kw):\n    return a, kw\n"
+        "class C:\n"
+        "    def g(cls, d):\n"
+        "        def h(e):\n            return d\n"
+        "        return h\n"
+    )
+    assert unused_parameters(source) == ["f.args", "f.b", "f.c", "h.e"]
+    assert unused_parameters("def f(x: int = 0) -> int:\n    return x\n") == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
 
 
 def test_spatial_searches_do_not_import_scipy_spatial():

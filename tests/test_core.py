@@ -11,7 +11,6 @@ from meshseg.core import (
     TriMesh,
     build_topology,
     face_geometry,
-    flap_of_edge,
     stencil_pairs,
     vertex_normals,
 )
@@ -23,6 +22,8 @@ from meshseg.errors import (
     NonManifoldEdgeError,
     ZeroAreaFaceError,
 )
+
+from flap_oracle import flap_of_edge
 
 
 def single_triangle():

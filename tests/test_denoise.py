@@ -126,7 +126,7 @@ def test_filtered_normals_are_unit(params):
     mesh = noisy_cube()
     topo = build_topology(mesh)
     geo = face_geometry(mesh)
-    normals = filter_normals(mesh, topo, geo, params)
+    normals = filter_normals(topo, geo, params)
     np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
 
 
@@ -179,7 +179,7 @@ def test_empty_constrained_neighborhood_keeps_normal(params):
     geo = face_geometry(mesh)
     labels = np.zeros(mesh.n_faces, dtype=int)
     labels[0] = 1  # isolate face 0
-    normals = filter_normals(mesh, topo, geo, params, labels)
+    normals = filter_normals(topo, geo, params, labels)
     np.testing.assert_allclose(normals[0], geo.normals[0], atol=1e-12)
 
 

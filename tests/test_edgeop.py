@@ -11,15 +11,12 @@ import numpy as np
 import pytest
 
 from meshseg import cube, fileio, plane
-from meshseg.core import Flap, TriMesh, build_topology, flap_of_edge
-from meshseg.edgeop import (
-    EdgeOperatorField,
-    edge_operator,
-    edge_operator_field,
-    write_norms_csv,
-)
+from meshseg.core import TriMesh, build_topology
+from meshseg.edgeop import EdgeOperatorField, edge_operator_field, write_norms_csv
 from meshseg.errors import DegenerateFlapError
 from meshseg.noise import NoiseSpec, add_noise
+
+from flap_oracle import Flap, edge_operator, flap_of_edge
 
 
 def flap_from_points(p1, p2, p3, p4):

@@ -216,7 +216,7 @@ def test_rank_candidates_matches_lexsort(n_faces):
     )
 
 
-def reference_filter_gnf(mesh, topo, geometry, params, labels=None):
+def reference_filter_gnf(topo, geometry, params, labels=None):
     """The guided filter with a full lexsort of the guidance candidates
     on every sweep and a per-axis ``bincount`` blend."""
     label_array = _as_label_array(labels, topo.n_faces)
@@ -306,6 +306,6 @@ def test_gnf_guidance_ties_match_reference(mesh, labelled, n_iter):
     geometry = face_geometry(mesh)
     labels = _six_sides(mesh.n_faces) if labelled else None
     params = GnfParams(2.0, 2.0, 0.35, n_iter, 0)
-    got = filter_normals(mesh, topo, geometry, params, labels)
-    want = reference_filter_gnf(mesh, topo, geometry, params, labels)
+    got = filter_normals(topo, geometry, params, labels)
+    want = reference_filter_gnf(topo, geometry, params, labels)
     assert got.tobytes() == want.tobytes()

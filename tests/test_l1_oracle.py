@@ -27,7 +27,7 @@ from meshseg.denoise import (
 from meshseg.noise import NoiseSpec, add_noise
 
 
-def reference_filter_l1median(mesh, topo, geometry, params, labels=None):
+def reference_filter_l1median(topo, geometry, params, labels=None):
     """The geometric-median filter with a row-major Weiszfeld loop over
     every face."""
     label_array = _as_label_array(labels, topo.n_faces)
@@ -81,8 +81,8 @@ def _six_sides(n_faces):
 def _both(mesh, params, labels=None):
     topo = build_topology(mesh)
     geometry = face_geometry(mesh)
-    got = filter_normals(mesh, topo, geometry, params, labels)
-    want = reference_filter_l1median(mesh, topo, geometry, params, labels)
+    got = filter_normals(topo, geometry, params, labels)
+    want = reference_filter_l1median(topo, geometry, params, labels)
     return got, want, geometry
 
 

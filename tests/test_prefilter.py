@@ -6,17 +6,12 @@ import numpy as np
 import pytest
 
 from meshseg import cube, plane
-from meshseg.core import Flap, TriMesh, build_topology
+from meshseg.core import TriMesh, build_topology, face_geometry
 from meshseg.errors import SolverDivergedError
 from meshseg.noise import NoiseSpec, add_noise
-from meshseg.prefilter import (
-    PrefilterParams,
-    assemble_system,
-    edge_weights,
-    prefilter,
-    quadratic_energy,
-    regularizer,
-)
+from meshseg.prefilter import PrefilterParams, assemble_system, edge_weights, prefilter
+
+from flap_oracle import Flap, quadratic_energy, regularizer
 
 
 def test_params_validation():
@@ -46,7 +41,7 @@ def test_regularizer_hand_expansion():
 def test_edge_weights_flat_is_one():
     mesh = plane(3)
     topo = build_topology(mesh)
-    w = edge_weights(mesh, topo)
+    w = edge_weights(topo, face_geometry(mesh), PrefilterParams().sigma_w)
     np.testing.assert_allclose(w[topo.interior_edge_ids], 1.0, atol=1e-12)
     assert (w[topo.boundary_edge_mask] == 0.0).all()
 
@@ -56,7 +51,7 @@ def test_edge_weights_right_angle_value():
     sigma_w = 0.35 gives exp(-2 / 0.245) ~ 2.85e-4."""
     mesh = cube(1)
     topo = build_topology(mesh)
-    w = edge_weights(mesh, topo, sigma_w=0.35)
+    w = edge_weights(topo, face_geometry(mesh), PrefilterParams().sigma_w)
     expected = math.exp(-2.0 / (2.0 * 0.35**2))
     crease = w[w < 0.5]
     assert len(crease)  # the cube has crease edges
@@ -66,7 +61,7 @@ def test_edge_weights_right_angle_value():
 def test_edge_weights_in_unit_interval():
     mesh = add_noise(cube(3), NoiseSpec(0.4, "normal", seed=2))
     topo = build_topology(mesh)
-    w = edge_weights(mesh, topo)
+    w = edge_weights(topo, face_geometry(mesh), PrefilterParams().sigma_w)
     interior = w[topo.interior_edge_ids]
     assert (interior > 0.0).all()
     assert (interior <= 1.0).all()

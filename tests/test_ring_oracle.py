@@ -23,7 +23,7 @@ from meshseg.denoise import (
 from meshseg.noise import NoiseSpec, add_noise
 
 
-def reference_filter_unf(mesh, topo, geometry, params, labels=None):
+def reference_filter_unf(topo, geometry, params, labels=None):
     """The thresholded normal filter with fancy-index gathers."""
     label_array = _as_label_array(labels, topo.n_faces)
     safe, valid = _ring_tables(topo, label_array)
@@ -41,7 +41,7 @@ def reference_filter_unf(mesh, topo, geometry, params, labels=None):
     return normals
 
 
-def reference_filter_bnf(mesh, topo, geometry, params, labels=None):
+def reference_filter_bnf(topo, geometry, params, labels=None):
     """The bilateral normal filter with fancy-index gathers."""
     label_array = _as_label_array(labels, topo.n_faces)
     safe, valid = _ring_tables(topo, label_array)
@@ -80,7 +80,7 @@ def test_ring_filter_matches_reference(params, reference, labelled):
     topo = build_topology(mesh)
     geometry = face_geometry(mesh)
     labels = _six_sides(mesh.n_faces) if labelled else None
-    got = filter_normals(mesh, topo, geometry, params, labels)
-    want = reference(mesh, topo, geometry, params, labels)
+    got = filter_normals(topo, geometry, params, labels)
+    want = reference(topo, geometry, params, labels)
     assert not np.array_equal(got, geometry.normals)
     assert got.tobytes() == want.tobytes()

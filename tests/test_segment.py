@@ -103,8 +103,8 @@ def test_strict_inequality_at_threshold():
     field = edge_operator_field(mesh, topo)
     interior = field.norms[topo.interior_edge_ids]
     crease = float(interior[interior > 0.0].min())
-    at = region_grow(mesh, topo, field, d_thr=crease)
-    above = region_grow(mesh, topo, field, d_thr=crease * (1.0 + 1e-9))
+    at = region_grow(topo, field, d_thr=crease)
+    above = region_grow(topo, field, d_thr=crease * (1.0 + 1e-9))
     assert at.cluster_count == 6
     assert above.cluster_count == 1
 
@@ -117,7 +117,7 @@ def test_region_grow_rejects_wrong_field_size():
         norms=np.zeros(topo.n_edges + 1),
     )
     with pytest.raises(LabelLengthMismatchError):
-        region_grow(mesh, topo, bad, d_thr=0.1)
+        region_grow(topo, bad, d_thr=0.1)
 
 
 def test_partition_nesting_along_threshold_grid():
@@ -126,7 +126,7 @@ def test_partition_nesting_along_threshold_grid():
     topo = build_topology(mesh)
     field = edge_operator_field(mesh, topo)
     grid = [1e-6, 1e-3, 1e-1, 1.0, float("inf")]
-    parts = [region_grow(mesh, topo, field, d_thr=t) for t in grid]
+    parts = [region_grow(topo, field, d_thr=t) for t in grid]
     for fine, coarse in zip(parts, parts[1:]):
         assert fine.cluster_count >= coarse.cluster_count
         assert is_refinement(fine, coarse)
@@ -141,9 +141,9 @@ def test_refine_removes_small_clusters():
     mesh = noisy_cube(8)
     topo = build_topology(mesh)
     field = edge_operator_field(mesh, topo)
-    raw = region_grow(mesh, topo, field, d_thr=0.005)
+    raw = region_grow(topo, field, d_thr=0.005)
     sizes_before = raw.cluster_sizes
-    refined = refine(mesh, topo, face_geometry(mesh), raw, SegmentParams(d_thr=0.005))
+    refined = refine(topo, face_geometry(mesh), raw, SegmentParams(d_thr=0.005))
     assert refined.cluster_count <= raw.cluster_count
     # Every surviving label is a (possibly grown) originally-large cluster.
     assert (refined.cluster_sizes >= 50).all() or refined.cluster_count == 1
@@ -162,7 +162,7 @@ def test_refine_faces_move_to_adjacent_large_cluster():
     raw = ClusterLabels.from_array(labels)
     topo = build_topology(mesh)
     refined = refine(
-        mesh, topo, face_geometry(mesh), raw, SegmentParams(d_thr=1e-4, min_cluster_size=10)
+        topo, face_geometry(mesh), raw, SegmentParams(d_thr=1e-4, min_cluster_size=10)
     )
     assert refined.cluster_count == 6
     np.testing.assert_array_equal(
@@ -185,8 +185,8 @@ def test_refine_snapshot_semantics():
     mesh = noisy_cube(8, seed=7)
     topo = build_topology(mesh)
     field = edge_operator_field(mesh, topo)
-    raw = region_grow(mesh, topo, field, d_thr=0.005)
-    refined = refine(mesh, topo, face_geometry(mesh), raw, SegmentParams(d_thr=0.005))
+    raw = region_grow(topo, field, d_thr=0.005)
+    refined = refine(topo, face_geometry(mesh), raw, SegmentParams(d_thr=0.005))
     big_before = set(np.flatnonzero(np.asarray(raw.cluster_sizes) >= 50).tolist())
     if big_before:
         # Labels are recompacted; map refined labels back via face overlap.

@@ -125,9 +125,9 @@ def assert_matches_reference(mesh, d_thr, params):
     topo = build_topology(mesh)
     geometry = face_geometry(mesh)
     field = edge_operator_field(mesh, topo)
-    raw = region_grow(mesh, topo, field, d_thr)
+    raw = region_grow(topo, field, d_thr)
     np.testing.assert_array_equal(raw.labels, grow_reference(topo, field.norms < d_thr))
-    refined = refine(mesh, topo, geometry, raw, params)
+    refined = refine(topo, geometry, raw, params)
     np.testing.assert_array_equal(
         refined.labels, refine_reference(topo, geometry, raw, params)
     )
@@ -217,7 +217,7 @@ def test_equal_scores_go_to_the_lowest_label():
     labels[first], labels[second] = 0, 1
     raw = ClusterLabels.from_array(labels)
     params = SegmentParams(0.1, min_cluster_size=3, ring_depth=1)
-    refined = refine(mesh, topo, geometry, raw, params)
+    refined = refine(topo, geometry, raw, params)
     np.testing.assert_array_equal(
         refined.labels, refine_reference(topo, geometry, raw, params)
     )
