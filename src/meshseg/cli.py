@@ -19,7 +19,6 @@ from .fileio import read_obj, write_labels, write_obj, write_ply_colored
 from .fixtures import FIXTURE_SHAPES, make_fixture
 from .metrics import ev, msae
 from .noise import NOISE_MODES, NoiseSpec, add_noise
-from .core import build_topology
 from .prefilter import PrefilterParams, prefilter
 from .segment import BASELINE_MODES, SegmentParams, segment
 
@@ -99,7 +98,7 @@ def cmd_segment(args) -> int:
         baseline_mode=args.baseline,
     )
     # segment() would prefilter the same way; doing it here lets the norms
-    # CSV reuse the relaxed mesh instead of solving the system again.
+    # CSV reuse the relaxed mesh and its carried topology, with no second solve.
     work = prefilter(mesh, _prefilter_params(args)) if args.prefilter else mesh
     clusters = segment(work, params)
     prefix = Path(args.out_prefix) if args.out_prefix else Path(args.mesh).with_suffix("")
@@ -108,9 +107,8 @@ def cmd_segment(args) -> int:
     write_labels(clusters.labels, labels_path)
     write_ply_colored(mesh, clusters.labels, ply_path)
     if args.dump_norms:
-        topo = build_topology(work)
-        field = edge_operator_field(work, topo)
-        write_norms_csv(topo, field, prefix.parent / f"{prefix.name}_norms.csv")
+        field = edge_operator_field(work, work.topology)
+        write_norms_csv(work.topology, field, prefix.parent / f"{prefix.name}_norms.csv")
     print(f"clusters: {clusters.cluster_count}")
     print(labels_path)
     print(ply_path)

@@ -1,12 +1,14 @@
 """Indexed triangle mesh, derived adjacency, and per-face geometry.
 
-The mesh is deliberately dumb storage (positions + index triples); all
-derived quantities live in :class:`TopologyCache` and :class:`FaceGeometry`
-so they can be built once and shared read-only between pipeline stages.
+The mesh is storage (positions + index triples) plus its connectivity, a
+:class:`TopologyCache` built on first use of :attr:`TriMesh.topology`,
+kept, and carried to the meshes :meth:`TriMesh.with_vertices` makes from
+it. :class:`FaceGeometry` depends on positions and is built where needed.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import pairwise, product
 
@@ -26,10 +28,11 @@ class TriMesh:
 
     Faces use counter-clockwise winding. Both arrays are copied on
     construction and frozen, so instances can be shared across threads
-    without defensive copies.
+    without defensive copies. Threads that reach an unbuilt
+    :attr:`topology` together may each build it; any complete one serves.
     """
 
-    __slots__ = ("vertices", "faces")
+    __slots__ = ("vertices", "faces", "_topology")
 
     def __init__(self, vertices, faces):
         v = np.array(vertices, dtype=np.float64)
@@ -60,6 +63,7 @@ class TriMesh:
         f.setflags(write=False)
         self.vertices = v
         self.faces = f
+        self._topology = None
 
     @property
     def n_vertices(self) -> int:
@@ -69,9 +73,26 @@ class TriMesh:
     def n_faces(self) -> int:
         return len(self.faces)
 
+    @property
+    def topology(self) -> "TopologyCache":
+        """Edge and adjacency tables of the faces, built on first use."""
+        if self._topology is None:
+            # Assigned only once complete, so no reader sees a partial table.
+            self._topology = build_topology(self)
+        return self._topology
+
     def with_vertices(self, vertices) -> "TriMesh":
-        """New mesh with replaced positions and identical connectivity."""
-        return TriMesh(vertices, self.faces)
+        """New mesh with replaced positions and identical connectivity; a
+        topology built here is carried over, its arrays shared and only
+        ``mean_edge_length`` recomputed. ValueError if V changes."""
+        if len(vertices) != self.n_vertices:
+            raise ValueError(f"expected {self.n_vertices} vertices, got {len(vertices)}")
+        moved = TriMesh(vertices, self.faces)
+        if self._topology is not None:
+            topo = copy.copy(self._topology)
+            topo.mean_edge_length = _mean_edge_length(moved.vertices, topo.edges)
+            moved._topology = topo
+        return moved
 
     def __repr__(self) -> str:
         return f"TriMesh(V={self.n_vertices}, F={self.n_faces})"
@@ -79,6 +100,8 @@ class TriMesh:
 
 class TopologyCache:
     """Edge list and adjacency tables derived from one mesh's faces.
+
+    Read it as ``mesh.topology``; :func:`build_topology` builds a fresh one.
 
     Attributes
     ----------
@@ -94,12 +117,11 @@ class TopologyCache:
     face_adjacent : (F, 3) int64
         Neighbor face across the corresponding ``face_edges`` column,
         -1 where that edge is a boundary edge.
-    vertex_face_offsets, vertex_face_ids : CSR arrays
-        ``vertex_face_ids[vertex_face_offsets[v]:vertex_face_offsets[v+1]]``
-        are the faces incident to vertex v, ascending.
-    edge_lengths : (E,) float64
+    vertex_face_offsets : (V + 1,) int64
+        CSR offsets of the vertex-face incidence: vertex v lies on
+        ``vertex_face_offsets[v + 1] - vertex_face_offsets[v]`` faces.
     mean_edge_length : float
-        Mean over all edges; 0.0 for an edgeless mesh.
+        Mean over all edges at the mesh's positions; 0.0 without edges.
     """
 
     __slots__ = (
@@ -108,10 +130,7 @@ class TopologyCache:
         "face_edges",
         "face_adjacent",
         "vertex_face_offsets",
-        "vertex_face_ids",
-        "edge_lengths",
         "mean_edge_length",
-        "n_vertices",
         "n_faces",
     )
 
@@ -140,7 +159,6 @@ def build_topology(mesh: TriMesh) -> TopologyCache:
         If two faces traverse their shared edge in the same direction.
     """
     topo = TopologyCache.__new__(TopologyCache)
-    topo.n_vertices = mesh.n_vertices
     topo.n_faces = mesh.n_faces
 
     faces = mesh.faces
@@ -183,26 +201,25 @@ def build_topology(mesh: TriMesh) -> TopologyCache:
     own = np.arange(mesh.n_faces, dtype=np.int64)[:, None]
     face_adjacent = np.where(incident[:, :, 0] == own, incident[:, :, 1], incident[:, :, 0])
 
-    vflat = faces.ravel()
-    vorder = np.argsort(vflat, kind="stable")
-    topo.vertex_face_ids = (vorder // 3).astype(np.int64)
-    vcounts = np.bincount(vflat, minlength=mesh.n_vertices)
-    topo.vertex_face_offsets = np.concatenate(([0], np.cumsum(vcounts))).astype(np.int64)
+    vcounts = np.bincount(faces.ravel(), minlength=n_v)
+    vertex_face_offsets = np.concatenate(([0], np.cumsum(vcounts))).astype(np.int64)
 
-    deltas = mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]]
-    topo.edge_lengths = np.linalg.norm(deltas, axis=1)
-    topo.mean_edge_length = float(topo.edge_lengths.mean()) if len(edges) else 0.0
-
-    for arr in (edges, edge_faces, face_edges, face_adjacent):
+    for arr in (edges, edge_faces, face_edges, face_adjacent, vertex_face_offsets):
         arr.setflags(write=False)
     topo.edges = edges
     topo.edge_faces = edge_faces
     topo.face_edges = face_edges
     topo.face_adjacent = face_adjacent
-    topo.edge_lengths.setflags(write=False)
-    topo.vertex_face_ids.setflags(write=False)
-    topo.vertex_face_offsets.setflags(write=False)
+    topo.vertex_face_offsets = vertex_face_offsets
+    topo.mean_edge_length = _mean_edge_length(mesh.vertices, edges)
     return topo
+
+
+def _mean_edge_length(vertices: np.ndarray, edges: np.ndarray) -> float:
+    """Mean length of the (E, 2) *edges* at *vertices*; 0.0 without edges."""
+    if not len(edges):
+        return 0.0
+    return float(np.linalg.norm(vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1).mean())
 
 
 @dataclass(frozen=True)
@@ -305,10 +322,9 @@ def stencil_pairs(query_points, site_lo, site_hi, cell: float, reach: int):
                 yield np.repeat(np.arange(a, b), n), sorted_sites[slots]
 
 
-def vertex_normals(mesh: TriMesh, geometry: FaceGeometry | None = None) -> np.ndarray:
+def vertex_normals(mesh: TriMesh) -> np.ndarray:
     """Area-weighted vertex normals, (V, 3); zero rows for isolated vertices."""
-    if geometry is None:
-        geometry = face_geometry(mesh)
+    geometry = face_geometry(mesh)
     weighted = geometry.normals * geometry.areas[:, None]
     out = np.zeros((mesh.n_vertices, 3), dtype=np.float64)
     for k in range(3):

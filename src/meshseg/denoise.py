@@ -48,12 +48,9 @@ from typing import Union
 import numpy as np
 import scipy.sparse as sp
 
-from .core import (
-    FaceGeometry, TopologyCache, TriMesh, build_topology, face_geometry, stencil_pairs,
-)
+from .core import FaceGeometry, TopologyCache, TriMesh, face_geometry, stencil_pairs
 from .errors import LabelLengthMismatchError
-from .prefilter import PrefilterParams
-from .segment import ClusterLabels, SegmentParams, segment
+from .segment import ClusterLabels
 
 WEISZFELD_MAX_ITER = 20
 WEISZFELD_MOVE_TOL = 1e-8
@@ -583,23 +580,11 @@ def filter_normals(
     return backend(topo=topo, geometry=geometry, params=params, labels=labels)
 
 
-def denoise(
-    mesh: TriMesh,
-    params: DenoiseParams,
-    labels=None,
-    segment_params: SegmentParams | None = None,
-    prefilter_params: PrefilterParams | None = None,
-) -> TriMesh:
-    """Full denoise: (optionally) segment, filter normals, fit vertices.
-
-    Labels may be passed precomputed; otherwise, when *segment_params*
-    is given they are computed here — with the prefilter applied to the
-    segmentation stage only, never to the positions being denoised.
-    """
-    topo = build_topology(mesh)
+def denoise(mesh: TriMesh, params: DenoiseParams, labels=None) -> TriMesh:
+    """Full denoise: filter normals, within the clusters of *labels* if
+    given (from :func:`meshseg.segment.segment`), then fit vertices."""
+    topo = mesh.topology
     geometry = face_geometry(mesh)
-    if labels is None and segment_params is not None:
-        labels = segment(mesh, segment_params, prefilter_params=prefilter_params)
     label_array = _as_label_array(labels, mesh.n_faces)
     normals = filter_normals(topo, geometry, params, label_array)
     return vertex_update(mesh, topo, normals, params.v_iter)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import TriMesh, build_topology
+from .core import TriMesh
 
 FIXTURE_SHAPES = ("cube", "icosahedron", "plane")
 
@@ -104,7 +104,7 @@ def icosahedron(subdiv: int = 0) -> TriMesh:
     base = _ico_base()
     if m == 1:
         return base
-    topo = build_topology(base)
+    topo = base.topology
     bverts = base.vertices
 
     n_edge_pts = m - 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TriMesh, build_topology, face_geometry, vertex_normals
+from .core import TriMesh, vertex_normals
 from .errors import EmptyMeshError
 
 NOISE_MODES = ("normal", "isotropic")
@@ -50,11 +50,10 @@ def add_noise(mesh: TriMesh, spec: NoiseSpec) -> TriMesh:
     if spec.sigma_factor == 0.0:
         return mesh.with_vertices(mesh.vertices)
 
-    topo = build_topology(mesh)
-    sigma = spec.sigma_factor * topo.mean_edge_length
+    sigma = spec.sigma_factor * mesh.topology.mean_edge_length
     rng = np.random.Generator(np.random.Philox(spec.seed))
     if spec.mode == "normal":
-        normals = vertex_normals(mesh, face_geometry(mesh))
+        normals = vertex_normals(mesh)
         g = rng.standard_normal(mesh.n_vertices)
         displaced = mesh.vertices + sigma * g[:, None] * normals
     else:

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import cg
 
-from .core import FaceGeometry, TopologyCache, TriMesh, build_topology, face_geometry
+from .core import FaceGeometry, TopologyCache, TriMesh, face_geometry
 from .edgeop import flap_vertex_table, operator_coefficients
 from .errors import SolverDivergedError
 
@@ -76,13 +76,13 @@ def edge_weights(topo: TopologyCache, geometry: FaceGeometry, sigma_w: float) ->
 def assemble_system(mesh: TriMesh, params: PrefilterParams):
     """Sparse SPD system matrix M = I + alpha A'WA + beta B'WB.
 
-    Builds *mesh*'s topology and face geometry, and freezes the operator
+    Reads *mesh*'s topology, builds its face geometry, and freezes the operator
     coefficients and edge weights at its positions. Returns
     (M, A, B, w_interior) where A and B map stacked vertex coordinates
     (per scalar coordinate) to per-interior-edge operator and regularizer
     values, and w_interior are the interior edge weights.
     """
-    topo = build_topology(mesh)
+    topo = mesh.topology
     geometry = face_geometry(mesh)
     n = mesh.n_vertices
     interior, flap_vertices = flap_vertex_table(mesh, topo)
@@ -113,7 +113,7 @@ def assemble_system(mesh: TriMesh, params: PrefilterParams):
 
 def prefilter(mesh: TriMesh, params: PrefilterParams | None = None) -> TriMesh:
     """Solve the frozen-coefficient quadratic problem, returning the
-    relaxed mesh (same connectivity). The topology is built from *mesh*.
+    relaxed mesh, which carries *mesh*'s topology.
 
     With alpha == beta == 0 the system is the identity and the input
     positions are returned bit-for-bit. CG starts from the input

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .core import FaceGeometry, TopologyCache, TriMesh, build_topology, face_geometry
+from .core import FaceGeometry, TopologyCache, TriMesh, face_geometry
 from .edgeop import EdgeOperatorField, edge_operator_field
 from .errors import LabelLengthMismatchError
 from .prefilter import PrefilterParams, prefilter
@@ -246,7 +246,7 @@ def segment(
     prefilter never touches connectivity.
     """
     work = mesh if prefilter_params is None else prefilter(mesh, prefilter_params)
-    topo = build_topology(work)
+    topo = work.topology
 
     if params.baseline_mode == "none":
         labels = np.zeros(work.n_faces, dtype=np.int64)

@@ -211,15 +211,8 @@ def test_05_clustering_halves_bilateral_error_under_heavy_noise():
     noisy = add_noise(truth, FROZEN_NOISE)
     params = BnfParams(sigma_r=0.45, n_iter=100, v_iter=50)
     plain = msae(denoise(noisy, params), truth)
-    ours = msae(
-        denoise(
-            noisy,
-            params,
-            segment_params=FROZEN_SEGMENT,
-            prefilter_params=FROZEN_PREFILTER,
-        ),
-        truth,
-    )
+    labels = segment(noisy, FROZEN_SEGMENT, FROZEN_PREFILTER)
+    ours = msae(denoise(noisy, params, labels=labels), truth)
     _gate(
         "05 clustered bilateral halves the error",
         ours <= 0.5 * plain,
@@ -231,20 +224,11 @@ def test_05_clustering_halves_bilateral_error_under_heavy_noise():
 def _sweep_cv(param_list):
     truth = cube(FROZEN_TRUTH_SUBDIV)
     noisy = add_noise(truth, FROZEN_NOISE)
+    labels = segment(noisy, FROZEN_SEGMENT, FROZEN_PREFILTER)
     plain, ours = [], []
     for params in param_list:
         plain.append(msae(denoise(noisy, params), truth))
-        ours.append(
-            msae(
-                denoise(
-                    noisy,
-                    params,
-                    segment_params=FROZEN_SEGMENT,
-                    prefilter_params=FROZEN_PREFILTER,
-                ),
-                truth,
-            )
-        )
+        ours.append(msae(denoise(noisy, params, labels=labels), truth))
     return _cv(plain), _cv(ours), plain, ours
 
 

@@ -1,6 +1,7 @@
 """The package surface: ``meshseg.__all__`` names each public object once,
 no module under ``src/meshseg`` imports a name or takes a parameter it
-never uses, and the distance searches run without loading
+never uses, only ``core`` calls ``build_topology`` (every other module
+reads ``mesh.topology``), and the distance searches run without loading
 ``scipy.spatial``.
 
 The import and parameter checks are small ``ast`` walks rather than a
@@ -100,6 +101,37 @@ def test_unused_parameters_are_found():
 )
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def topology_builds(source: str) -> list[int]:
+    """Line numbers of the calls to ``build_topology`` in *source*, by bare
+    name or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "build_topology" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+def test_topology_builds_are_found():
+    source = (
+        "from .core import build_topology\n"
+        "topo = build_topology(mesh)\n"
+        "mel = core.build_topology(mesh).mean_edge_length\n"
+        "builder = build_topology\n"
+        "topo = mesh.topology\n"
+    )
+    assert topology_builds(source) == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name
+)
+def test_only_core_builds_topology(path):
+    builds = topology_builds(path.read_text(encoding="utf-8"))
+    # core's one call is TriMesh.topology, which keeps what it builds.
+    assert len(builds) == (1 if path.name == "core.py" else 0), builds
 
 
 def test_spatial_searches_do_not_import_scipy_spatial():

@@ -1,19 +1,26 @@
 """Tests for the mesh container, topology cache, and local queries."""
 
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import meshseg.core
 from meshseg import cube, icosahedron, plane
+from meshseg.cli import EXIT_OK, main
 from meshseg.core import (
+    TopologyCache,
     TriMesh,
     build_topology,
     face_geometry,
     stencil_pairs,
     vertex_normals,
 )
+from meshseg.denoise import BnfParams, UnfParams, denoise
 from meshseg.errors import (
     BoundaryEdgeError,
     DegenerateFaceError,
@@ -22,6 +29,10 @@ from meshseg.errors import (
     NonManifoldEdgeError,
     ZeroAreaFaceError,
 )
+from meshseg.fileio import write_obj
+from meshseg.noise import NoiseSpec, add_noise
+from meshseg.prefilter import PrefilterParams, prefilter
+from meshseg.segment import SegmentParams, segment
 
 from flap_oracle import flap_of_edge
 
@@ -204,16 +215,15 @@ def test_face_adjacent_symmetry():
 
 
 def test_vertex_face_incidence_sorted():
+    """The CSR offsets ascend from 0 and step by each vertex's face count."""
     mesh = cube(1)
     topo = build_topology(mesh)
+    counts = np.diff(topo.vertex_face_offsets)
     for vid in range(mesh.n_vertices):
-        start, stop = topo.vertex_face_offsets[vid : vid + 2]
-        incident = topo.vertex_face_ids[start:stop]
-        assert (np.diff(incident) > 0).all()
-        for fid in incident:
-            assert vid in mesh.faces[fid]
+        assert counts[vid] == np.count_nonzero((mesh.faces == vid).any(axis=1))
+    assert topo.vertex_face_offsets[0] == 0
     # Every face appears exactly three times across the table.
-    assert len(topo.vertex_face_ids) == 3 * mesh.n_faces
+    assert topo.vertex_face_offsets[-1] == 3 * mesh.n_faces
 
 
 def test_nonmanifold_edge_rejected():
@@ -253,6 +263,120 @@ def test_winding_error_names_at_most_eight_edges():
     with pytest.raises(InconsistentWindingError) as info:
         build_topology(TriMesh(mesh.vertices, faces))
     assert str(info.value).count("[") == 9
+
+
+# ---------------------------------------------------------------------------
+# The topology a mesh builds once and carries to its moved copies
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_topology(carried, fresh):
+    for slot in TopologyCache.__slots__:
+        if slot == "mean_edge_length":
+            assert isinstance(carried.mean_edge_length, float)
+            assert carried.mean_edge_length == fresh.mean_edge_length
+        else:
+            np.testing.assert_array_equal(getattr(carried, slot), getattr(fresh, slot))
+
+
+def _noisy_cube():
+    return add_noise(cube(4), NoiseSpec(0.4, "normal", seed=5))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda mesh: prefilter(mesh, PrefilterParams(alpha=5.0, beta=5.0, sigma_w=2.0)),
+        lambda mesh: add_noise(mesh, NoiseSpec(0.3, "isotropic", seed=9)),
+        lambda mesh: denoise(mesh, BnfParams(sigma_r=0.4, n_iter=3, v_iter=3)),
+    ],
+    ids=["prefilter", "add_noise", "denoise"],
+)
+def test_carried_topology_equals_a_fresh_build(make):
+    mesh = _noisy_cube()
+    out = make(mesh)
+    assert not np.array_equal(out.vertices, mesh.vertices)
+    # Carried, not rebuilt: the connectivity arrays are the input's own.
+    assert out.topology.face_adjacent is mesh.topology.face_adjacent
+    _assert_same_topology(out.topology, build_topology(out))
+
+
+def test_topology_is_built_once_per_mesh():
+    mesh = cube(2)
+    assert mesh.topology is mesh.topology
+
+
+def test_threads_racing_for_the_topology_each_get_a_complete_one():
+    """Readers that race on an unbuilt topology may each build it, but
+    none may see a partial table."""
+    fresh = build_topology(cube(6))
+    n_threads = 8
+
+    def read(mesh, start):
+        start.wait(timeout=60)
+        topo = mesh.topology
+        # Snapshot now: a table filled in later would pass a check made after.
+        return SimpleNamespace(**{s: getattr(topo, s, None) for s in TopologyCache.__slots__})
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            mesh, start = cube(6), threading.Barrier(n_threads)
+            with ThreadPoolExecutor(max_workers=n_threads) as pool:
+                futures = [pool.submit(read, mesh, start) for _ in range(n_threads)]
+                seen = [f.result(timeout=60) for f in futures]
+            for snapshot in seen:
+                _assert_same_topology(snapshot, fresh)
+    finally:
+        sys.setswitchinterval(previous)
+
+
+@pytest.mark.parametrize("n_vertices", [7, 9])
+def test_with_vertices_rejects_a_new_vertex_count(n_vertices):
+    with pytest.raises(ValueError, match="expected 8 vertices"):
+        cube(1).with_vertices(np.zeros((n_vertices, 3)))
+
+
+@pytest.fixture
+def build_count(monkeypatch):
+    """Number of build_topology calls made since the fixture was set up."""
+    calls = []
+    original = meshseg.core.build_topology
+
+    def counted(mesh):
+        calls.append(mesh)
+        return original(mesh)
+
+    monkeypatch.setattr(meshseg.core, "build_topology", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("segment", ["--dthr", "0.05", "--prefilter", "--dump-norms"]),
+        ("denoise", ["--method", "bnf", "--params", "0.4,3,3",
+                     "--use-clusters", "--dthr", "0.05", "--prefilter"]),
+    ],
+    ids=["segment", "denoise"],
+)
+def test_cli_builds_the_topology_once(tmp_path, capsys, build_count, command, flags):
+    path = tmp_path / "noisy.obj"
+    write_obj(_noisy_cube(), path)
+    build_count.clear()
+    assert main([command, str(path), *flags]) == EXIT_OK
+    assert len(build_count) == 1
+
+
+def test_segment_then_two_denoises_build_the_topology_once(build_count):
+    noisy = _noisy_cube()
+    mesh = TriMesh(noisy.vertices, noisy.faces)
+    build_count.clear()
+    labels = segment(mesh, SegmentParams(d_thr=0.05), PrefilterParams())
+    for params in (BnfParams(0.4, 3, 3), UnfParams(0.6, 3, 3)):
+        denoise(mesh, params, labels=labels)
+    assert len(build_count) == 1
 
 
 # ---------------------------------------------------------------------------

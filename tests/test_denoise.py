@@ -23,7 +23,6 @@ from meshseg.denoise import (
 )
 from meshseg.metrics import msae
 from meshseg.noise import NoiseSpec, add_noise
-from meshseg.segment import SegmentParams
 
 ALL_PARAMS = [
     UnfParams(t=0.5, n_iter=10, v_iter=10),
@@ -206,17 +205,6 @@ def test_cluster_constraint_preserves_cube_creases():
     free = denoise(noisy, params)
     ours = denoise(noisy, params, labels=side)
     assert msae(ours, truth) < 0.5 * msae(free, truth)
-
-
-def test_denoise_accepts_segment_params():
-    mesh = noisy_cube(subdiv=4, seed=2, sigma=0.2)
-    out = denoise(
-        mesh,
-        BnfParams(sigma_r=0.4, n_iter=10, v_iter=10),
-        segment_params=SegmentParams(d_thr=0.02),
-    )
-    assert out.n_faces == mesh.n_faces
-    assert not np.array_equal(out.vertices, mesh.vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 ``meshseg.denoise.vertex_update`` to it.
 
 The reference walks the incidences vertex by vertex (each vertex's faces
-in ascending id, from the topology's CSR) and sums each axis with its own
-``bincount``; the library walks them face by face and sums all three axes
-in one ``bincount``. Every vertex adds its faces' pulls in the same
+in ascending id, from a stable argsort of the face table) and sums each
+axis with its own ``bincount``; the library walks them face by face and
+sums all three axes in one ``bincount``. Every vertex adds its faces' pulls in the same
 order, so positions must agree bit for bit.
 """
 
@@ -24,7 +24,7 @@ def reference_vertex_update(mesh, topo, normals, v_iter):
     stay put."""
     counts = np.diff(topo.vertex_face_offsets)
     faces = mesh.faces
-    incident_face = topo.vertex_face_ids
+    incident_face = np.argsort(mesh.faces.ravel(), kind="stable") // 3
     incident_vertex = np.repeat(np.arange(mesh.n_vertices, dtype=np.int64), counts)
     divisor = np.where(counts == 0, 1, counts).astype(np.float64)
     fn = normals[incident_face]
