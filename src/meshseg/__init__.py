@@ -43,6 +43,7 @@ from .errors import (
     MeshParseError,
     NonFiniteVertexError,
     NonManifoldEdgeError,
+    NonManifoldVertexError,
     NonTriangleFaceError,
     SolverDivergedError,
     ZeroAreaFaceError,
@@ -77,6 +78,7 @@ __all__ = [
     "NoiseSpec",
     "NonFiniteVertexError",
     "NonManifoldEdgeError",
+    "NonManifoldVertexError",
     "NonTriangleFaceError",
     "PrefilterParams",
     "SegmentParams",

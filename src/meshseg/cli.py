@@ -44,6 +44,16 @@ def _prefilter_params(args) -> PrefilterParams:
     return PrefilterParams(alpha=args.alpha, beta=args.beta, sigma_w=args.sigma_w)
 
 
+def _segment_params(args) -> SegmentParams:
+    return SegmentParams(
+        d_thr=args.dthr,
+        min_cluster_size=args.min_cluster,
+        refine=not args.no_refine,
+        ring_depth=args.ring_depth,
+        baseline_mode=args.baseline,
+    )
+
+
 def _add_prefilter_flags(parser):
     parser.add_argument(
         "--prefilter",
@@ -90,13 +100,7 @@ def cmd_segment(args) -> int:
     if args.dthr is None:
         raise ValueError("segment requires --dthr")
     mesh = read_obj(args.mesh)
-    params = SegmentParams(
-        d_thr=args.dthr,
-        min_cluster_size=args.min_cluster,
-        refine=not args.no_refine,
-        ring_depth=args.ring_depth,
-        baseline_mode=args.baseline,
-    )
+    params = _segment_params(args)
     # segment() would prefilter the same way; doing it here lets the norms
     # CSV reuse the relaxed mesh and its carried topology, with no second solve.
     work = prefilter(mesh, _prefilter_params(args)) if args.prefilter else mesh
@@ -127,13 +131,8 @@ def cmd_denoise(args) -> int:
     if args.use_clusters:
         if args.dthr is None:
             raise ValueError("--use-clusters requires --dthr")
-        seg_params = SegmentParams(
-            d_thr=args.dthr,
-            min_cluster_size=args.min_cluster,
-            ring_depth=args.ring_depth,
-        )
         pf = _prefilter_params(args) if args.prefilter else None
-        labels = segment(mesh, seg_params, prefilter_params=pf)
+        labels = segment(mesh, _segment_params(args), prefilter_params=pf)
     elif args.dthr is not None:
         print("warning: --dthr is ignored without --use-clusters", file=sys.stderr)
 

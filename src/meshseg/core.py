@@ -13,12 +13,15 @@ from dataclasses import dataclass
 from itertools import pairwise, product
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import (
     DegenerateFaceError,
     InconsistentWindingError,
     NonFiniteVertexError,
     NonManifoldEdgeError,
+    NonManifoldVertexError,
     ZeroAreaFaceError,
 )
 
@@ -35,19 +38,12 @@ class TriMesh:
     __slots__ = ("vertices", "faces", "_topology")
 
     def __init__(self, vertices, faces):
-        v = np.array(vertices, dtype=np.float64)
+        v = _vertex_array(vertices)
         f = np.array(faces, dtype=np.int64)
-        if v.size == 0:
-            v = v.reshape(0, 3)
         if f.size == 0:
             f = f.reshape(0, 3)
-        if v.ndim != 2 or v.shape[1] != 3:
-            raise ValueError(f"vertices must have shape (V, 3), got {v.shape}")
         if f.ndim != 2 or f.shape[1] != 3:
             raise ValueError(f"faces must have shape (F, 3), got {f.shape}")
-        if not np.isfinite(v).all():
-            bad = np.flatnonzero(~np.isfinite(v).all(axis=1))[:8].tolist()
-            raise NonFiniteVertexError(f"vertices with non-finite coordinates: {bad}")
         if f.size:
             if f.min() < 0 or f.max() >= len(v):
                 raise IndexError("face vertex index out of range")
@@ -59,7 +55,6 @@ class TriMesh:
                 raise DegenerateFaceError(
                     f"faces reference a vertex more than once: {bad}"
                 )
-        v.setflags(write=False)
         f.setflags(write=False)
         self.vertices = v
         self.faces = f
@@ -82,12 +77,17 @@ class TriMesh:
         return self._topology
 
     def with_vertices(self, vertices) -> "TriMesh":
-        """New mesh with replaced positions and identical connectivity; a
-        topology built here is carried over, its arrays shared and only
-        ``mean_edge_length`` recomputed. ValueError if V changes."""
+        """New mesh with replaced positions and identical connectivity: it
+        shares this mesh's frozen face array, and a topology built here is
+        carried over, its arrays shared and only ``mean_edge_length``
+        recomputed. Only the new positions are checked; ValueError if V
+        changes."""
         if len(vertices) != self.n_vertices:
             raise ValueError(f"expected {self.n_vertices} vertices, got {len(vertices)}")
-        moved = TriMesh(vertices, self.faces)
+        moved = TriMesh.__new__(TriMesh)
+        moved.vertices = _vertex_array(vertices)
+        moved.faces = self.faces
+        moved._topology = None
         if self._topology is not None:
             topo = copy.copy(self._topology)
             topo.mean_edge_length = _mean_edge_length(moved.vertices, topo.edges)
@@ -96,6 +96,20 @@ class TriMesh:
 
     def __repr__(self) -> str:
         return f"TriMesh(V={self.n_vertices}, F={self.n_faces})"
+
+
+def _vertex_array(vertices) -> np.ndarray:
+    """*vertices* as a new frozen float64 (V, 3) array of finite values."""
+    v = np.array(vertices, dtype=np.float64)
+    if v.size == 0:
+        v = v.reshape(0, 3)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise ValueError(f"vertices must have shape (V, 3), got {v.shape}")
+    if not np.isfinite(v).all():
+        bad = np.flatnonzero(~np.isfinite(v).all(axis=1))[:8].tolist()
+        raise NonFiniteVertexError(f"vertices with non-finite coordinates: {bad}")
+    v.setflags(write=False)
+    return v
 
 
 class TopologyCache:
@@ -157,6 +171,8 @@ def build_topology(mesh: TriMesh) -> TopologyCache:
         If any edge has more than two incident faces.
     InconsistentWindingError
         If two faces traverse their shared edge in the same direction.
+    NonManifoldVertexError
+        If the faces around a vertex form more than one fan.
     """
     topo = TopologyCache.__new__(TopologyCache)
     topo.n_faces = mesh.n_faces
@@ -195,6 +211,8 @@ def build_topology(mesh: TriMesh) -> TopologyCache:
     second = counts == 2
     edge_faces[second, 1] = grouped_faces[starts[1:][second] - 1]
 
+    _reject_bowties(faces, order[starts[:-1][second]], order[starts[1:][second] - 1])
+
     face_edges = inverse.reshape(-1, 3).astype(np.int64)
 
     incident = edge_faces[face_edges]  # (F, 3, 2)
@@ -213,6 +231,29 @@ def build_topology(mesh: TriMesh) -> TopologyCache:
     topo.vertex_face_offsets = vertex_face_offsets
     topo.mean_edge_length = _mean_edge_length(mesh.vertices, edges)
     return topo
+
+
+def _reject_bowties(faces: np.ndarray, one: np.ndarray, two: np.ndarray) -> None:
+    """NonManifoldVertexError where the faces around a vertex form more than
+    one fan. Halfedge ``3 * f + k`` runs from corner k of face f; *one* and
+    *two* hold the twin halfedges of each interior edge. The corner after a
+    halfedge links to the corner its twin runs from, the same vertex's next
+    corner around it, so a vertex's linked corners are its fans."""
+    n_corners = faces.size
+    succ = np.full(n_corners, -1)
+    succ[one + 1 - 3 * (one % 3 == 2)] = two
+    succ[two + 1 - 3 * (two % 3 == 2)] = one
+    linked = succ >= 0
+    links = sp.csr_matrix(
+        (np.ones(np.count_nonzero(linked), dtype=np.int8), succ[linked],
+         np.concatenate(([0], np.cumsum(linked)))),
+        shape=(n_corners, n_corners),
+    )
+    n_fans, fans = csgraph.connected_components(links, connection="weak")
+    if n_fans > np.count_nonzero(np.bincount(faces.ravel())):
+        fan_vertex = faces.ravel()[np.unique(fans, return_index=True)[1]]
+        bad = np.flatnonzero(np.bincount(fan_vertex) > 1)[:8].tolist()
+        raise NonManifoldVertexError(f"vertices whose faces form more than one fan: {bad}")
 
 
 def _mean_edge_length(vertices: np.ndarray, edges: np.ndarray) -> float:
@@ -263,49 +304,40 @@ def _rank(table, values):
     return np.where(table[at] == values, at, -1)
 
 
-def _cell_index(site_lo, site_hi, cell: float):
-    """Each site registered in every cell its box touches, as (sorted cell
-    keys, their sites, the occupied x/y/z coordinates, the occupied
-    columns); the per-registration set-up arrays end with the call.
+def _cell_index(sites, cell: float):
+    """Each site in the one cell that holds it, as (sorted cell keys, the
+    site order that sorts them, the occupied x/y/z coordinates, the
+    occupied columns).
 
     A cell is keyed by the ranks of its occupied coordinates: the x and
     y ranks give a column, whose rank pairs with the z rank. Keys stay
-    below the number of registrations squared however far apart the
-    sites are.
+    below the number of sites squared however far apart the sites are.
     """
-    lo = np.floor(site_lo / cell).astype(np.int64)
-    span = np.floor(site_hi / cell).astype(np.int64) - lo + 1
-    sites, cells = [], []
-    for step in product(*(range(n) for n in span.max(axis=0))):
-        inside = np.flatnonzero((np.asarray(step) < span).all(axis=1))
-        sites.append(inside)
-        cells.append(lo[inside] + step)
-    sites, cells = np.concatenate(sites), np.concatenate(cells)
+    cells = np.floor(sites / cell).astype(np.int64)
     (xs, ix), (ys, iy), (zs, iz) = (np.unique(c, return_inverse=True) for c in cells.T)
     columns, site_columns = np.unique(ix * len(ys) + iy, return_inverse=True)
     site_keys = site_columns * len(zs) + iz
     order = np.argsort(site_keys, kind="stable")
-    return site_keys[order], sites[order], (xs, ys, zs), columns
+    return site_keys[order], order, (xs, ys, zs), columns
 
 
-def stencil_pairs(query_points, site_lo, site_hi, cell: float, reach: int):
+def stencil_pairs(query_points, sites, cell: float, offsets):
     """Yield ``(query ids, site ids)`` candidate pairs on a grid of *cell*
     cubes, one stencil offset at a time, in batches of at most
     ``_PAIR_BATCH`` pairs plus those of one query.
 
-    A site sits in every cell its box ``site_lo..site_hi`` touches; a
-    query gathers the cells up to *reach* cells from its own on each
-    axis. So every site whose box lies within ``reach * cell`` of a query
-    on each axis is yielded for it at least once.
+    A site sits in the one cell that holds it; a query gathers the cells
+    whose per-axis index differs from its own by a value in *offsets*.
+    So each (query, site) pair is yielded at most once per call.
     """
-    if len(query_points) == 0 or len(site_lo) == 0:
+    if len(query_points) == 0 or len(sites) == 0:
         return
-    sorted_keys, sorted_sites, (xs, ys, zs), columns = _cell_index(site_lo, site_hi, cell)
+    sorted_keys, sorted_sites, (xs, ys, zs), columns = _cell_index(sites, cell)
     # Ranks of the coordinates near each query, per axis; a coordinate or
     # cell that holds no site ranks and keys to -1. A generator keeps its
     # locals across yields, so the set-up arrays are freed first.
     query_cells = np.floor(query_points / cell).astype(np.int64)
-    near = query_cells[:, :, None] + np.arange(-reach, reach + 1)
+    near = query_cells[:, :, None] + np.asarray(offsets)
     rx, ry, rz = (_rank(axis, near[:, i]).T for i, axis in enumerate((xs, ys, zs)))
     del query_cells, near
     for x, y in product(rx, ry):

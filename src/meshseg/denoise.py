@@ -372,7 +372,7 @@ def _radius_csr(centroids: np.ndarray, radius: float, label_array=None):
     is mirrored into both rows."""
     owners, ids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     r2 = radius * radius
-    for q, s in stencil_pairs(centroids, centroids, centroids, radius, 1):
+    for q, s in stencil_pairs(centroids, centroids, radius, range(-1, 2)):
         below = q < s
         q, s = q[below], s[below]
         diff = centroids[q] - centroids[s]

@@ -17,6 +17,10 @@ class NonManifoldEdgeError(MeshError):
     """An edge is shared by more than two faces."""
 
 
+class NonManifoldVertexError(MeshError):
+    """A vertex's faces form more than one fan (a bowtie vertex)."""
+
+
 class InconsistentWindingError(MeshError):
     """Two faces traverse their shared edge in the same direction."""
 

@@ -115,23 +115,26 @@ def sq_distances(points, truth: TriMesh) -> np.ndarray:
 
     Triangles are split into tiers by the power of two of their largest
     bounding-box extent; a tier's cell h is its largest extent, so one big
-    triangle never coarsens the grid of the small ones. Every point first
-    gathers its 27-cell block in every tier. Per tier, a point whose best
-    d² is below h² is settled (the tier's other triangles are farther than
-    h); the rest try the 125-cell block (exact below (2h)²), then scan the
-    tier's triangles.
+    triangle never coarsens the grid of the small ones. A triangle sits in
+    the cell of its box's low corner. Every point first gathers, in every
+    tier, each triangle whose box lies within h of it on each axis. Per
+    tier, a point whose best d² is below h² is settled (the tier's other
+    triangles are farther than h); the rest gather within 2h (exact below
+    (2h)²), then scan the tier's triangles.
     """
     points = np.asarray(points, dtype=np.float64)
     triangles = truth.vertices[truth.faces]
-    lo, hi = triangles.min(axis=1), triangles.max(axis=1)
-    extent = (hi - lo).max(axis=1)
+    lo = triangles.min(axis=1)
+    extent = (triangles.max(axis=1) - lo).max(axis=1)
     power = np.frexp(extent)[1]
     tiers = [np.flatnonzero(power == p) for p in np.unique(power)]
     best = np.full(len(points), np.inf)
 
     def gather(todo, faces, reach):
+        # A box spans at most h per axis, so the low corner of one within
+        # reach * h of a point lies reach + 1 cells below to reach above.
         h = extent[faces].max()
-        for q, t in stencil_pairs(points[todo], lo[faces], hi[faces], h, reach):
+        for q, t in stencil_pairs(points[todo], lo[faces], h, range(-reach - 1, reach + 1)):
             ids = todo[q]
             d2 = point_triangles_sq_distance(points[ids], triangles[faces[t]])
             np.minimum.at(best, ids, d2)

@@ -165,6 +165,32 @@ def test_denoise_clustered_differs_from_plain(tmp_path):
     assert not np.array_equal(plain.vertices, ours.vertices)
 
 
+def test_denoise_use_clusters_honours_segment_flags(tmp_path):
+    """--baseline and --no-refine reach the segmentation: one cluster
+    (--baseline none) gives the plain run's bytes, and keeping the raw
+    region-growing labels changes the output."""
+    noisy = add_noise(cube(6), NoiseSpec(0.5, "normal", seed=3))
+    noisy_path = write_fixture(tmp_path, "noisy.obj", noisy)
+    base = ["denoise", str(noisy_path), "--method", "unf", "--params", "0.6,10,5"]
+    clustered = base + [
+        "--use-clusters", "--dthr", "0.01", "--min-cluster", "20",
+        "--prefilter", "--alpha", "5", "--beta", "5", "--sigma-w", "2",
+    ]
+    runs = {
+        "plain": base,
+        "default": clustered,
+        "no-refine": clustered + ["--no-refine"],
+        "one-cluster": clustered + ["--baseline", "none"],
+    }
+    out = {}
+    for name, argv in runs.items():
+        path = tmp_path / f"{name}.obj"
+        assert main(argv + ["-o", str(path)]) == EXIT_OK
+        out[name] = path.read_bytes()
+    assert out["one-cluster"] == out["plain"] != out["default"]
+    assert out["no-refine"] != out["default"]
+
+
 def test_denoise_default_output_name(tmp_path, capsys):
     noisy_path = write_fixture(tmp_path, "m.obj", add_noise(cube(2), NoiseSpec(0.2, "normal", seed=1)))
     assert main(["denoise", str(noisy_path), "--method", "unf", "--params", "0.5,3,3"]) == EXIT_OK
@@ -309,6 +335,28 @@ def test_inconsistent_winding_exit_code(tmp_path, capsys, command):
     }[command]
     assert main(argv) == EXIT_IO
     assert "same direction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["segment", "denoise"])
+def test_bowtie_vertex_exit_code(tmp_path, capsys, command):
+    """Two tetrahedra that share only vertex 0."""
+    vertices = np.array(
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+         [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]
+    )
+    faces = [
+        [[a, c, b], [a, b, d], [a, d, c], [b, c, d]]
+        for a, b, c, d in ((0, 1, 2, 3), (0, 4, 5, 6))
+    ]
+    bad = write_fixture(tmp_path, "bowtie.obj", TriMesh(vertices, np.concatenate(faces)))
+    argv = {
+        "segment": ["segment", str(bad), "--dthr", "0.1"],
+        "denoise": ["denoise", str(bad), "--method", "bnf", "--params", "0.35,1,1",
+                    "-o", str(tmp_path / "out.obj")],
+    }[command]
+    assert main(argv) == EXIT_IO
+    assert "more than one fan: [0]" in capsys.readouterr().err
+    assert not (tmp_path / "out.obj").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from meshseg.errors import (
     InconsistentWindingError,
     NonFiniteVertexError,
     NonManifoldEdgeError,
+    NonManifoldVertexError,
     ZeroAreaFaceError,
 )
 from meshseg.fileio import write_obj
@@ -105,11 +106,22 @@ def test_trimesh_rejects_non_finite_coordinates(bad):
 
 
 def test_with_vertices_keeps_faces_shared():
+    """The moved mesh shares the frozen face array; its positions are a
+    frozen copy of the input."""
     mesh = single_triangle()
-    moved = mesh.with_vertices(mesh.vertices + 1.0)
-    assert moved.n_faces == mesh.n_faces
-    np.testing.assert_array_equal(moved.faces, mesh.faces)
+    shifted = mesh.vertices + 1.0
+    moved = mesh.with_vertices(shifted)
+    assert np.shares_memory(moved.faces, mesh.faces)
+    assert not moved.faces.flags.writeable
+    assert not np.shares_memory(moved.vertices, shifted)
+    assert not moved.vertices.flags.writeable
     np.testing.assert_allclose(moved.vertices, mesh.vertices + 1.0)
+
+
+@pytest.mark.parametrize("shape", [(8, 2), (8, 4), (8,), (8, 3, 1)])
+def test_with_vertices_rejects_a_wrong_shape(shape):
+    with pytest.raises(ValueError, match="shape"):
+        cube(1).with_vertices(np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +275,34 @@ def test_winding_error_names_at_most_eight_edges():
     with pytest.raises(InconsistentWindingError) as info:
         build_topology(TriMesh(mesh.vertices, faces))
     assert str(info.value).count("[") == 9
+
+
+# Vertex 0 with unit steps along each axis on either side of it.
+STAR = np.array(
+    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+     [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]
+)
+
+
+def tetrahedron(a, b, c, d):
+    return [[a, c, b], [a, b, d], [a, d, c], [b, c, d]]
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [
+        tetrahedron(0, 1, 2, 3) + tetrahedron(0, 4, 5, 6),
+        tetrahedron(0, 1, 2, 3) + [[0, 4, 5]],
+        [[0, 1, 2], [0, 4, 5]],
+    ],
+    ids=["two-closed-fans", "closed-and-open-fan", "two-open-fans"],
+)
+def test_bowtie_vertex_rejected(faces):
+    """Every edge has at most two faces and the winding agrees, but the
+    faces around vertex 0 form two fans."""
+    build_topology(TriMesh(STAR[:4], tetrahedron(0, 1, 2, 3)))  # one fan passes
+    with pytest.raises(NonManifoldVertexError, match=r"\[0\]"):
+        build_topology(TriMesh(STAR, faces))
 
 
 # ---------------------------------------------------------------------------
@@ -505,31 +545,45 @@ def test_vertex_normals_cube_corners():
 @pytest.mark.parametrize("reach", [1, 2])
 def test_stencil_pairs_yield_every_near_pair(reach):
     """Every (query, box) pair whose per-axis gap is at most reach * cell
-    comes out; queries outside the sites' grid are no problem."""
+    comes out when boxes no wider than a cell sit at their low corners and
+    the block is widened by one cell below; queries outside the sites'
+    grid are no problem."""
     rng = np.random.default_rng(4)
     queries = rng.uniform(-1.0, 2.0, size=(80, 3))
     lo = rng.uniform(0.0, 1.0, size=(50, 3))
     hi = lo + rng.uniform(0.0, 0.25, size=(50, 3))
     cell = 0.25
     found = set()
-    for q, s in stencil_pairs(queries, lo, hi, cell, reach):
+    for q, s in stencil_pairs(queries, lo, cell, range(-reach - 1, reach + 1)):
         found |= set(zip(q.tolist(), s.tolist()))
     gap = np.maximum(lo[None] - queries[:, None], queries[:, None] - hi[None]).max(axis=2)
     near = set(zip(*(a.tolist() for a in np.nonzero(gap <= reach * cell))))
     assert near and near <= found
 
 
+def test_stencil_pairs_yield_each_pair_at_most_once():
+    """A site sits in one cell, so no call yields a (query, site) pair
+    twice, whatever the block of offsets."""
+    rng = np.random.default_rng(11)
+    queries = rng.uniform(-1.0, 2.0, size=(120, 3))
+    sites = rng.uniform(0.0, 1.0, size=(90, 3))
+    for offsets in (range(-1, 2), range(-3, 3)):
+        batches = stencil_pairs(queries, sites, 0.2, offsets)
+        pairs = np.concatenate([q * len(sites) + s for q, s in batches])
+        assert len(pairs) and len(np.unique(pairs)) == len(pairs)
+
+
 def test_stencil_pairs_edge_cases():
     points = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
     none = np.zeros((0, 3))
-    assert list(stencil_pairs(none, points, points, 1.0, 1)) == []
-    assert list(stencil_pairs(points, none, none, 1.0, 1)) == []
+    assert list(stencil_pairs(none, points, 1.0, range(-1, 2))) == []
+    assert list(stencil_pairs(points, none, 1.0, range(-1, 2))) == []
 
     # 1e13 cells apart on each axis: far more than an int64 key over the
     # full cell box could count, but only two cells are occupied.
     far = np.array([[0.0, 0.0, 0.0], [1e-7, 0.0, 0.0], [1e7, 1e7, 1e7]])
     found = set()
-    for q, s in stencil_pairs(far, far, far, 1e-6, 1):
+    for q, s in stencil_pairs(far, far, 1e-6, range(-1, 2)):
         found |= set(zip(q.tolist(), s.tolist()))
     assert found == {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)}
 
@@ -540,27 +594,26 @@ def test_stencil_pairs_batches_cap_memory():
     rng = np.random.default_rng(8)
     sites = rng.uniform(0.0, 1.0, size=(300, 3))
     queries = rng.uniform(0.0, 1.0, size=(200, 3))
-    batches = list(stencil_pairs(queries, sites, sites, 1.0, 1))
+    batches = list(stencil_pairs(queries, sites, 1.0, range(-1, 2)))
     assert max(len(q) for q, _ in batches) <= meshseg.core._PAIR_BATCH + 300
     pairs = np.concatenate([q * 300 + s for q, s in batches])
     assert np.array_equal(np.sort(pairs), np.arange(200 * 300))
 
 
 def test_stencil_pairs_frees_set_up_before_first_yield():
-    """At its first yield the generator holds the sorted keys and sites
-    (16 bytes a registration) and the per-axis rank tables (72 bytes a
-    query at reach 1), not the per-registration set-up arrays; the bound
-    leaves room for one offset's working arrays."""
+    """At its first yield the generator holds the sorted keys and site
+    order (16 bytes a site, each site in one cell) and the per-axis rank
+    tables (96 bytes a query for the four offsets of the triangle-box
+    block), not the per-site set-up arrays; the bound leaves room for one
+    offset's working arrays."""
     mesh = plane(64)
     tri = mesh.vertices[mesh.faces]
-    lo, hi = tri.min(axis=1), tri.max(axis=1)
-    cell = float((hi - lo).max())
-    span = np.floor(hi / cell) - np.floor(lo / cell) + 1
-    registrations = int(span.prod(axis=1).sum())
-    needed = 16 * registrations + 72 * mesh.n_vertices
+    lo = tri.min(axis=1)
+    cell = float((tri.max(axis=1) - lo).max())
+    needed = 16 * len(lo) + 96 * mesh.n_vertices
     tracemalloc.start()
     try:
-        pairs = stencil_pairs(mesh.vertices, lo, hi, cell, 1)
+        pairs = stencil_pairs(mesh.vertices, lo, cell, range(-2, 2))
         next(pairs)
         held, _ = tracemalloc.get_traced_memory()
     finally:

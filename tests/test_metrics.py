@@ -175,8 +175,8 @@ def test_bvh_matches_brute_force():
 
 
 def test_sq_distances_single_triangle_and_every_exit(monkeypatch):
-    """A point settles in the 27-cell pass below height h (the cell),
-    in the 125-cell pass below 2h, and in the exhaustive scan beyond."""
+    """A point settles in the first grid pass below height h (the cell),
+    in the widened pass below 2h, and in the exhaustive scan beyond."""
     tri = TriMesh(
         np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
         np.array([[0, 1, 2]], dtype=np.int64),
@@ -195,9 +195,9 @@ def test_sq_distances_single_triangle_and_every_exit(monkeypatch):
     stencil = meshseg.metrics.stencil_pairs
     brute = meshseg.metrics.brute_force_sq_distances
 
-    def counting_stencil(query_points, site_lo, site_hi, cell, reach):
-        passes.append((reach, len(query_points)))
-        return stencil(query_points, site_lo, site_hi, cell, reach)
+    def counting_stencil(query_points, sites, cell, offsets):
+        passes.append((offsets[-1], len(query_points)))  # the last offset is the reach
+        return stencil(query_points, sites, cell, offsets)
 
     def counting_brute(pts, mesh):
         scanned.append(len(pts))
@@ -213,6 +213,30 @@ def test_sq_distances_single_triangle_and_every_exit(monkeypatch):
     np.testing.assert_allclose(
         got, brute_force_sq_distances(points, truth), rtol=0.0, atol=0.0
     )
+
+
+def test_sq_distances_gathers_each_pair_at_most_once(monkeypatch):
+    """No grid call of sq_distances yields a (point, triangle) pair twice,
+    in the first pass or the widened one."""
+    truth = cube(6)
+    points = add_noise(truth, NoiseSpec(0.5, "normal", seed=23)).vertices
+    calls = []
+    stencil = meshseg.metrics.stencil_pairs
+
+    def recording_stencil(*args):
+        calls.append([])
+        for q, t in stencil(*args):
+            calls[-1].append(q * truth.n_faces + t)
+            yield q, t
+
+    monkeypatch.setattr(meshseg.metrics, "stencil_pairs", recording_stencil)
+    sq_distances(points, truth)
+    monkeypatch.undo()
+
+    assert len(calls) >= 2
+    for batches in calls:
+        pairs = np.concatenate(batches)
+        assert len(np.unique(pairs)) == len(pairs)
 
 
 def test_sq_distances_one_big_triangle_keeps_the_grid_fine(monkeypatch):
