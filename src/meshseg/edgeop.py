@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TopologyCache, TriMesh
+from .core import TopologyCache, TriMesh, row_cross, row_norms
 from .errors import DegenerateFlapError
 from .fileio import _write_rows
 
@@ -34,8 +34,8 @@ def operator_coefficients(p1, p2, p3, p4):
     """
     e = p3 - p1
     ee = np.einsum("...i,...i->...", e, e)
-    area123 = 0.5 * np.linalg.norm(np.cross(p2 - p1, e), axis=-1)
-    area134 = 0.5 * np.linalg.norm(np.cross(e, p4 - p1), axis=-1)
+    area123 = 0.5 * row_norms(row_cross(p2 - p1, e))
+    area134 = 0.5 * row_norms(row_cross(e, p4 - p1))
     total = area123 + area134
     denom = ee * total
     c1 = (
@@ -108,7 +108,7 @@ def edge_operator_field(mesh: TriMesh, topo: TopologyCache) -> EdgeOperatorField
                 f"degenerate flaps (face area < {floor:g}) on edges {bad_edges}"
             )
         values[interior] = vals
-        norms[interior] = np.linalg.norm(vals, axis=1)
+        norms[interior] = row_norms(vals)
     values.setflags(write=False)
     norms.setflags(write=False)
     return EdgeOperatorField(values=values, norms=norms)

@@ -1,8 +1,9 @@
 """The package surface: ``meshseg.__all__`` names each public object once,
 no module under ``src/meshseg`` imports a name or takes a parameter it
 never uses, only ``core`` calls ``build_topology`` (every other module
-reads ``mesh.topology``), and the distance searches run without loading
-``scipy.spatial``.
+reads ``mesh.topology``), short-axis sums, means, norms and cross
+products go through the helpers in ``core``, and the distance searches
+run without loading ``scipy.spatial``.
 
 The import and parameter checks are small ``ast`` walks rather than a
 linter, so they run wherever the tests run. An imported name counts as
@@ -132,6 +133,68 @@ def test_only_core_builds_topology(path):
     builds = topology_builds(path.read_text(encoding="utf-8"))
     # core's one call is TriMesh.topology, which keeps what it builds.
     assert len(builds) == (1 if path.name == "core.py" else 0), builds
+
+
+def short_axis_reductions(source: str) -> list[str]:
+    """``function:line`` of each ``np.cross`` call, ``np.linalg.norm`` with
+    an ``axis``, and ``sum`` or ``mean`` with an ``axis`` (as a method or
+    a numpy function) in *source*; ``<module>`` outside any function."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = ast.unparse(func)
+            has_axis = any(k.arg == "axis" for k in node.keywords)
+            if (
+                name == "np.cross"
+                or (name == "np.linalg.norm" and has_axis)
+                or (isinstance(func, ast.Attribute) and func.attr in ("sum", "mean") and has_axis)
+            ):
+                found.append(f"{function}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+# Reductions the helpers do not replace, by enclosing function: the face
+# table is int64, whose sum has no rounding order to keep.
+SHORT_AXIS_EXCEPTIONS = {"flap_vertex_table"}
+
+
+def test_short_axis_reductions_are_found():
+    source = (
+        "def f(a, b):\n"
+        "    c = np.cross(a, b)\n"
+        "    n = np.linalg.norm(c, axis=1)\n"
+        "    m = a.mean(axis=1) + np.sum(b, axis=0) + a.sum(axis=1, keepdims=True)\n"
+        "    return np.linalg.norm(a) + a.sum() + a.mean() + c.max(axis=1)\n"
+        "x = tri.mean(axis=1)\n"
+    )
+    assert short_axis_reductions(source) == ["f:2", "f:3", "f:4", "f:4", "f:4", "<module>:6"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name
+)
+def test_short_axis_reductions_use_core_helpers(path):
+    """``row_norms``, ``row_cross``, ``sum_terms`` and ``mean_terms`` give
+    the same bits several times faster."""
+    found = short_axis_reductions(path.read_text(encoding="utf-8"))
+    assert [f for f in found if f.split(":")[0] not in SHORT_AXIS_EXCEPTIONS] == []
+
+
+def test_short_axis_exceptions_are_still_needed():
+    found = {
+        f.split(":")[0]
+        for path in PACKAGE_DIR.glob("*.py")
+        for f in short_axis_reductions(path.read_text(encoding="utf-8"))
+    }
+    assert SHORT_AXIS_EXCEPTIONS <= found
 
 
 def test_spatial_searches_do_not_import_scipy_spatial():

@@ -537,6 +537,48 @@ def test_vertex_normals_cube_corners():
         assert np.dot(normals[vid], outward) > 0.0
 
 
+def _meshes_for_geometry_oracles():
+    """Closed, open and noisy meshes, and one with an unused vertex."""
+    noisy = add_noise(icosahedron(3), NoiseSpec(0.4, "normal", seed=3))
+    lone = TriMesh(np.vstack([noisy.vertices, [[5.0, 5.0, 5.0]]]), noisy.faces)
+    return [icosahedron(3), cube(4), plane(5), noisy, lone]
+
+
+def reference_vertex_normals(mesh):
+    """Area-weighted vertex normals with one ``np.add.at`` per corner."""
+    geometry = face_geometry(mesh)
+    weighted = geometry.normals * geometry.areas[:, None]
+    out = np.zeros((mesh.n_vertices, 3))
+    for k in range(3):
+        np.add.at(out, mesh.faces[:, k], weighted)
+    norms = np.linalg.norm(out, axis=1)
+    nz = norms > 0.0
+    out[nz] /= norms[nz, None]
+    return out
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_vertex_normals_match_add_at(index):
+    """One bincount over the corners, corner-major, adds in the order of
+    three ``np.add.at`` passes: the same bits."""
+    mesh = _meshes_for_geometry_oracles()[index]
+    assert vertex_normals(mesh).tobytes() == reference_vertex_normals(mesh).tobytes()
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_face_geometry_matches_numpy_reductions(index):
+    """``face_geometry`` gives the bits of np.cross, np.linalg.norm and
+    mean over the (F, 3 corners, 3) triangle array."""
+    mesh = _meshes_for_geometry_oracles()[index]
+    tri = mesh.vertices[mesh.faces]
+    cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    twice_area = np.linalg.norm(cross, axis=1)
+    geometry = face_geometry(mesh)
+    assert geometry.normals.tobytes() == (cross / twice_area[:, None]).tobytes()
+    assert geometry.areas.tobytes() == (0.5 * twice_area).tobytes()
+    assert geometry.centroids.tobytes() == tri.mean(axis=1).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Cell-grid stencil
 # ---------------------------------------------------------------------------

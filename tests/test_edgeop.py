@@ -6,9 +6,12 @@ inputs); they are frozen here as literals.
 """
 
 import csv
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshseg import cube, fileio, plane
 from meshseg.core import TriMesh, build_topology
@@ -196,6 +199,55 @@ def test_field_flat_interior_is_zero():
     field = edge_operator_field(mesh, topo)
     interior = field.norms[field.interior_mask]
     assert (interior <= 1e-12).all()
+
+
+@functools.cache
+def _noisy_cube(seed):
+    return add_noise(cube(3), NoiseSpec(0.3, "normal", seed=seed))
+
+
+_UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def _rotation(q):
+    """The rotation matrix of the quaternion *q* (normalized here)."""
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 3),
+    quaternion=st.tuples(_UNIT, _UNIT, _UNIT, _UNIT).filter(
+        lambda q: np.linalg.norm(q) > 0.1
+    ),
+    shift=st.tuples(*[st.floats(-10.0, 10.0, allow_nan=False)] * 3),
+)
+def test_field_norms_invariant_under_rigid_motion(seed, quaternion, shift):
+    """‖D(e)‖ does not change when the mesh is rotated and translated,
+    up to rounding in the moved coordinates."""
+    mesh = _noisy_cube(seed)
+    moved = TriMesh(mesh.vertices @ _rotation(quaternion).T + np.asarray(shift), mesh.faces)
+    want = edge_operator_field(mesh, mesh.topology).norms
+    got = edge_operator_field(moved, moved.topology).norms
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 3), k=st.integers(-40, 40))
+def test_field_norms_scale_exactly_by_powers_of_two(seed, k):
+    """The coefficients are homogeneous of degree 0 and D(e) of degree 1,
+    so scaling the mesh by 2**k scales every norm by exactly 2**k: each
+    product and quotient only shifts exponents."""
+    mesh = _noisy_cube(seed)
+    scaled = TriMesh(mesh.vertices * 2.0**k, mesh.faces)
+    want = edge_operator_field(mesh, mesh.topology).norms * 2.0**k
+    got = edge_operator_field(scaled, scaled.topology).norms
+    assert got.tobytes() == want.tobytes()
 
 
 def test_field_degenerate_flap_lists_edges():

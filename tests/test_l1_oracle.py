@@ -6,6 +6,10 @@ The reference runs every Weiszfeld step on all faces in the row-major
 library steps only the faces with gated weight, component-major, with
 each sum spelled out in the order those reductions use. Normals must
 agree bit for bit.
+
+``full_weiszfeld`` keeps the component-major loop that steps every
+column to the end; ``denoise._weiszfeld`` drops settled columns, and must
+return the same bytes.
 """
 
 import numpy as np
@@ -21,6 +25,8 @@ from meshseg.denoise import (
     _as_label_array,
     _normalize_rows,
     _ring_tables,
+    _slot_sum,
+    _weiszfeld,
     filter_normals,
     mean_adjacent_centroid_distance,
 )
@@ -132,3 +138,127 @@ def test_einsum_squared_distance_order():
         "numpy's einsum no longer sums a length-3 axis as (x² + z²) + y²; "
         "update the sum order in meshseg.denoise._weiszfeld to match it"
     )
+
+
+def full_weiszfeld(points, weights, wsum):
+    """``denoise._weiszfeld`` without dropping settled columns: every
+    column takes every step until none moves by WEISZFELD_MOVE_TOL."""
+    prod = np.empty_like(points)
+    inv = np.empty_like(weights)
+    inv_sum = np.empty_like(wsum)
+    move = np.empty_like(wsum)
+    stuck = np.empty(wsum.shape, dtype=bool)
+    median = _slot_sum(weights, points, prod, np.empty_like(points[:, 0]))
+    np.divide(median, wsum, out=median)
+    candidate = np.empty_like(median)
+    for _step in range(WEISZFELD_MAX_ITER):
+        np.subtract(median[:, None, :], points, out=prod)
+        np.multiply(prod, prod, out=prod)
+        np.add(prod[0], prod[2], out=inv)
+        np.add(inv, prod[1], out=inv)
+        np.sqrt(inv, out=inv)
+        np.maximum(inv, WEISZFELD_DIST_FLOOR, out=inv)
+        np.divide(weights, inv, out=inv)
+        np.add(inv[0], inv[1], out=inv_sum)
+        np.add(inv_sum, inv[2], out=inv_sum)
+        _slot_sum(inv, points, prod, candidate)
+        np.logical_not(np.greater(inv_sum, 0.0, out=stuck), out=stuck)
+        np.copyto(inv_sum, 1.0, where=stuck)
+        np.divide(candidate, inv_sum, out=candidate)
+        np.copyto(candidate, median, where=stuck)
+        np.subtract(candidate, median, out=median)
+        np.multiply(median, median, out=median)
+        np.add(median[0], median[1], out=move)
+        np.add(move, median[2], out=move)
+        median, candidate = candidate, median
+        if np.sqrt(move.max(initial=0.0)) < WEISZFELD_MOVE_TOL:
+            break
+    return median
+
+
+def ring_columns(n, seed, slots=(1, 2, 3)):
+    """(points, weights, wsum) for *n* columns of three unit normals
+    around a common direction, each column with 1, 2 or 3 gated slots
+    (drawn from *slots*) in random positions. With 3 in *slots*, every
+    third column weighs its first slot 20 times the others: its median
+    sits on that point and is approached slowly, so the loop runs on
+    while the other columns' moves shrink below the tolerance."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, 1, 3)) + 0.4 * rng.standard_normal((n, 3, 3))
+    pts /= np.linalg.norm(pts, axis=2, keepdims=True)
+    gated = np.arange(3) < rng.choice(slots, size=n)[:, None]
+    gated = np.take_along_axis(gated, rng.permuted(np.tile(np.arange(3), (n, 1)), axis=1), axis=1)
+    weights = np.where(gated, rng.uniform(0.2, 1.0, (n, 3)), 0.0)
+    if 3 in slots:
+        weights[1::3] = [1.0, 0.05, 0.05]
+    return (
+        np.ascontiguousarray(pts.transpose(2, 1, 0)),
+        np.ascontiguousarray(weights.T),
+        weights.sum(axis=1),
+    )
+
+
+def _compactions(monkeypatch):
+    """Count the ``np.compress`` calls of ``_weiszfeld``, three per compaction."""
+    calls = []
+    compress = np.compress
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return compress(*args, **kwargs)
+
+    monkeypatch.setattr(np, "compress", spy)
+    return calls
+
+
+def _same_as_full(points, weights, wsum):
+    got = _weiszfeld(points, weights, wsum)
+    want = full_weiszfeld(points, weights, wsum)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_weiszfeld_drops_settled_columns_bit_for_bit(seed, monkeypatch):
+    """1-, 2- and 3-slot columns: the single-slot ones settle at once and
+    are dropped, the others keep the loop running."""
+    calls = _compactions(monkeypatch)
+    _same_as_full(*ring_columns(3000, seed))
+    assert calls, "no column was dropped"
+
+
+def test_weiszfeld_every_column_settles_early(monkeypatch):
+    """Single-slot columns only: every move is below the tolerance after
+    the first step, so the loop stops there with nothing dropped."""
+    calls = _compactions(monkeypatch)
+    _same_as_full(*ring_columns(500, 4, slots=(1,)))
+    assert not calls
+
+
+def test_weiszfeld_no_columns():
+    points, weights, wsum = np.zeros((3, 3, 0)), np.zeros((3, 0)), np.zeros(0)
+    assert _same_as_full(points, weights, wsum).shape == (3, 0)
+
+
+def test_weiszfeld_stuck_column():
+    """Subnormal weights on two points 20 apart: their inverse-distance
+    weights round to 0, so the column is stuck at its weighted mean,
+    among columns that keep moving."""
+    points, weights, wsum = ring_columns(200, 5, slots=(2, 3))
+    points[:, :, 0] = [[-10.0, 10.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    weights[:, 0] = [5e-324, 5e-324, 0.0]
+    wsum[0] = 1e-323
+    got = _same_as_full(points, weights, wsum)
+    assert got[:, 0].tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_weiszfeld_moves_whose_squares_underflow(seed):
+    """Columns whose y components are near 1e-170: some of their steps
+    move the median by less than 1.5e-162, which squares to a zero move
+    although the median changed, among columns that keep the loop
+    running."""
+    points, weights, wsum = ring_columns(400, seed)
+    points[1, :, :200] *= 1e-170
+    _same_as_full(points, weights, wsum)

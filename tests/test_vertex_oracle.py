@@ -2,10 +2,10 @@
 ``meshseg.denoise.vertex_update`` to it.
 
 The reference walks the incidences vertex by vertex (each vertex's faces
-in ascending id, from a stable argsort of the face table) and sums each
-axis with its own ``bincount``; the library walks them face by face and
-sums all three axes in one ``bincount``. Every vertex adds its faces' pulls in the same
-order, so positions must agree bit for bit.
+in ascending id, from a stable argsort of the face table) with
+``einsum`` and ``mean``; the library walks them face by face in
+axis-major arrays with each sum spelled out. Every vertex adds its
+faces' pulls in the same order, so positions must agree bit for bit.
 """
 
 import warnings
