@@ -32,7 +32,6 @@ from .denoise import (
 )
 from .edgeop import EdgeOperatorField, edge_operator_field, write_norms_csv
 from .errors import (
-    BoundaryEdgeError,
     ConnectivityMismatchError,
     DegenerateFaceError,
     DegenerateFlapError,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BnfParams",
-    "BoundaryEdgeError",
     "ClusterLabels",
     "ColorMap",
     "ConnectivityMismatchError",

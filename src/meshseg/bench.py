@@ -31,6 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
+from typing import get_type_hints
 
 import numpy as np
 
@@ -54,10 +55,10 @@ class BenchConfig:
     dthr: float
     sweep: list[tuple[str, tuple[float, ...]]]
     sigma: float = 0.0
-    mode: str = "normal"
-    seed: int = 0
-    min_cluster: int = 50
-    ring_depth: int = 2
+    mode: str = NoiseSpec.mode
+    seed: int = NoiseSpec.seed
+    min_cluster: int = SegmentParams.min_cluster_size
+    ring_depth: int = SegmentParams.ring_depth
     prefilter: bool = True
 
 
@@ -96,8 +97,9 @@ def parse_config(path) -> BenchConfig:
         else:
             values[key] = value
 
-    known = {"model", "sigma", "mode", "seed", "dthr", "min_cluster", "ring_depth", "prefilter"}
-    unknown = set(values) - known
+    kinds = get_type_hints(BenchConfig)
+    del kinds["sweep"]
+    unknown = set(values) - set(kinds)
     if unknown:
         raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
     if "model" not in values:
@@ -107,48 +109,29 @@ def parse_config(path) -> BenchConfig:
     if not sweep:
         raise ValueError(f"{path}: no sweep.<method> lines; nothing to run")
 
-    def as_float(key, default=None):
-        if key not in values:
-            return default
+    # Only the keys the file sets: BenchConfig holds every default.
+    settings = {key: _config_value(path, key, kinds[key], text) for key, text in values.items()}
+    if "mode" in settings and settings["mode"] not in NOISE_MODES:
+        raise ValueError(f"{path}: mode must be one of {NOISE_MODES}, got {settings['mode']!r}")
+    if not os.path.isabs(settings["model"]):
+        settings["model"] = str(path.parent / settings["model"])
+    return BenchConfig(sweep=sweep, **settings)
+
+
+def _config_value(path, key: str, kind: type, text: str):
+    """One config value as the type of its BenchConfig field."""
+    if kind is bool:
         try:
-            return float(values[key])
-        except ValueError as exc:
-            raise ValueError(f"{path}: key {key!r} must be a number") from exc
-
-    def as_int(key, default):
-        if key not in values:
-            return default
+            return _BOOL_WORDS[text.lower()]
+        except KeyError:
+            raise ValueError(f"{path}: {key} must be a boolean, got {text!r}") from None
+    if kind in (int, float):
         try:
-            return int(values[key])
+            return kind(text)
         except ValueError as exc:
-            raise ValueError(f"{path}: key {key!r} must be an integer") from exc
-
-    mode = values.get("mode", "normal")
-    if mode not in NOISE_MODES:
-        raise ValueError(f"{path}: mode must be one of {NOISE_MODES}, got {mode!r}")
-    if "prefilter" in values:
-        word = values["prefilter"].lower()
-        if word not in _BOOL_WORDS:
-            raise ValueError(f"{path}: prefilter must be a boolean, got {values['prefilter']!r}")
-        use_prefilter = _BOOL_WORDS[word]
-    else:
-        use_prefilter = True
-
-    model = values["model"]
-    if not os.path.isabs(model):
-        model = str(path.parent / model)
-
-    return BenchConfig(
-        model=model,
-        dthr=as_float("dthr"),
-        sweep=sweep,
-        sigma=as_float("sigma", 0.0),
-        mode=mode,
-        seed=as_int("seed", 0),
-        min_cluster=as_int("min_cluster", 50),
-        ring_depth=as_int("ring_depth", 2),
-        prefilter=use_prefilter,
-    )
+            word = "an integer" if kind is int else "a number"
+            raise ValueError(f"{path}: key {key!r} must be {word}") from exc
+    return text
 
 
 @dataclass

@@ -60,26 +60,38 @@ def _add_prefilter_flags(parser):
         action="store_true",
         help="relax positions before segmentation (never before denoising)",
     )
-    parser.add_argument("--alpha", type=float, default=0.1, help="operator energy weight")
-    parser.add_argument("--beta", type=float, default=0.1, help="flap smoothness weight")
     parser.add_argument(
-        "--sigma-w", type=float, default=0.35, help="edge weight normal-difference scale"
+        "--alpha", type=float, default=PrefilterParams.alpha, help="operator energy weight"
+    )
+    parser.add_argument(
+        "--beta", type=float, default=PrefilterParams.beta, help="flap smoothness weight"
+    )
+    parser.add_argument(
+        "--sigma-w",
+        type=float,
+        default=PrefilterParams.sigma_w,
+        help="edge weight normal-difference scale",
     )
 
 
 def _add_segment_flags(parser):
     parser.add_argument("--dthr", type=float, help="region-growing bound on ||D(e)||")
     parser.add_argument(
-        "--min-cluster", type=int, default=50, help="clusters smaller than this get absorbed"
+        "--min-cluster",
+        type=int,
+        default=SegmentParams.min_cluster_size,
+        help="clusters smaller than this get absorbed",
     )
-    parser.add_argument("--ring-depth", type=int, default=2, help="refinement ring radius")
+    parser.add_argument(
+        "--ring-depth", type=int, default=SegmentParams.ring_depth, help="refinement ring radius"
+    )
     parser.add_argument(
         "--no-refine", action="store_true", help="keep raw region-growing labels"
     )
     parser.add_argument(
         "--baseline",
         choices=BASELINE_MODES,
-        default="edgeop",
+        default=SegmentParams.baseline_mode,
         help="growing predicate (normal-angle and none exist for comparisons)",
     )
 
@@ -186,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("noise", help="corrupt a mesh with Gaussian noise")
     p.add_argument("mesh")
     p.add_argument("--sigma", type=float, required=True, help="std in mean edge lengths")
-    p.add_argument("--mode", choices=NOISE_MODES, default="normal")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", choices=NOISE_MODES, default=NoiseSpec.mode)
+    p.add_argument("--seed", type=int, default=NoiseSpec.seed)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_noise)
 

@@ -293,9 +293,12 @@ def filter_bnf(
 
 
 def _slot_sum(weights, points, prod, out):
-    """out[i] = (w0·p0[i] + w1·p1[i]) + w2·p2[i], einsum("fk,fki->fi")'s order."""
+    """out[i] = ((0.0 + w0·p0[i]) + w1·p1[i]) + w2·p2[i], einsum("fk,fki->fi")'s
+    order: like :func:`~meshseg.core.sum_terms`, it starts from +0.0, so three
+    −0.0 products sum to +0.0."""
     np.multiply(weights, points, out=prod)
-    np.add(prod[:, 0], prod[:, 1], out=out)
+    np.add(prod[:, 0], 0.0, out=out)
+    np.add(out, prod[:, 1], out=out)
     return np.add(out, prod[:, 2], out=out)
 
 
@@ -307,9 +310,9 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray) -> np.
     weighted mean and takes Weiszfeld steps until no column moves by
     WEISZFELD_MOVE_TOL; the steps write into buffers allocated once here.
     Every sum keeps the order numpy's einsum/sum give the row-major form
-    (squared distance (x² + z²) + y², slot sums (s0 + s1) + s2, squared
-    move (x² + y²) + z²), so the median is bit-identical to it. Returns
-    the (3, A) median.
+    (squared distance (x² + z²) + y², slot sums ((0.0 + s0) + s1) + s2,
+    squared move (x² + y²) + z²), so the median is bit-identical to it,
+    signed zeros included. Returns the (3, A) median.
 
     Settled columns drop out. A column settles when its step returns a
     median equal (``==``) to the one it started from: the step reads the
@@ -641,6 +644,5 @@ def denoise(mesh: TriMesh, params: DenoiseParams, labels=None) -> TriMesh:
     given (from :func:`meshseg.segment.segment`), then fit vertices."""
     topo = mesh.topology
     geometry = face_geometry(mesh)
-    label_array = _as_label_array(labels, mesh.n_faces)
-    normals = filter_normals(topo, geometry, params, label_array)
+    normals = filter_normals(topo, geometry, params, labels)
     return vertex_update(mesh, topo, normals, params.v_iter)

@@ -29,10 +29,6 @@ class ZeroAreaFaceError(MeshError):
     """A face has exactly zero area, so its normal is undefined."""
 
 
-class BoundaryEdgeError(MeshError):
-    """An interior-only operation was asked about a boundary edge."""
-
-
 class DegenerateFlapError(MeshError):
     """An edge flap contains a face whose area is numerically zero."""
 

@@ -7,6 +7,15 @@ inside the original flat facets (no re-projection), so the cube keeps 6
 planar sides and the icosahedron keeps 20 planar patches at any
 resolution. Shared points are generated once and referenced by index,
 which makes the meshes watertight by construction, not by tolerance.
+
+All three are array code. The cube and the plane cut quad sides from
+integer lattices. The icosahedron lists its 12 base vertices, then the
+m - 1 points of each of the 30 base edges (from low vertex id to high),
+then the interior points of each of the 20 faces. One (20, m+1, m+1)
+table holds the vertex id of lattice point (i, j) of each face (a, b, c),
+the point a + i/m (b - a) + j/m (c - a): edge points come from the base
+mesh's ``face_edges``, read backwards where the face walks an edge from
+its high end, and the triangles are cut from the table per (i, j).
 """
 
 from __future__ import annotations
@@ -102,70 +111,46 @@ def icosahedron(subdiv: int = 0) -> TriMesh:
     """
     m = max(int(subdiv), 1)
     base = _ico_base()
-    if m == 1:
-        return base
     topo = base.topology
     bverts = base.vertices
-
-    n_edge_pts = m - 1
+    n_edges, n_faces = topo.n_edges, base.n_faces
     n_interior = (m - 1) * (m - 2) // 2
     edge_block = len(bverts)
-    interior_block = edge_block + topo.n_edges * n_edge_pts
+    interior_block = edge_block + n_edges * (m - 1)
 
-    vertices = [bverts]
-    # Interior points of each base edge, walking low id -> high id.
+    # Points of each base edge, walking low id -> high id.
+    lo, hi = bverts[topo.edges[:, 0]], bverts[topo.edges[:, 1]]
     t = np.arange(1, m, dtype=np.float64)[:, None] / m
-    for lo, hi in topo.edges:
-        vertices.append(bverts[lo] + t * (bverts[hi] - bverts[lo]))
+    edge_pts = lo[:, None, :] + t * (hi - lo)[:, None, :]
+    # Interior points (i, j) of each face (a, b, c), i, j >= 1, i + j < m.
+    ii, jj = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
+    inner = (ii >= 1) & (jj >= 1) & (ii + jj <= m - 1)
+    i_m, j_m = np.argwhere(inner).T[:, :, None] / m
+    pa, pb, pc = bverts[base.faces][:, :, None, :].swapaxes(0, 1)
+    interior_pts = pa + i_m * (pb - pa) + j_m * (pc - pa)
 
-    def edge_point(eid: int, step_from_lo: int) -> int:
-        return edge_block + eid * n_edge_pts + (step_from_lo - 1)
+    # Vertex ids along each edge from its low end, both ends included.
+    inside = edge_block + np.arange(n_edges * (m - 1)).reshape(n_edges, m - 1)
+    edge_ids = np.column_stack([topo.edges[:, 0], inside, topo.edges[:, 1]])
+    # Each face's edges a-b (stepped by i from a), b-c and a-c (by j from
+    # b and from a); face_edges column k joins face vertex k to k + 1.
+    start, end = base.faces[:, [0, 1, 0]], base.faces[:, [1, 2, 2]]
+    step = np.stack([ii, jj, jj])
+    step = np.where((start < end)[:, :, None, None], step, m - step)
+    on_edge = edge_ids[topo.face_edges[:, :, None, None], step]
+    # (20, m+1, m+1) lattice ids, read where i + j <= m: edge a-b at j = 0,
+    # a-c at i = 0, b-c at i + j = m (the corners are edge ends), and the
+    # face's own interior points in (i, j) order.
+    table = np.where(jj == 0, on_edge[:, 0], np.where(ii == 0, on_edge[:, 2], on_edge[:, 1]))
+    table[:, inner] = interior_block + np.arange(n_faces * n_interior).reshape(n_faces, -1)
 
-    edge_of = {}
-    for eid, (lo, hi) in enumerate(topo.edges):
-        edge_of[(int(lo), int(hi))] = eid
-        edge_of[(int(hi), int(lo))] = eid
-
-    faces = []
-    for fid, (a, b, c) in enumerate(base.faces):
-        a, b, c = int(a), int(b), int(c)
-        pa, pb, pc = bverts[a], bverts[b], bverts[c]
-        # Interior lattice points are owned by this face alone.
-        interior_ids = {}
-        pts = []
-        local = 0
-        for i in range(1, m):
-            for j in range(1, m - i):
-                pts.append(pa + (i / m) * (pb - pa) + (j / m) * (pc - pa))
-                interior_ids[(i, j)] = interior_block + fid * n_interior + local
-                local += 1
-        if pts:
-            vertices.append(np.asarray(pts))
-
-        def lattice(i: int, j: int) -> int:
-            if i == 0 and j == 0:
-                return a
-            if i == m and j == 0:
-                return b
-            if i == 0 and j == m:
-                return c
-            if j == 0:  # edge a-b
-                return edge_point(edge_of[(a, b)], i if a < b else m - i)
-            if i == 0:  # edge a-c
-                return edge_point(edge_of[(a, c)], j if a < c else m - j)
-            if i + j == m:  # edge b-c, parameterized by j from b
-                return edge_point(edge_of[(b, c)], j if b < c else m - j)
-            return interior_ids[(i, j)]
-
-        for i in range(m):
-            for j in range(m - i):
-                faces.append((lattice(i, j), lattice(i + 1, j), lattice(i, j + 1)))
-                if i + j <= m - 2:
-                    faces.append(
-                        (lattice(i + 1, j), lattice(i + 1, j + 1), lattice(i, j + 1))
-                    )
-
-    return TriMesh(np.concatenate(vertices), np.asarray(faces))
+    # Per face and (i, j): the upper triangle, then the lower one where it fits.
+    p00, p10, p11, p01 = table[:, :-1, :-1], table[:, 1:, :-1], table[:, 1:, 1:], table[:, :-1, 1:]
+    tris = np.stack([p00, p10, p01, p10, p11, p01], axis=-1).reshape(n_faces, m, m, 2, 3)
+    corner = ii[:-1, :-1] + jj[:-1, :-1]
+    keep = np.stack([corner <= m - 1, corner <= m - 2], axis=-1)
+    vertices = np.concatenate([bverts, edge_pts.reshape(-1, 3), interior_pts.reshape(-1, 3)])
+    return TriMesh(vertices, tris[:, keep].reshape(-1, 3))
 
 
 def make_fixture(shape: str, subdiv: int) -> TriMesh:

@@ -12,7 +12,7 @@ import numpy as np
 
 from meshseg.core import TopologyCache, TriMesh
 from meshseg.edgeop import AREA_EPS_FACTOR, operator_coefficients
-from meshseg.errors import BoundaryEdgeError, DegenerateFlapError
+from meshseg.errors import DegenerateFlapError
 from meshseg.prefilter import PrefilterParams, assemble_system
 
 
@@ -43,12 +43,12 @@ def flap_of_edge(mesh: TriMesh, topo: TopologyCache, edge_id: int) -> Flap:
 
     Raises
     ------
-    BoundaryEdgeError
+    ValueError
         If the edge has only one incident face.
     """
     f_a, f_b = (int(x) for x in topo.edge_faces[edge_id])
     if f_b < 0:
-        raise BoundaryEdgeError(f"edge {edge_id} is a boundary edge")
+        raise ValueError(f"edge {edge_id} is a boundary edge")
     v1, v3 = (int(x) for x in topo.edges[edge_id])
     v2 = _opposite_vertex(mesh.faces, f_a, v1, v3)
     v4 = _opposite_vertex(mesh.faces, f_b, v1, v3)

@@ -2,8 +2,9 @@
 no module under ``src/meshseg`` imports a name or takes a parameter it
 never uses, only ``core`` calls ``build_topology`` (every other module
 reads ``mesh.topology``), short-axis sums, means, norms and cross
-products go through the helpers in ``core``, and the distance searches
-run without loading ``scipy.spatial``.
+products go through the helpers in ``core``, every error class in
+``errors`` is raised or subclassed somewhere in the package, and the
+distance searches run without loading ``scipy.spatial``.
 
 The import and parameter checks are small ``ast`` walks rather than a
 linter, so they run wherever the tests run. An imported name counts as
@@ -195,6 +196,46 @@ def test_short_axis_exceptions_are_still_needed():
         for f in short_axis_reductions(path.read_text(encoding="utf-8"))
     }
     assert SHORT_AXIS_EXCEPTIONS <= found
+
+
+def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
+    """Classes defined in *errors_source*, other than ``MeshError``, that no
+    source raises (called or bare) or names as a base class."""
+    defined = [
+        node.name for node in ast.parse(errors_source).body if isinstance(node, ast.ClassDef)
+    ]
+    used = set()
+    for source in [errors_source, *sources]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                used.add(ast.unparse(exc).rsplit(".", 1)[-1])
+            elif isinstance(node, ast.ClassDef):
+                used.update(ast.unparse(base).rsplit(".", 1)[-1] for base in node.bases)
+    return sorted(name for name in defined if name not in used | {"MeshError"})
+
+
+def test_unraised_errors_are_found():
+    errors = (
+        "class MeshError(Exception):\n    pass\n"
+        "class ParseError(MeshError):\n    pass\n"
+        "class TokenError(ParseError):\n    pass\n"
+        "class EdgeError(MeshError):\n    pass\n"
+        "class AreaError(MeshError):\n    pass\n"
+        "class LabelError(MeshError):\n    pass\n"
+    )
+    sources = [
+        "def f(x):\n    if x:\n        raise TokenError(x)\n    raise errors.AreaError\n",
+        "try:\n    pass\nexcept LabelError:\n    raise\nEdgeError('not raised')\n",
+    ]
+    assert unraised_errors(errors, sources) == ["EdgeError", "LabelError"]
+
+
+def test_every_error_class_is_raised():
+    """An error type that nothing in the package raises is dead surface."""
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE_DIR.glob("*.py"))]
+    errors = (PACKAGE_DIR / "errors.py").read_text(encoding="utf-8")
+    assert unraised_errors(errors, sources) == []
 
 
 def test_spatial_searches_do_not_import_scipy_spatial():

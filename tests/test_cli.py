@@ -5,8 +5,17 @@ import numpy as np
 import pytest
 
 from meshseg import cube, plane
-from meshseg.bench import parse_config
-from meshseg.cli import EXIT_IO, EXIT_METRIC_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from meshseg.bench import BenchConfig, parse_config
+from meshseg.cli import (
+    EXIT_IO,
+    EXIT_METRIC_MISMATCH,
+    EXIT_OK,
+    EXIT_USAGE,
+    _prefilter_params,
+    _segment_params,
+    build_parser,
+    main,
+)
 from meshseg.core import TriMesh, build_topology
 from meshseg.edgeop import edge_operator_field
 from meshseg.fileio import read_labels, read_obj, write_obj
@@ -20,6 +29,25 @@ def write_fixture(tmp_path, name, mesh):
     path = tmp_path / name
     write_obj(mesh, path)
     return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["segment", "m.obj", "--dthr", "0.25"],
+        ["denoise", "m.obj", "--method", "unf", "--params", "0.5,2,2", "--dthr", "0.25"],
+    ],
+    ids=["segment", "denoise"],
+)
+def test_flag_defaults_are_params_defaults(argv):
+    args = build_parser().parse_args(argv)
+    assert _segment_params(args) == SegmentParams(0.25)
+    assert _prefilter_params(args) == PrefilterParams()
+
+
+def test_noise_flag_defaults_are_noise_spec_defaults():
+    args = build_parser().parse_args(["noise", "m.obj", "--sigma", "0.3"])
+    assert NoiseSpec(0.3, args.mode, args.seed) == NoiseSpec(0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +456,11 @@ def test_parse_config_resolves_relative_model(tmp_path):
     assert parsed.dthr == 0.1
     assert parsed.sweep == [("unf", (0.5, 2.0, 2.0))]
     assert parsed.prefilter is True  # default
+
+
+def test_parse_config_defaults_are_bench_config_defaults(tmp_path):
+    config = write_config(tmp_path, "model = /m/c.obj\ndthr = 0.1\nsweep.unf = 0.5, 2, 2\n")
+    assert parse_config(config) == BenchConfig("/m/c.obj", 0.1, [("unf", (0.5, 2.0, 2.0))])
 
 
 @pytest.mark.parametrize(

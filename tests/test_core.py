@@ -22,7 +22,6 @@ from meshseg.core import (
 )
 from meshseg.denoise import BnfParams, UnfParams, denoise
 from meshseg.errors import (
-    BoundaryEdgeError,
     DegenerateFaceError,
     InconsistentWindingError,
     NonFiniteVertexError,
@@ -503,7 +502,7 @@ def test_flap_of_boundary_edge_rejected():
     mesh = plane(1)
     topo = build_topology(mesh)
     eid = int(np.flatnonzero(topo.boundary_edge_mask)[0])
-    with pytest.raises(BoundaryEdgeError):
+    with pytest.raises(ValueError, match="boundary edge"):
         flap_of_edge(mesh, topo, eid)
 
 

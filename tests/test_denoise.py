@@ -21,8 +21,10 @@ from meshseg.denoise import (
     params_from_tuple,
     vertex_update,
 )
+from meshseg.errors import LabelLengthMismatchError
 from meshseg.metrics import msae
 from meshseg.noise import NoiseSpec, add_noise
+from meshseg.segment import ClusterLabels
 
 ALL_PARAMS = [
     UnfParams(t=0.5, n_iter=10, v_iter=10),
@@ -180,6 +182,16 @@ def test_empty_constrained_neighborhood_keeps_normal(params):
     labels[0] = 1  # isolate face 0
     normals = filter_normals(topo, geo, params, labels)
     np.testing.assert_allclose(normals[0], geo.normals[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: type(p).__name__)
+def test_denoise_rejects_wrong_label_count(params):
+    """The filter checks the labels, whether raw or ClusterLabels."""
+    mesh = cube(2)
+    short = np.zeros(mesh.n_faces - 1, dtype=np.int64)
+    for labels in (short, ClusterLabels.from_array(short)):
+        with pytest.raises(LabelLengthMismatchError):
+            denoise(mesh, params, labels=labels)
 
 
 @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: type(p).__name__)

@@ -140,6 +140,40 @@ def test_einsum_squared_distance_order():
     )
 
 
+def test_slot_sum_matches_einsum_signed_zeros():
+    """``_slot_sum`` gives einsum("fk,fki->fi")'s bytes where every product
+    is a zero: einsum's sum starts from +0.0, so three −0.0 products sum
+    to +0.0, not −0.0."""
+    rng = np.random.default_rng(8)
+    weights = rng.choice([0.0, -0.0, 1.0], size=(20_000, 3))
+    points = rng.choice([0.0, -0.0, -1.0], size=(20_000, 3, 3))
+    want = np.einsum("fk,fki->fi", weights, points)
+    prod = np.empty((3, 3, 20_000))
+    got = _slot_sum(
+        np.ascontiguousarray(weights.T),
+        np.ascontiguousarray(points.transpose(2, 1, 0)),
+        prod,
+        np.empty((3, 20_000)),
+    )
+    products = weights[:, :, None] * points
+    plain = (products[:, 0] + products[:, 1]) + products[:, 2]
+    assert np.signbit(plain[plain == 0.0]).any(), "no row sums to -0.0 without the +0.0 start"
+    assert not np.signbit(want[want == 0.0]).any()
+    assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
+
+
+def test_weiszfeld_median_of_negative_zeros():
+    """One gated slot whose x component is −0.0 and two zero-weight slots
+    at x = −1: the weighted mean's x is +0.0, as einsum gives it, and the
+    Weiszfeld steps keep it."""
+    points = np.zeros((3, 3, 1))
+    points[0, :, 0] = [-0.0, -1.0, -1.0]
+    points[2, :, 0] = 1.0
+    got = _weiszfeld(points, np.array([[1.0], [0.0], [0.0]]), np.array([1.0]))
+    assert got[:, 0].tolist() == [0.0, 0.0, 1.0]
+    assert not np.signbit(got[0, 0])
+
+
 def full_weiszfeld(points, weights, wsum):
     """``denoise._weiszfeld`` without dropping settled columns: every
     column takes every step until none moves by WEISZFELD_MOVE_TOL."""
