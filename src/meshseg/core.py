@@ -307,6 +307,15 @@ def sum_terms(terms) -> np.ndarray:
     return out
 
 
+def dot_terms(a: np.ndarray, b: np.ndarray, prod: np.ndarray | None = None) -> np.ndarray:
+    """The dot product of 3-vectors on the leading axis (x, y, z), as
+    ``einsum`` sums a length-3 axis: ((0.0 + x·x′) + z·z′) + y·y′. Rows
+    of (N, 3) arrays go in as their ``.T`` views. *prod*, if given,
+    receives the products; it may be *a* or *b* itself."""
+    prod = np.multiply(a, b, out=prod)
+    return sum_terms((prod[0], prod[2], prod[1]))
+
+
 def mean_terms(terms) -> np.ndarray:
     """The mean of a few equal-shape arrays: :func:`sum_terms` divided by
     their count, as ``mean`` over the stacking axis."""

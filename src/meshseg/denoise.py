@@ -17,9 +17,8 @@ kernel, :func:`_ring_spatial`:
   The neighborhood is symmetric, so each unordered face pair is tested,
   weighed and compared once and mirrored into both faces' rows.
 - ``l1``: weighted geometric median (Weiszfeld) of edge-ring normals
-  within an angular gate. The Weiszfeld loop runs component-major over
-  the faces with gated weight only, each sum spelled out in the order
-  of numpy's row-major ``einsum`` reductions.
+  within an angular gate. The Weiszfeld loop steps only the faces with
+  gated weight.
 
 Passing cluster labels restricts every neighborhood (and the gnf
 guidance patches) to faces of the same cluster, which is what keeps
@@ -27,17 +26,23 @@ filtering from bleeding across feature lines; a face whose constrained
 neighborhood is empty keeps its own normal. Neighbor sums always run in
 ascending face id, so results are reproducible bit-for-bit.
 
-Loops that run once per sweep gather rows with ``np.take(a, idx,
-axis=0)`` rather than ``a[idx]``. Both give the same array, but ``take``
-copies whole rows, while fancy indexing of (N, 3) float rows goes through
-numpy's general indexing path and takes 3–4 times as long for the same
-bytes. Likewise, sums, means, norms and cross products over a short axis
-(3 or 4 long) go through :func:`~meshseg.core.sum_terms`,
-:func:`~meshseg.core.mean_terms`, :func:`~meshseg.core.row_norms` and
-:func:`~meshseg.core.row_cross` rather than ``.sum(axis=1)``,
-``.mean(axis=1)``, ``np.linalg.norm(axis=1)`` and ``np.cross``: they
-write the sums out as whole-column arithmetic in numpy's own order, the
-same bits at a quarter of the time or less.
+The ring sweeps run axis-major: the normals are held as (3, F), and each
+sweep gathers the ring as (3 components, 3 slots, F) with one ``np.take``
+along the face axis, so every dot, weight and slot sum is arithmetic on
+whole contiguous rows of F. The ring and one scratch array of its size
+are allocated once per call, not per sweep: at 9F doubles they are
+usually above the C allocator's mmap threshold, so a fresh array maps and
+faults in new pages on every sweep. numpy's ``einsum`` and its short-axis
+reductions (``.sum(axis=1)``, ``.mean(axis=1)``, ``np.linalg.norm(axis=1)``,
+``np.cross``) run a 3- or 4-long axis one row at a time, several times
+slower. So every such sum here is written out, through
+:func:`~meshseg.core.dot_terms`, :func:`~meshseg.core.sum_terms`,
+:func:`~meshseg.core.mean_terms`, :func:`~meshseg.core.row_norms`,
+:func:`~meshseg.core.row_cross` and :func:`_slot_sum`, in the order
+numpy's row-major form sums it, so the results keep its bits, signed
+zeros included. Other per-sweep gathers use ``np.take(a, idx, axis=0)``
+rather than ``a[idx]``: the same array, but ``take`` copies whole rows,
+while fancy indexing of (N, 3) float rows takes 3–4 times as long.
 
 The vertex step moves each vertex toward the planes of its incident
 faces (Jacobi style, positions double-buffered, centroids refreshed each
@@ -58,6 +63,7 @@ from .core import (
     FaceGeometry,
     TopologyCache,
     TriMesh,
+    dot_terms,
     face_geometry,
     mean_terms,
     row_norms,
@@ -224,28 +230,40 @@ def mean_adjacent_centroid_distance(
 
 
 def _normalize_rows(vectors: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Row-normalize, keeping *fallback* rows where the norm vanishes."""
+    """Row-normalize (N, 3) *vectors*, keeping *fallback* rows where the
+    norm vanishes. The result keeps the memory layout of *vectors*, so
+    axis-major (3, N) arrays go in and come out as their ``.T`` views."""
     norms = row_norms(vectors)
     ok = norms > 0.0
-    return np.where(ok[:, None], vectors / np.where(ok, norms, 1.0)[:, None], fallback)
+    out = vectors / np.where(ok, norms, 1.0)[:, None]
+    np.copyto(out, fallback, where=~ok[:, None])
+    return out
 
 
 def _ring_sweeps(geometry: FaceGeometry, safe: np.ndarray, n_iter: int, step) -> np.ndarray:
-    """n_iter sweeps of an edge-ring filter: each gathers every face's
-    (F, 3, 3) ring normals and lets ``step(normals, ring_normals)`` return
-    the next normals."""
-    normals = geometry.normals
+    """n_iter sweeps of an edge-ring filter, axis-major: each gathers every
+    face's ring normals as (3 components, 3 slots, F) and lets
+    ``step(normals, ring, scratch)`` return the next (3, F) normals. The
+    step may overwrite the gathered ring and the (3, 3, F) *scratch*; both
+    buffers are allocated once here and reused by every sweep."""
+    normals = np.ascontiguousarray(geometry.normals.T)
+    slots = np.ascontiguousarray(safe.T)
+    ring = np.empty((3,) + slots.shape)
+    scratch = np.empty_like(ring)
     for _ in range(n_iter):
-        normals = step(normals, np.take(normals, safe, axis=0))
-    return normals
+        # "clip" leaves the (valid) ids as they are and, unlike "raise",
+        # writes straight into *ring* without a buffered copy.
+        normals = step(normals, np.take(normals, slots, axis=1, out=ring, mode="clip"), scratch)
+    return normals.T
 
 
 def _ring_spatial(topo: TopologyCache, geometry: FaceGeometry, safe: np.ndarray) -> np.ndarray:
-    """(F, 3) Gaussian of each ring slot's centroid distance, its scale the
-    mean adjacent-centroid distance."""
+    """(3 slots, F) Gaussian of each ring slot's centroid distance, its
+    scale the mean adjacent-centroid distance."""
     sigma_c = mean_adjacent_centroid_distance(topo, geometry)
-    cdiff = geometry.centroids[:, None, :] - geometry.centroids[safe]
-    return np.exp(-np.einsum("fki,fki->fk", cdiff, cdiff) / (2.0 * sigma_c * sigma_c))
+    centroids = np.ascontiguousarray(geometry.centroids.T)
+    cdiff = centroids[:, None, :] - np.take(centroids, safe.T, axis=1)
+    return np.exp(-dot_terms(cdiff, cdiff) / (2.0 * sigma_c * sigma_c))
 
 
 def filter_unf(
@@ -258,17 +276,19 @@ def filter_unf(
     weighted by its area·(1 − t)².
     """
     safe, valid = _ring_tables(topo, _as_label_array(labels, topo.n_faces))
+    valid = valid.T
     areas = geometry.areas
-    nbr_areas = areas[safe]
+    nbr_areas = areas[safe.T]
     threshold = params.t
     # The face itself always participates (its self-dot is 1).
     self_w = areas * (1.0 - threshold) ** 2 if threshold < 1.0 else np.zeros_like(areas)
 
-    def step(normals, nbr_normals):
-        dots = np.einsum("fi,fki->fk", normals, nbr_normals)
+    def step(normals, ring, scratch):
+        dots = dot_terms(normals[:, None, :], ring, scratch)
         weights = np.where(valid & (dots > threshold), nbr_areas * (dots - threshold) ** 2, 0.0)
-        summed = np.einsum("fk,fki->fi", weights, nbr_normals) + self_w[:, None] * normals
-        return _normalize_rows(summed, normals)
+        summed = _slot_sum(weights, ring, ring, np.empty_like(normals))
+        summed += self_w * normals
+        return _normalize_rows(summed.T, normals.T).T
 
     return _ring_sweeps(geometry, safe, params.n_iter, step)
 
@@ -279,23 +299,25 @@ def filter_bnf(
     """n_iter sweeps of the bilateral normal filter."""
     safe, valid = _ring_tables(topo, _as_label_array(labels, topo.n_faces))
     areas = geometry.areas
-    base_w = np.where(valid, areas[safe] * _ring_spatial(topo, geometry, safe), 0.0)
+    base_w = np.where(valid.T, areas[safe.T] * _ring_spatial(topo, geometry, safe), 0.0)
     two_sr2 = 2.0 * params.sigma_r * params.sigma_r
 
-    def step(normals, nbr_normals):
-        ndiff = normals[:, None, :] - nbr_normals
-        weights = base_w * np.exp(-np.einsum("fki,fki->fk", ndiff, ndiff) / two_sr2)
+    def step(normals, ring, scratch):
+        ndiff = np.subtract(normals[:, None, :], ring, out=scratch)
+        weights = base_w * np.exp(-dot_terms(ndiff, ndiff, ndiff) / two_sr2)
+        summed = _slot_sum(weights, ring, ring, np.empty_like(normals))
         # Self term: both kernels evaluate to 1 at zero distance.
-        summed = np.einsum("fk,fki->fi", weights, nbr_normals) + areas[:, None] * normals
-        return _normalize_rows(summed, normals)
+        summed += areas * normals
+        return _normalize_rows(summed.T, normals.T).T
 
     return _ring_sweeps(geometry, safe, params.n_iter, step)
 
 
 def _slot_sum(weights, points, prod, out):
-    """out[i] = ((0.0 + w0·p0[i]) + w1·p1[i]) + w2·p2[i], einsum("fk,fki->fi")'s
+    """out[i] = ((0.0 + w0·p0[i]) + w1·p1[i]) + w2·p2[i] for (3 slots, A)
+    *weights* and (3 components, 3 slots, A) *points*, einsum("fk,fki->fi")'s
     order: like :func:`~meshseg.core.sum_terms`, it starts from +0.0, so three
-    −0.0 products sum to +0.0."""
+    −0.0 products sum to +0.0. *prod* may be *points* itself."""
     np.multiply(weights, points, out=prod)
     np.add(prod[:, 0], 0.0, out=out)
     np.add(out, prod[:, 1], out=out)
@@ -398,21 +420,20 @@ def filter_l1median(
     normal.
     """
     safe, valid = _ring_tables(topo, _as_label_array(labels, topo.n_faces))
+    valid = valid.T
     spatial = _ring_spatial(topo, geometry, safe)
     cos_gate = float(np.cos(np.radians(params.angle_max_deg)))
 
-    def step(normals, nbr_normals):
-        dots = np.einsum("fi,fki->fk", normals, nbr_normals)
+    def step(normals, ring, scratch):
+        dots = dot_terms(normals[:, None, :], ring, scratch)
         weights = np.where(valid & (dots >= cos_gate), spatial, 0.0)
-        wsum = sum_terms(weights.T)
+        wsum = sum_terms(weights)
         has = wsum > 0.0
         median = np.zeros_like(normals)
-        median[has] = _weiszfeld(
-            np.take(normals.T, safe[has].T, axis=1),
-            np.ascontiguousarray(weights[has].T),
-            wsum[has],
-        ).T
-        return np.where(has[:, None], _normalize_rows(median, normals), normals)
+        median[:, has] = _weiszfeld(
+            np.compress(has, ring, axis=-1), np.compress(has, weights, axis=-1), wsum[has]
+        )
+        return np.where(has, _normalize_rows(median.T, normals.T).T, normals)
 
     return _ring_sweeps(geometry, safe, params.n_iter, step)
 
@@ -426,11 +447,12 @@ def _radius_csr(centroids: np.ndarray, radius: float, label_array=None):
     is mirrored into both rows."""
     owners, ids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     r2 = radius * radius
+    axis_centroids = np.ascontiguousarray(centroids.T)
     for q, s in stencil_pairs(centroids, centroids, radius, range(-1, 2)):
         below = q < s
         q, s = q[below], s[below]
-        diff = centroids[q] - centroids[s]
-        keep = np.einsum("pi,pi->p", diff, diff) <= r2
+        diff = np.take(axis_centroids, q, axis=1) - np.take(axis_centroids, s, axis=1)
+        keep = dot_terms(diff, diff) <= r2
         if label_array is not None:
             keep &= label_array[q] == label_array[s]
         owners += [q[keep], s[keep]]
@@ -506,9 +528,10 @@ def filter_gnf(
 
     nbr_ids, offsets = _radius_csr(centroids, radius, label_array)
     owner = np.repeat(np.arange(n_faces, dtype=np.int64), np.diff(offsets))
-    pair_cdiff = np.take(centroids, owner, axis=0) - np.take(centroids, nbr_ids, axis=0)
+    axis_centroids = np.ascontiguousarray(centroids.T)
+    pair_cdiff = np.take(axis_centroids, owner, axis=1) - np.take(axis_centroids, nbr_ids, axis=1)
     pair_spatial = areas[nbr_ids] * np.exp(
-        -np.einsum("pi,pi->p", pair_cdiff, pair_cdiff) / (2.0 * sigma_s * sigma_s)
+        -dot_terms(pair_cdiff, pair_cdiff) / (2.0 * sigma_s * sigma_s)
     )
     del pair_cdiff
     upper, mirror = _transpose_slots(owner, nbr_ids, n_faces)
@@ -537,16 +560,14 @@ def filter_gnf(
     blend = sp.csr_array((pair_spatial, nbr_ids, offsets), shape=(n_faces, n_faces))
 
     pair_a, pair_b = np.triu_indices(4, 1)
-    pair_mask = member_valid[:, pair_a] & member_valid[:, pair_b]
+    pair_mask = (member_valid[:, pair_a] & member_valid[:, pair_b]).T
     two_sr2 = 2.0 * params.sigma_r * params.sigma_r
     normals = geometry.normals
     for _ in range(params.n_iter):
         member_normals = np.take(normals, members, axis=0)  # (F, 4, 3)
-        # The (F, 6, 1, 3) view keeps the einsum layout of the (F, 4, 4)
-        # pair cube that the oracle test compares all 16 pairs in.
-        diffs = (member_normals[:, pair_a] - member_normals[:, pair_b])[:, :, None, :]
-        d2 = np.einsum("fabi,fabi->fab", diffs, diffs)[:, :, 0]
-        consistency = np.sqrt(np.where(pair_mask, d2, 0.0).max(axis=1))
+        diffs = (member_normals[:, pair_a] - member_normals[:, pair_b]).T  # (3, 6, F)
+        d2 = dot_terms(diffs, diffs)
+        consistency = np.sqrt(np.where(pair_mask, d2, 0.0).max(axis=0))
         patch_normal = _normalize_rows(
             sum_terms((member_area[:, :, None] * member_normals).swapaxes(0, 1)), normals
         )
@@ -557,8 +578,9 @@ def filter_gnf(
         picked = ranked_ids[hits[np.searchsorted(hits, cand_starts)]]
         guidance = np.take(patch_normal, picked, axis=0)
 
-        gdiff = np.take(guidance, upper_owner, axis=0) - np.take(guidance, upper_nbr, axis=0)
-        weight = np.exp(-np.einsum("pi,pi->p", gdiff, gdiff) / two_sr2)
+        axis_guidance = np.ascontiguousarray(guidance.T)
+        gdiff = np.take(axis_guidance, upper_owner, axis=1) - np.take(axis_guidance, upper_nbr, axis=1)
+        weight = np.exp(-dot_terms(gdiff, gdiff) / two_sr2)
         range_w[upper] = weight
         range_w[mirror] = weight
         blend.data = pair_spatial * range_w
@@ -607,9 +629,7 @@ def vertex_update(
         tri = np.take(positions, faces.T, axis=1)
         cent = mean_terms(tri.swapaxes(0, 1))
         np.subtract(cent[:, None, :], tri, out=tri)
-        np.multiply(tri, axis_normals, out=tri)
-        # n · (centroid − corner) in the order of einsum("pi,pi->p"): x, z, y.
-        gap = sum_terms((tri[0], tri[2], tri[1]))
+        gap = dot_terms(tri, axis_normals, tri)  # n · (centroid − corner)
         pull = np.multiply(axis_normals, gap, out=tri)
         shift = np.stack([
             np.bincount(incident, weights=pull[a].T.ravel(), minlength=mesh.n_vertices)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TopologyCache, TriMesh, row_cross, row_norms
+from .core import TopologyCache, TriMesh, dot_terms, row_cross, row_norms
 from .errors import DegenerateFlapError
 from .fileio import _write_rows
 
@@ -27,25 +27,26 @@ AREA_EPS_FACTOR = 1e-12
 
 
 def operator_coefficients(p1, p2, p3, p4):
-    """D(e) coefficients for stacked flap points; shapes (..., 3).
+    """D(e) coefficients for stacked flap points, (N, 3) each, or one flap
+    of (3,) points.
 
     Returns (c1, c2, c3, c4, area123, area134); no degeneracy handling
     here.
     """
     e = p3 - p1
-    ee = np.einsum("...i,...i->...", e, e)
+    ee = dot_terms(e.T, e.T)
     area123 = 0.5 * row_norms(row_cross(p2 - p1, e))
     area134 = 0.5 * row_norms(row_cross(e, p4 - p1))
     total = area123 + area134
     denom = ee * total
     c1 = (
-        area123 * np.einsum("...i,...i->...", p4 - p3, e)
-        + area134 * np.einsum("...i,...i->...", p1 - p3, p3 - p2)
+        area123 * dot_terms((p4 - p3).T, e.T)
+        + area134 * dot_terms((p1 - p3).T, (p3 - p2).T)
     ) / denom
     c2 = area134 / total
     c3 = (
-        area123 * np.einsum("...i,...i->...", e, p1 - p4)
-        + area134 * np.einsum("...i,...i->...", p2 - p1, p1 - p3)
+        area123 * dot_terms(e.T, (p1 - p4).T)
+        + area134 * dot_terms((p2 - p1).T, (p1 - p3).T)
     ) / denom
     c4 = area123 / total
     return c1, c2, c3, c4, area123, area134

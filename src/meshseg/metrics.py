@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import TriMesh, face_geometry, stencil_pairs
+from .core import TriMesh, dot_terms, face_geometry, stencil_pairs
 from .errors import ConnectivityMismatchError, EmptyMeshError
 
 
@@ -35,7 +35,7 @@ def msae(result: TriMesh, truth: TriMesh) -> float:
         raise EmptyMeshError("msae needs at least one face")
     n_r = face_geometry(result).normals
     n_t = face_geometry(truth).normals
-    dots = np.clip(np.einsum("ij,ij->i", n_r, n_t), -1.0, 1.0)
+    dots = np.clip(dot_terms(n_r.T, n_t.T), -1.0, 1.0)
     angles = np.arccos(dots)
     return float(np.mean(angles * angles))
 
@@ -48,35 +48,36 @@ def point_triangles_sq_distance(point: np.ndarray, triangles: np.ndarray) -> np.
     point (3,) or one point per triangle (K, 3). Degenerate triangles are
     the caller's problem.
     """
-    a = triangles[:, 0]
-    b = triangles[:, 1]
-    c = triangles[:, 2]
+    # Axis-major, (3 axes, K) per corner, so every operation, the dots
+    # included, runs over whole contiguous rows.
+    a, b, c = np.ascontiguousarray(triangles.transpose(1, 2, 0))
     p = np.asarray(point, dtype=np.float64)
+    p = np.ascontiguousarray(p.T) if p.ndim == 2 else p[:, None]
 
     ab = b - a
     ac = c - a
     ap = p - a
-    d1 = np.einsum("ki,ki->k", ab, ap)
-    d2 = np.einsum("ki,ki->k", ac, ap)
+    d1 = dot_terms(ab, ap)
+    d2 = dot_terms(ac, ap)
 
     bp = p - b
-    d3 = np.einsum("ki,ki->k", ab, bp)
-    d4 = np.einsum("ki,ki->k", ac, bp)
+    d3 = dot_terms(ab, bp)
+    d4 = dot_terms(ac, bp)
 
     cp = p - c
-    d5 = np.einsum("ki,ki->k", ab, cp)
-    d6 = np.einsum("ki,ki->k", ac, cp)
+    d5 = dot_terms(ab, cp)
+    d6 = dot_terms(ac, cp)
 
     vc = d1 * d4 - d3 * d2
     vb = d5 * d2 - d1 * d6
     va = d3 * d6 - d5 * d4
 
     closest = np.empty_like(a)
-    done = np.zeros(len(a), dtype=bool)
+    done = np.zeros(len(vc), dtype=bool)
 
     def settle(mask, points):
         fresh = mask & ~done
-        closest[fresh] = points[fresh]
+        closest[:, fresh] = points[:, fresh]
         done[fresh] = True
 
     settle((d1 <= 0) & (d2 <= 0), a)  # vertex region A
@@ -85,20 +86,20 @@ def point_triangles_sq_distance(point: np.ndarray, triangles: np.ndarray) -> np.
 
     with np.errstate(divide="ignore", invalid="ignore"):
         v_ab = d1 / (d1 - d3)
-        settle((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + v_ab[:, None] * ab)
+        settle((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + v_ab * ab)
         v_ac = d2 / (d2 - d6)
-        settle((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + v_ac[:, None] * ac)
+        settle((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + v_ac * ac)
         v_bc = (d4 - d3) / ((d4 - d3) + (d5 - d6))
         settle(
             (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),
-            b + v_bc[:, None] * (c - b),
+            b + v_bc * (c - b),
         )
         denom = va + vb + vc
-        inner = a + (vb / denom)[:, None] * ab + (vc / denom)[:, None] * ac
-    settle(np.ones(len(a), dtype=bool), inner)  # face interior
+        inner = a + (vb / denom) * ab + (vc / denom) * ac
+    settle(np.ones(len(vc), dtype=bool), inner)  # face interior
 
     delta = closest - p
-    return np.einsum("ki,ki->k", delta, delta)
+    return dot_terms(delta, delta)
 
 
 def brute_force_sq_distances(points: np.ndarray, truth: TriMesh) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import cg
 
-from .core import FaceGeometry, TopologyCache, TriMesh, face_geometry
+from .core import FaceGeometry, TopologyCache, TriMesh, dot_terms, face_geometry
 from .edgeop import flap_vertex_table, operator_coefficients
 from .errors import SolverDivergedError
 
@@ -68,19 +68,19 @@ def edge_weights(topo: TopologyCache, geometry: FaceGeometry, sigma_w: float) ->
     if interior.size:
         n_a = geometry.normals[topo.edge_faces[interior, 0]]
         n_b = geometry.normals[topo.edge_faces[interior, 1]]
-        diff2 = np.einsum("ij,ij->i", n_a - n_b, n_a - n_b)
+        diff = (n_a - n_b).T
+        diff2 = dot_terms(diff, diff)
         weights[interior] = np.exp(-diff2 / (2.0 * sigma_w * sigma_w))
     return weights
 
 
-def assemble_system(mesh: TriMesh, params: PrefilterParams):
-    """Sparse SPD system matrix M = I + alpha A'WA + beta B'WB.
+def assemble_system(mesh: TriMesh, params: PrefilterParams) -> sp.csr_matrix:
+    """Sparse SPD system matrix M = I + alpha A'WA + beta B'WB, in CSR.
 
-    Reads *mesh*'s topology, builds its face geometry, and freezes the operator
-    coefficients and edge weights at its positions. Returns
-    (M, A, B, w_interior) where A and B map stacked vertex coordinates
-    (per scalar coordinate) to per-interior-edge operator and regularizer
-    values, and w_interior are the interior edge weights.
+    Reads *mesh*'s topology, builds its face geometry, and freezes the
+    operator coefficients and edge weights at its positions. A and B map
+    one vertex coordinate column to the interior edges' operator and
+    regularizer values, and W holds the interior edge weights.
     """
     topo = mesh.topology
     geometry = face_geometry(mesh)
@@ -88,9 +88,7 @@ def assemble_system(mesh: TriMesh, params: PrefilterParams):
     interior, flap_vertices = flap_vertex_table(mesh, topo)
     m = len(interior)
     if m == 0:
-        ident = sp.identity(n, format="csr")
-        empty = sp.csr_matrix((0, n))
-        return ident, empty, empty, np.zeros(0)
+        return sp.identity(n, format="csr")
 
     rows = np.repeat(np.arange(m), 4)
     cols = flap_vertices.reshape(-1)
@@ -101,14 +99,13 @@ def assemble_system(mesh: TriMesh, params: PrefilterParams):
     r_coeff = np.tile(np.array([0.5, -0.5, 0.5, -0.5]), m)
     b_op = sp.csr_matrix((r_coeff, (rows, cols)), shape=(m, n))
 
-    w_int = edge_weights(topo, geometry, params.sigma_w)[interior]
-    w_diag = sp.diags(w_int)
+    w_diag = sp.diags(edge_weights(topo, geometry, params.sigma_w)[interior])
     system = (
         sp.identity(n, format="csr")
         + params.alpha * (a_op.T @ w_diag @ a_op)
         + params.beta * (b_op.T @ w_diag @ b_op)
     )
-    return system.tocsr(), a_op, b_op, w_int
+    return system.tocsr()
 
 
 def prefilter(mesh: TriMesh, params: PrefilterParams | None = None) -> TriMesh:
@@ -128,7 +125,7 @@ def prefilter(mesh: TriMesh, params: PrefilterParams | None = None) -> TriMesh:
         params = PrefilterParams()
     if mesh.n_vertices == 0:
         return mesh.with_vertices(mesh.vertices)
-    system, _, _, _ = assemble_system(mesh, params)
+    system = assemble_system(mesh, params)
     max_iter = params.max_iter_for(mesh.n_vertices)
     out = np.empty_like(mesh.vertices)
     for k in range(3):

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .core import FaceGeometry, TopologyCache, TriMesh, face_geometry
+from .core import FaceGeometry, TopologyCache, TriMesh, dot_terms, face_geometry
 from .edgeop import EdgeOperatorField, edge_operator_field
 from .errors import LabelLengthMismatchError
 from .prefilter import PrefilterParams, prefilter
@@ -205,7 +205,7 @@ def refine(
         large = ~is_small[face]
         owner, face = owner[large], face[large]
         normals = geometry.normals
-        cosines = np.einsum("ij,ij->i", normals[face], normals[sources[owner]])
+        cosines = dot_terms(normals[face].T, normals[sources[owner]].T)
         n_labels = clusters.cluster_count
         keys, group = np.unique(owner * n_labels + snapshot[face], return_inverse=True)
         score = np.bincount(group, weights=cosines)
@@ -228,7 +228,7 @@ def _dihedral_passes(
     if interior.size:
         n_a = geometry.normals[topo.edge_faces[interior, 0]]
         n_b = geometry.normals[topo.edge_faces[interior, 1]]
-        dots = np.clip(np.einsum("ij,ij->i", n_a, n_b), -1.0, 1.0)
+        dots = np.clip(dot_terms(n_a.T, n_b.T), -1.0, 1.0)
         passes[interior] = np.arccos(dots) < d_thr
     return passes
 

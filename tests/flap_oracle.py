@@ -4,16 +4,22 @@ The package evaluates D(e) and R(e) on all interior edges at once
 (:func:`meshseg.edgeop.edge_operator_field`, :func:`meshseg.prefilter.
 assemble_system`). The tests check those against the one-flap forms
 below, which spell each quantity out for a single edge.
+
+:func:`quadratic_energy` evaluates the prefilter objective through the
+sparse operators A and B and the edge weights w that
+:func:`flap_operators` builds, the terms the system matrix M = I +
+alpha A'WA + beta B'WB is assembled from; the package keeps only M.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from meshseg.core import TopologyCache, TriMesh
-from meshseg.edgeop import AREA_EPS_FACTOR, operator_coefficients
+from meshseg.core import TopologyCache, TriMesh, face_geometry
+from meshseg.edgeop import AREA_EPS_FACTOR, flap_vertex_table, operator_coefficients
 from meshseg.errors import DegenerateFlapError
-from meshseg.prefilter import PrefilterParams, assemble_system
+from meshseg.prefilter import PrefilterParams, edge_weights
 
 
 @dataclass(frozen=True)
@@ -93,14 +99,33 @@ def regularizer(flap: Flap) -> np.ndarray:
     return 0.5 * (flap.p1 + flap.p3) - 0.5 * (flap.p2 + flap.p4)
 
 
+def flap_operators(mesh: TriMesh, params: PrefilterParams):
+    """(A, B, w): the sparse maps from one vertex coordinate column to the
+    interior edges' D(e) and R(e) values, with coefficients frozen at
+    *mesh*'s geometry, and the interior edge weights."""
+    topo = mesh.topology
+    n = mesh.n_vertices
+    interior, flap_vertices = flap_vertex_table(mesh, topo)
+    m = len(interior)
+    rows = np.repeat(np.arange(m), 4)
+    cols = flap_vertices.reshape(-1)
+    flap_points = (mesh.vertices[flap_vertices[:, k]] for k in range(4))
+    d_coeff = np.stack(operator_coefficients(*flap_points)[:4], axis=1)
+    a_op = sp.csr_matrix((d_coeff.reshape(-1), (rows, cols)), shape=(m, n))
+    r_coeff = np.tile(np.array([0.5, -0.5, 0.5, -0.5]), m)
+    b_op = sp.csr_matrix((r_coeff, (rows, cols)), shape=(m, n))
+    w_int = edge_weights(topo, face_geometry(mesh), params.sigma_w)[interior]
+    return a_op, b_op, w_int
+
+
 def quadratic_energy(
     mesh: TriMesh, candidate_vertices: np.ndarray, params: PrefilterParams
 ) -> float:
     """Objective value at *candidate_vertices* with coefficients frozen
     at *mesh*'s geometry (the quantity :func:`meshseg.prefilter.prefilter`
-    minimizes). It reassembles the system from *mesh* on every call.
+    minimizes). It rebuilds the operators from *mesh* on every call.
     """
-    _, a_op, b_op, w_int = assemble_system(mesh, params)
+    a_op, b_op, w_int = flap_operators(mesh, params)
     q = np.asarray(candidate_vertices, dtype=np.float64)
     data = float(((q - mesh.vertices) ** 2).sum())
     smooth = 0.0

@@ -308,7 +308,7 @@ def test_07_prefilter_identity_energy_descent_and_residual():
     )
 
     noisy = add_noise(cube(6), NoiseSpec(0.5, "normal", seed=9))
-    system, _, _, _ = assemble_system(noisy, params)
+    system = assemble_system(noisy, params)
     relaxed = prefilter(noisy, params)
     worst = 0.0
     for k in range(3):

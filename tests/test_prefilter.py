@@ -87,7 +87,7 @@ def test_prefilter_residual_within_tolerance():
     params = PrefilterParams(solver_tol=1e-8)
     mesh = add_noise(cube(3), NoiseSpec(0.5, "normal", seed=8))
     out = prefilter(mesh, params)
-    system, _, _, _ = assemble_system(mesh, params)
+    system = assemble_system(mesh, params)
     for k in range(3):
         rhs = mesh.vertices[:, k]
         residual = np.linalg.norm(rhs - system @ out.vertices[:, k])
@@ -106,7 +106,7 @@ def test_prefilter_smooths_noise():
 
 def test_system_is_symmetric_positive_definite():
     mesh = add_noise(cube(2), NoiseSpec(0.4, "normal", seed=10))
-    system, _, _, _ = assemble_system(mesh, PrefilterParams())
+    system = assemble_system(mesh, PrefilterParams())
     dense = system.toarray()
     np.testing.assert_allclose(dense, dense.T, atol=1e-12)
     eigvals = np.linalg.eigvalsh(dense)

@@ -1,9 +1,13 @@
 """References for the thresholded (unf) and bilateral (bnf) normal
 filters, and the tests that hold ``meshseg.denoise`` to them.
 
-The references gather each sweep's neighbour normals with fancy indexing,
-``normals[safe]``; the library gathers the same rows with ``np.take``.
-Normals must agree bit for bit.
+The references work row-major: each sweep gathers the (F, 3 slots, 3)
+neighbour normals with fancy indexing, ``normals[safe]``, and contracts
+them with ``einsum``. The library works axis-major: it holds the normals
+as (3, F), gathers the ring as (3 components, 3 slots, F) with one
+``np.take``, and writes every ``einsum`` sum out in einsum's order
+(``tests/test_short_axis_oracle.py`` pins those orders). Normals must
+agree bit for bit.
 """
 
 import numpy as np
