@@ -366,9 +366,10 @@ def _rank(table, values):
 
 
 def _cell_index(sites, cell: float):
-    """Each site in the one cell that holds it, as (sorted cell keys, the
-    site order that sorts them, the occupied x/y/z coordinates, the
-    occupied columns).
+    """Each site in the one cell that holds it, as (the occupied cells'
+    keys ascending, where each cell's run starts in the site order plus
+    the number of sites, the site order by cell key, the occupied x/y/z
+    coordinates, the occupied columns).
 
     A cell is keyed by the ranks of its occupied coordinates: the x and
     y ranks give a column, whose rank pairs with the z rank. Keys stay
@@ -379,7 +380,15 @@ def _cell_index(sites, cell: float):
     columns, site_columns = np.unique(ix * len(ys) + iy, return_inverse=True)
     site_keys = site_columns * len(zs) + iz
     order = np.argsort(site_keys, kind="stable")
-    return site_keys[order], order, (xs, ys, zs), columns
+    sorted_keys = site_keys[order]
+    starts = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
+    return sorted_keys[starts], np.append(starts, len(order)), order, (xs, ys, zs), columns
+
+
+def cell_block(steps) -> np.ndarray:
+    """Every (dx, dy, dz) cell offset whose components are all in *steps*,
+    in x-, then y-, then z-major order, as a (K, 3) int array."""
+    return np.array(list(product(steps, repeat=3)), dtype=np.int64).reshape(-1, 3)
 
 
 def stencil_pairs(query_points, sites, cell: float, offsets):
@@ -387,32 +396,40 @@ def stencil_pairs(query_points, sites, cell: float, offsets):
     cubes, one stencil offset at a time, in batches of at most
     ``_PAIR_BATCH`` pairs plus those of one query.
 
-    A site sits in the one cell that holds it; a query gathers the cells
-    whose per-axis index differs from its own by a value in *offsets*.
-    So each (query, site) pair is yielded at most once per call.
+    A site sits in the one cell that holds it; for each (dx, dy, dz) row
+    of *offsets* a query gathers the cell at that offset from its own
+    (see :func:`cell_block`). So with distinct offsets each (query, site)
+    pair is yielded at most once per call.
     """
     if len(query_points) == 0 or len(sites) == 0:
         return
-    sorted_keys, sorted_sites, (xs, ys, zs), columns = _cell_index(sites, cell)
-    # Ranks of the coordinates near each query, per axis; a coordinate or
-    # cell that holds no site ranks and keys to -1. A generator keeps its
-    # locals across yields, so the set-up arrays are freed first.
+    cell_keys, cell_starts, sorted_sites, (xs, ys, zs), columns = _cell_index(sites, cell)
+    # Per axis, the distinct offset steps, and the rank of each query's
+    # coordinate moved by each step; a coordinate or cell that holds no
+    # site ranks and keys to -1. A generator keeps its locals across
+    # yields, so the set-up arrays are freed first.
+    steps = [np.unique(axis_steps, return_inverse=True) for axis_steps in np.asarray(offsets).T]
     query_cells = np.floor(query_points / cell).astype(np.int64)
-    near = query_cells[:, :, None] + np.asarray(offsets)
-    rx, ry, rz = (_rank(axis, near[:, i]).T for i, axis in enumerate((xs, ys, zs)))
-    del query_cells, near
-    for x, y in product(rx, ry):
-        column = np.where((x >= 0) & (y >= 0), _rank(columns, x * len(ys) + y), -1)
-        for z in rz:
-            keys = np.where((column >= 0) & (z >= 0), column * len(zs) + z, -1)
-            first = np.searchsorted(sorted_keys, keys, side="left")
-            counts = np.searchsorted(sorted_keys, keys, side="right") - first
-            ends = np.cumsum(counts)
-            marks = np.arange(0, ends[-1] + _PAIR_BATCH, _PAIR_BATCH)
-            for a, b in pairwise(np.unique(np.searchsorted(ends, marks, side="right"))):
-                n = counts[a:b]
-                slots = np.arange(n.sum()) + np.repeat(first[a:b] - np.cumsum(n) + n, n)
-                yield np.repeat(np.arange(a, b), n), sorted_sites[slots]
+    rx, ry, rz = (
+        _rank(coords, query_cells[:, i, None] + step).T
+        for i, (coords, (step, _)) in enumerate(zip((xs, ys, zs), steps))
+    )
+    del query_cells
+    columns_at = None
+    for ix, iy, iz in zip(*(which for _, which in steps)):
+        if columns_at != (ix, iy):  # offsets in cell_block order share columns
+            x, y, columns_at = rx[ix], ry[iy], (ix, iy)
+            column = np.where((x >= 0) & (y >= 0), _rank(columns, x * len(ys) + y), -1)
+        z = rz[iz]
+        at = _rank(cell_keys, np.where((column >= 0) & (z >= 0), column * len(zs) + z, -1))
+        first = cell_starts[at]
+        counts = np.where(at >= 0, cell_starts[at + 1] - first, 0)
+        ends = np.cumsum(counts)
+        marks = np.arange(0, ends[-1] + _PAIR_BATCH, _PAIR_BATCH)
+        for a, b in pairwise(np.unique(np.searchsorted(ends, marks, side="right"))):
+            n = counts[a:b]
+            slots = np.arange(n.sum()) + np.repeat(first[a:b] - np.cumsum(n) + n, n)
+            yield np.repeat(np.arange(a, b), n), sorted_sites[slots]
 
 
 def vertex_normals(mesh: TriMesh) -> np.ndarray:

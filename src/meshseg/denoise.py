@@ -14,8 +14,9 @@ kernel, :func:`_ring_spatial`:
   distance), range kernel on normal difference.
 - ``gnf``: joint bilateral over a geometric neighborhood, steered by
   guidance normals chosen per face as the most consistent small patch.
-  The neighborhood is symmetric, so each unordered face pair is tested,
-  weighed and compared once and mirrored into both faces' rows.
+  The neighborhood is symmetric: a half stencil of the cell grid draws
+  each unordered face pair once, and it is tested and weighed once, its
+  weight read into both faces' rows.
 - ``l1``: weighted geometric median (Weiszfeld) of edge-ring normals
   within an angular gate. The Weiszfeld loop steps only the faces with
   gated weight.
@@ -32,7 +33,11 @@ along the face axis, so every dot, weight and slot sum is arithmetic on
 whole contiguous rows of F. The ring and one scratch array of its size
 are allocated once per call, not per sweep: at 9F doubles they are
 usually above the C allocator's mmap threshold, so a fresh array maps and
-faults in new pages on every sweep. numpy's ``einsum`` and its short-axis
+faults in new pages on every sweep. The gnf sweep works the same way:
+its patch members, their pairwise differences and the guidance
+differences of its face pairs are (3, ·) arrays in buffers allocated
+once per call, and each sweep writes the blend weights straight into the
+data array of its sparse matrix. numpy's ``einsum`` and its short-axis
 reductions (``.sum(axis=1)``, ``.mean(axis=1)``, ``np.linalg.norm(axis=1)``,
 ``np.cross``) run a 3- or 4-long axis one row at a time, several times
 slower. So every such sum here is written out, through
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Union
 
 import numpy as np
@@ -63,6 +69,7 @@ from .core import (
     FaceGeometry,
     TopologyCache,
     TriMesh,
+    cell_block,
     dot_terms,
     face_geometry,
     mean_terms,
@@ -438,37 +445,64 @@ def filter_l1median(
     return _ring_sweeps(geometry, safe, params.n_iter, step)
 
 
-def _radius_csr(centroids: np.ndarray, radius: float, label_array=None):
-    """All faces within *radius* of each face's centroid (self excluded,
-    same cluster only when labels given) as CSR (neighbor_ids, offsets);
-    neighbor ids ascend within each face. Candidates come from the cell
-    grid of :func:`stencil_pairs` with cell = *radius*, which yields each
-    pair both ways: only ``q < s`` is tested, and each pair that passes
-    is mirrored into both rows."""
-    owners, ids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+# The 13 offsets after (0, 0, 0) in cell_block order. With a cell's own
+# pairs they hold every pair of touching cells once: a half stencil.
+_FORWARD_CELLS = cell_block(range(-1, 2))[14:]
+
+
+def _own_cell_pairs(points, cell: float):
+    """Each pair of distinct points that share a grid cell once, lower id
+    first."""
+    for q, s in stencil_pairs(points, points, cell, [(0, 0, 0)]):
+        below = q < s
+        yield q[below], s[below]
+
+
+def _radius_pairs(centroids: np.ndarray, radius: float, label_array=None):
+    """(first, second, d2): each unordered pair of faces whose centroids lie
+    within *radius* (same cluster only when labels given) once, with its
+    squared centroid distance. Candidates come from a half stencil on the
+    cell grid of :func:`stencil_pairs` with cell = *radius*: the pairs of
+    each face's own cell, then those of its 13 forward neighbour cells."""
+    firsts, seconds = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    dists = [np.zeros(0)]
     r2 = radius * radius
     axis_centroids = np.ascontiguousarray(centroids.T)
-    for q, s in stencil_pairs(centroids, centroids, radius, range(-1, 2)):
-        below = q < s
-        q, s = q[below], s[below]
+    forward = stencil_pairs(centroids, centroids, radius, _FORWARD_CELLS)
+    for q, s in chain(_own_cell_pairs(centroids, radius), forward):
         diff = np.take(axis_centroids, q, axis=1) - np.take(axis_centroids, s, axis=1)
-        keep = dot_terms(diff, diff) <= r2
+        d2 = dot_terms(diff, diff, diff)
+        keep = d2 <= r2
         if label_array is not None:
             keep &= label_array[q] == label_array[s]
-        owners += [q[keep], s[keep]]
-        ids += [s[keep], q[keep]]
-    owner = np.concatenate(owners)
-    nbr = np.concatenate(ids)
-    order = np.argsort(owner * len(centroids) + nbr)
-    counts = np.bincount(owner, minlength=len(centroids))
-    return nbr[order], np.concatenate(([0], np.cumsum(counts)))
+        firsts.append(q[keep])
+        seconds.append(s[keep])
+        dists.append(d2[keep])
+    return np.concatenate(firsts), np.concatenate(seconds), np.concatenate(dists)
 
 
-def _transpose_slots(owner: np.ndarray, nbr_ids: np.ndarray, n_faces: int):
-    """(upper, mirror) of a symmetric CSR in (owner, nbr) order: the slots
-    with owner < nbr, and the slot of each one's transpose (nbr, owner)."""
-    upper = np.flatnonzero(owner < nbr_ids)
-    return upper, np.argsort(nbr_ids * n_faces + owner)[upper]
+def _pair_csr(first: np.ndarray, second: np.ndarray, n_faces: int):
+    """(nbr_ids, offsets, slot_pair): the symmetric CSR that holds each
+    unordered pair in both faces' rows, neighbor ids ascending within a
+    row, and the index of each slot's pair."""
+    owner = np.concatenate((first, second))
+    nbr = np.concatenate((second, first))
+    order = np.argsort(owner * n_faces + nbr)  # the keys are unique
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n_faces))))
+    nbr = nbr[order]
+    order[order >= len(first)] -= len(first)
+    return nbr, offsets, order
+
+
+def _radius_csr(centroids: np.ndarray, radius: float, label_array=None):
+    """The neighborhoods of :func:`filter_gnf` as CSR (neighbor_ids,
+    offsets): all faces within *radius* of each face's centroid (self
+    excluded, same cluster only when labels given), neighbor ids
+    ascending within each face. Each pair is tested once
+    (:func:`_radius_pairs`) and put into both rows (:func:`_pair_csr`)."""
+    first, second, _ = _radius_pairs(centroids, radius, label_array)
+    nbr_ids, offsets, _ = _pair_csr(first, second, len(centroids))
+    return nbr_ids, offsets
 
 
 def _guidance_candidates(owner: np.ndarray, nbr_ids: np.ndarray, offsets: np.ndarray):
@@ -483,12 +517,23 @@ def _guidance_candidates(owner: np.ndarray, nbr_ids: np.ndarray, offsets: np.nda
 
 def _rank_candidates(owner: np.ndarray, gap: np.ndarray, n_faces: int) -> np.ndarray:
     """The order of candidates laid out in (owner, id) order by (owner,
-    gap, id), as ``np.lexsort((ids, gap, owner))`` gives it: a stable sort
-    by gap keeps ties in (owner, id) order, and a stable sort by owner
-    keeps each owner's run in (gap, id) order. The owner key is cast to
-    the smallest unsigned type that holds *n_faces*, so below 65,536
-    faces numpy sorts it by radix."""
-    by_gap = np.argsort(gap, kind="stable")
+    gap, id), as ``np.lexsort((ids, gap, owner))`` gives it.
+
+    A by-gap order that keeps ties in (owner, id) order comes first. Where
+    no two gaps are equal (−0.0 equals +0.0), numpy's unstable argsort
+    gives it; otherwise a second unstable argsort on the unique int64
+    keys dense gap rank × M + position, M candidates. A stable sort by
+    owner, cast to the smallest unsigned type that holds *n_faces* so
+    that numpy sorts it by radix, then keeps each owner's run in (gap, id)
+    order.
+    """
+    by_gap = np.argsort(gap)
+    sorted_gap = np.take(gap, by_gap)
+    steps = sorted_gap[1:] != sorted_gap[:-1]
+    if not steps.all():
+        rank = np.empty_like(by_gap)
+        rank[by_gap] = np.concatenate(([0], np.cumsum(steps)))
+        by_gap = np.argsort(rank * len(gap) + np.arange(len(gap)))
     key = owner.astype(np.min_scalar_type(n_faces))[by_gap]
     return by_gap[np.argsort(key, kind="stable")]
 
@@ -506,17 +551,19 @@ def filter_gnf(
     area-weighted normal as guidance g_i. Only the consistencies change
     between sweeps, so the tie-break order is ranked once and a sweep
     takes the first minimum in it. The candidates are laid out in
-    (owner, id) order, each face's own slot among its neighbors, so two
-    stable sorts rank them (see :func:`_rank_candidates`). The new normal
-    is then the joint bilateral blend of neighbor normals with spatial
-    weights on centroid distance and range weights on guidance
-    difference, summed in ascending neighbor id.
+    (owner, id) order, each face's own slot among its neighbors, so a
+    by-gap sort and a stable by-owner sort rank them (see
+    :func:`_rank_candidates`). The new normal is then the joint
+    bilateral blend of neighbor normals with spatial weights on centroid
+    distance and range weights on guidance difference, summed in
+    ascending neighbor id.
 
     The neighborhood is symmetric, so each unordered face pair is
-    evaluated once and mirrored: the radius test in :func:`_radius_csr`,
-    the range weight (computed for owner < neighbor and copied to the
-    transposed slot), and the patch consistency (over the 6 unordered
-    member pairs).
+    evaluated once: the radius test and centroid distance in
+    :func:`_radius_pairs`, the range weight (read into both of the pair's
+    CSR slots through the slot → pair map of :func:`_pair_csr`), and the
+    patch consistency (over the 6 unordered member pairs). The sweep runs
+    axis-major, in buffers allocated once per call.
     """
     label_array = _as_label_array(labels, topo.n_faces)
     n_faces = topo.n_faces
@@ -526,66 +573,72 @@ def filter_gnf(
     sigma_s = params.sigma_s_mult * sigma_c
     radius = params.r * topo.mean_edge_length
 
-    nbr_ids, offsets = _radius_csr(centroids, radius, label_array)
-    owner = np.repeat(np.arange(n_faces, dtype=np.int64), np.diff(offsets))
-    axis_centroids = np.ascontiguousarray(centroids.T)
-    pair_cdiff = np.take(axis_centroids, owner, axis=1) - np.take(axis_centroids, nbr_ids, axis=1)
-    pair_spatial = areas[nbr_ids] * np.exp(
-        -dot_terms(pair_cdiff, pair_cdiff) / (2.0 * sigma_s * sigma_s)
-    )
-    del pair_cdiff
-    upper, mirror = _transpose_slots(owner, nbr_ids, n_faces)
-    upper_owner, upper_nbr = owner[upper], nbr_ids[upper]
-    range_w = np.empty(len(nbr_ids))
+    first, second, pair_d2 = _radius_pairs(centroids, radius, label_array)
+    nbr_ids, offsets, slot_pair = _pair_csr(first, second, n_faces)
+    # fl(a - b) = -fl(b - a), so a pair's squared distance serves both slots.
+    slot_spatial = np.take(np.exp(-pair_d2 / (2.0 * sigma_s * sigma_s)), slot_pair)
+    slot_spatial *= areas[nbr_ids]
+    del pair_d2
 
+    owner = np.repeat(np.arange(n_faces, dtype=np.int64), np.diff(offsets))
     cand_ids, cand_owner = _guidance_candidates(owner, nbr_ids, offsets)
+    del owner
     cand_starts = offsets[:-1] + np.arange(n_faces)
     run_lengths = np.diff(offsets) + 1
 
-    # Patch membership: self + (constrained) edge ring, padded to 4.
+    # Patch membership: self + (constrained) edge ring, padded to 4, as
+    # (4 members, F) rows.
     safe, ring_valid = _ring_tables(topo, label_array)
-    members = np.concatenate([np.arange(n_faces)[:, None], safe], axis=1)
-    member_valid = np.concatenate(
-        [np.ones((n_faces, 1), dtype=bool), ring_valid], axis=1
-    )
+    members = np.concatenate([np.arange(n_faces)[None, :], safe.T])
+    member_valid = np.concatenate([np.ones((1, n_faces), dtype=bool), ring_valid.T])
     member_area = areas[members] * member_valid
-    patch_centroid = sum_terms((member_area[:, :, None] * centroids[members]).swapaxes(0, 1))
-    patch_centroid /= sum_terms(member_area.T)[:, None]  # >= own area > 0
+    axis_centroids = np.ascontiguousarray(centroids.T)
+    patch_centroid = sum_terms((member_area * np.take(axis_centroids, members, axis=1)).swapaxes(0, 1))
+    patch_centroid /= sum_terms(member_area)  # >= own area > 0
     cand_centroid_dist = row_norms(
-        np.take(patch_centroid, cand_ids, axis=0) - np.take(centroids, cand_owner, axis=0)
+        (np.take(patch_centroid, cand_ids, axis=1) - np.take(axis_centroids, cand_owner, axis=1)).T
     )
     ranked_ids = cand_ids[_rank_candidates(cand_owner, cand_centroid_dist, n_faces)]
-    del cand_ids, cand_owner, cand_centroid_dist
-    # Sparse rows in ascending neighbor id; each sweep sets their weights.
-    blend = sp.csr_array((pair_spatial, nbr_ids, offsets), shape=(n_faces, n_faces))
+    del cand_ids, cand_owner, cand_centroid_dist, patch_centroid
+    # Sparse rows in ascending neighbor id; each sweep writes their
+    # weights into the data array the CSR owns (slot_spatial stays as is).
+    blend = sp.csr_array((np.empty(len(nbr_ids)), nbr_ids, offsets), shape=(n_faces, n_faces))
+    del nbr_ids
 
     pair_a, pair_b = np.triu_indices(4, 1)
-    pair_mask = (member_valid[:, pair_a] & member_valid[:, pair_b]).T
+    pair_mask = member_valid[pair_a] & member_valid[pair_b]
     two_sr2 = 2.0 * params.sigma_r * params.sigma_r
-    normals = geometry.normals
+    normals = np.ascontiguousarray(geometry.normals.T)
+    member_normals = np.empty((3,) + members.shape)
+    member_diffs = np.empty((3, len(pair_a), n_faces))
+    gdiff = np.empty((3, len(first)))
+    second_guidance = np.empty_like(gdiff)
     for _ in range(params.n_iter):
-        member_normals = np.take(normals, members, axis=0)  # (F, 4, 3)
-        diffs = (member_normals[:, pair_a] - member_normals[:, pair_b]).T  # (3, 6, F)
-        d2 = dot_terms(diffs, diffs)
+        np.take(normals, members, axis=1, out=member_normals, mode="clip")
+        np.subtract(member_normals[:, pair_a], member_normals[:, pair_b], out=member_diffs)
+        d2 = dot_terms(member_diffs, member_diffs, member_diffs)
         consistency = np.sqrt(np.where(pair_mask, d2, 0.0).max(axis=0))
-        patch_normal = _normalize_rows(
-            sum_terms((member_area[:, :, None] * member_normals).swapaxes(0, 1)), normals
-        )
+        patch_sum = sum_terms(np.multiply(member_area, member_normals, out=member_normals).swapaxes(0, 1))
+        patch_normal = _normalize_rows(patch_sum.T, normals.T).T
         # Lexicographic argmin per face: consistency, then the static rank.
-        ranked = np.take(consistency, ranked_ids, axis=0)
+        ranked = np.take(consistency, ranked_ids)
         run_min = np.minimum.reduceat(ranked, cand_starts)
         hits = np.flatnonzero(ranked == np.repeat(run_min, run_lengths))
         picked = ranked_ids[hits[np.searchsorted(hits, cand_starts)]]
-        guidance = np.take(patch_normal, picked, axis=0)
+        guidance = np.take(patch_normal, picked, axis=1)
 
-        axis_guidance = np.ascontiguousarray(guidance.T)
-        gdiff = np.take(axis_guidance, upper_owner, axis=1) - np.take(axis_guidance, upper_nbr, axis=1)
-        weight = np.exp(-dot_terms(gdiff, gdiff) / two_sr2)
-        range_w[upper] = weight
-        range_w[mirror] = weight
-        blend.data = pair_spatial * range_w
-        normals = _normalize_rows(blend @ normals, normals)
-    return normals
+        np.take(guidance, first, axis=1, out=gdiff, mode="clip")
+        np.take(guidance, second, axis=1, out=second_guidance, mode="clip")
+        np.subtract(gdiff, second_guidance, out=gdiff)
+        weight = dot_terms(gdiff, gdiff, gdiff)
+        np.negative(weight, out=weight)
+        weight /= two_sr2
+        np.exp(weight, out=weight)
+        np.take(weight, slot_pair, out=blend.data, mode="clip")
+        blend.data *= slot_spatial
+        summed = np.ascontiguousarray((blend @ normals.T).T)
+        normals = _normalize_rows(summed.T, normals.T).T
+    return normals.T
 
 
 def vertex_update(

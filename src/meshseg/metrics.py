@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import TriMesh, dot_terms, face_geometry, stencil_pairs
+from .core import TriMesh, cell_block, dot_terms, face_geometry, stencil_pairs
 from .errors import ConnectivityMismatchError, EmptyMeshError
 
 
@@ -135,7 +135,8 @@ def sq_distances(points, truth: TriMesh) -> np.ndarray:
         # A box spans at most h per axis, so the low corner of one within
         # reach * h of a point lies reach + 1 cells below to reach above.
         h = extent[faces].max()
-        for q, t in stencil_pairs(points[todo], lo[faces], h, range(-reach - 1, reach + 1)):
+        block = cell_block(range(-reach - 1, reach + 1))
+        for q, t in stencil_pairs(points[todo], lo[faces], h, block):
             ids = todo[q]
             d2 = point_triangles_sq_distance(points[ids], triangles[faces[t]])
             np.minimum.at(best, ids, d2)

@@ -16,6 +16,7 @@ from meshseg.core import (
     TopologyCache,
     TriMesh,
     build_topology,
+    cell_block,
     face_geometry,
     stencil_pairs,
     vertex_normals,
@@ -595,7 +596,7 @@ def test_stencil_pairs_yield_every_near_pair(reach):
     hi = lo + rng.uniform(0.0, 0.25, size=(50, 3))
     cell = 0.25
     found = set()
-    for q, s in stencil_pairs(queries, lo, cell, range(-reach - 1, reach + 1)):
+    for q, s in stencil_pairs(queries, lo, cell, cell_block(range(-reach - 1, reach + 1))):
         found |= set(zip(q.tolist(), s.tolist()))
     gap = np.maximum(lo[None] - queries[:, None], queries[:, None] - hi[None]).max(axis=2)
     near = set(zip(*(a.tolist() for a in np.nonzero(gap <= reach * cell))))
@@ -604,27 +605,53 @@ def test_stencil_pairs_yield_every_near_pair(reach):
 
 def test_stencil_pairs_yield_each_pair_at_most_once():
     """A site sits in one cell, so no call yields a (query, site) pair
-    twice, whatever the block of offsets."""
+    twice, whatever the distinct offsets."""
     rng = np.random.default_rng(11)
     queries = rng.uniform(-1.0, 2.0, size=(120, 3))
     sites = rng.uniform(0.0, 1.0, size=(90, 3))
-    for offsets in (range(-1, 2), range(-3, 3)):
+    for offsets in (cell_block(range(-1, 2)), cell_block(range(-3, 3)), [(1, 0, -1), (0, 0, 0)]):
         batches = stencil_pairs(queries, sites, 0.2, offsets)
         pairs = np.concatenate([q * len(sites) + s for q, s in batches])
         assert len(pairs) and len(np.unique(pairs)) == len(pairs)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stencil_pairs_yield_exactly_the_offset_cells(seed):
+    """A (query, site) pair comes out exactly when the site's cell minus
+    the query's cell is one of the offsets, for any set of distinct
+    (dx, dy, dz) rows in any order."""
+    rng = np.random.default_rng(seed)
+    queries = rng.uniform(-0.5, 1.5, size=(70, 3))
+    sites = rng.uniform(0.0, 1.0, size=(60, 3))
+    cell = 0.25
+    block = cell_block(range(-2, 3))
+    offsets = block[rng.choice(len(block), size=9, replace=False)]
+    found = [pair for q, s in stencil_pairs(queries, sites, cell, offsets) for pair in zip(q, s)]
+    step = np.floor(sites / cell)[None] - np.floor(queries / cell)[:, None]  # (Q, S, 3)
+    hit = (step[:, :, None] == offsets[None, None]).all(axis=3).any(axis=2)
+    assert len(found) == len(set(found))
+    assert set(found) == set(zip(*np.nonzero(hit)))
+
+
+def test_cell_block_is_x_major():
+    block = cell_block(range(-1, 2))
+    assert block.shape == (27, 3)
+    assert block[:3].tolist() == [[-1, -1, -1], [-1, -1, 0], [-1, -1, 1]]
+    assert block[13].tolist() == [0, 0, 0]
+    assert (np.diff(block @ [9, 3, 1]) == 1).all()
+
+
 def test_stencil_pairs_edge_cases():
     points = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
     none = np.zeros((0, 3))
-    assert list(stencil_pairs(none, points, 1.0, range(-1, 2))) == []
-    assert list(stencil_pairs(points, none, 1.0, range(-1, 2))) == []
+    assert list(stencil_pairs(none, points, 1.0, cell_block(range(-1, 2)))) == []
+    assert list(stencil_pairs(points, none, 1.0, cell_block(range(-1, 2)))) == []
 
     # 1e13 cells apart on each axis: far more than an int64 key over the
     # full cell box could count, but only two cells are occupied.
     far = np.array([[0.0, 0.0, 0.0], [1e-7, 0.0, 0.0], [1e7, 1e7, 1e7]])
     found = set()
-    for q, s in stencil_pairs(far, far, 1e-6, range(-1, 2)):
+    for q, s in stencil_pairs(far, far, 1e-6, cell_block(range(-1, 2))):
         found |= set(zip(q.tolist(), s.tolist()))
     assert found == {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)}
 
@@ -635,18 +662,19 @@ def test_stencil_pairs_batches_cap_memory():
     rng = np.random.default_rng(8)
     sites = rng.uniform(0.0, 1.0, size=(300, 3))
     queries = rng.uniform(0.0, 1.0, size=(200, 3))
-    batches = list(stencil_pairs(queries, sites, 1.0, range(-1, 2)))
+    batches = list(stencil_pairs(queries, sites, 1.0, cell_block(range(-1, 2))))
     assert max(len(q) for q, _ in batches) <= meshseg.core._PAIR_BATCH + 300
     pairs = np.concatenate([q * 300 + s for q, s in batches])
     assert np.array_equal(np.sort(pairs), np.arange(200 * 300))
 
 
 def test_stencil_pairs_frees_set_up_before_first_yield():
-    """At its first yield the generator holds the sorted keys and site
-    order (16 bytes a site, each site in one cell) and the per-axis rank
-    tables (96 bytes a query for the four offsets of the triangle-box
-    block), not the per-site set-up arrays; the bound leaves room for one
-    offset's working arrays."""
+    """At its first yield the generator holds the site order and the
+    occupied cells' keys and run starts (16 bytes a site here, two sites
+    a cell, each site in one cell) and the per-axis rank tables (96 bytes
+    a query for the four steps per axis of the triangle-box block), not
+    the per-site set-up arrays; the bound leaves room for one offset's
+    working arrays."""
     mesh = plane(64)
     tri = mesh.vertices[mesh.faces]
     lo = tri.min(axis=1)
@@ -654,7 +682,7 @@ def test_stencil_pairs_frees_set_up_before_first_yield():
     needed = 16 * len(lo) + 96 * mesh.n_vertices
     tracemalloc.start()
     try:
-        pairs = stencil_pairs(mesh.vertices, lo, cell, range(-2, 2))
+        pairs = stencil_pairs(mesh.vertices, lo, cell, cell_block(range(-2, 2)))
         next(pairs)
         held, _ = tracemalloc.get_traced_memory()
     finally:

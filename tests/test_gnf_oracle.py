@@ -17,6 +17,8 @@
   bit for bit, so every tie goes the same way.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,10 +31,11 @@ from meshseg.denoise import (
     _as_label_array,
     _normalize_rows,
     _guidance_candidates,
+    _pair_csr,
     _radius_csr,
+    _radius_pairs,
     _rank_candidates,
     _ring_tables,
-    _transpose_slots,
     filter_normals,
     mean_adjacent_centroid_distance,
 )
@@ -157,23 +160,67 @@ def test_radius_csr_rows_are_symmetric(points, radius, n_labels, data):
 
 
 @pytest.mark.parametrize("labelled", [False, True])
-def test_transpose_slots_is_an_involution_onto_the_lower_half(labelled):
+def test_slot_pairs_map_each_pair_onto_two_transposed_slots(labelled):
+    """Every unordered pair fills exactly two CSR slots, (first, second)
+    and (second, first): pairing each slot with the other slot of its
+    pair is an involution that swaps owner and neighbor."""
     mesh = _noisy_cube()
     topo = build_topology(mesh)
     labels = _six_sides(mesh.n_faces) if labelled else None
-    nbr_ids, offsets = _radius_csr(
+    first, second, _ = _radius_pairs(
         face_geometry(mesh).centroids, 2.0 * topo.mean_edge_length, labels
     )
+    nbr_ids, offsets, slot_pair = _pair_csr(first, second, mesh.n_faces)
     owner = np.repeat(np.arange(mesh.n_faces), np.diff(offsets))
-    upper, mirror = _transpose_slots(owner, nbr_ids, mesh.n_faces)
-    np.testing.assert_array_equal(upper, np.flatnonzero(owner < nbr_ids))
-    np.testing.assert_array_equal(np.sort(mirror), np.flatnonzero(owner > nbr_ids))
-    transpose = np.full(len(nbr_ids), -1)
-    transpose[upper] = mirror
-    transpose[mirror] = upper
+    assert len(nbr_ids) == 2 * len(first)
+    np.testing.assert_array_equal(np.bincount(slot_pair, minlength=len(first)), 2)
+    by_pair = np.argsort(slot_pair, kind="stable").reshape(-1, 2)
+    transpose = np.empty(len(nbr_ids), dtype=np.int64)
+    transpose[by_pair[:, 0]] = by_pair[:, 1]
+    transpose[by_pair[:, 1]] = by_pair[:, 0]
     np.testing.assert_array_equal(transpose[transpose], np.arange(len(nbr_ids)))
     np.testing.assert_array_equal(owner[transpose], nbr_ids)
     np.testing.assert_array_equal(nbr_ids[transpose], owner)
+    ends = np.sort(np.stack((first, second)), axis=0)[:, slot_pair]
+    np.testing.assert_array_equal(ends, np.sort(np.stack((owner, nbr_ids)), axis=0))
+
+
+@pytest.mark.parametrize("m", [8, 16, 32])
+def test_radius_search_work_per_face_is_bounded(monkeypatch, m):
+    """The radius search of gnf's r = 2 on noisy cube(m) draws fewer than
+    120 candidate pairs per face from the cell grid, and no unordered pair
+    of faces twice: a half stencil, not the full 27-cell block that
+    yields every pair both ways (153-180 per face). Only pairs of one
+    cell come both ways from the own-cell call, whose offsets are the
+    single (0, 0, 0)."""
+    mesh = add_noise(cube(m), NoiseSpec(0.5, "normal", seed=23))
+    topo = build_topology(mesh)
+    denoise_module = sys.modules["meshseg.denoise"]
+    stencil = denoise_module.stencil_pairs
+    calls = []
+
+    def recording_stencil(query_points, sites, cell, offsets):
+        calls.append((np.asarray(offsets).tolist(), []))
+        for q, s in stencil(query_points, sites, cell, offsets):
+            calls[-1][1].append((q, s))
+            yield q, s
+
+    monkeypatch.setattr(denoise_module, "stencil_pairs", recording_stencil)
+    _radius_csr(face_geometry(mesh).centroids, 2.0 * topo.mean_edge_length)
+    monkeypatch.undo()
+
+    n_faces = mesh.n_faces
+    yielded = sum(len(q) for _, batches in calls for q, _ in batches)
+    assert 0 < yielded < 120 * n_faces
+    unordered = []
+    for offsets, batches in calls:
+        q = np.concatenate([q for q, _ in batches])
+        s = np.concatenate([s for _, s in batches])
+        if offsets == [[0, 0, 0]]:
+            q, s = q[q < s], s[q < s]
+        unordered.append(np.minimum(q, s) * n_faces + np.maximum(q, s))
+    unordered = np.concatenate(unordered)
+    assert len(np.unique(unordered)) == len(unordered)
 
 
 @pytest.mark.parametrize("labelled", [False, True])
@@ -198,22 +245,57 @@ def test_guidance_candidates_run_in_owner_then_id_order(labelled):
     np.testing.assert_array_equal(np.searchsorted(cand_owner, np.arange(n_faces)), starts)
 
 
-@pytest.mark.parametrize("n_faces", [50, 3_000, 70_000])
-def test_rank_candidates_matches_lexsort(n_faces):
-    """Candidates in (owner, id) order with gaps drawn from four values,
-    so most ranks fall to the id tie-break. 50 and 3,000 faces sort the
-    owner key as uint8 and uint16; 70,000 faces as uint32, with owners
-    above 65,535."""
-    rng = np.random.default_rng(17)
-    n_keys = min(5_000, n_faces * n_faces // 2)
+def _sparse_candidates(n_faces, n_keys, rng):
+    """n_keys distinct (owner, id) candidates in (owner, id) order."""
     keys = np.sort(rng.choice(n_faces * n_faces, size=n_keys, replace=False))
-    owner, ids = keys // n_faces, keys % n_faces
-    gap = rng.integers(0, 4, size=len(keys)) * 0.25
-    if n_faces > 65_535:
-        assert (owner > 65_535).any()
-    np.testing.assert_array_equal(
-        _rank_candidates(owner, gap, n_faces), np.lexsort((ids, gap, owner))
-    )
+    return keys // n_faces, keys % n_faces
+
+
+def _rank_case(case):
+    """(owner, ids, gap, n_faces) of one ranking case."""
+    rng = np.random.default_rng(17)
+    if case == "empty":
+        nothing = np.zeros(0, dtype=np.int64)
+        return nothing, nothing, np.zeros(0), 10
+    if case in ("50", "3000", "70000"):
+        n_faces = int(case)
+        owner, ids = _sparse_candidates(n_faces, min(5_000, n_faces * n_faces // 2), rng)
+        if n_faces > 65_535:
+            assert (owner > 65_535).any()
+        return owner, ids, rng.integers(0, 4, size=len(owner)) * 0.25, n_faces
+    if case == "all-equal":
+        owner, ids = _sparse_candidates(40, 600, rng)
+        return owner, ids, np.full(len(owner), 0.5), 40
+    if case == "shared-across-owners":
+        # Every owner's run holds the same few gaps, and no two candidates
+        # of one owner share a gap, so only the owner split separates ties.
+        owner = np.repeat(np.arange(30), 12)
+        ids = np.tile(np.arange(12), 30)
+        gap = np.concatenate([rng.permutation(12) * 0.125 for _ in range(30)])
+        return owner, ids, gap, 30
+    assert case == "signed-zero"
+    # -0.0 and +0.0 are equal: ties kept in (owner, id) order, however the
+    # signs alternate, next to a few positive gaps.
+    owner, ids = _sparse_candidates(20, 300, rng)
+    gap = np.where(np.arange(len(owner)) % 2 == 0, -0.0, 0.0)
+    gap[rng.choice(len(owner), size=60, replace=False)] = 1e-300
+    return owner, ids, gap, 20
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["50", "3000", "70000", "empty", "all-equal", "shared-across-owners", "signed-zero"],
+)
+def test_rank_candidates_matches_lexsort(case):
+    """Candidates in (owner, id) order ranked by (owner, gap, id). Gaps
+    drawn from four values put most ranks to the id tie-break, for owners
+    that fit a uint8, a uint16 and (70,000 faces, owners above 65,535) a
+    uint32 key; also no candidates, one gap for all, the same gaps in
+    every owner's run, and −0.0 beside +0.0."""
+    owner, ids, gap, n_faces = _rank_case(case)
+    got = _rank_candidates(owner, gap, n_faces)
+    assert got.dtype.kind == "i" and len(got) == len(owner)
+    np.testing.assert_array_equal(got, np.lexsort((ids, gap, owner)))
 
 
 def reference_filter_gnf(topo, geometry, params, labels=None):

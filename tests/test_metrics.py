@@ -196,7 +196,7 @@ def test_sq_distances_single_triangle_and_every_exit(monkeypatch):
     brute = meshseg.metrics.brute_force_sq_distances
 
     def counting_stencil(query_points, sites, cell, offsets):
-        passes.append((offsets[-1], len(query_points)))  # the last offset is the reach
+        passes.append((int(offsets[-1][0]), len(query_points)))  # (reach, reach, reach) comes last
         return stencil(query_points, sites, cell, offsets)
 
     def counting_brute(pts, mesh):
