@@ -30,7 +30,7 @@ from .denoise import (
     params_from_tuple,
     vertex_update,
 )
-from .edgeop import EdgeOperatorField, edge_operator_field, write_norms_csv
+from .edgeop import edge_operator_field, write_norms_csv
 from .errors import (
     ConnectivityMismatchError,
     DegenerateFaceError,
@@ -47,11 +47,11 @@ from .errors import (
     SolverDivergedError,
     ZeroAreaFaceError,
 )
-from .fileio import ColorMap, read_labels, read_obj, write_labels, write_obj, write_ply_colored
+from .fileio import read_labels, read_obj, write_labels, write_obj, write_ply_colored
 from .fixtures import cube, icosahedron, make_fixture, plane
 from .metrics import ev, msae
 from .noise import NoiseSpec, add_noise
-from .prefilter import PrefilterParams, edge_weights, prefilter
+from .prefilter import PrefilterParams, prefilter
 from .segment import ClusterLabels, SegmentParams, refine, region_grow, segment
 
 __version__ = "0.1.0"
@@ -59,12 +59,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BnfParams",
     "ClusterLabels",
-    "ColorMap",
     "ConnectivityMismatchError",
     "DegenerateFaceError",
     "DegenerateFlapError",
     "DenoiseParams",
-    "EdgeOperatorField",
     "EmptyMeshError",
     "FaceGeometry",
     "GnfParams",
@@ -90,7 +88,6 @@ __all__ = [
     "cube",
     "denoise",
     "edge_operator_field",
-    "edge_weights",
     "ev",
     "face_geometry",
     "filter_bnf",

@@ -92,7 +92,7 @@ def _add_segment_flags(parser):
         "--baseline",
         choices=BASELINE_MODES,
         default=SegmentParams.baseline_mode,
-        help="growing predicate (normal-angle and none exist for comparisons)",
+        help="growing predicate (normal-angle exists for comparisons)",
     )
 
 
@@ -123,8 +123,8 @@ def cmd_segment(args) -> int:
     write_labels(clusters.labels, labels_path)
     write_ply_colored(mesh, clusters.labels, ply_path)
     if args.dump_norms:
-        field = edge_operator_field(work, work.topology)
-        write_norms_csv(work.topology, field, prefix.parent / f"{prefix.name}_norms.csv")
+        norms = edge_operator_field(work, work.topology)
+        write_norms_csv(work.topology, norms, prefix.parent / f"{prefix.name}_norms.csv")
     print(f"clusters: {clusters.cluster_count}")
     print(labels_path)
     print(ply_path)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from itertools import pairwise, product
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -355,10 +355,6 @@ def face_geometry(mesh: TriMesh) -> FaceGeometry:
     return FaceGeometry(normals=normals, areas=areas, centroids=centroids)
 
 
-# Pairs per batch from stencil_pairs: caps its callers' working memory.
-_PAIR_BATCH = 1 << 12
-
-
 def _rank(table, values):
     """Index of each value in the sorted, non-empty *table*; -1 if absent."""
     at = np.searchsorted(table, values).clip(max=len(table) - 1)
@@ -393,8 +389,8 @@ def cell_block(steps) -> np.ndarray:
 
 def stencil_pairs(query_points, sites, cell: float, offsets):
     """Yield ``(query ids, site ids)`` candidate pairs on a grid of *cell*
-    cubes, one stencil offset at a time, in batches of at most
-    ``_PAIR_BATCH`` pairs plus those of one query.
+    cubes, all pairs of one stencil offset at a time, queries ascending.
+    A caller with large per-pair temporaries slices them itself.
 
     A site sits in the one cell that holds it; for each (dx, dy, dz) row
     of *offsets* a query gathers the cell at that offset from its own
@@ -425,11 +421,8 @@ def stencil_pairs(query_points, sites, cell: float, offsets):
         first = cell_starts[at]
         counts = np.where(at >= 0, cell_starts[at + 1] - first, 0)
         ends = np.cumsum(counts)
-        marks = np.arange(0, ends[-1] + _PAIR_BATCH, _PAIR_BATCH)
-        for a, b in pairwise(np.unique(np.searchsorted(ends, marks, side="right"))):
-            n = counts[a:b]
-            slots = np.arange(n.sum()) + np.repeat(first[a:b] - np.cumsum(n) + n, n)
-            yield np.repeat(np.arange(a, b), n), sorted_sites[slots]
+        slots = np.arange(ends[-1]) + np.repeat(first + counts - ends, counts)
+        yield np.repeat(np.arange(len(counts)), counts), sorted_sites[slots]
 
 
 def vertex_normals(mesh: TriMesh) -> np.ndarray:

@@ -86,7 +86,7 @@ WEISZFELD_DIST_FLOOR = 1e-12
 
 
 def _positive(name, value):
-    if value <= 0:
+    if not value > 0:  # also rejects NaN
         raise ValueError(f"{name} must be > 0, got {value}")
 
 
@@ -186,7 +186,7 @@ def params_from_tuple(method: str, values) -> DenoiseParams:
     tail = []
     for v in values[-2:]:
         f = float(v)
-        if f != int(f):
+        if not f.is_integer():  # also rejects inf and NaN
             raise ValueError(f"iteration counts must be integers, got {v!r}")
         tail.append(int(f))
     return PARAM_TYPES[method](*head, *tail)
@@ -492,17 +492,6 @@ def _pair_csr(first: np.ndarray, second: np.ndarray, n_faces: int):
     nbr = nbr[order]
     order[order >= len(first)] -= len(first)
     return nbr, offsets, order
-
-
-def _radius_csr(centroids: np.ndarray, radius: float, label_array=None):
-    """The neighborhoods of :func:`filter_gnf` as CSR (neighbor_ids,
-    offsets): all faces within *radius* of each face's centroid (self
-    excluded, same cluster only when labels given), neighbor ids
-    ascending within each face. Each pair is tested once
-    (:func:`_radius_pairs`) and put into both rows (:func:`_pair_csr`)."""
-    first, second, _ = _radius_pairs(centroids, radius, label_array)
-    nbr_ids, offsets, _ = _pair_csr(first, second, len(centroids))
-    return nbr_ids, offsets
 
 
 def _guidance_candidates(owner: np.ndarray, nbr_ids: np.ndarray, offsets: np.ndarray):

@@ -10,11 +10,13 @@ whose coefficients sum to zero and which vanishes exactly when the flap
 is coplanar. Geometrically it measures how far the weighted midpoint of
 p2 and p4 sticks out of the edge line, so ||D(e)|| acts as a curvature/
 crease detector that is insensitive to rigid motion.
+
+:func:`edge_operator_field` evaluates D(e) on every interior edge and
+keeps what segmentation reads: ||D(e)|| as an (E,) array, +inf on
+boundary edges.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,25 +68,10 @@ def flap_vertex_table(mesh: TriMesh, topo: TopologyCache):
     return interior, np.stack([v1, v2, v3, v4], axis=1)
 
 
-@dataclass(frozen=True)
-class EdgeOperatorField:
-    """Operator evaluated on every edge of a mesh.
-
-    values : (E, 3) float64, zero rows on boundary edges.
-    norms : (E,) float64, +inf on boundary edges so that any finite
-        threshold treats the mesh border as an infinitely strong crease.
-    """
-
-    values: np.ndarray
-    norms: np.ndarray
-
-    @property
-    def interior_mask(self) -> np.ndarray:
-        return np.isfinite(self.norms)
-
-
-def edge_operator_field(mesh: TriMesh, topo: TopologyCache) -> EdgeOperatorField:
-    """D(e) on every interior edge.
+def edge_operator_field(mesh: TriMesh, topo: TopologyCache) -> np.ndarray:
+    """||D(e)|| on every edge as a frozen (E,) float64 array, +inf on
+    boundary edges so that any finite threshold treats the mesh border as
+    an infinitely strong crease.
 
     Raises
     ------
@@ -92,9 +79,7 @@ def edge_operator_field(mesh: TriMesh, topo: TopologyCache) -> EdgeOperatorField
         If any flap face has area below AREA_EPS_FACTOR * l_e^2 where
         l_e is the mesh's mean edge length.
     """
-    n_edges = topo.n_edges
-    values = np.zeros((n_edges, 3), dtype=np.float64)
-    norms = np.full(n_edges, np.inf, dtype=np.float64)
+    norms = np.full(topo.n_edges, np.inf, dtype=np.float64)
     interior, flap_vertices = flap_vertex_table(mesh, topo)
     if interior.size:
         p1, p2, p3, p4 = mesh.vertices[flap_vertices.T]  # (4, n_interior, 3)
@@ -108,21 +93,19 @@ def edge_operator_field(mesh: TriMesh, topo: TopologyCache) -> EdgeOperatorField
             raise DegenerateFlapError(
                 f"degenerate flaps (face area < {floor:g}) on edges {bad_edges}"
             )
-        values[interior] = vals
         norms[interior] = row_norms(vals)
-    values.setflags(write=False)
     norms.setflags(write=False)
-    return EdgeOperatorField(values=values, norms=norms)
+    return norms
 
 
-def write_norms_csv(topo: TopologyCache, field: EdgeOperatorField, path) -> None:
-    """CSV dump ``edge_id,v0,v1,norm`` for every edge (boundary: inf)."""
+def write_norms_csv(topo: TopologyCache, norms: np.ndarray, path) -> None:
+    """CSV dump ``edge_id,v0,v1,norm`` of the (E,) *norms* (boundary: inf)."""
     # An object table, so that tolist() gives ints for the ids and floats
     # (repr, inf included) for the norms.
     table = np.empty((topo.n_edges, 4), dtype=object)
     table[:, 0] = np.arange(topo.n_edges)
     table[:, 1:3] = topo.edges
-    table[:, 3] = field.norms
+    table[:, 3] = norms
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("edge_id,v0,v1,norm\n")
         _write_rows(fh, "{},{},{},{!r}\n", table)

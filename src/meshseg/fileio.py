@@ -11,7 +11,6 @@ reproduces positions exactly.
 from __future__ import annotations
 
 import colorsys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,30 +99,17 @@ def write_obj(mesh: TriMesh, path) -> None:
         _write_rows(fh, "f {} {} {}\n", mesh.faces + 1)
 
 
-@dataclass(frozen=True)
-class ColorMap:
-    """Label -> RGB table built by golden-ratio hue stepping.
+def _label_colors(n_labels: int) -> np.ndarray:
+    """(n_labels, 3) uint8 RGB table built by golden-ratio hue stepping.
 
     Hue of label k is fract(k * 0.618034) at full saturation and value,
     which keeps any <= 256 labels pairwise distinct after 8-bit
     quantization while spreading neighboring labels far apart on the
     color wheel.
     """
-
-    colors: np.ndarray  # (n_labels, 3) uint8
-
-    @classmethod
-    def for_count(cls, n_labels: int) -> "ColorMap":
-        hues = (np.arange(n_labels) * GOLDEN_RATIO_CONJUGATE) % 1.0
-        rgb = np.array([colorsys.hsv_to_rgb(h, 1.0, 1.0) for h in hues])
-        rgb = rgb.reshape(-1, 3)
-        colors = np.clip(np.round(rgb * 255.0), 0, 255).astype(np.uint8)
-        colors.setflags(write=False)
-        return cls(colors=colors)
-
-    def __getitem__(self, label: int) -> tuple[int, int, int]:
-        r, g, b = self.colors[label]
-        return int(r), int(g), int(b)
+    hues = (np.arange(n_labels) * GOLDEN_RATIO_CONJUGATE) % 1.0
+    rgb = np.array([colorsys.hsv_to_rgb(h, 1.0, 1.0) for h in hues]).reshape(-1, 3)
+    return np.clip(np.round(rgb * 255.0), 0, 255).astype(np.uint8)
 
 
 def write_ply_colored(mesh: TriMesh, labels, path) -> None:
@@ -136,8 +122,8 @@ def write_ply_colored(mesh: TriMesh, labels, path) -> None:
         )
     if labels.size and labels.min() < 0:
         raise ValueError("labels must be non-negative")
-    cmap = ColorMap.for_count(int(labels.max()) + 1 if labels.size else 0)
-    face_colors = cmap.colors[labels] if labels.size else np.zeros((0, 3), np.uint8)
+    colors = _label_colors(int(labels.max()) + 1 if labels.size else 0)
+    face_colors = colors[labels] if labels.size else np.zeros((0, 3), np.uint8)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("ply\n")
         fh.write("format ascii 1.0\n")

@@ -16,6 +16,10 @@ import numpy as np
 from .core import TriMesh, cell_block, dot_terms, face_geometry, stencil_pairs
 from .errors import ConnectivityMismatchError, EmptyMeshError
 
+# (point, triangle) pairs per distance evaluation in sq_distances: caps
+# the working memory of its per-pair temporaries.
+_PAIR_BATCH = 1 << 12
+
 
 def _check_same_connectivity(result: TriMesh, truth: TriMesh) -> None:
     if result.n_vertices != truth.n_vertices or not np.array_equal(
@@ -137,9 +141,11 @@ def sq_distances(points, truth: TriMesh) -> np.ndarray:
         h = extent[faces].max()
         block = cell_block(range(-reach - 1, reach + 1))
         for q, t in stencil_pairs(points[todo], lo[faces], h, block):
-            ids = todo[q]
-            d2 = point_triangles_sq_distance(points[ids], triangles[faces[t]])
-            np.minimum.at(best, ids, d2)
+            for start in range(0, len(q), _PAIR_BATCH):
+                chunk = slice(start, start + _PAIR_BATCH)
+                ids = todo[q[chunk]]
+                d2 = point_triangles_sq_distance(points[ids], triangles[faces[t[chunk]]])
+                np.minimum.at(best, ids, d2)
         return todo[best[todo] >= (reach * h) ** 2]
 
     everyone = np.arange(len(points))

@@ -33,7 +33,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_factor < 0:
+        if not self.sigma_factor >= 0:  # also rejects NaN
             raise ValueError(f"sigma_factor must be >= 0, got {self.sigma_factor}")
         if self.mode not in NOISE_MODES:
             raise ValueError(f"mode must be one of {NOISE_MODES}, got {self.mode!r}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,25 +36,22 @@ from .errors import SolverDivergedError
 
 @dataclass(frozen=True)
 class PrefilterParams:
+    """Energy weights alpha and beta, and the edge weights' scale sigma_w.
+    CG must reach relative residual ``solver_tol`` within ceil(10·√V)
+    iterations (:meth:`max_iter_for`)."""
+
     alpha: float = 0.1
     beta: float = 0.1
     sigma_w: float = 0.35
-    solver_tol: float = 1e-8
-    solver_max_iter: int | None = None  # default: ceil(10 * sqrt(V))
+    solver_tol: ClassVar[float] = 1e-8
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
+        if not (self.alpha >= 0 and self.beta >= 0):  # also rejects NaN
             raise ValueError("alpha and beta must be >= 0")
-        if self.sigma_w <= 0:
+        if not self.sigma_w > 0:
             raise ValueError("sigma_w must be > 0")
-        if self.solver_tol <= 0:
-            raise ValueError("solver_tol must be > 0")
-        if self.solver_max_iter is not None and self.solver_max_iter < 1:
-            raise ValueError("solver_max_iter must be >= 1")
 
     def max_iter_for(self, n_vertices: int) -> int:
-        if self.solver_max_iter is not None:
-            return self.solver_max_iter
         return max(1, math.ceil(10.0 * math.sqrt(max(n_vertices, 1))))
 
 

@@ -2,13 +2,14 @@
 absorption of small clusters into their best large neighbor.
 
 Both steps work on one sparse face-adjacency graph over interior edges.
-Growing keeps only the edges with ||D(e)|| strictly below ``d_thr`` and
-takes the graph's connected components, numbered by their minimum face
-id, so labels are deterministic. Refinement reassigns every face of each
-undersized cluster to the large cluster in its surrounding ring whose
-normals agree best (sum of cosines); the ring reaches at least as far as
-the nearest large-cluster face. Decisions read a snapshot of the
-pre-refinement labels, so they cannot cascade.
+Growing keeps only the edges whose ||D(e)||, read from the (E,) norms
+array of :func:`~meshseg.edgeop.edge_operator_field`, lies strictly
+below ``d_thr`` and takes the graph's connected components, numbered by
+their minimum face id, so labels are deterministic. Refinement
+reassigns every face of each undersized cluster to the large cluster in
+its surrounding ring whose normals agree best (sum of cosines); the ring
+reaches at least as far as the nearest large-cluster face. Decisions
+read a snapshot of the pre-refinement labels, so they cannot cascade.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .core import FaceGeometry, TopologyCache, TriMesh, dot_terms, face_geometry
-from .edgeop import EdgeOperatorField, edge_operator_field
+from .edgeop import edge_operator_field
 from .errors import LabelLengthMismatchError
 from .prefilter import PrefilterParams, prefilter
 
-BASELINE_MODES = ("edgeop", "normal-angle", "none")
+BASELINE_MODES = ("edgeop", "normal-angle")
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,7 @@ class SegmentParams:
     """Knobs for :func:`segment`.
 
     d_thr is the strict region-growing bound on ||D(e)|| ("edgeop" mode)
-    or on the dihedral angle in radians ("normal-angle" mode); it is
-    ignored by mode "none", which lumps every face into one cluster.
+    or on the dihedral angle in radians ("normal-angle" mode).
     """
 
     d_thr: float
@@ -140,19 +140,19 @@ def _rings(graph: sp.csr_matrix, sources: np.ndarray, depth: np.ndarray):
     return keys // n, keys % n
 
 
-def region_grow(topo: TopologyCache, field: EdgeOperatorField, d_thr: float) -> ClusterLabels:
-    """Connected components of faces joined across edges with ||D(e)||
-    strictly below *d_thr*.
+def region_grow(topo: TopologyCache, norms: np.ndarray, d_thr: float) -> ClusterLabels:
+    """Connected components of faces joined across edges whose (E,)
+    *norms* ||D(e)|| lie strictly below *d_thr*.
 
     Boundary edges carry an infinite norm, so they never merge faces; a
     d_thr of +inf merges each connected component into one cluster, and
     d_thr = 0 isolates every face.
     """
-    if len(field.norms) != topo.n_edges:
+    if len(norms) != topo.n_edges:
         raise LabelLengthMismatchError(
-            f"field has {len(field.norms)} edges, topology has {topo.n_edges}"
+            f"got {len(norms)} edge norms, topology has {topo.n_edges} edges"
         )
-    return ClusterLabels.from_array(_grow(topo, field.norms < d_thr), topo.n_faces)
+    return ClusterLabels.from_array(_grow(topo, norms < d_thr), topo.n_faces)
 
 
 def refine(
@@ -247,18 +247,12 @@ def segment(
     """
     work = mesh if prefilter_params is None else prefilter(mesh, prefilter_params)
     topo = work.topology
-
-    if params.baseline_mode == "none":
-        labels = np.zeros(work.n_faces, dtype=np.int64)
-        return ClusterLabels.from_array(labels, work.n_faces)
-
     geometry = face_geometry(work)
     if params.baseline_mode == "normal-angle":
         passes = _dihedral_passes(topo, geometry, params.d_thr)
         clusters = ClusterLabels.from_array(_grow(topo, passes), work.n_faces)
     else:
-        field = edge_operator_field(work, topo)
-        clusters = region_grow(topo, field, params.d_thr)
+        clusters = region_grow(topo, edge_operator_field(work, topo), params.d_thr)
 
     if params.refine:
         # By keyword: perfbench/spans.py hooks read these arguments by name.

@@ -4,7 +4,10 @@ never uses, only ``core`` calls ``build_topology`` (every other module
 reads ``mesh.topology``), short-axis sums, means, norms, cross
 products and ``einsum`` dots go through the helpers in ``core``, every
 error class in ``errors`` is raised or subclassed somewhere in the
-package, and the distance searches run without loading ``scipy.spatial``.
+package, every private top-level function is called or passed on
+inside the package (not only by tests), every float field of a
+parameter class rejects NaN, and the distance searches run without
+loading ``scipy.spatial``.
 
 The import and parameter checks are small ``ast`` walks rather than a
 linter, so they run wherever the tests run. An imported name counts as
@@ -15,6 +18,7 @@ included).
 """
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -251,6 +255,89 @@ def test_every_error_class_is_raised():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE_DIR.glob("*.py"))]
     errors = (PACKAGE_DIR / "errors.py").read_text(encoding="utf-8")
     assert unraised_errors(errors, sources) == []
+
+
+def unused_private_functions(sources: dict[str, str]) -> list[str]:
+    """``module:function`` for each private top-level function in *sources*
+    (module name -> text) that no source calls or passes on: no bare name
+    or attribute outside the function's own body reads it."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) and own.startswith("_"):
+                defined.append((module, own))
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) if isinstance(node, ast.Name) else None
+                if isinstance(node, ast.Attribute):
+                    name = node.attr
+                if name is not None and name != own:
+                    read.add(name)
+    return sorted(f"{module}:{name}" for module, name in defined if name not in read)
+
+
+def test_unused_private_functions_are_found():
+    sources = {
+        "a": (
+            "def _called():\n    pass\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "def _unused():\n    pass\n"
+            "def _by_attribute():\n    pass\n"
+            "def _passed_on():\n    pass\n"
+            "def public():\n    return _called()\n"
+            "class C:\n    def _method(self):\n        pass\n"
+        ),
+        "b": (
+            "from .a import _unused\n"
+            "a._by_attribute()\n"
+            "pool.submit(_passed_on, 1)\n"
+        ),
+    }
+    assert unused_private_functions(sources) == ["a:_recursive", "a:_unused"]
+
+
+def test_every_private_function_is_used_in_the_package():
+    """A private helper that only tests call is test code: it belongs
+    with the tests."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert unused_private_functions(sources) == []
+
+
+# A valid instance of each parameter class of the package.
+PARAMS_EXAMPLES = [
+    meshseg.UnfParams(0.5, 10, 10),
+    meshseg.BnfParams(0.45, 10, 10),
+    meshseg.GnfParams(2.0, 2.0, 0.35, 10, 10),
+    meshseg.L1Params(40.0, 10, 10),
+    meshseg.PrefilterParams(),
+    meshseg.SegmentParams(0.1),
+    meshseg.NoiseSpec(0.5),
+]
+
+
+def test_params_examples_cover_every_validated_dataclass():
+    validated = {
+        obj for obj in map(meshseg.__dict__.get, meshseg.__all__)
+        if dataclasses.is_dataclass(obj) and hasattr(obj, "__post_init__")
+    }
+    assert validated == {type(params) for params in PARAMS_EXAMPLES}
+
+
+@pytest.mark.parametrize(
+    "params, field",
+    [
+        (params, f.name)
+        for params in PARAMS_EXAMPLES
+        for f in dataclasses.fields(params)
+        if f.type in ("float", float)
+    ],
+    ids=lambda value: value if isinstance(value, str) else type(value).__name__,
+)
+def test_params_reject_nan(params, field):
+    """NaN fails every ordered comparison, so a range check written as
+    ``value <= 0`` lets it through; each float field must reject it."""
+    with pytest.raises(ValueError):
+        dataclasses.replace(params, **{field: float("nan")})
 
 
 def test_spatial_searches_do_not_import_scipy_spatial():

@@ -130,11 +130,10 @@ def test_segment_prefilter_dump_norms(tmp_path):
     mesh = read_obj(path)
     pf = PrefilterParams(alpha=5.0, beta=5.0, sigma_w=2.0)
     work = prefilter(mesh, pf)
-    field = edge_operator_field(work, build_topology(work))
     rows = (tmp_path / "noisy_norms.csv").read_text().splitlines()[1:]
     norms = np.array([float(row.split(",")[3]) for row in rows])
-    np.testing.assert_array_equal(norms, field.norms)
-    raw = edge_operator_field(mesh, build_topology(mesh)).norms
+    np.testing.assert_array_equal(norms, edge_operator_field(work, build_topology(work)))
+    raw = edge_operator_field(mesh, build_topology(mesh))
     assert not np.array_equal(norms, raw)
 
     labels = read_labels(tmp_path / "noisy_labels.txt")
@@ -194,9 +193,10 @@ def test_denoise_clustered_differs_from_plain(tmp_path):
 
 
 def test_denoise_use_clusters_honours_segment_flags(tmp_path):
-    """--baseline and --no-refine reach the segmentation: one cluster
-    (--baseline none) gives the plain run's bytes, and keeping the raw
-    region-growing labels changes the output."""
+    """--baseline and --no-refine reach the segmentation: growing by
+    normal angle (6 clusters at 0.2 rad, against 3 by the edge operator)
+    or keeping the raw region-growing labels changes the clustered
+    output, which differs from the plain run's."""
     noisy = add_noise(cube(6), NoiseSpec(0.5, "normal", seed=3))
     noisy_path = write_fixture(tmp_path, "noisy.obj", noisy)
     base = ["denoise", str(noisy_path), "--method", "unf", "--params", "0.6,10,5"]
@@ -208,15 +208,14 @@ def test_denoise_use_clusters_honours_segment_flags(tmp_path):
         "plain": base,
         "default": clustered,
         "no-refine": clustered + ["--no-refine"],
-        "one-cluster": clustered + ["--baseline", "none"],
+        "normal-angle": clustered + ["--baseline", "normal-angle", "--dthr", "0.2"],
     }
     out = {}
     for name, argv in runs.items():
         path = tmp_path / f"{name}.obj"
         assert main(argv + ["-o", str(path)]) == EXIT_OK
         out[name] = path.read_bytes()
-    assert out["one-cluster"] == out["plain"] != out["default"]
-    assert out["no-refine"] != out["default"]
+    assert len(set(out.values())) == len(out)
 
 
 def test_denoise_default_output_name(tmp_path, capsys):
@@ -267,6 +266,27 @@ def test_denoise_usage_errors(tmp_path, capsys):
         main(["denoise", str(noisy_path), "--method", "warp", "--params", "1,2,3"])
     assert exc.value.code == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "method, params",
+    [
+        ("bnf", "nan,2,1"),
+        ("bnf", "0.45,inf,1"),
+        ("bnf", "0.45,2,nan"),
+        ("gnf", "nan,2,0.35,2,1"),
+        ("unf", "0.5,-inf,1"),
+    ],
+)
+def test_denoise_rejects_non_finite_params(tmp_path, capsys, method, params):
+    """NaN parameters and infinite iteration counts are usage errors with a
+    one-line message, and no mesh is written."""
+    noisy_path = write_fixture(tmp_path, "m.obj", cube(2))
+    out = tmp_path / "out.obj"
+    argv = ["denoise", str(noisy_path), "--method", method, "--params", params, "-o", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("meshseg: ")
+    assert not out.exists()
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -478,6 +498,8 @@ def test_parse_config_defaults_are_bench_config_defaults(tmp_path):
         ("model = c.obj\ndthr = oops\nsweep.unf = 0.5, 2, 2\n", "number"),
         ("just some words\n", "key = value"),
         ("model = c.obj\ndthr = 0.1\nsweep.unf = 0.5, 2.5, 2\n", "integer"),
+        ("model = c.obj\ndthr = 0.1\nsweep.bnf = 0.45, inf, 1\n", "integer"),
+        ("model = c.obj\ndthr = 0.1\nsweep.bnf = nan, 2, 1\n", "sigma_r"),
     ],
 )
 def test_parse_config_rejects_bad_input(tmp_path, text, fragment):

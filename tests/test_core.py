@@ -656,14 +656,16 @@ def test_stencil_pairs_edge_cases():
     assert found == {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)}
 
 
-def test_stencil_pairs_batches_cap_memory():
-    """Each offset's pairs come in batches of about _PAIR_BATCH, and the
-    batches of all offsets add up to every pair exactly once."""
+def test_stencil_pairs_yield_one_batch_per_offset():
+    """Each offset's pairs come whole, in one batch with the queries
+    ascending, and the batches of all offsets add up to every pair
+    exactly once."""
     rng = np.random.default_rng(8)
     sites = rng.uniform(0.0, 1.0, size=(300, 3))
     queries = rng.uniform(0.0, 1.0, size=(200, 3))
     batches = list(stencil_pairs(queries, sites, 1.0, cell_block(range(-1, 2))))
-    assert max(len(q) for q, _ in batches) <= meshseg.core._PAIR_BATCH + 300
+    assert len(batches) == 27
+    assert all((np.diff(q) >= 0).all() for q, _ in batches)
     pairs = np.concatenate([q * 300 + s for q, s in batches])
     assert np.array_equal(np.sort(pairs), np.arange(200 * 300))
 

@@ -13,7 +13,8 @@ from meshseg.denoise import (
     GnfParams,
     L1Params,
     UnfParams,
-    _radius_csr,
+    _pair_csr,
+    _radius_pairs,
     _ring_tables,
     denoise,
     filter_normals,
@@ -69,6 +70,11 @@ def test_params_from_tuple_validates():
         params_from_tuple("unf", (0.5, 10))  # wrong arity
     with pytest.raises(ValueError):
         params_from_tuple("unf", (0.5, 10.5, 10))  # fractional iteration count
+    for count in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="integers"):
+            params_from_tuple("bnf", (0.45, count, 1))
+        with pytest.raises(ValueError, match="integers"):
+            params_from_tuple("gnf", (2, 2, 0.35, 3, count))
     with pytest.raises(ValueError):
         params_from_tuple("warp", (1.0, 2.0, 3.0))  # unknown method
 
@@ -203,8 +209,10 @@ def test_empty_mesh_denoises_to_empty(params):
 
 def test_radius_csr_of_no_centroids():
     for labels in (None, np.zeros(0, dtype=np.int64)):
-        nbr_ids, offsets = _radius_csr(np.zeros((0, 3)), 1.0, labels)
-        assert nbr_ids.tolist() == [] and offsets.tolist() == [0]
+        first, second, d2 = _radius_pairs(np.zeros((0, 3)), 1.0, labels)
+        assert first.tolist() == second.tolist() == d2.tolist() == []
+        nbr_ids, offsets, slot_pair = _pair_csr(first, second, 0)
+        assert nbr_ids.tolist() == slot_pair.tolist() == [] and offsets.tolist() == [0]
 
 
 def test_cluster_constraint_preserves_cube_creases():

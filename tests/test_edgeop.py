@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from meshseg import cube, fileio, plane
 from meshseg.core import TriMesh, build_topology
-from meshseg.edgeop import EdgeOperatorField, edge_operator_field, write_norms_csv
+from meshseg.edgeop import edge_operator_field, write_norms_csv
 from meshseg.errors import DegenerateFlapError
 from meshseg.noise import NoiseSpec, add_noise
 
@@ -173,32 +173,26 @@ def test_degenerate_flap_rejected():
 def test_field_matches_per_edge_operator():
     mesh = cube(2)
     topo = build_topology(mesh)
-    field = edge_operator_field(mesh, topo)
-    assert isinstance(field, EdgeOperatorField)
-    assert field.values.shape == (topo.n_edges, 3)
+    norms = edge_operator_field(mesh, topo)
+    assert norms.shape == (topo.n_edges,) and not norms.flags.writeable
     for eid in topo.interior_edge_ids:
         one = edge_operator(flap_of_edge(mesh, topo, int(eid)))
-        np.testing.assert_allclose(field.values[eid], one, atol=1e-14)
-        assert field.norms[eid] == pytest.approx(np.linalg.norm(one), abs=1e-14)
+        assert norms[eid] == pytest.approx(np.linalg.norm(one), abs=1e-14)
 
 
 def test_field_boundary_edges_are_infinite():
     mesh = plane(2)
     topo = build_topology(mesh)
-    field = edge_operator_field(mesh, topo)
-    boundary = topo.boundary_edge_mask
-    assert np.isinf(field.norms[boundary]).all()
-    np.testing.assert_array_equal(field.values[boundary], 0.0)
-    np.testing.assert_array_equal(field.interior_mask, ~boundary)
+    norms = edge_operator_field(mesh, topo)
+    np.testing.assert_array_equal(np.isinf(norms), topo.boundary_edge_mask)
 
 
 def test_field_flat_interior_is_zero():
     """All interior edges of a flat plane are coplanar flaps."""
     mesh = plane(4)
     topo = build_topology(mesh)
-    field = edge_operator_field(mesh, topo)
-    interior = field.norms[field.interior_mask]
-    assert (interior <= 1e-12).all()
+    norms = edge_operator_field(mesh, topo)
+    assert (norms[topo.interior_edge_ids] <= 1e-12).all()
 
 
 @functools.cache
@@ -232,8 +226,8 @@ def test_field_norms_invariant_under_rigid_motion(seed, quaternion, shift):
     up to rounding in the moved coordinates."""
     mesh = _noisy_cube(seed)
     moved = TriMesh(mesh.vertices @ _rotation(quaternion).T + np.asarray(shift), mesh.faces)
-    want = edge_operator_field(mesh, mesh.topology).norms
-    got = edge_operator_field(moved, moved.topology).norms
+    want = edge_operator_field(mesh, mesh.topology)
+    got = edge_operator_field(moved, moved.topology)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 
 
@@ -245,8 +239,8 @@ def test_field_norms_scale_exactly_by_powers_of_two(seed, k):
     product and quotient only shifts exponents."""
     mesh = _noisy_cube(seed)
     scaled = TriMesh(mesh.vertices * 2.0**k, mesh.faces)
-    want = edge_operator_field(mesh, mesh.topology).norms * 2.0**k
-    got = edge_operator_field(scaled, scaled.topology).norms
+    want = edge_operator_field(mesh, mesh.topology) * 2.0**k
+    got = edge_operator_field(scaled, scaled.topology)
     assert got.tobytes() == want.tobytes()
 
 
@@ -268,9 +262,9 @@ def test_field_degenerate_flap_lists_edges():
 def test_norms_csv_round_trip(tmp_path):
     mesh = plane(2)
     topo = build_topology(mesh)
-    field = edge_operator_field(mesh, topo)
+    norms = edge_operator_field(mesh, topo)
     out = tmp_path / "norms.csv"
-    write_norms_csv(topo, field, out)
+    write_norms_csv(topo, norms, out)
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["edge_id", "v0", "v1", "norm"]
@@ -278,18 +272,16 @@ def test_norms_csv_round_trip(tmp_path):
     for row in rows[1:]:
         eid = int(row[0])
         assert [int(row[1]), int(row[2])] == topo.edges[eid].tolist()
-        assert float(row[3]) == field.norms[eid] or (
-            row[3] == "inf" and np.isinf(field.norms[eid])
-        )
+        assert float(row[3]) == norms[eid] or (row[3] == "inf" and np.isinf(norms[eid]))
 
 
-def reference_write_norms_csv(topo, field, path):
+def reference_write_norms_csv(topo, norms, path):
     """The norms CSV written one edge at a time from NumPy scalars."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("edge_id,v0,v1,norm\n")
         for eid in range(topo.n_edges):
             v0, v1 = topo.edges[eid]
-            fh.write(f"{eid},{v0},{v1},{float(field.norms[eid])!r}\n")
+            fh.write(f"{eid},{v0},{v1},{float(norms[eid])!r}\n")
 
 
 @pytest.mark.parametrize("rows_per_write", [fileio.ROWS_PER_WRITE, 7])
@@ -300,8 +292,8 @@ def test_norms_csv_matches_edge_by_edge_writer(tmp_path, monkeypatch, rows_per_w
     monkeypatch.setattr(fileio, "ROWS_PER_WRITE", rows_per_write)
     mesh = add_noise(plane(8), NoiseSpec(0.3, "normal", seed=3))
     topo = build_topology(mesh)
-    field = edge_operator_field(mesh, topo)
-    assert np.isinf(field.norms).any() and np.isfinite(field.norms).any()
-    write_norms_csv(topo, field, tmp_path / "got.csv")
-    reference_write_norms_csv(topo, field, tmp_path / "want.csv")
+    norms = edge_operator_field(mesh, topo)
+    assert np.isinf(norms).any() and np.isfinite(norms).any()
+    write_norms_csv(topo, norms, tmp_path / "got.csv")
+    reference_write_norms_csv(topo, norms, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -32,7 +32,6 @@ from meshseg.denoise import (
     _normalize_rows,
     _guidance_candidates,
     _pair_csr,
-    _radius_csr,
     _radius_pairs,
     _rank_candidates,
     _ring_tables,
@@ -60,6 +59,15 @@ def geometric_neighborhood(
     )
     hits = np.flatnonzero(d2 <= radius * radius)
     return {int(h) for h in hits if h != face_id}
+
+
+def radius_csr(centroids, radius, label_array=None):
+    """The neighborhoods of ``filter_gnf`` as CSR (neighbor ids, offsets),
+    built as it builds them: each pair tested once (``_radius_pairs``) and
+    put into both rows (``_pair_csr``)."""
+    first, second, _ = _radius_pairs(centroids, radius, label_array)
+    nbr_ids, offsets, _ = _pair_csr(first, second, len(centroids))
+    return nbr_ids, offsets
 
 
 def test_geometric_neighborhood_radius():
@@ -101,7 +109,7 @@ def test_radius_csr_matches_reference(make_mesh, r, labelled):
     topo = build_topology(mesh)
     n_faces = mesh.n_faces
     labels = _six_sides(n_faces) if labelled else None
-    nbr_ids, offsets = _radius_csr(
+    nbr_ids, offsets = radius_csr(
         face_geometry(mesh).centroids, r * topo.mean_edge_length, labels
     )
     assert len(offsets) == n_faces + 1
@@ -116,12 +124,12 @@ def test_radius_csr_tiny_radius_far_apart():
     """A radius of 1e-6 over centroids 1e7 apart: the grid spans 1e13
     cells per axis, and the rows still match the reference."""
     centroids = np.array([[0.0, 0.0, 0.0], [1e-7, 0.0, 0.0], [1e7, 1e7, 1e7]])
-    nbr_ids, offsets = _radius_csr(centroids, 1e-6)
+    nbr_ids, offsets = radius_csr(centroids, 1e-6)
     assert nbr_ids.tolist() == [1, 0]
     assert offsets.tolist() == [0, 1, 2, 2]
     mesh = _noisy_plane()
     topo = build_topology(mesh)
-    nbr_ids, offsets = _radius_csr(
+    nbr_ids, offsets = radius_csr(
         face_geometry(mesh).centroids, 1e-6 * topo.mean_edge_length
     )
     assert len(nbr_ids) == 0 and len(offsets) == mesh.n_faces + 1
@@ -150,7 +158,7 @@ def test_radius_csr_rows_are_symmetric(points, radius, n_labels, data):
             data.draw(st.lists(st.integers(0, n_labels - 1), min_size=n, max_size=n)),
             dtype=np.int64,
         )
-    nbr_ids, offsets = _radius_csr(centroids, radius, labels)
+    nbr_ids, offsets = radius_csr(centroids, radius, labels)
     owner = np.repeat(np.arange(n), np.diff(offsets))
     assert len(offsets) == n + 1 and offsets[-1] == len(nbr_ids)
     assert (nbr_ids != owner).all()
@@ -206,7 +214,7 @@ def test_radius_search_work_per_face_is_bounded(monkeypatch, m):
             yield q, s
 
     monkeypatch.setattr(denoise_module, "stencil_pairs", recording_stencil)
-    _radius_csr(face_geometry(mesh).centroids, 2.0 * topo.mean_edge_length)
+    _radius_pairs(face_geometry(mesh).centroids, 2.0 * topo.mean_edge_length)
     monkeypatch.undo()
 
     n_faces = mesh.n_faces
@@ -231,7 +239,7 @@ def test_guidance_candidates_run_in_owner_then_id_order(labelled):
     topo = build_topology(mesh)
     n_faces = mesh.n_faces
     labels = _six_sides(n_faces) if labelled else None
-    nbr_ids, offsets = _radius_csr(
+    nbr_ids, offsets = radius_csr(
         face_geometry(mesh).centroids, 2.0 * topo.mean_edge_length, labels
     )
     owner = np.repeat(np.arange(n_faces), np.diff(offsets))
@@ -309,7 +317,7 @@ def reference_filter_gnf(topo, geometry, params, labels=None):
     sigma_s = params.sigma_s_mult * sigma_c
     radius = params.r * topo.mean_edge_length
 
-    nbr_ids, offsets = _radius_csr(centroids, radius, label_array)
+    nbr_ids, offsets = radius_csr(centroids, radius, label_array)
     owner = np.repeat(np.arange(n_faces, dtype=np.int64), np.diff(offsets))
     pair_cdiff = centroids[owner] - centroids[nbr_ids]
     pair_spatial = areas[nbr_ids] * np.exp(

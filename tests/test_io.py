@@ -11,7 +11,7 @@ from meshseg.errors import (
 )
 from meshseg import fileio
 from meshseg.fileio import (
-    ColorMap,
+    _label_colors,
     read_labels,
     read_obj,
     write_labels,
@@ -94,16 +94,17 @@ def test_obj_reader_rejects_nonpositive_index(tmp_path):
 
 
 def test_colormap_distinct_up_to_256():
-    cmap = ColorMap.for_count(256)
-    as_tuples = {tuple(row) for row in cmap.colors.tolist()}
-    assert len(as_tuples) == 256
+    colors = _label_colors(256)
+    assert colors.shape == (256, 3) and colors.dtype == np.uint8
+    assert len({tuple(row) for row in colors.tolist()}) == 256
 
 
 def test_colormap_indexing():
-    cmap = ColorMap.for_count(3)
-    assert cmap[0] == (255, 0, 0)
-    r, g, b = cmap[2]
-    assert all(0 <= c <= 255 for c in (r, g, b))
+    """Label k's color is row k: label 0 is pure red (hue 0)."""
+    colors = _label_colors(3)
+    assert colors[0].tolist() == [255, 0, 0]
+    assert _label_colors(2).tolist() == colors[:2].tolist()
+    assert _label_colors(0).shape == (0, 3)
 
 
 def test_ply_structure(tmp_path):
@@ -120,19 +121,19 @@ def test_ply_structure(tmp_path):
     body = lines[header_end + 1 :]
     assert len(body) == mesh.n_vertices + mesh.n_faces
     face_rows = body[mesh.n_vertices :]
-    cmap = ColorMap.for_count(3)
+    colors = _label_colors(3)
     for fid, row in enumerate(face_rows):
         parts = row.split()
         assert parts[0] == "3"
         assert [int(p) for p in parts[1:4]] == mesh.faces[fid].tolist()
-        assert tuple(int(p) for p in parts[4:7]) == cmap[labels[fid]]
+        assert [int(p) for p in parts[4:7]] == colors[labels[fid]].tolist()
 
 
 def _rows_one_by_one(mesh, labels):
     """OBJ and PLY bodies formatted one NumPy-scalar row at a time."""
     obj = "".join(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n" for x, y, z in mesh.vertices)
     obj += "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.faces)
-    colors = ColorMap.for_count(int(labels.max()) + 1).colors[labels]
+    colors = _label_colors(int(labels.max()) + 1)[labels]
     ply = "".join(f"{float(x)!r} {float(y)!r} {float(z)!r}\n" for x, y, z in mesh.vertices)
     ply += "".join(
         f"3 {a} {b} {c} {r} {g} {b_}\n" for (a, b, c), (r, g, b_) in zip(mesh.faces, colors)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from meshseg import cube, plane
-import meshseg.core
 from meshseg.core import TriMesh
 from meshseg.errors import ConnectivityMismatchError, EmptyMeshError
 import meshseg.metrics
@@ -242,8 +241,7 @@ def test_sq_distances_gathers_each_pair_at_most_once(monkeypatch):
 def test_sq_distances_one_big_triangle_keeps_the_grid_fine(monkeypatch):
     """A triangle spanning the whole box gets a grid tier of its own:
     the plane's small triangles are still gathered from small cells, so
-    far fewer than all (point, triangle) pairs are evaluated and no batch
-    outgrows the stencil's cap."""
+    far fewer than all (point, triangle) pairs are evaluated."""
     base = plane(16)
     n = base.n_vertices
     truth = TriMesh(
@@ -258,15 +256,7 @@ def test_sq_distances_one_big_triangle_keeps_the_grid_fine(monkeypatch):
         ]
     )
 
-    batches = []
-    stencil = meshseg.metrics.stencil_pairs
-
-    def counting_stencil(*args):
-        for q, t in stencil(*args):
-            batches.append(len(q))
-            yield q, t
-
-    monkeypatch.setattr(meshseg.metrics, "stencil_pairs", counting_stencil)
+    batches = _record_pair_batches(monkeypatch)
     got = sq_distances(points, truth)
     monkeypatch.undo()
 
@@ -274,7 +264,46 @@ def test_sq_distances_one_big_triangle_keeps_the_grid_fine(monkeypatch):
         got, brute_force_sq_distances(points, truth), rtol=0.0, atol=0.0
     )
     assert sum(batches) < len(points) * truth.n_faces // 4
-    assert max(batches) <= meshseg.core._PAIR_BATCH + truth.n_faces
+
+
+def _record_pair_batches(monkeypatch):
+    """The number of (point, triangle) pairs of each distance evaluation
+    that sq_distances makes on the cell-grid candidates (one point per
+    triangle), appended to the returned list as they happen."""
+    batches = []
+    evaluate = meshseg.metrics.point_triangles_sq_distance
+
+    def counting(point, triangles):
+        if np.ndim(point) == 2:
+            batches.append(len(triangles))
+        return evaluate(point, triangles)
+
+    monkeypatch.setattr(meshseg.metrics, "point_triangles_sq_distance", counting)
+    return batches
+
+
+def test_sq_distances_batches_cap_memory(monkeypatch):
+    """The candidate pairs of one stencil offset are evaluated in slices
+    of at most _PAIR_BATCH, which together cover every yielded pair, and
+    the distances keep their bits at any slice size."""
+    truth = cube(4)
+    points = add_noise(truth, NoiseSpec(0.4, "normal", seed=9)).vertices
+    want = sq_distances(points, truth)
+    yielded = []
+    stencil = meshseg.metrics.stencil_pairs
+
+    def counting_stencil(*args):
+        for q, t in stencil(*args):
+            yielded.append(len(q))
+            yield q, t
+
+    monkeypatch.setattr(meshseg.metrics, "stencil_pairs", counting_stencil)
+    monkeypatch.setattr(meshseg.metrics, "_PAIR_BATCH", 7)
+    batches = _record_pair_batches(monkeypatch)
+    got = sq_distances(points, truth)
+    assert got.tobytes() == want.tobytes()
+    assert max(yielded) > 7 and max(batches) == 7
+    assert sum(batches) == sum(yielded)
 
 
 def test_sq_distances_tiny_triangles_far_apart():

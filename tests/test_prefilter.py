@@ -19,9 +19,12 @@ def test_params_validation():
         PrefilterParams(alpha=-1.0)
     with pytest.raises(ValueError):
         PrefilterParams(sigma_w=0.0)
-    with pytest.raises(ValueError):
-        PrefilterParams(solver_tol=0.0)
     assert PrefilterParams().max_iter_for(100) == math.ceil(10 * math.sqrt(100))
+    # The solver settings are constants, not fields: (5, 5, 2) is the whole tuple.
+    assert PrefilterParams(5, 5, 2) == PrefilterParams(alpha=5, beta=5, sigma_w=2)
+    assert PrefilterParams(5, 5, 2).solver_tol == 1e-8
+    with pytest.raises(TypeError):
+        PrefilterParams(5, 5, 2, 1e-8)
 
 
 def test_regularizer_hand_expansion():
@@ -84,7 +87,7 @@ def test_prefilter_descends_frozen_energy():
 
 
 def test_prefilter_residual_within_tolerance():
-    params = PrefilterParams(solver_tol=1e-8)
+    params = PrefilterParams()
     mesh = add_noise(cube(3), NoiseSpec(0.5, "normal", seed=8))
     out = prefilter(mesh, params)
     system = assemble_system(mesh, params)
@@ -113,11 +116,11 @@ def test_system_is_symmetric_positive_definite():
     assert eigvals.min() >= 1.0 - 1e-9  # I plus a PSD smoothing term
 
 
-def test_solver_iteration_cap_raises():
+def test_solver_iteration_cap_raises(monkeypatch):
     mesh = add_noise(cube(3), NoiseSpec(0.5, "normal", seed=1))
-    tight = PrefilterParams(alpha=50.0, beta=50.0, solver_tol=1e-14, solver_max_iter=1)
-    with pytest.raises(SolverDivergedError):
-        prefilter(mesh, tight)
+    monkeypatch.setattr(PrefilterParams, "max_iter_for", lambda self, n_vertices: 1)
+    with pytest.raises(SolverDivergedError, match="within 1 iterations"):
+        prefilter(mesh, PrefilterParams(alpha=50.0, beta=50.0))
 
 
 def test_prefilter_preserves_connectivity_and_empty_mesh():

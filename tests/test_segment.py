@@ -5,7 +5,7 @@ import pytest
 
 from meshseg import cube, icosahedron
 from meshseg.core import build_topology, face_geometry
-from meshseg.edgeop import EdgeOperatorField, edge_operator_field
+from meshseg.edgeop import edge_operator_field
 from meshseg.errors import LabelLengthMismatchError
 from meshseg.noise import NoiseSpec, add_noise
 from meshseg.prefilter import PrefilterParams
@@ -47,7 +47,9 @@ def test_segment_params_validation():
         SegmentParams(d_thr=0.1, min_cluster_size=0)
     with pytest.raises(ValueError):
         SegmentParams(d_thr=0.1, baseline_mode="voronoi")
-    assert set(BASELINE_MODES) == {"edgeop", "normal-angle", "none"}
+    with pytest.raises(ValueError):
+        SegmentParams(d_thr=0.1, baseline_mode="none")
+    assert BASELINE_MODES == ("edgeop", "normal-angle")
 
 
 def test_cluster_labels_from_array_checks_contiguity():
@@ -100,11 +102,11 @@ def test_strict_inequality_at_threshold():
     """An edge whose norm equals d_thr exactly does not merge its faces."""
     mesh = cube(1)
     topo = build_topology(mesh)
-    field = edge_operator_field(mesh, topo)
-    interior = field.norms[topo.interior_edge_ids]
+    norms = edge_operator_field(mesh, topo)
+    interior = norms[topo.interior_edge_ids]
     crease = float(interior[interior > 0.0].min())
-    at = region_grow(topo, field, d_thr=crease)
-    above = region_grow(topo, field, d_thr=crease * (1.0 + 1e-9))
+    at = region_grow(topo, norms, d_thr=crease)
+    above = region_grow(topo, norms, d_thr=crease * (1.0 + 1e-9))
     assert at.cluster_count == 6
     assert above.cluster_count == 1
 
@@ -112,21 +114,17 @@ def test_strict_inequality_at_threshold():
 def test_region_grow_rejects_wrong_field_size():
     mesh = cube(1)
     topo = build_topology(mesh)
-    bad = EdgeOperatorField(
-        values=np.zeros((topo.n_edges + 1, 3)),
-        norms=np.zeros(topo.n_edges + 1),
-    )
     with pytest.raises(LabelLengthMismatchError):
-        region_grow(topo, bad, d_thr=0.1)
+        region_grow(topo, np.zeros(topo.n_edges + 1), d_thr=0.1)
 
 
 def test_partition_nesting_along_threshold_grid():
     """Raising d_thr only merges clusters, never splits them."""
     mesh = noisy_cube(6)
     topo = build_topology(mesh)
-    field = edge_operator_field(mesh, topo)
+    norms = edge_operator_field(mesh, topo)
     grid = [1e-6, 1e-3, 1e-1, 1.0, float("inf")]
-    parts = [region_grow(topo, field, d_thr=t) for t in grid]
+    parts = [region_grow(topo, norms, d_thr=t) for t in grid]
     for fine, coarse in zip(parts, parts[1:]):
         assert fine.cluster_count >= coarse.cluster_count
         assert is_refinement(fine, coarse)
@@ -140,8 +138,8 @@ def test_partition_nesting_along_threshold_grid():
 def test_refine_removes_small_clusters():
     mesh = noisy_cube(8)
     topo = build_topology(mesh)
-    field = edge_operator_field(mesh, topo)
-    raw = region_grow(topo, field, d_thr=0.005)
+    norms = edge_operator_field(mesh, topo)
+    raw = region_grow(topo, norms, d_thr=0.005)
     sizes_before = raw.cluster_sizes
     refined = refine(topo, face_geometry(mesh), raw, SegmentParams(d_thr=0.005))
     assert refined.cluster_count <= raw.cluster_count
@@ -184,8 +182,8 @@ def test_refine_snapshot_semantics():
     after that cluster has absorbed faces during the same pass."""
     mesh = noisy_cube(8, seed=7)
     topo = build_topology(mesh)
-    field = edge_operator_field(mesh, topo)
-    raw = region_grow(topo, field, d_thr=0.005)
+    norms = edge_operator_field(mesh, topo)
+    raw = region_grow(topo, norms, d_thr=0.005)
     refined = refine(topo, face_geometry(mesh), raw, SegmentParams(d_thr=0.005))
     big_before = set(np.flatnonzero(np.asarray(raw.cluster_sizes) >= 50).tolist())
     if big_before:
@@ -206,11 +204,6 @@ def test_segment_full_pipeline_on_noisy_cube():
     )
     assert labels.cluster_count == 6
     assert labels.cluster_sizes.min() >= 100
-
-
-def test_baseline_none_is_single_cluster():
-    labels = segment(noisy_cube(4), SegmentParams(d_thr=0.5, baseline_mode="none"))
-    assert labels.cluster_count == 1
 
 
 def test_baseline_normal_angle_on_clean_cube():

@@ -124,9 +124,9 @@ def refine_reference(topo, geometry, clusters: ClusterLabels, params: SegmentPar
 def assert_matches_reference(mesh, d_thr, params):
     topo = build_topology(mesh)
     geometry = face_geometry(mesh)
-    field = edge_operator_field(mesh, topo)
-    raw = region_grow(topo, field, d_thr)
-    np.testing.assert_array_equal(raw.labels, grow_reference(topo, field.norms < d_thr))
+    norms = edge_operator_field(mesh, topo)
+    raw = region_grow(topo, norms, d_thr)
+    np.testing.assert_array_equal(raw.labels, grow_reference(topo, norms < d_thr))
     refined = refine(topo, geometry, raw, params)
     np.testing.assert_array_equal(
         refined.labels, refine_reference(topo, geometry, raw, params)
