@@ -44,17 +44,12 @@ class TriMesh:
             f = f.reshape(0, 3)
         if f.ndim != 2 or f.shape[1] != 3:
             raise ValueError(f"faces must have shape (F, 3), got {f.shape}")
-        if f.size:
-            if f.min() < 0 or f.max() >= len(v):
-                raise IndexError("face vertex index out of range")
-            repeated = (
-                (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])
-            )
-            if repeated.any():
-                bad = np.flatnonzero(repeated)[:8].tolist()
-                raise DegenerateFaceError(
-                    f"faces reference a vertex more than once: {bad}"
-                )
+        if f.min(initial=0) < 0 or f.max(initial=-1) >= len(v):
+            raise IndexError("face vertex index out of range")
+        repeated = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])
+        if repeated.any():
+            bad = np.flatnonzero(repeated)[:8].tolist()
+            raise DegenerateFaceError(f"faces reference a vertex more than once: {bad}")
         f.setflags(write=False)
         self.vertices = v
         self.faces = f
@@ -110,6 +105,13 @@ def _vertex_array(vertices) -> np.ndarray:
         raise NonFiniteVertexError(f"vertices with non-finite coordinates: {bad}")
     v.setflags(write=False)
     return v
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """ValueError unless *value* is an integer (Python or numpy, not bool)
+    at or above *minimum*: NaN, inf and 2.5 all fail here, not in ``range``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class TopologyCache:

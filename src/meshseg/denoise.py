@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, fields
-from itertools import chain
 from typing import Union
 
 import numpy as np
@@ -70,6 +69,7 @@ from .core import (
     TopologyCache,
     TriMesh,
     cell_block,
+    check_count,
     dot_terms,
     face_geometry,
     mean_terms,
@@ -90,11 +90,6 @@ def _positive(name, value):
         raise ValueError(f"{name} must be > 0, got {value}")
 
 
-def _non_negative_int(name, value):
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-
-
 @dataclass(frozen=True)
 class UnfParams:
     """(t, n_iter, v_iter): dot-threshold normal filter, weight area·(dot − t)²."""
@@ -107,8 +102,8 @@ class UnfParams:
     def __post_init__(self):
         if not -1.0 <= self.t <= 1.0:
             raise ValueError(f"t must be a dot product in [-1, 1], got {self.t}")
-        _non_negative_int("n_iter", self.n_iter)
-        _non_negative_int("v_iter", self.v_iter)
+        check_count("n_iter", self.n_iter, 0)
+        check_count("v_iter", self.v_iter, 0)
 
 
 @dataclass(frozen=True)
@@ -122,8 +117,8 @@ class BnfParams:
 
     def __post_init__(self):
         _positive("sigma_r", self.sigma_r)
-        _non_negative_int("n_iter", self.n_iter)
-        _non_negative_int("v_iter", self.v_iter)
+        check_count("n_iter", self.n_iter, 0)
+        check_count("v_iter", self.v_iter, 0)
 
 
 @dataclass(frozen=True)
@@ -146,8 +141,8 @@ class GnfParams:
         _positive("r", self.r)
         _positive("sigma_s_mult", self.sigma_s_mult)
         _positive("sigma_r", self.sigma_r)
-        _non_negative_int("n_iter", self.n_iter)
-        _non_negative_int("v_iter", self.v_iter)
+        check_count("n_iter", self.n_iter, 0)
+        check_count("v_iter", self.v_iter, 0)
 
 
 @dataclass(frozen=True)
@@ -164,13 +159,11 @@ class L1Params:
             raise ValueError(
                 f"angle_max_deg must be in (0, 180], got {self.angle_max_deg}"
             )
-        _non_negative_int("n_iter", self.n_iter)
-        _non_negative_int("v_iter", self.v_iter)
+        check_count("n_iter", self.n_iter, 0)
+        check_count("v_iter", self.v_iter, 0)
 
 
 DenoiseParams = Union[UnfParams, BnfParams, GnfParams, L1Params]
-
-PARAM_TYPES = {"unf": UnfParams, "bnf": BnfParams, "gnf": GnfParams, "l1": L1Params}
 
 
 def params_from_tuple(method: str, values) -> DenoiseParams:
@@ -445,31 +438,24 @@ def filter_l1median(
     return _ring_sweeps(geometry, safe, params.n_iter, step)
 
 
-# The 13 offsets after (0, 0, 0) in cell_block order. With a cell's own
-# pairs they hold every pair of touching cells once: a half stencil.
-_FORWARD_CELLS = cell_block(range(-1, 2))[14:]
-
-
-def _own_cell_pairs(points, cell: float):
-    """Each pair of distinct points that share a grid cell once, lower id
-    first."""
-    for q, s in stencil_pairs(points, points, cell, [(0, 0, 0)]):
-        below = q < s
-        yield q[below], s[below]
-
-
 def _radius_pairs(centroids: np.ndarray, radius: float, label_array=None):
     """(first, second, d2): each unordered pair of faces whose centroids lie
     within *radius* (same cluster only when labels given) once, with its
-    squared centroid distance. Candidates come from a half stencil on the
-    cell grid of :func:`stencil_pairs` with cell = *radius*: the pairs of
-    each face's own cell, then those of its 13 forward neighbour cells."""
+    squared centroid distance. Candidates come from one :func:`stencil_pairs`
+    call with cell = *radius* over a half stencil, which holds every pair of
+    touching cells once: offset (0, 0, 0), then the 13 after it in
+    :func:`~meshseg.core.cell_block` order. The first batch, each cell's
+    own, holds its pairs both ways and each face with itself; only the
+    pairs with the lower id first are kept."""
     firsts, seconds = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     dists = [np.zeros(0)]
     r2 = radius * radius
     axis_centroids = np.ascontiguousarray(centroids.T)
-    forward = stencil_pairs(centroids, centroids, radius, _FORWARD_CELLS)
-    for q, s in chain(_own_cell_pairs(centroids, radius), forward):
+    half_stencil = cell_block(range(-1, 2))[13:]
+    for k, (q, s) in enumerate(stencil_pairs(centroids, centroids, radius, half_stencil)):
+        if k == 0:
+            below = q < s
+            q, s = q[below], s[below]
         diff = np.take(axis_centroids, q, axis=1) - np.take(axis_centroids, s, axis=1)
         d2 = dot_terms(diff, diff, diff)
         keep = d2 <= r2
@@ -645,8 +631,7 @@ def vertex_update(
         raise ValueError(
             f"normals must have shape ({mesh.n_faces}, 3), got {normals.shape}"
         )
-    if v_iter < 0:
-        raise ValueError(f"v_iter must be >= 0, got {v_iter}")
+    check_count("v_iter", v_iter, 0)
     counts = np.diff(topo.vertex_face_offsets)
     isolated = counts == 0
     if isolated.any():
@@ -655,9 +640,6 @@ def vertex_update(
             "vertex update",
             stacklevel=2,
         )
-    if mesh.n_faces == 0 or v_iter == 0:
-        return mesh.with_vertices(mesh.vertices)
-
     # Axis-major arrays, (3 axes, 3 corners, F) per iteration, so every
     # operation runs over whole columns. Each vertex sums its faces' pulls
     # in ascending face id: the bincount reads them face-major.
@@ -687,6 +669,8 @@ _FILTERS = {
     GnfParams: filter_gnf,
     L1Params: filter_l1median,
 }
+
+PARAM_TYPES = {p.method: p for p in _FILTERS}
 
 
 def filter_normals(

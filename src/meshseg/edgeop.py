@@ -81,19 +81,16 @@ def edge_operator_field(mesh: TriMesh, topo: TopologyCache) -> np.ndarray:
     """
     norms = np.full(topo.n_edges, np.inf, dtype=np.float64)
     interior, flap_vertices = flap_vertex_table(mesh, topo)
-    if interior.size:
-        p1, p2, p3, p4 = mesh.vertices[flap_vertices.T]  # (4, n_interior, 3)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            c1, c2, c3, c4, a123, a134 = operator_coefficients(p1, p2, p3, p4)
-            vals = c1[:, None] * p1 + c2[:, None] * p2 + c3[:, None] * p3 + c4[:, None] * p4
-        floor = AREA_EPS_FACTOR * topo.mean_edge_length**2
-        bad = (a123 < floor) | (a134 < floor)
-        if bad.any():
-            bad_edges = interior[np.flatnonzero(bad)[:8]].tolist()
-            raise DegenerateFlapError(
-                f"degenerate flaps (face area < {floor:g}) on edges {bad_edges}"
-            )
-        norms[interior] = row_norms(vals)
+    p1, p2, p3, p4 = mesh.vertices[flap_vertices.T]  # (4, n_interior, 3)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c1, c2, c3, c4, a123, a134 = operator_coefficients(p1, p2, p3, p4)
+        vals = c1[:, None] * p1 + c2[:, None] * p2 + c3[:, None] * p3 + c4[:, None] * p4
+    floor = AREA_EPS_FACTOR * topo.mean_edge_length**2
+    bad = (a123 < floor) | (a134 < floor)
+    if bad.any():
+        bad_edges = interior[np.flatnonzero(bad)[:8]].tolist()
+        raise DegenerateFlapError(f"degenerate flaps (face area < {floor:g}) on edges {bad_edges}")
+    norms[interior] = row_norms(vals)
     norms.setflags(write=False)
     return norms
 

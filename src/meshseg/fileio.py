@@ -120,10 +120,9 @@ def write_ply_colored(mesh: TriMesh, labels, path) -> None:
             f"got {labels.shape[0] if labels.ndim else 'scalar'} labels "
             f"for {mesh.n_faces} faces"
         )
-    if labels.size and labels.min() < 0:
+    if labels.min(initial=0) < 0:
         raise ValueError("labels must be non-negative")
-    colors = _label_colors(int(labels.max()) + 1 if labels.size else 0)
-    face_colors = colors[labels] if labels.size else np.zeros((0, 3), np.uint8)
+    face_colors = _label_colors(int(labels.max(initial=-1)) + 1)[labels]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("ply\n")
         fh.write("format ascii 1.0\n")

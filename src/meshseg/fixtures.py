@@ -24,9 +24,6 @@ import numpy as np
 
 from .core import TriMesh
 
-FIXTURE_SHAPES = ("cube", "icosahedron", "plane")
-
-
 def _grid_side(origin, u_axis, v_axis, m, base):
     """Integer lattice points and triangles of one m-by-m quad side."""
     ii, jj = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
@@ -153,12 +150,12 @@ def icosahedron(subdiv: int = 0) -> TriMesh:
     return TriMesh(vertices, tris[:, keep].reshape(-1, 3))
 
 
+_FIXTURES = {"cube": cube, "icosahedron": icosahedron, "plane": plane}
+FIXTURE_SHAPES = tuple(_FIXTURES)
+
+
 def make_fixture(shape: str, subdiv: int) -> TriMesh:
     """Build one of the named fixture shapes (see FIXTURE_SHAPES)."""
-    if shape == "cube":
-        return cube(subdiv)
-    if shape == "icosahedron":
-        return icosahedron(subdiv)
-    if shape == "plane":
-        return plane(subdiv)
-    raise ValueError(f"unknown fixture shape {shape!r}; expected one of {FIXTURE_SHAPES}")
+    if shape not in _FIXTURES:
+        raise ValueError(f"unknown fixture shape {shape!r}; expected one of {FIXTURE_SHAPES}")
+    return _FIXTURES[shape](subdiv)

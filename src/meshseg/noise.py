@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TriMesh, vertex_normals
+from .core import TriMesh, check_count, vertex_normals
 from .errors import EmptyMeshError
 
 NOISE_MODES = ("normal", "isotropic")
@@ -37,6 +37,7 @@ class NoiseSpec:
             raise ValueError(f"sigma_factor must be >= 0, got {self.sigma_factor}")
         if self.mode not in NOISE_MODES:
             raise ValueError(f"mode must be one of {NOISE_MODES}, got {self.mode!r}")
+        check_count("seed", self.seed, 0)
 
 
 def add_noise(mesh: TriMesh, spec: NoiseSpec) -> TriMesh:

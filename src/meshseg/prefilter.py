@@ -63,12 +63,11 @@ def edge_weights(topo: TopologyCache, geometry: FaceGeometry, sigma_w: float) ->
     """
     weights = np.zeros(topo.n_edges, dtype=np.float64)
     interior = topo.interior_edge_ids
-    if interior.size:
-        n_a = geometry.normals[topo.edge_faces[interior, 0]]
-        n_b = geometry.normals[topo.edge_faces[interior, 1]]
-        diff = (n_a - n_b).T
-        diff2 = dot_terms(diff, diff)
-        weights[interior] = np.exp(-diff2 / (2.0 * sigma_w * sigma_w))
+    n_a = geometry.normals[topo.edge_faces[interior, 0]]
+    n_b = geometry.normals[topo.edge_faces[interior, 1]]
+    diff = (n_a - n_b).T
+    diff2 = dot_terms(diff, diff)
+    weights[interior] = np.exp(-diff2 / (2.0 * sigma_w * sigma_w))
     return weights
 
 
@@ -85,9 +84,6 @@ def assemble_system(mesh: TriMesh, params: PrefilterParams) -> sp.csr_matrix:
     n = mesh.n_vertices
     interior, flap_vertices = flap_vertex_table(mesh, topo)
     m = len(interior)
-    if m == 0:
-        return sp.identity(n, format="csr")
-
     rows = np.repeat(np.arange(m), 4)
     cols = flap_vertices.reshape(-1)
     # D(e) coefficients frozen at the input geometry, one row per flap.
@@ -121,8 +117,6 @@ def prefilter(mesh: TriMesh, params: PrefilterParams | None = None) -> TriMesh:
     """
     if params is None:
         params = PrefilterParams()
-    if mesh.n_vertices == 0:
-        return mesh.with_vertices(mesh.vertices)
     system = assemble_system(mesh, params)
     max_iter = params.max_iter_for(mesh.n_vertices)
     out = np.empty_like(mesh.vertices)

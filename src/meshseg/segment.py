@@ -1,9 +1,11 @@
-"""Face clustering: region growing bounded by the edge operator, then
+"""Face clustering: region growing bounded by a per-edge measure, then
 absorption of small clusters into their best large neighbor.
 
 Both steps work on one sparse face-adjacency graph over interior edges.
-Growing keeps only the edges whose ||D(e)||, read from the (E,) norms
-array of :func:`~meshseg.edgeop.edge_operator_field`, lies strictly
+The measure is an (E,) array, +inf on boundary edges: ||D(e)|| from
+:func:`~meshseg.edgeop.edge_operator_field`, or for the "normal-angle"
+baseline the angle between the two faces' normals. Growing
+(:func:`region_grow`) keeps only the edges whose measure lies strictly
 below ``d_thr`` and takes the graph's connected components, numbered by
 their minimum face id, so labels are deterministic. Refinement
 reassigns every face of each undersized cluster to the large cluster in
@@ -20,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .core import FaceGeometry, TopologyCache, TriMesh, dot_terms, face_geometry
+from .core import FaceGeometry, TopologyCache, TriMesh, check_count, dot_terms, face_geometry
 from .edgeop import edge_operator_field
 from .errors import LabelLengthMismatchError
 from .prefilter import PrefilterParams, prefilter
@@ -45,10 +47,8 @@ class SegmentParams:
     def __post_init__(self):
         if not (self.d_thr >= 0):  # also rejects NaN
             raise ValueError(f"d_thr must be >= 0, got {self.d_thr}")
-        if self.min_cluster_size < 1:
-            raise ValueError("min_cluster_size must be >= 1")
-        if self.ring_depth < 1:
-            raise ValueError("ring_depth must be >= 1")
+        check_count("min_cluster_size", self.min_cluster_size, 1)
+        check_count("ring_depth", self.ring_depth, 1)
         if self.baseline_mode not in BASELINE_MODES:
             raise ValueError(
                 f"baseline_mode must be one of {BASELINE_MODES}, "
@@ -71,10 +71,8 @@ class ClusterLabels:
             raise LabelLengthMismatchError(
                 f"expected {n_faces} labels, got shape {labels.shape}"
             )
-        if labels.size == 0:
-            return cls(labels=labels, cluster_count=0, cluster_sizes=np.zeros(0, np.int64))
-        count = int(labels.max()) + 1
-        if labels.min() < 0:
+        count = int(labels.max(initial=-1)) + 1
+        if labels.min(initial=0) < 0:
             raise ValueError("labels must be non-negative")
         sizes = np.bincount(labels, minlength=count)
         if (sizes == 0).any():
@@ -96,16 +94,6 @@ def _face_graph(topo: TopologyCache, edge_mask: np.ndarray | None = None) -> sp.
     return sp.csr_matrix(
         (np.ones(2 * len(a), dtype=np.int8), (np.r_[a, b], np.r_[b, a])), shape=(n, n)
     )
-
-
-def _grow(topo: TopologyCache, edge_passes: np.ndarray) -> np.ndarray:
-    """Connected components of faces over passing edges, numbered by
-    their minimum face id (first discovery with seeds in ascending id)."""
-    _, components = csgraph.connected_components(
-        _face_graph(topo, edge_passes), directed=False
-    )
-    first_face = np.unique(components, return_index=True)[1]
-    return np.unique(first_face[components], return_inverse=True)[1].astype(np.int64)
 
 
 def _rings(graph: sp.csr_matrix, sources: np.ndarray, depth: np.ndarray):
@@ -140,19 +128,25 @@ def _rings(graph: sp.csr_matrix, sources: np.ndarray, depth: np.ndarray):
     return keys // n, keys % n
 
 
-def region_grow(topo: TopologyCache, norms: np.ndarray, d_thr: float) -> ClusterLabels:
+def region_grow(topo: TopologyCache, measure: np.ndarray, d_thr: float) -> ClusterLabels:
     """Connected components of faces joined across edges whose (E,)
-    *norms* ||D(e)|| lie strictly below *d_thr*.
+    *measure* (||D(e)||, or a normal angle) lies strictly below *d_thr*,
+    numbered by their minimum face id.
 
-    Boundary edges carry an infinite norm, so they never merge faces; a
+    Boundary edges carry an infinite measure, so they never merge faces; a
     d_thr of +inf merges each connected component into one cluster, and
     d_thr = 0 isolates every face.
     """
-    if len(norms) != topo.n_edges:
+    if len(measure) != topo.n_edges:
         raise LabelLengthMismatchError(
-            f"got {len(norms)} edge norms, topology has {topo.n_edges} edges"
+            f"got {len(measure)} edge values, topology has {topo.n_edges} edges"
         )
-    return ClusterLabels.from_array(_grow(topo, norms < d_thr), topo.n_faces)
+    _, components = csgraph.connected_components(
+        _face_graph(topo, measure < d_thr), directed=False
+    )
+    first_face = np.unique(components, return_index=True)[1]
+    labels = np.unique(first_face[components], return_inverse=True)[1]
+    return ClusterLabels.from_array(labels, topo.n_faces)
 
 
 def refine(
@@ -172,8 +166,6 @@ def refine(
     afterward.
     """
     sizes = clusters.cluster_sizes
-    if clusters.cluster_count == 0:
-        return clusters
     small_label = sizes < params.min_cluster_size
     if not small_label.any():
         return clusters
@@ -219,18 +211,15 @@ def refine(
     return ClusterLabels.from_array(compact.astype(np.int64), topo.n_faces)
 
 
-def _dihedral_passes(
-    topo: TopologyCache, geometry: FaceGeometry, d_thr: float
-) -> np.ndarray:
-    """Baseline predicate: normal angle (radians) strictly below d_thr."""
-    passes = np.zeros(topo.n_edges, dtype=bool)
+def _dihedral_angles(topo: TopologyCache, geometry: FaceGeometry) -> np.ndarray:
+    """Baseline measure: the (E,) angle in radians between the normals of
+    each interior edge's two faces, +inf on boundary edges."""
+    angles = np.full(topo.n_edges, np.inf)
     interior = topo.interior_edge_ids
-    if interior.size:
-        n_a = geometry.normals[topo.edge_faces[interior, 0]]
-        n_b = geometry.normals[topo.edge_faces[interior, 1]]
-        dots = np.clip(dot_terms(n_a.T, n_b.T), -1.0, 1.0)
-        passes[interior] = np.arccos(dots) < d_thr
-    return passes
+    n_a = geometry.normals[topo.edge_faces[interior, 0]]
+    n_b = geometry.normals[topo.edge_faces[interior, 1]]
+    angles[interior] = np.arccos(np.clip(dot_terms(n_a.T, n_b.T), -1.0, 1.0))
+    return angles
 
 
 def segment(
@@ -240,8 +229,8 @@ def segment(
 ) -> ClusterLabels:
     """Full segmentation pipeline: optional prefilter, growing, refinement.
 
-    When *prefilter_params* is given, the operator field (or baseline
-    predicate) and the refinement normals are computed on the prefiltered
+    When *prefilter_params* is given, the per-edge measure and the
+    refinement normals are computed on the prefiltered
     positions; the labels still apply to *mesh* face-for-face because the
     prefilter never touches connectivity.
     """
@@ -249,10 +238,10 @@ def segment(
     topo = work.topology
     geometry = face_geometry(work)
     if params.baseline_mode == "normal-angle":
-        passes = _dihedral_passes(topo, geometry, params.d_thr)
-        clusters = ClusterLabels.from_array(_grow(topo, passes), work.n_faces)
+        measure = _dihedral_angles(topo, geometry)
     else:
-        clusters = region_grow(topo, edge_operator_field(work, topo), params.d_thr)
+        measure = edge_operator_field(work, topo)
+    clusters = region_grow(topo, measure, params.d_thr)
 
     if params.refine:
         # By keyword: perfbench/spans.py hooks read these arguments by name.

@@ -24,6 +24,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import meshseg
@@ -338,6 +339,28 @@ def test_params_reject_nan(params, field):
     ``value <= 0`` lets it through; each float field must reject it."""
     with pytest.raises(ValueError):
         dataclasses.replace(params, **{field: float("nan")})
+
+
+@pytest.mark.parametrize(
+    "params, field, value",
+    [
+        (params, f.name, value)
+        for params in PARAMS_EXAMPLES
+        for f in dataclasses.fields(params)
+        if f.type in ("int", int)
+        for value in (float("nan"), float("inf"), 2.5, True)
+    ],
+    ids=lambda value: value if isinstance(value, str) else (
+        repr(value) if isinstance(value, float) else type(value).__name__
+    ),
+)
+def test_params_reject_bad_counts(params, field, value):
+    """A count that is not an integer fails at construction, not later in
+    ``range``; NaN would otherwise pass every ``<`` check. A numpy integer
+    is a count, a bool is not."""
+    with pytest.raises(ValueError):
+        dataclasses.replace(params, **{field: value})
+    dataclasses.replace(params, **{field: np.int64(getattr(params, field))})
 
 
 def test_spatial_searches_do_not_import_scipy_spatial():

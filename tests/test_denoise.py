@@ -287,3 +287,23 @@ def test_l1_median_handles_outlier_normal():
     noisy = truth.with_vertices(noisy_vertices)
     out = denoise(noisy, L1Params(angle_max_deg=90.0, n_iter=20, v_iter=20))
     assert msae(out, truth) < msae(noisy, truth)
+
+
+def test_vertex_update_without_faces_keeps_vertices():
+    """Every vertex is isolated and stays put. Like an isolated vertex of
+    any mesh it takes a +0.0 shift, so a -0.0 coordinate comes back +0.0."""
+    mesh = TriMesh(np.arange(9.0).reshape(3, 3) - 2.5, np.zeros((0, 3), dtype=np.int64))
+    with pytest.warns(UserWarning, match="3 isolated vertices"):
+        out = vertex_update(mesh, mesh.topology, np.zeros((0, 3)), 4)
+    assert out.vertices.tobytes() == mesh.vertices.tobytes()
+    mesh = mesh.with_vertices(-np.zeros((3, 3)))
+    with pytest.warns(UserWarning, match="3 isolated vertices"):
+        out = vertex_update(mesh, mesh.topology, np.zeros((0, 3)), 1)
+    assert out.vertices.tolist() == mesh.vertices.tolist()
+
+
+def test_vertex_update_of_no_iterations_keeps_vertices():
+    mesh = noisy_cube(subdiv=2)
+    normals = np.ones((mesh.n_faces, 3))
+    out = vertex_update(mesh, mesh.topology, normals, 0)
+    assert out.vertices.tobytes() == mesh.vertices.tobytes()

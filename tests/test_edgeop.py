@@ -297,3 +297,10 @@ def test_norms_csv_matches_edge_by_edge_writer(tmp_path, monkeypatch, rows_per_w
     write_norms_csv(topo, norms, tmp_path / "got.csv")
     reference_write_norms_csv(topo, norms, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_field_of_single_triangle_is_all_infinite():
+    """A mesh without interior edges has only boundary norms."""
+    triangle = TriMesh(np.eye(3), [[0, 1, 2]])
+    norms = edge_operator_field(triangle, triangle.topology)
+    assert norms.tolist() == [np.inf] * 3

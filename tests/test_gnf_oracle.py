@@ -198,9 +198,9 @@ def test_radius_search_work_per_face_is_bounded(monkeypatch, m):
     """The radius search of gnf's r = 2 on noisy cube(m) draws fewer than
     120 candidate pairs per face from the cell grid, and no unordered pair
     of faces twice: a half stencil, not the full 27-cell block that
-    yields every pair both ways (153-180 per face). Only pairs of one
-    cell come both ways from the own-cell call, whose offsets are the
-    single (0, 0, 0)."""
+    yields every pair both ways (153-180 per face). One stencil_pairs
+    call yields one batch per offset; only the batch of offset (0, 0, 0)
+    holds the pairs of one cell both ways."""
     mesh = add_noise(cube(m), NoiseSpec(0.5, "normal", seed=23))
     topo = build_topology(mesh)
     denoise_module = sys.modules["meshseg.denoise"]
@@ -217,14 +217,15 @@ def test_radius_search_work_per_face_is_bounded(monkeypatch, m):
     _radius_pairs(face_geometry(mesh).centroids, 2.0 * topo.mean_edge_length)
     monkeypatch.undo()
 
+    assert len(calls) == 1
+    offsets, batches = calls[0]
+    assert len(batches) == len(offsets)
     n_faces = mesh.n_faces
-    yielded = sum(len(q) for _, batches in calls for q, _ in batches)
+    yielded = sum(len(q) for q, _ in batches)
     assert 0 < yielded < 120 * n_faces
     unordered = []
-    for offsets, batches in calls:
-        q = np.concatenate([q for q, _ in batches])
-        s = np.concatenate([s for _, s in batches])
-        if offsets == [[0, 0, 0]]:
+    for offset, (q, s) in zip(offsets, batches):
+        if offset == [0, 0, 0]:
             q, s = q[q < s], s[q < s]
         unordered.append(np.minimum(q, s) * n_faces + np.maximum(q, s))
     unordered = np.concatenate(unordered)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from meshseg import cube, icosahedron
+from meshseg import TriMesh, cube, icosahedron
 from meshseg.errors import (
     LabelLengthMismatchError,
     MeshParseError,
@@ -175,3 +175,15 @@ def test_labels_round_trip(tmp_path):
     write_labels(labels, path)
     assert path.read_text() == "0\n2\n1\n1\n0\n5\n"
     np.testing.assert_array_equal(read_labels(path), labels)
+
+
+def test_ply_of_no_faces_bytes(tmp_path):
+    mesh = TriMesh([[0.0, 1.5, -2.0]], np.zeros((0, 3), dtype=np.int64))
+    path = tmp_path / "none.ply"
+    write_ply_colored(mesh, np.zeros(0, dtype=np.int64), path)
+    assert path.read_bytes() == (
+        b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+        b"property float y\nproperty float z\nelement face 0\n"
+        b"property list uchar int vertex_indices\nproperty uchar red\n"
+        b"property uchar green\nproperty uchar blue\nend_header\n0.0 1.5 -2.0\n"
+    )

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from meshseg import cube, plane
 from meshseg.core import TriMesh, build_topology, face_geometry
@@ -129,4 +130,23 @@ def test_prefilter_preserves_connectivity_and_empty_mesh():
     np.testing.assert_array_equal(out.faces, mesh.faces)
     empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
     out_empty = prefilter(empty, PrefilterParams())
-    assert out_empty.n_vertices == 0
+    assert out_empty.vertices.shape == out_empty.faces.shape == (0, 3)
+    assert out_empty.vertices.dtype == np.float64 and out_empty.faces.dtype == np.int64
+
+
+def test_single_triangle_has_no_regularization():
+    """No interior edge: every weight is 0, the system is the identity in
+    CSR, and prefiltering returns the input bits."""
+    triangle = TriMesh(np.eye(3) + 0.25, [[0, 1, 2]])
+    params = PrefilterParams(alpha=5.0, beta=5.0)
+    topo = build_topology(triangle)
+    assert edge_weights(topo, face_geometry(triangle), params.sigma_w).tolist() == [0.0] * 3
+    system = assemble_system(triangle, params)
+    identity = sp.identity(3, format="csr")
+    for attr in ("indptr", "indices", "data"):
+        got, want = getattr(system, attr), getattr(identity, attr)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert system.shape == (3, 3)
+    out = prefilter(triangle, params)
+    assert out.vertices.tobytes() == triangle.vertices.tobytes()
+    assert out.faces.tobytes() == triangle.faces.tobytes()

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from meshseg import cube, icosahedron
-from meshseg.core import build_topology, face_geometry
+from meshseg import cube, icosahedron, plane
+from meshseg.core import TriMesh, build_topology, face_geometry
 from meshseg.edgeop import edge_operator_field
 from meshseg.errors import LabelLengthMismatchError
 from meshseg.noise import NoiseSpec, add_noise
@@ -13,6 +13,7 @@ from meshseg.segment import (
     BASELINE_MODES,
     ClusterLabels,
     SegmentParams,
+    _dihedral_angles,
     refine,
     region_grow,
     segment,
@@ -220,3 +221,48 @@ def test_labels_are_deterministic():
     a = segment(mesh, params, prefilter_params=PrefilterParams())
     b = segment(mesh, params, prefilter_params=PrefilterParams())
     np.testing.assert_array_equal(a.labels, b.labels)
+
+
+def test_cluster_labels_from_no_labels():
+    labels = ClusterLabels.from_array([])
+    assert labels.cluster_count == 0
+    assert labels.labels.dtype == labels.cluster_sizes.dtype == np.int64
+    assert labels.labels.shape == labels.cluster_sizes.shape == (0,)
+
+
+def test_refine_of_no_clusters_returns_them():
+    mesh = TriMesh(np.eye(3), np.zeros((0, 3), dtype=np.int64))
+    clusters = ClusterLabels.from_array([], n_faces=0)
+    out = refine(mesh.topology, face_geometry(mesh), clusters, SegmentParams(0.1))
+    assert out is clusters
+
+
+def _side_labels(mesh):
+    """Labels of the clean cube's six sides, numbered by their lowest face."""
+    _, first, side = np.unique(
+        np.round(face_geometry(mesh).normals), axis=0, return_index=True, return_inverse=True
+    )
+    return np.argsort(np.argsort(first))[side.ravel()]
+
+
+@pytest.mark.parametrize("shape", ["plane", "cube"])
+@pytest.mark.parametrize("d_thr", [np.radians(20.0), np.inf])
+def test_normal_angle_labels(shape, d_thr):
+    """The baseline grows through region_grow on the normal angles, +inf
+    on boundary edges. It splits the clean cube along its creases at 20
+    degrees and nowhere at +inf, and keeps the flat plane whole."""
+    mesh = cube(4) if shape == "cube" else plane(4)
+    labels = segment(mesh, SegmentParams(d_thr, baseline_mode="normal-angle", refine=False))
+    topo = mesh.topology
+    angles = _dihedral_angles(topo, face_geometry(mesh))
+    assert np.isinf(angles[topo.boundary_edge_mask]).all()
+    assert np.isfinite(angles[~topo.boundary_edge_mask]).all()
+    assert topo.boundary_edge_mask.any() == (shape == "plane")
+    grown = region_grow(topo, angles, d_thr)
+    assert labels.labels.tobytes() == grown.labels.tobytes()
+    if shape == "cube" and np.isfinite(d_thr):
+        want = _side_labels(mesh)
+        assert want.max() == 5
+    else:
+        want = np.zeros(mesh.n_faces, dtype=np.int64)
+    assert labels.labels.tolist() == want.tolist()
