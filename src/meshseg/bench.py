@@ -15,13 +15,17 @@ one or more ``sweep.<method>`` parameter tuples:
     sweep.unf = 0.6, 50, 50
     sweep.gnf = 2, 1, 0.25, 20, 10
 
+The noise settings are checked by :class:`~meshseg.noise.NoiseSpec`.
 Every sweep entry runs twice — without and with cluster constraints —
 against the *same* noise realization, so each pair is directly
 comparable. Jobs execute in a thread pool, but rows are written in
 submission order and all numeric output is formatted with shortest
 round-trip floats, which makes results.csv byte-identical across reruns
-of the same config. Wall-clock times, which are never reproducible, go
-to a separate timings.csv so they cannot pollute the stable artifact.
+of the same config; a job that raises keeps its row, with an
+``error:<type>`` status. Wall-clock times, which are never reproducible,
+go to a separate timings.csv so they cannot pollute the stable artifact.
+summary.csv gives each (method, clustered) group's ok count, msae mean
+and cv, and ev mean.
 """
 
 from __future__ import annotations
@@ -29,16 +33,18 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import get_type_hints
 
 import numpy as np
 
-from .denoise import DenoiseParams, denoise, params_from_tuple
+from .core import check_count
+from .denoise import denoise, params_from_tuple
 from .fileio import read_obj, write_labels, write_obj, write_ply_colored
 from .metrics import ev, msae
-from .noise import NOISE_MODES, NoiseSpec, add_noise
+from .noise import NoiseSpec, add_noise
 from .prefilter import PrefilterParams
 from .segment import SegmentParams, segment
 
@@ -68,9 +74,10 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False
 def parse_config(path) -> BenchConfig:
     """Parse and validate a bench config file.
 
-    Raises ValueError on unknown keys, malformed values, or missing
-    required keys (model, dthr, at least one sweep line). A relative
-    model path is resolved against the config file's directory.
+    Raises ValueError on unknown keys, malformed values, noise settings
+    that NoiseSpec rejects, or missing required keys (model, dthr, at
+    least one sweep line). A relative model path is resolved against the
+    config file's directory.
     """
     path = Path(path)
     values: dict[str, str] = {}
@@ -102,20 +109,22 @@ def parse_config(path) -> BenchConfig:
     unknown = set(values) - set(kinds)
     if unknown:
         raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
-    if "model" not in values:
-        raise ValueError(f"{path}: missing required key 'model'")
-    if "dthr" not in values:
-        raise ValueError(f"{path}: missing required key 'dthr'")
+    for required in ("model", "dthr"):
+        if required not in values:
+            raise ValueError(f"{path}: missing required key {required!r}")
     if not sweep:
         raise ValueError(f"{path}: no sweep.<method> lines; nothing to run")
 
     # Only the keys the file sets: BenchConfig holds every default.
     settings = {key: _config_value(path, key, kinds[key], text) for key, text in values.items()}
-    if "mode" in settings and settings["mode"] not in NOISE_MODES:
-        raise ValueError(f"{path}: mode must be one of {NOISE_MODES}, got {settings['mode']!r}")
     if not os.path.isabs(settings["model"]):
         settings["model"] = str(path.parent / settings["model"])
-    return BenchConfig(sweep=sweep, **settings)
+    config = BenchConfig(sweep=sweep, **settings)
+    try:  # the noise settings are checked as `meshseg noise` checks them
+        NoiseSpec(config.sigma, config.mode, config.seed)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return config
 
 
 def _config_value(path, key: str, kind: type, text: str):
@@ -134,142 +143,86 @@ def _config_value(path, key: str, kind: type, text: str):
     return text
 
 
-@dataclass
-class BenchJob:
-    label: str
-    method: str
-    params: DenoiseParams
-    params_text: str
-    use_clusters: bool
-
-
-@dataclass
-class BenchRow:
-    job: BenchJob
-    msae: float | None
-    ev: float | None
-    status: str
-    wall_ms: float
-
-
 def _fmt(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _run_job(job: BenchJob, noisy, truth, label_array) -> BenchRow:
+def _run_job(noisy, truth, clusters, job):
+    """(msae, ev, status, wall_ms) of one job; a failed denoise must not
+    kill the sweep, so its exception becomes an error status."""
+    _, method, numbers, clustered = job
+    params = params_from_tuple(method, numbers)
     start = perf_counter()
     try:
-        result = denoise(
-            noisy, job.params, labels=label_array if job.use_clusters else None
-        )
-        row = BenchRow(
-            job=job,
-            msae=msae(result, truth),
-            ev=ev(result, truth),
-            status="ok",
-            wall_ms=(perf_counter() - start) * 1000.0,
-        )
-    except Exception as exc:  # noqa: BLE001 - a failed job must not kill the sweep
-        row = BenchRow(
-            job=job,
-            msae=None,
-            ev=None,
-            status=f"error:{type(exc).__name__}",
-            wall_ms=(perf_counter() - start) * 1000.0,
-        )
-    return row
+        result = denoise(noisy, params, labels=clusters if clustered else None)
+        scores = msae(result, truth), ev(result, truth), "ok"
+    except Exception as exc:  # noqa: BLE001
+        scores = None, None, f"error:{type(exc).__name__}"
+    return (*scores, (perf_counter() - start) * 1000.0)
 
 
 def run_bench(config: BenchConfig, out_dir, jobs: int = 0) -> Path:
     """Execute the full sweep grid, returning the report directory.
 
     Writes noisy.obj, labels.txt, clusters.ply, results.csv, timings.csv
-    and summary.csv into *out_dir* (created if needed).
+    and summary.csv into *out_dir* (created if needed). *jobs* is the
+    number of worker threads, 0 for up to four.
     """
+    check_count("jobs", jobs, 0)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     truth = read_obj(config.model)
-
-    if config.sigma > 0:
-        noisy = add_noise(
-            truth, NoiseSpec(sigma_factor=config.sigma, mode=config.mode, seed=config.seed)
-        )
-    else:
-        noisy = truth
+    noisy = add_noise(truth, NoiseSpec(config.sigma, config.mode, config.seed))
     write_obj(noisy, out / "noisy.obj")
 
-    seg_params = SegmentParams(
-        d_thr=config.dthr,
-        min_cluster_size=config.min_cluster,
-        ring_depth=config.ring_depth,
-    )
     clusters = segment(
         noisy,
-        seg_params,
+        SegmentParams(config.dthr, config.min_cluster, config.ring_depth),
         prefilter_params=PrefilterParams() if config.prefilter else None,
     )
     write_labels(clusters.labels, out / "labels.txt")
     write_ply_colored(noisy, clusters.labels, out / "clusters.ply")
 
-    job_list: list[BenchJob] = []
-    for index, (method, numbers) in enumerate(config.sweep):
-        params = params_from_tuple(method, numbers)
-        text = ";".join(repr(float(x)) for x in numbers)
-        for use_clusters in (False, True):
-            suffix = "clustered" if use_clusters else "plain"
-            job_list.append(
-                BenchJob(
-                    label=f"{method}-{index:02d}-{suffix}",
-                    method=method,
-                    params=params,
-                    params_text=text,
-                    use_clusters=use_clusters,
-                )
-            )
-
-    workers = jobs if jobs > 0 else min(4, os.cpu_count() or 1)
+    # (label, method, numbers, clustered) per job: each sweep line plain, then clustered.
+    job_list = [
+        (f"{method}-{index:02d}-{kind}", method, numbers, kind == "clustered")
+        for index, (method, numbers) in enumerate(config.sweep)
+        for kind in ("plain", "clustered")
+    ]
+    workers = jobs or min(4, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_job, job, noisy, truth, clusters) for job in job_list]
-        rows = [f.result() for f in futures]  # submission order, not finish order
+        # map yields in submission order, not finish order
+        runs = list(pool.map(partial(_run_job, noisy, truth, clusters), job_list))
 
     model_name = Path(config.model).name
-    with open(out / "results.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(RESULTS_HEADER + "\n")
-        for row in rows:
-            fh.write(
-                f"{row.job.label},{model_name},{row.job.method},"
-                f"{int(row.job.use_clusters)},{_fmt(config.dthr)},"
-                f"{row.job.params_text},{_fmt(row.msae)},{_fmt(row.ev)},{row.status}\n"
+    # (method, clustered) -> (msae values, ev values) of its ok jobs, in first-seen order.
+    groups: dict[tuple[str, bool], tuple[list[float], list[float]]] = {}
+    with open(out / "results.csv", "w", encoding="utf-8", newline="\n") as results, open(
+        out / "timings.csv", "w", encoding="utf-8", newline="\n"
+    ) as timings:
+        results.write(RESULTS_HEADER + "\n")
+        timings.write(TIMINGS_HEADER + "\n")
+        for (label, method, numbers, clustered), (score, ev_score, status, wall_ms) in zip(
+            job_list, runs
+        ):
+            text = ";".join(repr(float(x)) for x in numbers)
+            results.write(
+                f"{label},{model_name},{method},{int(clustered)},{_fmt(config.dthr)},"
+                f"{text},{_fmt(score)},{_fmt(ev_score)},{status}\n"
             )
-    with open(out / "timings.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(TIMINGS_HEADER + "\n")
-        for row in rows:
-            fh.write(f"{row.job.label},{row.wall_ms:.3f}\n")
+            timings.write(f"{label},{wall_ms:.3f}\n")
+            msae_vals, ev_vals = groups.setdefault((method, clustered), ([], []))
+            if status == "ok":
+                msae_vals.append(score)
+                ev_vals.append(ev_score)
 
     with open(out / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SUMMARY_HEADER + "\n")
-        methods = []
-        for row in rows:
-            key = (row.job.method, row.job.use_clusters)
-            if key not in methods:
-                methods.append(key)
-        for method, use_clusters in methods:
-            ok = [
-                r
-                for r in rows
-                if r.job.method == method
-                and r.job.use_clusters == use_clusters
-                and r.status == "ok"
-            ]
-            if ok:
-                msae_vals = np.array([r.msae for r in ok])
-                ev_vals = np.array([r.ev for r in ok])
-                mean = float(msae_vals.mean())
-                cv = float(msae_vals.std() / mean) if mean > 0 else 0.0
-                fh.write(
-                    f"{method},{int(use_clusters)},{len(ok)},"
-                    f"{_fmt(mean)},{_fmt(cv)},{_fmt(float(ev_vals.mean()))}\n"
-                )
-            else:
-                fh.write(f"{method},{int(use_clusters)},0,,,\n")
+        for (method, clustered), (msae_vals, ev_vals) in groups.items():
+            scores = ",,"
+            if msae_vals:
+                mean = float(np.mean(msae_vals))
+                cv = float(np.std(msae_vals) / mean) if mean > 0 else 0.0
+                scores = f"{_fmt(mean)},{_fmt(cv)},{_fmt(float(np.mean(ev_vals)))}"
+            fh.write(f"{method},{int(clustered)},{len(msae_vals)},{scores}\n")
     return out

@@ -48,7 +48,6 @@ def _segment_params(args) -> SegmentParams:
     return SegmentParams(
         d_thr=args.dthr,
         min_cluster_size=args.min_cluster,
-        refine=not args.no_refine,
         ring_depth=args.ring_depth,
         baseline_mode=args.baseline,
     )
@@ -80,13 +79,10 @@ def _add_segment_flags(parser):
         "--min-cluster",
         type=int,
         default=SegmentParams.min_cluster_size,
-        help="clusters smaller than this get absorbed",
+        help="clusters smaller than this get absorbed (1 keeps the raw labels)",
     )
     parser.add_argument(
         "--ring-depth", type=int, default=SegmentParams.ring_depth, help="refinement ring radius"
-    )
-    parser.add_argument(
-        "--no-refine", action="store_true", help="keep raw region-growing labels"
     )
     parser.add_argument(
         "--baseline",

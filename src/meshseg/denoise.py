@@ -281,7 +281,7 @@ def filter_unf(
     nbr_areas = areas[safe.T]
     threshold = params.t
     # The face itself always participates (its self-dot is 1).
-    self_w = areas * (1.0 - threshold) ** 2 if threshold < 1.0 else np.zeros_like(areas)
+    self_w = areas * (1.0 - threshold) ** 2
 
     def step(normals, ring, scratch):
         dots = dot_terms(normals[:, None, :], ring, scratch)

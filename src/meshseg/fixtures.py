@@ -1,7 +1,8 @@
 """Procedural test meshes: cube, icosahedron, plane.
 
-All three shapes share the ``subdiv`` convention: each original edge is
-split into ``max(subdiv, 1)`` segments, giving 12*m^2 faces for the cube,
+All three shapes share the ``subdiv`` convention, a checked integer >= 0
+(2.5, -3, NaN and True are ValueErrors). Each original edge is split
+into ``max(subdiv, 1)`` segments, giving 12*m^2 faces for the cube,
 20*m^2 for the icosahedron and 2*m^2 for the plane. Subdivision happens
 inside the original flat facets (no re-projection), so the cube keeps 6
 planar sides and the icosahedron keeps 20 planar patches at any
@@ -22,7 +23,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import TriMesh
+from .core import TriMesh, check_count
+
+
+def _segments(subdiv) -> int:
+    """Segments per original edge: max(subdiv, 1) of a checked count."""
+    check_count("subdiv", subdiv, 0)
+    return max(subdiv, 1)
+
 
 def _grid_side(origin, u_axis, v_axis, m, base):
     """Integer lattice points and triangles of one m-by-m quad side."""
@@ -44,7 +52,7 @@ def _grid_side(origin, u_axis, v_axis, m, base):
 
 def cube(subdiv: int = 1) -> TriMesh:
     """Unit cube [0, 1]^3 with 12*m^2 outward-facing triangles."""
-    m = max(int(subdiv), 1)
+    m = _segments(subdiv)
     # (origin, u, v) per side, in lattice units, with u x v pointing out.
     sides = [
         ((0, 0, m), (1, 0, 0), (0, 1, 0)),  # top    +z
@@ -72,7 +80,7 @@ def cube(subdiv: int = 1) -> TriMesh:
 
 def plane(subdiv: int = 1) -> TriMesh:
     """Unit square grid in the z = 0 plane, normals +z, open boundary."""
-    m = max(int(subdiv), 1)
+    m = _segments(subdiv)
     pts, faces = _grid_side((0, 0, 0), (1, 0, 0), (0, 1, 0), m, 0)
     return TriMesh(pts.astype(np.float64) / m, faces)
 
@@ -106,7 +114,7 @@ def icosahedron(subdiv: int = 0) -> TriMesh:
     by both incident faces, so patch borders contain no duplicated or
     nearly-equal vertices.
     """
-    m = max(int(subdiv), 1)
+    m = _segments(subdiv)
     base = _ico_base()
     topo = base.topology
     bverts = base.vertices

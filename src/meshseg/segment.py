@@ -35,12 +35,13 @@ class SegmentParams:
     """Knobs for :func:`segment`.
 
     d_thr is the strict region-growing bound on ||D(e)|| ("edgeop" mode)
-    or on the dihedral angle in radians ("normal-angle" mode).
+    or on the dihedral angle in radians ("normal-angle" mode). Clusters
+    below min_cluster_size faces are absorbed; since no cluster is
+    smaller than one face, min_cluster_size=1 keeps the raw labels.
     """
 
     d_thr: float
     min_cluster_size: int = 50
-    refine: bool = True
     ring_depth: int = 2
     baseline_mode: str = "edgeop"
 
@@ -160,10 +161,10 @@ def refine(
     face) edge-adjacency hops, found by one multi-source breadth-first
     search from all large-cluster faces. Ties pick the lowest label.
     Faces whose connectivity component contains no large cluster fall
-    back to the globally largest cluster; if *no* cluster is large,
+    back to the globally largest cluster, so if *no* cluster is large,
     everything merges into the largest one. Decisions read a snapshot of
     the input labels, so nothing cascades. Labels are recompacted
-    afterward.
+    afterward; with no cluster below the floor the input is returned.
     """
     sizes = clusters.cluster_sizes
     small_label = sizes < params.min_cluster_size
@@ -172,40 +173,36 @@ def refine(
 
     snapshot = clusters.labels
     new_labels = snapshot.copy()
-    # Ties on size resolve to the lowest label id (np.argmax convention).
-    globally_largest = int(np.argmax(sizes))
+    graph = _face_graph(topo)
+    is_small = small_label[snapshot]
+    hops = csgraph.dijkstra(
+        graph,
+        directed=False,
+        indices=np.flatnonzero(~is_small),
+        unweighted=True,
+        min_only=True,
+    )
+    small_faces = np.flatnonzero(is_small)
+    # With no large face, every distance is inf: all small faces are
+    # stranded. Ties on size go to the lowest label id (np.argmax).
+    stranded = np.isinf(hops[small_faces])
+    new_labels[small_faces[stranded]] = np.argmax(sizes)
+    sources = small_faces[~stranded]
+    depth = np.maximum(params.ring_depth, hops[sources]).astype(np.int64)
 
-    if small_label.all():
-        new_labels[:] = globally_largest
-    else:
-        graph = _face_graph(topo)
-        is_small = small_label[snapshot]
-        hops = csgraph.dijkstra(
-            graph,
-            directed=False,
-            indices=np.flatnonzero(~is_small),
-            unweighted=True,
-            min_only=True,
-        )
-        small_faces = np.flatnonzero(is_small)
-        stranded = np.isinf(hops[small_faces])
-        new_labels[small_faces[stranded]] = globally_largest
-        sources = small_faces[~stranded]
-        depth = np.maximum(params.ring_depth, hops[sources]).astype(np.int64)
-
-        owner, face = _rings(graph, sources, depth)
-        large = ~is_small[face]
-        owner, face = owner[large], face[large]
-        normals = geometry.normals
-        cosines = dot_terms(normals[face].T, normals[sources[owner]].T)
-        n_labels = clusters.cluster_count
-        keys, group = np.unique(owner * n_labels + snapshot[face], return_inverse=True)
-        score = np.bincount(group, weights=cosines)
-        owner, label = keys // n_labels, keys % n_labels
-        # Per owner: highest score first, ties to the lowest label.
-        order = np.lexsort((label, -score, owner))
-        first = order[np.diff(owner[order], prepend=-1) != 0]
-        new_labels[sources[owner[first]]] = label[first]
+    owner, face = _rings(graph, sources, depth)
+    large = ~is_small[face]
+    owner, face = owner[large], face[large]
+    normals = geometry.normals
+    cosines = dot_terms(normals[face].T, normals[sources[owner]].T)
+    n_labels = clusters.cluster_count
+    keys, group = np.unique(owner * n_labels + snapshot[face], return_inverse=True)
+    score = np.bincount(group, weights=cosines)
+    owner, label = keys // n_labels, keys % n_labels
+    # Per owner: highest score first, ties to the lowest label.
+    order = np.lexsort((label, -score, owner))
+    first = order[np.diff(owner[order], prepend=-1) != 0]
+    new_labels[sources[owner[first]]] = label[first]
 
     _, compact = np.unique(new_labels, return_inverse=True)
     return ClusterLabels.from_array(compact.astype(np.int64), topo.n_faces)
@@ -242,8 +239,5 @@ def segment(
     else:
         measure = edge_operator_field(work, topo)
     clusters = region_grow(topo, measure, params.d_thr)
-
-    if params.refine:
-        # By keyword: perfbench/spans.py hooks read these arguments by name.
-        clusters = refine(topo, geometry, clusters=clusters, params=params)
-    return clusters
+    # By keyword: perfbench/spans.py hooks read these arguments by name.
+    return refine(topo, geometry, clusters=clusters, params=params)

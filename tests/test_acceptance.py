@@ -154,11 +154,11 @@ def test_02_segmentation_counts_are_exact():
 
     mesh = cube(10)
     start = perf_counter()
-    count = segment(mesh, SegmentParams(d_thr=float("inf"), refine=False)).cluster_count
+    count = segment(mesh, SegmentParams(d_thr=float("inf"), min_cluster_size=1)).cluster_count
     cases.append(("threshold inf -> 1", count, 1, perf_counter() - start))
 
     start = perf_counter()
-    count = segment(mesh, SegmentParams(d_thr=0.0, refine=False)).cluster_count
+    count = segment(mesh, SegmentParams(d_thr=0.0, min_cluster_size=1)).cluster_count
     cases.append(("threshold 0 -> F", count, mesh.n_faces, perf_counter() - start))
 
     for name, got, want, elapsed in cases:
@@ -433,7 +433,7 @@ def test_11_refinement_only_keeps_large_clusters():
             SegmentParams(
                 d_thr=FROZEN_SEGMENT.d_thr,
                 ring_depth=FROZEN_SEGMENT.ring_depth,
-                refine=False,
+                min_cluster_size=1,
             ),
             prefilter_params=FROZEN_PREFILTER,
         ).labels

@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface and the sweep
 harness config parser. Commands run in-process through main(argv)."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,13 @@ def test_make_fixture_rejects_unknown_shape():
     with pytest.raises(SystemExit) as exc:
         main(["make-fixture", "torus"])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_make_fixture_rejects_bad_subdiv(tmp_path, capsys):
+    out = tmp_path / "cube.obj"
+    assert main(["make-fixture", "cube", "--subdiv", "-3", "-o", str(out)]) == EXIT_USAGE
+    assert "subdiv must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +202,10 @@ def test_denoise_clustered_differs_from_plain(tmp_path):
 
 
 def test_denoise_use_clusters_honours_segment_flags(tmp_path):
-    """--baseline and --no-refine reach the segmentation: growing by
+    """--baseline and --min-cluster reach the segmentation: growing by
     normal angle (6 clusters at 0.2 rad, against 3 by the edge operator)
-    or keeping the raw region-growing labels changes the clustered
-    output, which differs from the plain run's."""
+    or keeping the raw region-growing labels (--min-cluster 1) changes
+    the clustered output, which differs from the plain run's."""
     noisy = add_noise(cube(6), NoiseSpec(0.5, "normal", seed=3))
     noisy_path = write_fixture(tmp_path, "noisy.obj", noisy)
     base = ["denoise", str(noisy_path), "--method", "unf", "--params", "0.6,10,5"]
@@ -207,7 +216,7 @@ def test_denoise_use_clusters_honours_segment_flags(tmp_path):
     runs = {
         "plain": base,
         "default": clustered,
-        "no-refine": clustered + ["--no-refine"],
+        "raw-labels": clustered + ["--min-cluster", "1"],
         "normal-angle": clustered + ["--baseline", "normal-angle", "--dthr", "0.2"],
     }
     out = {}
@@ -449,6 +458,59 @@ def test_bench_writes_report_and_reruns_byte_identical(tmp_path, capsys):
     assert all(line.endswith(",ok") for line in results[1:])
 
 
+def test_bench_failed_jobs_keep_their_rows(tmp_path, monkeypatch, capsys):
+    """A job that raises gets an error row and a timing, its group a
+    zero-count summary line; the ok groups' summary numbers are numpy's
+    mean, cv and ev mean over their results.csv rows."""
+    bench = sys.modules["meshseg.bench"]
+    real = bench.denoise
+
+    def bnf_fails(mesh, params, labels=None):
+        if params.method == "bnf":
+            raise RuntimeError("no bnf today")
+        return real(mesh, params, labels=labels)
+
+    monkeypatch.setattr(bench, "denoise", bnf_fails)
+    write_fixture(tmp_path, "cube.obj", cube(4))
+    config = tmp_path / "sweep.cfg"
+    config.write_text(BENCH_CONFIG + "sweep.unf = 0.7, 4, 4\n")
+    out = tmp_path / "run"
+    assert main(["bench", str(config), "--out", str(out), "--jobs", "2"]) == EXIT_OK
+    capsys.readouterr()
+
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+    timings = (out / "timings.csv").read_text().splitlines()
+    assert timings[0] == "label,wall_ms"
+    assert [t.split(",")[0] for t in timings[1:]] == [row[0] for row in rows]
+    failed = [",".join(row) for row in rows if row[2] == "bnf"]
+    assert failed == [
+        "bnf-00-plain,cube.obj,bnf,0,0.05,0.35;4.0;4.0,,,error:RuntimeError",
+        "bnf-00-clustered,cube.obj,bnf,1,0.05,0.35;4.0;4.0,,,error:RuntimeError",
+    ]
+
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert summary[0] == "method,use_clusters,n_ok,msae_mean,msae_cv,ev_mean"
+    expected = []
+    for clustered in ("0", "1"):
+        ok = [row for row in rows if row[2] == "unf" and row[3] == clustered]
+        assert len(ok) == 2 and all(row[-1] == "ok" for row in ok)
+        scores = np.array([float(row[6]) for row in ok])
+        mean = float(scores.mean())
+        cv = float(scores.std() / mean)
+        ev_mean = float(np.array([float(row[7]) for row in ok]).mean())
+        expected.append(f"unf,{clustered},2,{mean!r},{cv!r},{ev_mean!r}")
+    assert summary[1:] == ["bnf,0,0,,,", "bnf,1,0,,,"] + expected
+
+
+def test_bench_rejects_negative_jobs(tmp_path, capsys):
+    write_fixture(tmp_path, "cube.obj", cube(2))
+    config = write_config(tmp_path, "model = cube.obj\ndthr = 0.1\nsweep.unf = 0.5, 1, 1\n")
+    out = tmp_path / "run"
+    assert main(["bench", str(config), "--out", str(out), "--jobs", "-3"]) == EXIT_USAGE
+    assert "jobs must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_missing_config(tmp_path, capsys):
     assert main(["bench", str(tmp_path / "none.cfg")]) == EXIT_IO
     capsys.readouterr()
@@ -500,6 +562,9 @@ def test_parse_config_defaults_are_bench_config_defaults(tmp_path):
         ("model = c.obj\ndthr = 0.1\nsweep.unf = 0.5, 2.5, 2\n", "integer"),
         ("model = c.obj\ndthr = 0.1\nsweep.bnf = 0.45, inf, 1\n", "integer"),
         ("model = c.obj\ndthr = 0.1\nsweep.bnf = nan, 2, 1\n", "sigma_r"),
+        ("model = c.obj\ndthr = 0.1\nsigma = -0.5\nsweep.unf = 0.5, 2, 2\n", "cfg: sigma_factor"),
+        ("model = c.obj\ndthr = 0.1\nsigma = nan\nsweep.unf = 0.5, 2, 2\n", "cfg: sigma_factor"),
+        ("model = c.obj\ndthr = 0.1\nsigma = 0\nseed = -4\nsweep.unf = 0.5, 2, 2\n", "cfg: seed"),
     ],
 )
 def test_parse_config_rejects_bad_input(tmp_path, text, fragment):

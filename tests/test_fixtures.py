@@ -1,4 +1,4 @@
-"""The icosahedron fixture's bytes.
+"""The icosahedron fixture's bytes, and the checked ``subdiv`` count.
 
 Every ``segment-ladder`` benchmark digest and the acceptance gates' random
 icosahedra depend on ``icosahedron(m)``'s vertex order, positions and face
@@ -9,7 +9,8 @@ import hashlib
 
 import pytest
 
-from meshseg import icosahedron
+from meshseg import icosahedron, make_fixture
+from meshseg.fixtures import FIXTURE_SHAPES
 
 # m -> (sha256 of vertices.tobytes(), sha256 of faces.tobytes())
 ICOSAHEDRON_SHA256 = {
@@ -68,3 +69,11 @@ def test_icosahedron_bytes_are_pinned(m):
     assert mesh.faces.shape == (20 * n * n, 3)
     got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (mesh.vertices, mesh.faces))
     assert got == ICOSAHEDRON_SHA256[m]
+
+
+@pytest.mark.parametrize("shape", FIXTURE_SHAPES)
+@pytest.mark.parametrize("subdiv", [2.7, -3, True, float("nan")])
+def test_subdiv_is_a_checked_count(shape, subdiv):
+    """2.7 is not rounded down, -3 and True do not quietly mean 1."""
+    with pytest.raises(ValueError, match="subdiv must be an integer >= 0"):
+        make_fixture(shape, subdiv)

@@ -1,5 +1,7 @@
 """Tests for region growing over edge-operator norms and refinement."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,7 @@ def test_cluster_labels_from_array_checks_contiguity():
 
 def test_clean_cube_grows_six_sides():
     mesh = cube(4)
-    labels = segment(mesh, SegmentParams(d_thr=1e-4, refine=False))
+    labels = segment(mesh, SegmentParams(d_thr=1e-4, min_cluster_size=1))
     assert labels.cluster_count == 6
     np.testing.assert_array_equal(labels.cluster_sizes, [32] * 6)
     # Construction order: faces of one side are contiguous in id space.
@@ -81,19 +83,19 @@ def test_clean_cube_grows_six_sides():
 
 def test_clean_icosahedron_grows_twenty_sides():
     mesh = icosahedron(3)
-    labels = segment(mesh, SegmentParams(d_thr=1e-4, refine=False))
+    labels = segment(mesh, SegmentParams(d_thr=1e-4, min_cluster_size=1))
     assert labels.cluster_count == 20
     np.testing.assert_array_equal(labels.cluster_sizes, [9] * 20)
 
 
 def test_infinite_threshold_single_cluster():
-    labels = segment(noisy_cube(4), SegmentParams(d_thr=float("inf"), refine=False))
+    labels = segment(noisy_cube(4), SegmentParams(d_thr=float("inf"), min_cluster_size=1))
     assert labels.cluster_count == 1
 
 
 def test_zero_threshold_all_singletons():
     mesh = noisy_cube(4)
-    labels = segment(mesh, SegmentParams(d_thr=0.0, refine=False))
+    labels = segment(mesh, SegmentParams(d_thr=0.0, min_cluster_size=1))
     assert labels.cluster_count == mesh.n_faces
     # Seeds are consumed in ascending face id, so labels are the identity.
     np.testing.assert_array_equal(labels.labels, np.arange(mesh.n_faces))
@@ -152,7 +154,7 @@ def test_refine_removes_small_clusters():
 def test_refine_faces_move_to_adjacent_large_cluster():
     """A small cluster merges into a large one it actually touches."""
     mesh = cube(4)
-    labels = np.asarray(segment(mesh, SegmentParams(d_thr=1e-4, refine=False)).labels)
+    labels = np.asarray(segment(mesh, SegmentParams(d_thr=1e-4, min_cluster_size=1)).labels)
     # Carve two faces of side 0 into a fake 7th cluster.
     labels = labels.copy()
     labels[labels == 0] = 0
@@ -165,16 +167,58 @@ def test_refine_faces_move_to_adjacent_large_cluster():
     )
     assert refined.cluster_count == 6
     np.testing.assert_array_equal(
-        np.asarray(refined.labels), np.asarray(segment(mesh, SegmentParams(d_thr=1e-4, refine=False)).labels)
+        np.asarray(refined.labels), np.asarray(segment(mesh, SegmentParams(d_thr=1e-4, min_cluster_size=1)).labels)
     )
 
 
 def test_refine_all_small_collapses_to_single_cluster():
     """If no cluster reaches the size floor everything merges into one."""
     mesh = cube(1)  # 12 faces, all clusters below min_cluster_size=50
-    labels = segment(mesh, SegmentParams(d_thr=1e-4, refine=True, min_cluster_size=50))
+    labels = segment(mesh, SegmentParams(d_thr=1e-4, min_cluster_size=50))
     assert labels.cluster_count == 1
     assert labels.cluster_sizes[0] == 12
+
+
+# segment(noisy_cube(6), d_thr 0.02) before refinement: 303 clusters.
+RAW_LABELS_SHA256 = "0dc4423854482b7d18816f9cee1eefdeb444b54ebd59a108bbb062fc63966877"
+
+
+def test_min_cluster_size_one_keeps_the_raw_labels():
+    """No cluster is smaller than one face, so min_cluster_size=1 leaves
+    region_grow's labels as they are (the default floor of 50 merges all
+    303 clusters of this mesh into one)."""
+    mesh = noisy_cube(6)
+    labels = segment(mesh, SegmentParams(d_thr=0.02, min_cluster_size=1))
+    topo = mesh.topology
+    raw = region_grow(topo, edge_operator_field(mesh, topo), 0.02)
+    np.testing.assert_array_equal(labels.labels, raw.labels)
+    assert labels.cluster_count == 303
+    assert hashlib.sha256(labels.labels.tobytes()).hexdigest() == RAW_LABELS_SHA256
+    assert segment(mesh, SegmentParams(d_thr=0.02)).cluster_count == 1
+
+
+def _cube1_beside_cube2():
+    """cube(1) (faces 0-11, 2-face sides) and cube(2) shifted by 3 (faces
+    12-59, 8-face sides): two components that share no edge."""
+    small, big = cube(1), cube(2)
+    return TriMesh(
+        np.concatenate([small.vertices, big.vertices + 3.0]),
+        np.concatenate([small.faces, big.faces + small.n_vertices]),
+    )
+
+
+def test_refine_with_no_large_cluster_merges_both_components():
+    labels = segment(_cube1_beside_cube2(), SegmentParams(d_thr=1e-4, min_cluster_size=50))
+    assert labels.cluster_count == 1
+    np.testing.assert_array_equal(labels.labels, np.zeros(60))
+
+
+def test_stranded_component_joins_the_globally_largest_cluster():
+    """cube(1)'s component holds no cluster of 8 faces, so its sides join
+    the largest cluster (the lowest label among equal sizes); cube(2)'s
+    sides keep their own labels."""
+    labels = segment(_cube1_beside_cube2(), SegmentParams(d_thr=1e-4, min_cluster_size=8))
+    np.testing.assert_array_equal(labels.labels, np.r_[np.zeros(12), np.arange(48) // 8])
 
 
 def test_refine_snapshot_semantics():
@@ -210,7 +254,7 @@ def test_segment_full_pipeline_on_noisy_cube():
 def test_baseline_normal_angle_on_clean_cube():
     """Dihedral-angle growing also separates the clean cube's sides."""
     labels = segment(
-        cube(4), SegmentParams(d_thr=np.radians(20.0), baseline_mode="normal-angle", refine=False)
+        cube(4), SegmentParams(d_thr=np.radians(20.0), baseline_mode="normal-angle", min_cluster_size=1)
     )
     assert labels.cluster_count == 6
 
@@ -252,7 +296,7 @@ def test_normal_angle_labels(shape, d_thr):
     on boundary edges. It splits the clean cube along its creases at 20
     degrees and nowhere at +inf, and keeps the flat plane whole."""
     mesh = cube(4) if shape == "cube" else plane(4)
-    labels = segment(mesh, SegmentParams(d_thr, baseline_mode="normal-angle", refine=False))
+    labels = segment(mesh, SegmentParams(d_thr, baseline_mode="normal-angle", min_cluster_size=1))
     topo = mesh.topology
     angles = _dihedral_angles(topo, face_geometry(mesh))
     assert np.isinf(angles[topo.boundary_edge_mask]).all()
