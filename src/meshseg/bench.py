@@ -74,10 +74,10 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False
 def parse_config(path) -> BenchConfig:
     """Parse and validate a bench config file.
 
-    Raises ValueError on unknown keys, malformed values, noise settings
-    that NoiseSpec rejects, or missing required keys (model, dthr, at
-    least one sweep line). A relative model path is resolved against the
-    config file's directory.
+    Raises ValueError on unknown keys, malformed values, noise or
+    segmentation settings that NoiseSpec or SegmentParams rejects, or
+    missing required keys (model, dthr, at least one sweep line). A
+    relative model path is resolved against the config file's directory.
     """
     path = Path(path)
     values: dict[str, str] = {}
@@ -120,8 +120,9 @@ def parse_config(path) -> BenchConfig:
     if not os.path.isabs(settings["model"]):
         settings["model"] = str(path.parent / settings["model"])
     config = BenchConfig(sweep=sweep, **settings)
-    try:  # the noise settings are checked as `meshseg noise` checks them
+    try:  # checked as `meshseg noise` and `meshseg segment` check them
         NoiseSpec(config.sigma, config.mode, config.seed)
+        SegmentParams(config.dthr, config.min_cluster, config.ring_depth)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return config

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .errors import (
     DegenerateFaceError,
@@ -241,21 +239,39 @@ def _reject_bowties(faces: np.ndarray, one: np.ndarray, two: np.ndarray) -> None
     *two* hold the twin halfedges of each interior edge. The corner after a
     halfedge links to the corner its twin runs from, the same vertex's next
     corner around it, so a vertex's linked corners are its fans."""
-    n_corners = faces.size
-    succ = np.full(n_corners, -1)
-    succ[one + 1 - 3 * (one % 3 == 2)] = two
-    succ[two + 1 - 3 * (two % 3 == 2)] = one
-    linked = succ >= 0
-    links = sp.csr_matrix(
-        (np.ones(np.count_nonzero(linked), dtype=np.int8), succ[linked],
-         np.concatenate(([0], np.cumsum(linked)))),
-        shape=(n_corners, n_corners),
-    )
-    n_fans, fans = csgraph.connected_components(links, connection="weak")
-    if n_fans > np.count_nonzero(np.bincount(faces.ravel())):
-        fan_vertex = faces.ravel()[np.unique(fans, return_index=True)[1]]
-        bad = np.flatnonzero(np.bincount(fan_vertex) > 1)[:8].tolist()
+    after_one = one + 1 - 3 * (one % 3 == 2)
+    after_two = two + 1 - 3 * (two % 3 == 2)
+    fans = components(faces.size, np.r_[after_one, after_two], np.r_[two, one])
+    roots = np.flatnonzero(fans == np.arange(faces.size))
+    if len(roots) > np.count_nonzero(np.bincount(faces.ravel())):
+        bad = np.flatnonzero(np.bincount(faces.ravel()[roots]) > 1)[:8].tolist()
         raise NonManifoldVertexError(f"vertices whose faces form more than one fan: {bad}")
+
+
+def components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected components of the undirected graph on nodes 0..n-1 with
+    edges (a[i], b[i]), as each node's root: the minimum node id of its
+    component.
+
+    Each round hooks, across every edge whose ends still have different
+    roots, the larger root to the smaller (the smallest one offered wins),
+    then follows root pointers until every node points at a root. A root
+    only ever points at a smaller id of its own component, so the
+    component's minimum id stays a root and becomes everyone's.
+    """
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        apart = np.flatnonzero(ra != rb)
+        if not apart.size:
+            return root
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if (up == root).all():
+                break
+            root = up
 
 
 def _mean_edge_length(vertices: np.ndarray, edges: np.ndarray) -> float:

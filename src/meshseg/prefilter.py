@@ -13,7 +13,9 @@ turns the regularization down across sharp creases. Freezing the
 coefficients makes the problem a symmetric positive-definite linear
 system (identity plus PSD terms), solved per coordinate by conjugate
 gradients started at the input positions — so the objective can only
-move downhill from the input even if CG stops early.
+move downhill from the input even if CG stops early. The CG loop is the
+package's own (:func:`_cg`); it repeats scipy 1.17's ``cg`` operation
+for operation, so only ``scipy.sparse`` is loaded.
 
 Only the segmentation stage consumes the prefiltered positions;
 denoising proper always restarts from the original noisy mesh.
@@ -27,7 +29,6 @@ from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg
 
 from .core import FaceGeometry, TopologyCache, TriMesh, dot_terms, face_geometry
 from .edgeop import flap_vertex_table, operator_coefficients
@@ -102,6 +103,37 @@ def assemble_system(mesh: TriMesh, params: PrefilterParams) -> sp.csr_matrix:
     return system.tocsr()
 
 
+def _cg(system: sp.csr_matrix, rhs: np.ndarray, rtol: float, max_iter: int):
+    """(x, info) of conjugate gradients on the SPD *system* from x = *rhs*:
+    info is 0 once ||r|| < rtol * ||rhs||, else *max_iter*. It repeats
+    ``scipy.sparse.linalg.cg(system, rhs, x0=rhs.copy(), rtol=rtol,
+    atol=0.0, maxiter=max_iter)`` of scipy 1.17 operation for operation,
+    so it gives the same bits for a contiguous *rhs*. A zero *rhs* is
+    returned as it is."""
+    rhs_norm = np.linalg.norm(rhs)
+    if rhs_norm == 0:
+        return rhs, 0
+    atol = rtol * rhs_norm
+    x = rhs.copy()
+    r = rhs - system @ x
+    p = rho_prev = None
+    for iteration in range(max_iter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        rho = np.dot(r, r)
+        if iteration:
+            p *= rho / rho_prev
+            p += r
+        else:
+            p = r.copy()
+        q = system @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, max_iter
+
+
 def prefilter(mesh: TriMesh, params: PrefilterParams | None = None) -> TriMesh:
     """Solve the frozen-coefficient quadratic problem, returning the
     relaxed mesh, which carries *mesh*'s topology.
@@ -109,6 +141,12 @@ def prefilter(mesh: TriMesh, params: PrefilterParams | None = None) -> TriMesh:
     With alpha == beta == 0 the system is the identity and the input
     positions are returned bit-for-bit. CG starts from the input
     positions, so each coordinate solve only descends the objective.
+
+    The dot products of CG go through numpy's BLAS, which splits a dot
+    over more than 10,000 entries among its threads. So above that many
+    vertices the last bits of the positions depend on the BLAS thread
+    count (``OPENBLAS_NUM_THREADS``) of the machine; the labels of the
+    benchmark inputs do not.
 
     Raises
     ------
@@ -120,20 +158,12 @@ def prefilter(mesh: TriMesh, params: PrefilterParams | None = None) -> TriMesh:
     system = assemble_system(mesh, params)
     max_iter = params.max_iter_for(mesh.n_vertices)
     out = np.empty_like(mesh.vertices)
-    for k in range(3):
-        rhs = mesh.vertices[:, k]
-        solution, info = cg(
-            system,
-            rhs,
-            x0=rhs.copy(),
-            rtol=params.solver_tol,
-            atol=0.0,
-            maxiter=max_iter,
-        )
+    # One contiguous row per coordinate, as scipy's cg ravels its rhs.
+    for k, rhs in enumerate(mesh.vertices.T.copy()):
+        out[:, k], info = _cg(system, rhs, params.solver_tol, max_iter)
         if info != 0:
             raise SolverDivergedError(
                 f"CG on coordinate {k} did not reach rtol={params.solver_tol:g} "
                 f"within {max_iter} iterations (info={info})"
             )
-        out[:, k] = solution
     return mesh.with_vertices(out)

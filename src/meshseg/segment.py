@@ -1,17 +1,19 @@
 """Face clustering: region growing bounded by a per-edge measure, then
 absorption of small clusters into their best large neighbor.
 
-Both steps work on one sparse face-adjacency graph over interior edges.
-The measure is an (E,) array, +inf on boundary edges: ||D(e)|| from
+Both steps work on the face adjacency across interior edges. The
+measure is an (E,) array, +inf on boundary edges: ||D(e)|| from
 :func:`~meshseg.edgeop.edge_operator_field`, or for the "normal-angle"
 baseline the angle between the two faces' normals. Growing
 (:func:`region_grow`) keeps only the edges whose measure lies strictly
-below ``d_thr`` and takes the graph's connected components, numbered by
-their minimum face id, so labels are deterministic. Refinement
-reassigns every face of each undersized cluster to the large cluster in
-its surrounding ring whose normals agree best (sum of cosines); the ring
-reaches at least as far as the nearest large-cluster face. Decisions
-read a snapshot of the pre-refinement labels, so they cannot cascade.
+below ``d_thr`` and takes their connected components with the package's
+own :func:`~meshseg.core.components`, numbered by their minimum face id,
+so labels are deterministic. Refinement reassigns every face of each
+undersized cluster to the large cluster in its surrounding ring whose
+normals agree best (sum of cosines); the ring reaches at least as far as
+the nearest large-cluster face, found by the package's own breadth-first
+search (:func:`_hops`). Decisions read a snapshot of the pre-refinement
+labels, so they cannot cascade. Only ``scipy.sparse`` is used.
 """
 
 from __future__ import annotations
@@ -20,9 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
-from .core import FaceGeometry, TopologyCache, TriMesh, check_count, dot_terms, face_geometry
+from .core import (
+    FaceGeometry,
+    TopologyCache,
+    TriMesh,
+    check_count,
+    components,
+    dot_terms,
+    face_geometry,
+)
 from .edgeop import edge_operator_field
 from .errors import LabelLengthMismatchError
 from .prefilter import PrefilterParams, prefilter
@@ -84,13 +93,9 @@ class ClusterLabels:
         return cls(labels=labels, cluster_count=count, cluster_sizes=sizes)
 
 
-def _face_graph(topo: TopologyCache, edge_mask: np.ndarray | None = None) -> sp.csr_matrix:
-    """Symmetric (F, F) face adjacency over interior edges, restricted to
-    the edges where *edge_mask* is True when one is given."""
-    keep = ~topo.boundary_edge_mask
-    if edge_mask is not None:
-        keep &= edge_mask
-    a, b = topo.edge_faces[keep].T
+def _face_graph(topo: TopologyCache) -> sp.csr_matrix:
+    """Symmetric (F, F) face adjacency over interior edges."""
+    a, b = topo.edge_faces[topo.interior_edge_ids].T
     n = topo.n_faces
     return sp.csr_matrix(
         (np.ones(2 * len(a), dtype=np.int8), (np.r_[a, b], np.r_[b, a])), shape=(n, n)
@@ -142,12 +147,26 @@ def region_grow(topo: TopologyCache, measure: np.ndarray, d_thr: float) -> Clust
         raise LabelLengthMismatchError(
             f"got {len(measure)} edge values, topology has {topo.n_edges} edges"
         )
-    _, components = csgraph.connected_components(
-        _face_graph(topo, measure < d_thr), directed=False
-    )
-    first_face = np.unique(components, return_index=True)[1]
-    labels = np.unique(first_face[components], return_inverse=True)[1]
+    a, b = topo.edge_faces[(measure < d_thr) & ~topo.boundary_edge_mask].T
+    labels = np.unique(components(topo.n_faces, a, b), return_inverse=True)[1]
     return ClusterLabels.from_array(labels, topo.n_faces)
+
+
+def _hops(topo: TopologyCache, is_source: np.ndarray) -> np.ndarray:
+    """(F,) float hop counts, across interior edges, from each face to the
+    nearest face where *is_source* is True; inf where none is reached.
+    One breadth-first level per step from all sources at once."""
+    hops = np.full(topo.n_faces, np.inf)
+    level = np.flatnonzero(is_source)
+    hops[level] = 0.0
+    hop = 0
+    while level.size:
+        hop += 1
+        step = topo.face_adjacent[level].ravel()
+        step = step[step >= 0]
+        level = np.unique(step[hops[step] == np.inf])
+        hops[level] = hop
+    return hops
 
 
 def refine(
@@ -173,15 +192,8 @@ def refine(
 
     snapshot = clusters.labels
     new_labels = snapshot.copy()
-    graph = _face_graph(topo)
     is_small = small_label[snapshot]
-    hops = csgraph.dijkstra(
-        graph,
-        directed=False,
-        indices=np.flatnonzero(~is_small),
-        unweighted=True,
-        min_only=True,
-    )
+    hops = _hops(topo, ~is_small)
     small_faces = np.flatnonzero(is_small)
     # With no large face, every distance is inf: all small faces are
     # stranded. Ties on size go to the lowest label id (np.argmax).
@@ -190,7 +202,7 @@ def refine(
     sources = small_faces[~stranded]
     depth = np.maximum(params.ring_depth, hops[sources]).astype(np.int64)
 
-    owner, face = _rings(graph, sources, depth)
+    owner, face = _rings(_face_graph(topo), sources, depth)
     large = ~is_small[face]
     owner, face = owner[large], face[large]
     normals = geometry.normals

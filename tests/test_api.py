@@ -6,8 +6,8 @@ products and ``einsum`` dots go through the helpers in ``core``, every
 error class in ``errors`` is raised or subclassed somewhere in the
 package, every private top-level function is called or passed on
 inside the package (not only by tests), every float field of a
-parameter class rejects NaN, and the distance searches run without
-loading ``scipy.spatial``.
+parameter class rejects NaN, and the whole pipeline runs without loading
+any part of scipy beyond ``scipy.sparse``.
 
 The import and parameter checks are small ``ast`` walks rather than a
 linter, so they run wherever the tests run. An imported name counts as
@@ -363,15 +363,28 @@ def test_params_reject_bad_counts(params, field, value):
     dataclasses.replace(params, **{field: np.int64(getattr(params, field))})
 
 
-def test_spatial_searches_do_not_import_scipy_spatial():
-    """``ev`` and the guided filter's radius search run on a numpy cell
-    grid; importing ``scipy.spatial`` would cost several MB of RSS."""
+def test_pipeline_loads_only_scipy_sparse():
+    """Every stage runs on numpy and ``scipy.sparse`` alone: ``ev`` and the
+    guided filter search radii on a numpy cell grid, the prefilter runs its
+    own CG, and segmentation its own components and breadth-first search.
+    ``scipy.sparse.csgraph`` would load ``scipy.sparse.linalg`` and
+    ``scipy.linalg`` (about 11 MB of RSS), and ``scipy.spatial`` several MB."""
     script = (
-        "import sys\n"
-        "from meshseg import GnfParams, NoiseSpec, add_noise, cube, denoise, ev\n"
-        "noisy = add_noise(cube(2), NoiseSpec(0.3, 'normal', seed=1))\n"
-        "ev(denoise(noisy, GnfParams(2, 2, 0.35, 2, 1)), cube(2))\n"
-        "print('scipy.spatial' in sys.modules)\n"
+        "import contextlib, io, sys\n"
+        "from meshseg import (BnfParams, GnfParams, L1Params, NoiseSpec, PrefilterParams,\n"
+        "    SegmentParams, UnfParams, add_noise, cube, denoise, ev, msae, segment)\n"
+        "from meshseg.cli import main\n"
+        "truth = cube(2)\n"
+        "noisy = add_noise(truth, NoiseSpec(0.3, 'normal', seed=1))\n"
+        "labels = segment(noisy, SegmentParams(0.05, 2), PrefilterParams(5, 5, 2))\n"
+        "for params in (UnfParams(0.5, 2, 2), BnfParams(0.45, 2, 2), L1Params(40, 2, 2),\n"
+        "               GnfParams(2, 2, 0.35, 2, 1)):\n"
+        "    result = denoise(noisy, params, labels=labels)\n"
+        "    msae(result, truth), ev(result, truth)\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "    main(['--help'])\n"
+        "heavy = ('scipy.sparse.csgraph', 'scipy.sparse.linalg', 'scipy.linalg', 'scipy.spatial')\n"
+        "print([name for name in heavy if name in sys.modules])\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -380,4 +393,4 @@ def test_spatial_searches_do_not_import_scipy_spatial():
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

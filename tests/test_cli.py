@@ -511,6 +511,25 @@ def test_bench_rejects_negative_jobs(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "settings, fragment",
+    [
+        ("dthr = nan", "d_thr"),
+        ("dthr = 0.1\nmin_cluster = 0", "min_cluster_size"),
+        ("dthr = 0.1\nring_depth = 0", "ring_depth"),
+    ],
+)
+def test_bench_rejects_bad_segment_settings_before_writing(tmp_path, capsys, settings, fragment):
+    """Segmentation settings are checked with the config, so a bad one
+    is a usage error that leaves no half-written report directory."""
+    write_fixture(tmp_path, "cube.obj", cube(2))
+    config = write_config(tmp_path, f"model = cube.obj\n{settings}\nsweep.unf = 0.5, 1, 1\n")
+    out = tmp_path / "run"
+    assert main(["bench", str(config), "--out", str(out)]) == EXIT_USAGE
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_missing_config(tmp_path, capsys):
     assert main(["bench", str(tmp_path / "none.cfg")]) == EXIT_IO
     capsys.readouterr()

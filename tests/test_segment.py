@@ -1,10 +1,15 @@
 """Tests for region growing over edge-operator norms and refinement."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meshseg
 from meshseg import cube, icosahedron, plane
 from meshseg.core import TriMesh, build_topology, face_geometry
 from meshseg.edgeop import edge_operator_field
@@ -310,3 +315,30 @@ def test_normal_angle_labels(shape, d_thr):
     else:
         want = np.zeros(mesh.n_faces, dtype=np.int64)
     assert labels.labels.tolist() == want.tolist()
+
+
+def test_segment_ladder_labels_do_not_depend_on_blas_threads():
+    """Above 10,000 entries numpy's BLAS splits a dot product among its
+    threads, so the prefiltered positions of icosahedron(32) (V = 10,242)
+    differ in their last bits between one and two BLAS threads. The
+    labels of the segment-ladder input (seed 23, k = 0.03) do not."""
+    script = (
+        "import hashlib\n"
+        "from meshseg import NoiseSpec, PrefilterParams, SegmentParams, add_noise\n"
+        "from meshseg import icosahedron, segment\n"
+        "noisy = add_noise(icosahedron(32), NoiseSpec(0.5, 'normal', seed=23))\n"
+        "params = SegmentParams(0.03 * noisy.topology.mean_edge_length)\n"
+        "labels = segment(noisy, params, PrefilterParams(5, 5, 2)).labels\n"
+        "print(hashlib.sha256(labels.tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(meshseg.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
