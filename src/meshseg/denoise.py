@@ -33,14 +33,20 @@ along the face axis, so every dot, weight and slot sum is arithmetic on
 whole contiguous rows of F. The ring and one scratch array of its size
 are allocated once per call, not per sweep: at 9F doubles they are
 usually above the C allocator's mmap threshold, so a fresh array maps and
-faults in new pages on every sweep. The gnf sweep works the same way:
-its patch members, their pairwise differences and the guidance
-differences of its face pairs are (3, ·) arrays in buffers allocated
-once per call, and each sweep writes the blend weights straight into the
-data array of its sparse matrix. numpy's ``einsum`` and its short-axis
-reductions (``.sum(axis=1)``, ``.mean(axis=1)``, ``np.linalg.norm(axis=1)``,
-``np.cross``) run a 3- or 4-long axis one row at a time, several times
-slower. So every such sum here is written out, through
+faults in new pages on every sweep. The l1 filter's Weiszfeld steps
+likewise work in one :class:`_WeiszfeldWork` per call: their slot
+products, inverse-distance weights, moves, flags and iterates, 161 bytes
+a face. Allocated and freed on every sweep, those buffers left a heap
+top above the allocator's trim threshold, which it handed back to the
+system, so the next sweep faulted the same pages in again. No two calls
+share a working set, so filters may run in threads. The gnf sweep works
+the same way: its patch members, their pairwise differences and the
+guidance differences of its face pairs are (3, ·) arrays in buffers
+allocated once per call, and each sweep writes the blend weights
+straight into the data array of its sparse matrix. numpy's ``einsum``
+and its short-axis reductions (``.sum(axis=1)``, ``.mean(axis=1)``,
+``np.linalg.norm(axis=1)``, ``np.cross``) run a 3- or 4-long axis one
+row at a time, several times slower. So every such sum here is written out, through
 :func:`~meshseg.core.dot_terms`, :func:`~meshseg.core.sum_terms`,
 :func:`~meshseg.core.mean_terms`, :func:`~meshseg.core.row_norms`,
 :func:`~meshseg.core.row_cross` and :func:`_slot_sum`, in the order
@@ -324,17 +330,42 @@ def _slot_sum(weights, points, prod, out):
     return np.add(out, prod[:, 2], out=out)
 
 
-def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray) -> np.ndarray:
+class _WeiszfeldWork:
+    """The working set of :func:`_weiszfeld`'s steps for up to *n* columns:
+    the squared differences and slot products *prod* (3, 3, n), the
+    inverse-distance weights *inv* (3, n) and their sums *inv_sum* (n,),
+    the squared moves *move* (n,), the stuck or settled *flags* (n,), and
+    the *median* and *candidate* iterates (3, n). A call on A columns works
+    in views of their first A columns."""
+
+    def __init__(self, n: int):
+        self.prod = np.empty((3, 3, n))
+        self.inv = np.empty((3, n))
+        self.inv_sum = np.empty(n)
+        self.move = np.empty(n)
+        self.flags = np.empty(n, dtype=bool)
+        self.median = np.empty((3, n))
+        self.candidate = np.empty((3, n))
+
+
+def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray, work=None) -> np.ndarray:
     """Weighted geometric median of each column's three ring normals.
 
     Component-major: *points* is (3 components, 3 ring slots, A), *weights*
     (3 slots, A) and *wsum* (A,) their positive sums. Starts from the
     weighted mean and takes Weiszfeld steps until no column moves by
-    WEISZFELD_MOVE_TOL; the steps write into buffers allocated once here.
-    Every sum keeps the order numpy's einsum/sum give the row-major form
-    (squared distance (x² + z²) + y², slot sums ((0.0 + s0) + s1) + s2,
-    squared move (x² + y²) + z²), so the median is bit-identical to it,
-    signed zeros included. Returns the (3, A) median.
+    WEISZFELD_MOVE_TOL. Every sum keeps the order numpy's einsum/sum give
+    the row-major form (squared distance (x² + z²) + y², slot sums
+    ((0.0 + s0) + s1) + s2, squared move (x² + y²) + z²), so the median is
+    bit-identical to it, signed zeros included. Returns the (3, A) median,
+    which may be a view of *work*, valid until *work* is used again.
+
+    The steps write into *work*, a :class:`_WeiszfeldWork` of at least A
+    columns, or into one allocated here. :func:`filter_l1median` hands
+    every sweep the one workspace it allocated for the call: buffers
+    allocated and freed on every sweep leave a heap top that the C
+    allocator trims, so the next sweep faults the same pages in again. A
+    workspace is never shared between calls, so filters may run in threads.
 
     Settled columns drop out. A column settles when its step returns a
     median equal (``==``) to the one it started from: the step reads the
@@ -349,14 +380,13 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray) -> np.
     squared move only picks the steps worth comparing, since a move below
     1.5e-162 squares to 0 although the median changed.
     """
-    prod = np.empty_like(points)
-    inv = np.empty_like(weights)
-    inv_sum = np.empty_like(wsum)
-    move = np.empty_like(wsum)
-    flags = np.empty(wsum.shape, dtype=bool)
-    median = _slot_sum(weights, points, prod, np.empty_like(points[:, 0]))
+    n = len(wsum)
+    if work is None:
+        work = _WeiszfeldWork(n)
+    prod, inv, candidate = work.prod[..., :n], work.inv[:, :n], work.candidate[:, :n]
+    inv_sum, move, flags = work.inv_sum[:n], work.move[:n], work.flags[:n]
+    median = _slot_sum(weights, points, prod, work.median[:, :n])
     np.divide(median, wsum, out=median)
-    candidate = np.empty_like(median)
     result, columns = None, None  # the output, and each working column's place in it
     for _step in range(WEISZFELD_MAX_ITER):
         np.subtract(median[:, None, :], points, out=prod)
@@ -423,6 +453,7 @@ def filter_l1median(
     valid = valid.T
     spatial = _ring_spatial(topo, geometry, safe)
     cos_gate = float(np.cos(np.radians(params.angle_max_deg)))
+    work = _WeiszfeldWork(topo.n_faces)  # this call's own, reused by every sweep
 
     def step(normals, ring, scratch):
         dots = dot_terms(normals[:, None, :], ring, scratch)
@@ -431,7 +462,7 @@ def filter_l1median(
         has = wsum > 0.0
         median = np.zeros_like(normals)
         median[:, has] = _weiszfeld(
-            np.compress(has, ring, axis=-1), np.compress(has, weights, axis=-1), wsum[has]
+            np.compress(has, ring, axis=-1), np.compress(has, weights, axis=-1), wsum[has], work
         )
         return np.where(has, _normalize_rows(median.T, normals.T).T, normals)
 

@@ -108,7 +108,8 @@ def _cg(system: sp.csr_matrix, rhs: np.ndarray, rtol: float, max_iter: int):
     info is 0 once ||r|| < rtol * ||rhs||, else *max_iter*. It repeats
     ``scipy.sparse.linalg.cg(system, rhs, x0=rhs.copy(), rtol=rtol,
     atol=0.0, maxiter=max_iter)`` of scipy 1.17 operation for operation,
-    so it gives the same bits for a contiguous *rhs*. A zero *rhs* is
+    except that its norm test reads ||r|| off rho = r·r, as numpy computes
+    it, so it gives the same bits for a contiguous *rhs*. A zero *rhs* is
     returned as it is."""
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0:
@@ -118,9 +119,9 @@ def _cg(system: sp.csr_matrix, rhs: np.ndarray, rtol: float, max_iter: int):
     r = rhs - system @ x
     p = rho_prev = None
     for iteration in range(max_iter):
-        if np.linalg.norm(r) < atol:
+        rho = np.dot(r, r)  # np.linalg.norm(r) is sqrt(r.dot(r))
+        if math.sqrt(rho) < atol:
             return x, 0
-        rho = np.dot(r, r)
         if iteration:
             p *= rho / rho_prev
             p += r
