@@ -13,7 +13,8 @@ crease detector that is insensitive to rigid motion.
 
 :func:`edge_operator_field` evaluates D(e) on every interior edge and
 keeps what segmentation reads: ||D(e)|| as an (E,) array, +inf on
-boundary edges.
+boundary edges. It and the prefilter's system assembly gather the flap
+points axis-major, (3 axes, 4 slots, n_interior), with one ``np.take``.
 """
 
 from __future__ import annotations
@@ -29,27 +30,23 @@ AREA_EPS_FACTOR = 1e-12
 
 
 def operator_coefficients(p1, p2, p3, p4):
-    """D(e) coefficients for stacked flap points, (N, 3) each, or one flap
-    of (3,) points.
+    """D(e) coefficients for axis-major flap points: (3, N) each, rows x,
+    y, z, as :func:`flap_points` gathers them, or one flap's (3,) points.
 
-    Returns (c1, c2, c3, c4, area123, area134); no degeneracy handling
-    here.
+    Returns (c1, c2, c3, c4, area123, area134), (N,) each, or scalars for
+    one flap, with the bytes of that flap's column of a stacked call. No
+    degeneracy handling here. The cross products and norms run on the
+    ``.T`` views, (N, 3) rows.
     """
     e = p3 - p1
-    ee = dot_terms(e.T, e.T)
-    area123 = 0.5 * row_norms(row_cross(p2 - p1, e))
-    area134 = 0.5 * row_norms(row_cross(e, p4 - p1))
+    ee = dot_terms(e, e)
+    area123 = 0.5 * row_norms(row_cross((p2 - p1).T, e.T))
+    area134 = 0.5 * row_norms(row_cross(e.T, (p4 - p1).T))
     total = area123 + area134
     denom = ee * total
-    c1 = (
-        area123 * dot_terms((p4 - p3).T, e.T)
-        + area134 * dot_terms((p1 - p3).T, (p3 - p2).T)
-    ) / denom
+    c1 = (area123 * dot_terms(p4 - p3, e) + area134 * dot_terms(p1 - p3, p3 - p2)) / denom
     c2 = area134 / total
-    c3 = (
-        area123 * dot_terms(e.T, (p1 - p4).T)
-        + area134 * dot_terms((p2 - p1).T, (p1 - p3).T)
-    ) / denom
+    c3 = (area123 * dot_terms(e, p1 - p4) + area134 * dot_terms(p2 - p1, p1 - p3)) / denom
     c4 = area123 / total
     return c1, c2, c3, c4, area123, area134
 
@@ -59,13 +56,21 @@ def flap_vertex_table(mesh: TriMesh, topo: TopologyCache):
     columns p1, p2, p3, p4: the edge endpoints (lower id first) and the
     opposite vertices of the lower- and higher-id incident face."""
     interior = topo.interior_edge_ids
-    edges = topo.edges[interior]
-    face_sum = mesh.faces.sum(axis=1)
-    v1 = edges[:, 0]
-    v3 = edges[:, 1]
-    v2 = face_sum[topo.edge_faces[interior, 0]] - v1 - v3
-    v4 = face_sum[topo.edge_faces[interior, 1]] - v1 - v3
-    return interior, np.stack([v1, v2, v3, v4], axis=1)
+    ends = np.take(topo.edges, interior, axis=0)
+    table = np.empty((len(interior), 4), dtype=ends.dtype)
+    table[:, 0::2] = ends
+    # A face's vertex id sum less the edge's two ends is its third vertex.
+    np.take(mesh.faces.sum(axis=1), np.take(topo.edge_faces, interior, axis=0), out=table[:, 1::2])
+    table[:, 1::2] -= ends[:, :1]
+    table[:, 1::2] -= ends[:, 1:]
+    return interior, table
+
+
+def flap_points(mesh: TriMesh, flap_vertices: np.ndarray) -> np.ndarray:
+    """The flaps' points axis-major, (3 axes, 4 slots, n_interior), from
+    the (n_interior, 4) *flap_vertices* of :func:`flap_vertex_table`:
+    ``flap_points(...)[:, k]`` is slot p(k+1) as (3, n_interior)."""
+    return np.take(mesh.vertices.T, flap_vertices.T, axis=1)
 
 
 def edge_operator_field(mesh: TriMesh, topo: TopologyCache) -> np.ndarray:
@@ -81,16 +86,16 @@ def edge_operator_field(mesh: TriMesh, topo: TopologyCache) -> np.ndarray:
     """
     norms = np.full(topo.n_edges, np.inf, dtype=np.float64)
     interior, flap_vertices = flap_vertex_table(mesh, topo)
-    p1, p2, p3, p4 = mesh.vertices[flap_vertices.T]  # (4, n_interior, 3)
+    p1, p2, p3, p4 = flap_points(mesh, flap_vertices).swapaxes(0, 1)  # (3, n_interior) each
     with np.errstate(invalid="ignore", divide="ignore"):
         c1, c2, c3, c4, a123, a134 = operator_coefficients(p1, p2, p3, p4)
-        vals = c1[:, None] * p1 + c2[:, None] * p2 + c3[:, None] * p3 + c4[:, None] * p4
+        vals = c1 * p1 + c2 * p2 + c3 * p3 + c4 * p4
     floor = AREA_EPS_FACTOR * topo.mean_edge_length**2
     bad = (a123 < floor) | (a134 < floor)
     if bad.any():
         bad_edges = interior[np.flatnonzero(bad)[:8]].tolist()
         raise DegenerateFlapError(f"degenerate flaps (face area < {floor:g}) on edges {bad_edges}")
-    norms[interior] = row_norms(vals)
+    norms[interior] = row_norms(vals.T)
     norms.setflags(write=False)
     return norms
 

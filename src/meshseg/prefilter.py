@@ -17,6 +17,10 @@ move downhill from the input even if CG stops early. The CG loop is the
 package's own (:func:`_cg`); it repeats scipy 1.17's ``cg`` operation
 for operation, so only ``scipy.sparse`` is loaded.
 
+:func:`assemble_system` forms each energy term with one sparse product,
+the edge weights folded into its left factor, and keeps the bits of the
+chain A'WA.
+
 Only the segmentation stage consumes the prefiltered positions;
 denoising proper always restarts from the original noisy mesh.
 """
@@ -31,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import FaceGeometry, TopologyCache, TriMesh, dot_terms, face_geometry
-from .edgeop import flap_vertex_table, operator_coefficients
+from .edgeop import flap_points, flap_vertex_table, operator_coefficients
 from .errors import SolverDivergedError
 
 
@@ -64,10 +68,9 @@ def edge_weights(topo: TopologyCache, geometry: FaceGeometry, sigma_w: float) ->
     """
     weights = np.zeros(topo.n_edges, dtype=np.float64)
     interior = topo.interior_edge_ids
-    n_a = geometry.normals[topo.edge_faces[interior, 0]]
-    n_b = geometry.normals[topo.edge_faces[interior, 1]]
-    diff = (n_a - n_b).T
-    diff2 = dot_terms(diff, diff)
+    pairs = np.take(geometry.normals.T, topo.edge_faces[interior].T, axis=1)  # (3, 2, n)
+    diff = pairs[:, 0] - pairs[:, 1]
+    diff2 = dot_terms(diff, diff, prod=diff)
     weights[interior] = np.exp(-diff2 / (2.0 * sigma_w * sigma_w))
     return weights
 
@@ -79,26 +82,40 @@ def assemble_system(mesh: TriMesh, params: PrefilterParams) -> sp.csr_matrix:
     operator coefficients and edge weights at its positions. A and B map
     one vertex coordinate column to the interior edges' operator and
     regularizer values, and W holds the interior edge weights.
+
+    Each term is one sparse product with W folded into its left factor,
+    alpha * (op(a·w)' @ op(a)); row e of the (m, n) CSR matrix op(c)
+    holds c[e] at the flap's vertex ids. scipy forms it as the transpose
+    of op(a)' @ op(a·w), so entry (i, j) sums fl(fl(a_ei·w_e)·a_ej) over
+    the edges in ascending order, as the chain A' @ W @ A did: M keeps
+    its bits. (W on the right would round the D terms as
+    fl(a_ei·fl(w_e·a_ej)).) The terms are added in CSC, the products'
+    format, and converted to CSR once; entrywise that is the same sum.
     """
     topo = mesh.topology
     geometry = face_geometry(mesh)
     n = mesh.n_vertices
     interior, flap_vertices = flap_vertex_table(mesh, topo)
     m = len(interior)
-    rows = np.repeat(np.arange(m), 4)
-    cols = flap_vertices.reshape(-1)
     # D(e) coefficients frozen at the input geometry, one row per flap.
-    flap_points = (mesh.vertices[flap_vertices[:, k]] for k in range(4))
-    d_coeff = np.stack(operator_coefficients(*flap_points)[:4], axis=1)
-    a_op = sp.csr_matrix((d_coeff.reshape(-1), (rows, cols)), shape=(m, n))
-    r_coeff = np.tile(np.array([0.5, -0.5, 0.5, -0.5]), m)
-    b_op = sp.csr_matrix((r_coeff, (rows, cols)), shape=(m, n))
+    d_coeff = np.stack(
+        operator_coefficients(*flap_points(mesh, flap_vertices).swapaxes(0, 1))[:4], axis=1
+    )
+    r_coeff = np.broadcast_to(np.array([0.5, -0.5, 0.5, -0.5]), (m, 4))
+    w = edge_weights(topo, geometry, params.sigma_w)[interior, None]
+    # Row e holds the flap's four coefficients at its vertex ids; the
+    # other operators share the index arrays scipy made for this one.
+    a_op = sp.csr_matrix(
+        (d_coeff.reshape(-1), flap_vertices.reshape(-1), np.arange(0, 4 * m + 1, 4)), shape=(m, n)
+    )
 
-    w_diag = sp.diags(edge_weights(topo, geometry, params.sigma_w)[interior])
+    def op(coeff):
+        return sp.csr_matrix((coeff.reshape(-1), a_op.indices, a_op.indptr), shape=(m, n))
+
     system = (
-        sp.identity(n, format="csr")
-        + params.alpha * (a_op.T @ w_diag @ a_op)
-        + params.beta * (b_op.T @ w_diag @ b_op)
+        sp.identity(n, format="csc")
+        + params.alpha * (op(d_coeff * w).T @ a_op)
+        + params.beta * (op(r_coeff * w).T @ op(r_coeff))
     )
     return system.tocsr()
 

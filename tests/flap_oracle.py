@@ -109,7 +109,7 @@ def flap_operators(mesh: TriMesh, params: PrefilterParams):
     m = len(interior)
     rows = np.repeat(np.arange(m), 4)
     cols = flap_vertices.reshape(-1)
-    flap_points = (mesh.vertices[flap_vertices[:, k]] for k in range(4))
+    flap_points = (mesh.vertices[flap_vertices[:, k]].T for k in range(4))  # axis-major
     d_coeff = np.stack(operator_coefficients(*flap_points)[:4], axis=1)
     a_op = sp.csr_matrix((d_coeff.reshape(-1), (rows, cols)), shape=(m, n))
     r_coeff = np.tile(np.array([0.5, -0.5, 0.5, -0.5]), m)

@@ -13,9 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshseg import cube, fileio, plane
+from meshseg import cube, fileio, icosahedron, plane
 from meshseg.core import TriMesh, build_topology
-from meshseg.edgeop import edge_operator_field, write_norms_csv
+from meshseg.edgeop import (
+    edge_operator_field,
+    flap_points,
+    flap_vertex_table,
+    operator_coefficients,
+    write_norms_csv,
+)
 from meshseg.errors import DegenerateFlapError
 from meshseg.noise import NoiseSpec, add_noise
 
@@ -178,6 +184,19 @@ def test_field_matches_per_edge_operator():
     for eid in topo.interior_edge_ids:
         one = edge_operator(flap_of_edge(mesh, topo, int(eid)))
         assert norms[eid] == pytest.approx(np.linalg.norm(one), abs=1e-14)
+
+
+def test_stacked_coefficients_match_one_flap_calls():
+    """On axis-major (3, N) flaps, every output of operator_coefficients
+    holds, column by column, the bytes of the one-flap (3,) call."""
+    mesh = add_noise(icosahedron(4), NoiseSpec(0.5, "normal", 23))
+    _, flap_vertices = flap_vertex_table(mesh, mesh.topology)
+    stacked = operator_coefficients(*flap_points(mesh, flap_vertices).swapaxes(0, 1))
+    assert all(out.shape == (len(flap_vertices),) for out in stacked)
+    for col, ids in enumerate(flap_vertices):
+        one = operator_coefficients(*mesh.vertices[ids])
+        for got, want in zip(stacked, one, strict=True):
+            assert got[col].tobytes() == np.float64(want).tobytes()
 
 
 def test_field_boundary_edges_are_infinite():
