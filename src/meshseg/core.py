@@ -134,6 +134,12 @@ class TopologyCache:
     vertex_face_offsets : (V + 1,) int64
         CSR offsets of the vertex-face incidence: vertex v lies on
         ``vertex_face_offsets[v + 1] - vertex_face_offsets[v]`` faces.
+    interior_edge_ids : (n_interior,) int64
+        Ascending ids of the edges with two incident faces.
+    flap_vertices : (n_interior, 4) int64
+        Flap vertex ids per interior edge: the edge's ends (lower id
+        first) at p1, p3 and the third corners of its lower- and
+        higher-id faces at p2, p4.
     mean_edge_length : float
         Mean over all edges at the mesh's positions; 0.0 without edges.
     """
@@ -144,6 +150,8 @@ class TopologyCache:
         "face_edges",
         "face_adjacent",
         "vertex_face_offsets",
+        "interior_edge_ids",
+        "flap_vertices",
         "mean_edge_length",
         "n_faces",
     )
@@ -156,10 +164,6 @@ class TopologyCache:
     def boundary_edge_mask(self) -> np.ndarray:
         """(E,) bool, True where the edge has exactly one incident face."""
         return self.edge_faces[:, 1] < 0
-
-    @property
-    def interior_edge_ids(self) -> np.ndarray:
-        return np.flatnonzero(~self.boundary_edge_mask)
 
 
 def build_topology(mesh: TriMesh) -> TopologyCache:
@@ -211,7 +215,13 @@ def build_topology(mesh: TriMesh) -> TopologyCache:
     second = counts == 2
     edge_faces[second, 1] = grouped_faces[starts[1:][second] - 1]
 
-    _reject_bowties(faces, order[starts[:-1][second]], order[starts[1:][second] - 1])
+    # The twin halfedges of each interior edge, the lower-id face's first.
+    # Halfedge 3 * f + k runs from corner k of face f: corner k + 2 faces it.
+    twins = order[np.stack((starts[:-1][second], starts[1:][second] - 1), axis=1)]
+    _reject_bowties(faces, *twins.T)
+    interior_edge_ids = np.flatnonzero(second)
+    opposite = faces.ravel()[twins + 2 - 3 * (twins % 3 != 0)]
+    flap_vertices = np.stack((edges[interior_edge_ids], opposite), axis=2).reshape(-1, 4)
 
     face_edges = inverse.reshape(-1, 3).astype(np.int64)
 
@@ -222,13 +232,16 @@ def build_topology(mesh: TriMesh) -> TopologyCache:
     vcounts = np.bincount(faces.ravel(), minlength=n_v)
     vertex_face_offsets = np.concatenate(([0], np.cumsum(vcounts))).astype(np.int64)
 
-    for arr in (edges, edge_faces, face_edges, face_adjacent, vertex_face_offsets):
+    tables = (edges, edge_faces, face_edges, face_adjacent, vertex_face_offsets)
+    for arr in (*tables, interior_edge_ids, flap_vertices):
         arr.setflags(write=False)
     topo.edges = edges
     topo.edge_faces = edge_faces
     topo.face_edges = face_edges
     topo.face_adjacent = face_adjacent
     topo.vertex_face_offsets = vertex_face_offsets
+    topo.interior_edge_ids = interior_edge_ids
+    topo.flap_vertices = flap_vertices
     topo.mean_edge_length = _mean_edge_length(mesh.vertices, edges)
     return topo
 

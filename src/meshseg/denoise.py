@@ -348,7 +348,7 @@ class _WeiszfeldWork:
         self.candidate = np.empty((3, n))
 
 
-def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray, work=None) -> np.ndarray:
+def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray, work) -> np.ndarray:
     """Weighted geometric median of each column's three ring normals.
 
     Component-major: *points* is (3 components, 3 ring slots, A), *weights*
@@ -361,7 +361,7 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray, work=N
     which may be a view of *work*, valid until *work* is used again.
 
     The steps write into *work*, a :class:`_WeiszfeldWork` of at least A
-    columns, or into one allocated here. :func:`filter_l1median` hands
+    columns. :func:`filter_l1median` hands
     every sweep the one workspace it allocated for the call: buffers
     allocated and freed on every sweep leave a heap top that the C
     allocator trims, so the next sweep faults the same pages in again. A
@@ -381,8 +381,6 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray, work=N
     1.5e-162 squares to 0 although the median changed.
     """
     n = len(wsum)
-    if work is None:
-        work = _WeiszfeldWork(n)
     prod, inv, candidate = work.prod[..., :n], work.inv[:, :n], work.candidate[:, :n]
     inv_sum, move, flags = work.inv_sum[:n], work.move[:n], work.flags[:n]
     median = _slot_sum(weights, points, prod, work.median[:, :n])

@@ -13,8 +13,8 @@ crease detector that is insensitive to rigid motion.
 
 :func:`edge_operator_field` evaluates D(e) on every interior edge and
 keeps what segmentation reads: ||D(e)|| as an (E,) array, +inf on
-boundary edges. It and the prefilter's system assembly gather the flap
-points axis-major, (3 axes, 4 slots, n_interior), with one ``np.take``.
+boundary edges. It and the prefilter's system assembly evaluate the
+flaps of the topology's ``flap_vertices`` table in one function.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ AREA_EPS_FACTOR = 1e-12
 
 
 def operator_coefficients(p1, p2, p3, p4):
-    """D(e) coefficients for axis-major flap points: (3, N) each, rows x,
-    y, z, as :func:`flap_points` gathers them, or one flap's (3,) points.
+    """D(e) coefficients for axis-major flap points, (3, N) each with
+    rows x, y, z, or for one flap's (3,) points.
 
     Returns (c1, c2, c3, c4, area123, area134), (N,) each, or scalars for
     one flap, with the bytes of that flap's column of a stacked call. No
@@ -51,26 +51,21 @@ def operator_coefficients(p1, p2, p3, p4):
     return c1, c2, c3, c4, area123, area134
 
 
-def flap_vertex_table(mesh: TriMesh, topo: TopologyCache):
-    """(interior edge ids, (n_interior, 4) vertex ids per flap), the
-    columns p1, p2, p3, p4: the edge endpoints (lower id first) and the
-    opposite vertices of the lower- and higher-id incident face."""
-    interior = topo.interior_edge_ids
-    ends = np.take(topo.edges, interior, axis=0)
-    table = np.empty((len(interior), 4), dtype=ends.dtype)
-    table[:, 0::2] = ends
-    # A face's vertex id sum less the edge's two ends is its third vertex.
-    np.take(mesh.faces.sum(axis=1), np.take(topo.edge_faces, interior, axis=0), out=table[:, 1::2])
-    table[:, 1::2] -= ends[:, :1]
-    table[:, 1::2] -= ends[:, 1:]
-    return interior, table
-
-
-def flap_points(mesh: TriMesh, flap_vertices: np.ndarray) -> np.ndarray:
-    """The flaps' points axis-major, (3 axes, 4 slots, n_interior), from
-    the (n_interior, 4) *flap_vertices* of :func:`flap_vertex_table`:
-    ``flap_points(...)[:, k]`` is slot p(k+1) as (3, n_interior)."""
-    return np.take(mesh.vertices.T, flap_vertices.T, axis=1)
+def _flap_coefficients(mesh: TriMesh, topo: TopologyCache):
+    """(points, coefficients) of the flaps of ``topo.flap_vertices`` at
+    *mesh*'s positions: slot p(k+1) as ``points[k]``, (3, n_interior),
+    and c1..c4 of :func:`operator_coefficients`, (n_interior,) each.
+    Raises DegenerateFlapError as :func:`edge_operator_field` says.
+    """
+    points = np.take(mesh.vertices.T, topo.flap_vertices.T, axis=1).swapaxes(0, 1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        *coefficients, a123, a134 = operator_coefficients(*points)
+    floor = AREA_EPS_FACTOR * topo.mean_edge_length**2
+    bad = (a123 < floor) | (a134 < floor)
+    if bad.any():
+        bad_edges = topo.interior_edge_ids[np.flatnonzero(bad)[:8]].tolist()
+        raise DegenerateFlapError(f"degenerate flaps (face area < {floor:g}) on edges {bad_edges}")
+    return points, coefficients
 
 
 def edge_operator_field(mesh: TriMesh, topo: TopologyCache) -> np.ndarray:
@@ -84,18 +79,11 @@ def edge_operator_field(mesh: TriMesh, topo: TopologyCache) -> np.ndarray:
         If any flap face has area below AREA_EPS_FACTOR * l_e^2 where
         l_e is the mesh's mean edge length.
     """
-    norms = np.full(topo.n_edges, np.inf, dtype=np.float64)
-    interior, flap_vertices = flap_vertex_table(mesh, topo)
-    p1, p2, p3, p4 = flap_points(mesh, flap_vertices).swapaxes(0, 1)  # (3, n_interior) each
+    (p1, p2, p3, p4), (c1, c2, c3, c4) = _flap_coefficients(mesh, topo)
     with np.errstate(invalid="ignore", divide="ignore"):
-        c1, c2, c3, c4, a123, a134 = operator_coefficients(p1, p2, p3, p4)
         vals = c1 * p1 + c2 * p2 + c3 * p3 + c4 * p4
-    floor = AREA_EPS_FACTOR * topo.mean_edge_length**2
-    bad = (a123 < floor) | (a134 < floor)
-    if bad.any():
-        bad_edges = interior[np.flatnonzero(bad)[:8]].tolist()
-        raise DegenerateFlapError(f"degenerate flaps (face area < {floor:g}) on edges {bad_edges}")
-    norms[interior] = row_norms(vals.T)
+    norms = np.full(topo.n_edges, np.inf, dtype=np.float64)
+    norms[topo.interior_edge_ids] = row_norms(vals.T)
     norms.setflags(write=False)
     return norms
 

@@ -19,7 +19,7 @@ for operation, so only ``scipy.sparse`` is loaded.
 
 :func:`assemble_system` forms each energy term with one sparse product,
 the edge weights folded into its left factor, and keeps the bits of the
-chain A'WA.
+chain A'WA. It evaluates the topology's flaps as the edge field does.
 
 Only the segmentation stage consumes the prefiltered positions;
 denoising proper always restarts from the original noisy mesh.
@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import FaceGeometry, TopologyCache, TriMesh, dot_terms, face_geometry
-from .edgeop import flap_points, flap_vertex_table, operator_coefficients
+from .edgeop import _flap_coefficients
 from .errors import SolverDivergedError
 
 
@@ -81,7 +81,9 @@ def assemble_system(mesh: TriMesh, params: PrefilterParams) -> sp.csr_matrix:
     Reads *mesh*'s topology, builds its face geometry, and freezes the
     operator coefficients and edge weights at its positions. A and B map
     one vertex coordinate column to the interior edges' operator and
-    regularizer values, and W holds the interior edge weights.
+    regularizer values, and W holds the interior edge weights. The flaps
+    come from ``topo.flap_vertices`` through the edge field's own code,
+    so a degenerate flap raises its DegenerateFlapError.
 
     Each term is one sparse product with W folded into its left factor,
     alpha * (op(a·w)' @ op(a)); row e of the (m, n) CSR matrix op(c)
@@ -93,20 +95,16 @@ def assemble_system(mesh: TriMesh, params: PrefilterParams) -> sp.csr_matrix:
     format, and converted to CSR once; entrywise that is the same sum.
     """
     topo = mesh.topology
-    geometry = face_geometry(mesh)
-    n = mesh.n_vertices
-    interior, flap_vertices = flap_vertex_table(mesh, topo)
-    m = len(interior)
+    n, m = mesh.n_vertices, len(topo.interior_edge_ids)
     # D(e) coefficients frozen at the input geometry, one row per flap.
-    d_coeff = np.stack(
-        operator_coefficients(*flap_points(mesh, flap_vertices).swapaxes(0, 1))[:4], axis=1
-    )
+    d_coeff = np.stack(_flap_coefficients(mesh, topo)[1], axis=1)
     r_coeff = np.broadcast_to(np.array([0.5, -0.5, 0.5, -0.5]), (m, 4))
-    w = edge_weights(topo, geometry, params.sigma_w)[interior, None]
+    w = edge_weights(topo, face_geometry(mesh), params.sigma_w)[topo.interior_edge_ids, None]
     # Row e holds the flap's four coefficients at its vertex ids; the
     # other operators share the index arrays scipy made for this one.
     a_op = sp.csr_matrix(
-        (d_coeff.reshape(-1), flap_vertices.reshape(-1), np.arange(0, 4 * m + 1, 4)), shape=(m, n)
+        (d_coeff.reshape(-1), topo.flap_vertices.reshape(-1), np.arange(0, 4 * m + 1, 4)),
+        shape=(m, n),
     )
 
     def op(coeff):
@@ -168,6 +166,8 @@ def prefilter(mesh: TriMesh, params: PrefilterParams | None = None) -> TriMesh:
 
     Raises
     ------
+    DegenerateFlapError
+        If a flap face of *mesh* is degenerate, as in the edge field.
     SolverDivergedError
         If CG fails to reach ``solver_tol`` within the iteration cap.
     """

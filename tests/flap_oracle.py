@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from meshseg.core import TopologyCache, TriMesh, face_geometry
-from meshseg.edgeop import AREA_EPS_FACTOR, flap_vertex_table, operator_coefficients
+from meshseg.edgeop import AREA_EPS_FACTOR, operator_coefficients
 from meshseg.errors import DegenerateFlapError
 from meshseg.prefilter import PrefilterParams, edge_weights
 
@@ -105,7 +105,7 @@ def flap_operators(mesh: TriMesh, params: PrefilterParams):
     *mesh*'s geometry, and the interior edge weights."""
     topo = mesh.topology
     n = mesh.n_vertices
-    interior, flap_vertices = flap_vertex_table(mesh, topo)
+    interior, flap_vertices = topo.interior_edge_ids, topo.flap_vertices
     m = len(interior)
     rows = np.repeat(np.arange(m), 4)
     cols = flap_vertices.reshape(-1)

@@ -169,11 +169,6 @@ def short_axis_reductions(source: str) -> list[str]:
     return found
 
 
-# Reductions the helpers do not replace, by enclosing function: the face
-# table is int64, whose sum has no rounding order to keep.
-SHORT_AXIS_EXCEPTIONS = {"flap_vertex_table"}
-
-
 def test_short_axis_reductions_are_found():
     source = (
         "def f(a, b):\n"
@@ -205,17 +200,7 @@ def test_short_axis_reductions_use_core_helpers(path):
     """``row_norms``, ``row_cross``, ``sum_terms``, ``mean_terms`` and
     ``dot_terms`` give the same bits several times faster; numpy 2.4's
     einsum runs a 3-long axis one row at a time."""
-    found = short_axis_reductions(path.read_text(encoding="utf-8"))
-    assert [f for f in found if f.split(":")[0] not in SHORT_AXIS_EXCEPTIONS] == []
-
-
-def test_short_axis_exceptions_are_still_needed():
-    found = {
-        f.split(":")[0]
-        for path in PACKAGE_DIR.glob("*.py")
-        for f in short_axis_reductions(path.read_text(encoding="utf-8"))
-    }
-    assert SHORT_AXIS_EXCEPTIONS <= found
+    assert short_axis_reductions(path.read_text(encoding="utf-8")) == []
 
 
 def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:

@@ -26,6 +26,8 @@ from meshseg.noise import NoiseSpec, add_noise
 from meshseg.prefilter import PrefilterParams, prefilter
 from meshseg.segment import SegmentParams, segment
 
+from test_prefilter import sliver_cube
+
 
 def write_fixture(tmp_path, name, mesh):
     path = tmp_path / name
@@ -148,6 +150,13 @@ def test_segment_prefilter_dump_norms(tmp_path):
     labels = read_labels(tmp_path / "noisy_labels.txt")
     expected = segment(mesh, SegmentParams(d_thr=0.05), prefilter_params=pf)
     np.testing.assert_array_equal(labels, expected.labels)
+
+
+def test_segment_prefilter_rejects_sliver_flaps(tmp_path, capsys):
+    path = write_fixture(tmp_path, "sliver.obj", sliver_cube())
+    assert main(["segment", str(path), "--dthr", "0.05", "--prefilter"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("meshseg: degenerate flaps") and "[21, 22, 23, 39, 102]" in err
 
 
 def test_segment_missing_file(tmp_path, capsys):

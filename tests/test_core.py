@@ -338,7 +338,25 @@ def test_carried_topology_equals_a_fresh_build(make):
     assert not np.array_equal(out.vertices, mesh.vertices)
     # Carried, not rebuilt: the connectivity arrays are the input's own.
     assert out.topology.face_adjacent is mesh.topology.face_adjacent
+    assert out.topology.flap_vertices is mesh.topology.flap_vertices
     _assert_same_topology(out.topology, build_topology(out))
+
+
+def test_segment_with_prefilter_reads_one_flap_table(monkeypatch):
+    """The prefilter's system and the relaxed mesh's edge field both
+    evaluate the input's own flap table: neither builds another."""
+    mesh, tables = _noisy_cube(), []
+    flap_coefficients = sys.modules["meshseg.edgeop"]._flap_coefficients
+
+    def spy(moved, topo):
+        tables.append(topo.flap_vertices)
+        return flap_coefficients(moved, topo)
+
+    for module in ("meshseg.edgeop", "meshseg.prefilter"):
+        monkeypatch.setattr(sys.modules[module], "_flap_coefficients", spy)
+    segment(mesh, SegmentParams(0.05), prefilter_params=PrefilterParams(5.0, 5.0, 2.0))
+    assert len(tables) == 2
+    assert all(table is mesh.topology.flap_vertices for table in tables)
 
 
 def test_topology_is_built_once_per_mesh():
@@ -505,6 +523,31 @@ def test_flap_of_boundary_edge_rejected():
     eid = int(np.flatnonzero(topo.boundary_edge_mask)[0])
     with pytest.raises(ValueError, match="boundary edge"):
         flap_of_edge(mesh, topo, eid)
+
+
+def _shuffled_cube():
+    rng = np.random.default_rng(4)
+    mesh = add_noise(cube(3), NoiseSpec(0.3, "normal", seed=4))
+    vertex_order, face_order = rng.permutation(mesh.n_vertices), rng.permutation(mesh.n_faces)
+    return TriMesh(mesh.vertices[vertex_order], np.argsort(vertex_order)[mesh.faces[face_order]])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: cube(3), lambda: icosahedron(2), lambda: plane(3), _shuffled_cube],
+    ids=["cube3", "icosahedron2", "plane3", "shuffled-cube3"],
+)
+def test_flap_table_matches_the_one_edge_flaps(make):
+    """Row i of the topology's flap table is the scalar oracle's flap of
+    interior edge i; plane(3) has boundary edges, which get no row."""
+    mesh = make()
+    topo = build_topology(mesh)
+    interior = np.flatnonzero(~topo.boundary_edge_mask)
+    assert topo.interior_edge_ids.tobytes() == interior.tobytes()
+    assert topo.flap_vertices.shape == (len(interior), 4)
+    assert topo.flap_vertices.dtype == np.int64 and not topo.flap_vertices.flags.writeable
+    want = [flap_of_edge(mesh, topo, int(eid)).vertex_ids for eid in interior]
+    assert topo.flap_vertices.tolist() == [list(ids) for ids in want]
 
 
 def test_every_interior_cube_edge_has_flap():

@@ -15,13 +15,7 @@ from hypothesis import strategies as st
 
 from meshseg import cube, fileio, icosahedron, plane
 from meshseg.core import TriMesh, build_topology
-from meshseg.edgeop import (
-    edge_operator_field,
-    flap_points,
-    flap_vertex_table,
-    operator_coefficients,
-    write_norms_csv,
-)
+from meshseg.edgeop import edge_operator_field, operator_coefficients, write_norms_csv
 from meshseg.errors import DegenerateFlapError
 from meshseg.noise import NoiseSpec, add_noise
 
@@ -190,8 +184,8 @@ def test_stacked_coefficients_match_one_flap_calls():
     """On axis-major (3, N) flaps, every output of operator_coefficients
     holds, column by column, the bytes of the one-flap (3,) call."""
     mesh = add_noise(icosahedron(4), NoiseSpec(0.5, "normal", 23))
-    _, flap_vertices = flap_vertex_table(mesh, mesh.topology)
-    stacked = operator_coefficients(*flap_points(mesh, flap_vertices).swapaxes(0, 1))
+    flap_vertices = mesh.topology.flap_vertices
+    stacked = operator_coefficients(*(mesh.vertices[flap_vertices[:, k]].T for k in range(4)))
     assert all(out.shape == (len(flap_vertices),) for out in stacked)
     for col, ids in enumerate(flap_vertices):
         one = operator_coefficients(*mesh.vertices[ids])

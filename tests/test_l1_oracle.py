@@ -27,6 +27,7 @@ from meshseg.denoise import (
     _ring_tables,
     _slot_sum,
     _weiszfeld,
+    _WeiszfeldWork,
     filter_normals,
     mean_adjacent_centroid_distance,
 )
@@ -169,7 +170,8 @@ def test_weiszfeld_median_of_negative_zeros():
     points = np.zeros((3, 3, 1))
     points[0, :, 0] = [-0.0, -1.0, -1.0]
     points[2, :, 0] = 1.0
-    got = _weiszfeld(points, np.array([[1.0], [0.0], [0.0]]), np.array([1.0]))
+    weights = np.array([[1.0], [0.0], [0.0]])
+    got = _weiszfeld(points, weights, np.array([1.0]), _WeiszfeldWork(1))
     assert got[:, 0].tolist() == [0.0, 0.0, 1.0]
     assert not np.signbit(got[0, 0])
 
@@ -246,7 +248,7 @@ def _compactions(monkeypatch):
 
 
 def _same_as_full(points, weights, wsum):
-    got = _weiszfeld(points, weights, wsum)
+    got = _weiszfeld(points, weights, wsum, _WeiszfeldWork(len(wsum)))
     want = full_weiszfeld(points, weights, wsum)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()

@@ -2,8 +2,8 @@
 reused by every sweep of that call, never shared between calls, and
 invisible in the results.
 
-``_weiszfeld`` must give the same bytes in a workspace of its own and in
-a wider one that earlier calls left dirty; ``filter_l1median`` must hand
+``_weiszfeld`` must give the same bytes in a workspace wider than its
+columns that earlier calls left dirty; ``filter_l1median`` must hand
 every sweep the same workspace, a new one per call, so that calls in
 threads give the serial bytes.
 """
@@ -53,14 +53,14 @@ CASES = {
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_weiszfeld_workspace_changes_nothing(case):
-    """Own workspace, a wider dirty one, and the same one again after a
-    call on other columns: the same bytes as the loop without dropping,
-    and the inputs left as they were."""
+    """A wider dirty workspace, and the same one again after a call on
+    other columns: the same bytes as the loop without dropping, and the
+    inputs left as they were. (``test_l1_oracle`` runs each call in a
+    workspace of its own size.)"""
     points, weights, wsum = CASES[case]()
     inputs = [a.copy() for a in (points, weights, wsum)]
     want = full_weiszfeld(points, weights, wsum).tobytes()
     work = dirty_work(len(wsum) + 1000)
-    assert _weiszfeld(points, weights, wsum).tobytes() == want
     assert _weiszfeld(points, weights, wsum, work).tobytes() == want
     _weiszfeld(*ring_columns(len(wsum) + 1000, 9), work)
     assert _weiszfeld(points, weights, wsum, work).tobytes() == want
@@ -91,7 +91,7 @@ def test_every_sweep_of_a_call_reuses_its_workspace(monkeypatch):
     seen = []
     weiszfeld = DENOISE._weiszfeld
 
-    def spy(points, weights, wsum, work=None):
+    def spy(points, weights, wsum, work):
         seen.append(work)
         return weiszfeld(points, weights, wsum, work)
 

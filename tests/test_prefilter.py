@@ -8,9 +8,11 @@ import scipy.sparse as sp
 
 from meshseg import cube, plane
 from meshseg.core import TriMesh, build_topology, face_geometry
-from meshseg.errors import SolverDivergedError
+from meshseg.edgeop import edge_operator_field
+from meshseg.errors import DegenerateFlapError, SolverDivergedError
 from meshseg.noise import NoiseSpec, add_noise
 from meshseg.prefilter import PrefilterParams, assemble_system, edge_weights, prefilter
+from meshseg.segment import SegmentParams, segment
 
 from flap_oracle import Flap, quadratic_energy, regularizer
 
@@ -150,3 +152,27 @@ def test_single_triangle_has_no_regularization():
     out = prefilter(triangle, params)
     assert out.vertices.tobytes() == triangle.vertices.tobytes()
     assert out.faces.tobytes() == triangle.faces.tobytes()
+
+
+def sliver_cube():
+    """cube(4) with vertex 31 pulled to 1e-13 of the corner vertex 4: the
+    faces between them are slivers far below the degenerate-flap floor,
+    though none has zero area."""
+    vertices = cube(4).vertices.copy()
+    step = vertices[31] - vertices[4]
+    vertices[31] = vertices[4] + 1e-13 * step / np.linalg.norm(step)
+    return TriMesh(vertices, cube(4).faces)
+
+
+def test_sliver_flaps_fail_the_prefilter_as_the_field():
+    """The prefilter evaluates the field's flaps, so it rejects a sliver
+    with the field's error and edge list, not with a CG that diverges."""
+    mesh = sliver_cube()
+    with pytest.raises(DegenerateFlapError) as field:
+        edge_operator_field(mesh, mesh.topology)
+    assert "on edges [21, 22, 23, 39, 102]" in str(field.value)
+    params = PrefilterParams(5, 5, 2)
+    for run in (lambda: prefilter(mesh, params), lambda: segment(mesh, SegmentParams(0.05), params)):
+        with pytest.raises(DegenerateFlapError) as got:
+            run()
+        assert str(got.value) == str(field.value)
