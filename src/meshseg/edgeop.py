@@ -25,7 +25,7 @@ from .core import TopologyCache, TriMesh, dot_terms, row_cross, row_norms
 from .errors import DegenerateFlapError
 from .fileio import _write_rows
 
-#: Flap faces with area below AREA_EPS_FACTOR * l_e^2 are degenerate.
+#: Flap faces with area not above AREA_EPS_FACTOR * l_e^2 are degenerate.
 AREA_EPS_FACTOR = 1e-12
 
 
@@ -61,10 +61,12 @@ def _flap_coefficients(mesh: TriMesh, topo: TopologyCache):
     with np.errstate(invalid="ignore", divide="ignore"):
         *coefficients, a123, a134 = operator_coefficients(*points)
     floor = AREA_EPS_FACTOR * topo.mean_edge_length**2
-    bad = (a123 < floor) | (a134 < floor)
+    # Not above, rather than below: a zero floor (every vertex in one
+    # point) must still reject zero areas, and NaN areas fail too.
+    bad = ~((a123 > floor) & (a134 > floor))
     if bad.any():
         bad_edges = topo.interior_edge_ids[np.flatnonzero(bad)[:8]].tolist()
-        raise DegenerateFlapError(f"degenerate flaps (face area < {floor:g}) on edges {bad_edges}")
+        raise DegenerateFlapError(f"degenerate flaps (face area <= {floor:g}) on edges {bad_edges}")
     return points, coefficients
 
 
@@ -76,7 +78,7 @@ def edge_operator_field(mesh: TriMesh, topo: TopologyCache) -> np.ndarray:
     Raises
     ------
     DegenerateFlapError
-        If any flap face has area below AREA_EPS_FACTOR * l_e^2 where
+        If any flap face has area not above AREA_EPS_FACTOR * l_e^2 where
         l_e is the mesh's mean edge length.
     """
     (p1, p2, p3, p4), (c1, c2, c3, c4) = _flap_coefficients(mesh, topo)

@@ -11,9 +11,11 @@ own :func:`~meshseg.core.components`, numbered by their minimum face id,
 so labels are deterministic. Refinement reassigns every face of each
 undersized cluster to the large cluster in its surrounding ring whose
 normals agree best (sum of cosines); the ring reaches at least as far as
-the nearest large-cluster face, found by the package's own breadth-first
-search (:func:`_hops`). Decisions read a snapshot of the pre-refinement
-labels, so they cannot cascade. Only ``scipy.sparse`` is used.
+the nearest large-cluster face. Both breadth-first searches, the hop
+counts (:func:`_hops`) and the rings (:func:`_rings`), walk the
+topology's ``face_adjacent`` table, the one face graph. Decisions read a
+snapshot of the pre-refinement labels, so they cannot cascade. The
+module uses numpy only.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     FaceGeometry,
@@ -93,39 +94,29 @@ class ClusterLabels:
         return cls(labels=labels, cluster_count=count, cluster_sizes=sizes)
 
 
-def _face_graph(topo: TopologyCache) -> sp.csr_matrix:
-    """Symmetric (F, F) face adjacency over interior edges."""
-    a, b = topo.edge_faces[topo.interior_edge_ids].T
-    n = topo.n_faces
-    return sp.csr_matrix(
-        (np.ones(2 * len(a), dtype=np.int8), (np.r_[a, b], np.r_[b, a])), shape=(n, n)
-    )
-
-
-def _rings(graph: sp.csr_matrix, sources: np.ndarray, depth: np.ndarray):
+def _rings(topo: TopologyCache, sources: np.ndarray, depth: np.ndarray):
     """Pairs (i, g), as two arrays, of every face g within depth[i]
     edge-adjacency hops of face sources[i], the source itself excluded.
 
-    All sources advance one BFS level per step. On an undirected graph
-    the neighbours of level k lie in levels k - 1, k and k + 1, so the
-    two latest levels are all that must be removed from each expansion.
+    All sources advance one BFS level per step over ``face_adjacent``.
+    A level is kept as ascending keys owner * F + face; each expansion is
+    sorted and its repeats dropped with an adjacent-difference mask. On an
+    undirected graph the neighbours of level k lie in levels k - 1, k and
+    k + 1, so the two latest levels are all that must be removed from
+    each expansion.
     """
-    n = graph.shape[0]
-    m = len(sources)
-    level = np.arange(m, dtype=np.int64) * n + sources  # keys owner * n + face
+    n = topo.n_faces
+    level = np.arange(len(sources), dtype=np.int64) * n + sources
     previous = level[:0]
     reached = [previous]
     for hop in range(1, int(depth.max(initial=0)) + 1):
         level = level[depth[level // n] >= hop]
         if level.size == 0:
             break
-        frontier = sp.csr_matrix(
-            (np.ones(level.size, dtype=np.int8), (level // n, level % n)), shape=(m, n)
-        )
-        step = frontier @ graph
-        step.sum_duplicates()  # canonical: each (owner, face) once, sorted
-        step = step.tocoo()
-        following = step.row.astype(np.int64) * n + step.col
+        face = level % n
+        step = topo.face_adjacent[face]
+        following = np.sort((step + (level - face)[:, None])[step >= 0])
+        following = following[np.diff(following, prepend=-1) != 0]
         seen = np.concatenate((previous, level))
         following = following[~np.isin(following, seen, assume_unique=True)]
         reached.append(following)
@@ -202,7 +193,7 @@ def refine(
     sources = small_faces[~stranded]
     depth = np.maximum(params.ring_depth, hops[sources]).astype(np.int64)
 
-    owner, face = _rings(_face_graph(topo), sources, depth)
+    owner, face = _rings(topo, sources, depth)
     large = ~is_small[face]
     owner, face = owner[large], face[large]
     normals = geometry.normals

@@ -79,17 +79,17 @@ def edge_operator(flap: Flap) -> np.ndarray:
     Raises
     ------
     DegenerateFlapError
-        If either flap face has area below the floor.
+        If either flap face has area not above the floor.
     """
     p1, p2, p3, p4 = flap.p1, flap.p2, flap.p3, flap.p4
     area_floor = AREA_EPS_FACTOR * float(np.dot(p3 - p1, p3 - p1))
     with np.errstate(invalid="ignore", divide="ignore"):
         c1, c2, c3, c4, a123, a134 = operator_coefficients(p1, p2, p3, p4)
         values = c1 * p1 + c2 * p2 + c3 * p3 + c4 * p4
-    if a123 < area_floor or a134 < area_floor:
+    if not (a123 > area_floor and a134 > area_floor):
         raise DegenerateFlapError(
             f"flap over faces {flap.faces} has areas ({a123:g}, {a134:g}) "
-            f"below the floor {area_floor:g}"
+            f"not above the floor {area_floor:g}"
         )
     return values
 

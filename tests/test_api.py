@@ -6,8 +6,9 @@ products and ``einsum`` dots go through the helpers in ``core``, every
 error class in ``errors`` is raised or subclassed somewhere in the
 package, every private top-level function is called or passed on
 inside the package (not only by tests), every float field of a
-parameter class rejects NaN, and the whole pipeline runs without loading
-any part of scipy beyond ``scipy.sparse``.
+parameter class rejects NaN, only ``denoise`` and ``prefilter`` import
+scipy (and then only ``scipy.sparse``), and the whole pipeline runs
+without loading any part of scipy beyond ``scipy.sparse``.
 
 The import and parameter checks are small ``ast`` walks rather than a
 linter, so they run wherever the tests run. An imported name counts as
@@ -287,6 +288,45 @@ def test_every_private_function_is_used_in_the_package():
     with the tests."""
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE_DIR.glob("*.py"))}
     assert unused_private_functions(sources) == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """The scipy modules *source* imports, in order. ``from M import N``
+    counts as ``M.N`` for each name, since N may be a submodule."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [f"{node.module}.{a.name}" for a in node.names]
+    return [name for name in found if name == "scipy" or name.startswith("scipy.")]
+
+
+def test_scipy_imports_are_found():
+    source = (
+        "import scipy.sparse as sp\n"
+        "import numpy as np, scipy\n"
+        "from scipy.sparse import csgraph\n"
+        "from .core import scipy_like\n"
+        "def f():\n    from scipy import linalg\n"
+    )
+    assert scipy_imports(source) == [
+        "scipy.sparse", "scipy", "scipy.sparse.csgraph", "scipy.linalg"
+    ]
+
+
+# The modules allowed to import scipy; each imports ``scipy.sparse`` only.
+SCIPY_MODULES = ("denoise.py", "prefilter.py")
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name
+)
+def test_scipy_is_imported_only_as_sparse_where_allowed(path):
+    """Segmentation and the rest run on numpy alone; the prefilter's
+    system and the guided filter's blend matrix are the only scipy users."""
+    allowed = {"scipy.sparse"} if path.name in SCIPY_MODULES else set()
+    assert set(scipy_imports(path.read_text(encoding="utf-8"))) <= allowed
 
 
 # A valid instance of each parameter class of the package.

@@ -272,6 +272,21 @@ def test_field_degenerate_flap_lists_edges():
         edge_operator_field(mesh, topo)
 
 
+def test_field_rejects_a_mesh_collapsed_to_one_point():
+    """Every vertex at the origin: the mean edge length is 0, so the floor
+    is 0 and every flap area equals it. Such flaps are degenerate too;
+    the field must raise, not return NaN norms."""
+    faces = cube(1).faces
+    mesh = TriMesh(vertices=np.zeros((faces.max() + 1, 3)), faces=faces)
+    with pytest.raises(DegenerateFlapError):
+        edge_operator_field(mesh, mesh.topology)
+
+
+def test_oracle_rejects_a_flap_collapsed_to_one_point():
+    with pytest.raises(DegenerateFlapError):
+        edge_operator(flap_from_points(*np.zeros((4, 3))))
+
+
 def test_norms_csv_round_trip(tmp_path):
     mesh = plane(2)
     topo = build_topology(mesh)

@@ -20,7 +20,7 @@ from meshseg import cube, icosahedron, make_fixture, plane
 from meshseg.core import components
 from meshseg.noise import NoiseSpec, add_noise
 from meshseg.prefilter import PrefilterParams, _cg, assemble_system
-from meshseg.segment import _face_graph, _hops
+from meshseg.segment import _hops
 
 PERFBENCH_PREFILTER = PrefilterParams(5, 5, 2)
 
@@ -129,8 +129,10 @@ def test_hops_match_dijkstra(mesh, share):
     boundary edges join nothing."""
     topo = mesh.topology
     is_source = np.random.default_rng(int(share * 1000)).random(topo.n_faces) < share
+    a, b = topo.edge_faces[topo.interior_edge_ids].T
+    graph = sp.csr_matrix((np.ones(len(a)), (a, b)), shape=(topo.n_faces, topo.n_faces))
     want = csgraph.dijkstra(
-        _face_graph(topo),
+        graph,
         directed=False,
         indices=np.flatnonzero(is_source),
         unweighted=True,

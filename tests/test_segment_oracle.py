@@ -1,6 +1,7 @@
 """Scalar reference for region growing and refinement, and the property
-tests that hold the sparse-graph implementation in ``meshseg.segment``
-to it label for label.
+tests that hold ``meshseg.segment``, whose breadth-first searches walk
+the topology's ``face_adjacent`` table level by level for all sources at
+once, to it label for label and ring pair for ring pair.
 
 The reference walks faces one at a time: a breadth-first flood fill for
 growing and, for refinement, a ring around each small-cluster face that
@@ -12,15 +13,16 @@ matter where two labels' sums agree to rounding.
 from collections import deque
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshseg import TriMesh, cube, plane
+from meshseg import TriMesh, cube, icosahedron, plane
 from meshseg.core import TopologyCache, build_topology, face_geometry
 from meshseg.edgeop import edge_operator_field
 from meshseg.noise import NoiseSpec, add_noise
 from meshseg.prefilter import PrefilterParams, prefilter
-from meshseg.segment import ClusterLabels, SegmentParams, refine, region_grow
+from meshseg.segment import ClusterLabels, SegmentParams, _rings, refine, region_grow
 
 PREFILTER = PrefilterParams(5, 5, 2)
 
@@ -162,6 +164,56 @@ def test_face_ring_grows_monotonically():
     # Depth large enough reaches every other face of the closed cube.
     full = face_ring(topo, 0, 100)
     assert len(full) == 12 * 9 - 1
+
+
+# ---------------------------------------------------------------------------
+# Library rings equal the reference's, pair for pair
+# ---------------------------------------------------------------------------
+
+
+def rings_reference(topo: TopologyCache, sources, depth) -> np.ndarray:
+    """(2, n) pairs (i, g) in the library's order: by hop, then source
+    index, then face id; face g lies exactly that many hops from
+    sources[i], at most depth[i]. Stops at the first hop where no ring
+    grows."""
+    rings = [set() for _ in sources]
+    pairs = []
+    hop, grown = 0, True
+    while grown:
+        hop += 1
+        grown = False
+        for i, (source, limit) in enumerate(zip(sources, depth)):
+            if limit >= hop:
+                ring = face_ring(topo, int(source), hop)
+                pairs += [(i, g) for g in sorted(ring - rings[i])]
+                grown |= len(ring) > len(rings[i])
+                rings[i] = ring
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+
+
+@pytest.mark.parametrize("mesh", [cube(8), icosahedron(8), plane(8)], ids=repr)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rings_match_the_reference(mesh, seed):
+    """Random sources (repeats allowed) at depths 1-4, the last one deeper
+    than the mesh's diameter; the plane has boundary slots (-1)."""
+    topo = mesh.topology
+    rng = np.random.default_rng(seed)
+    sources = rng.integers(0, topo.n_faces, size=12)
+    depth = rng.integers(1, 5, size=12)
+    depth[-1] = topo.n_faces
+    owner, face = _rings(topo, sources, depth)
+    want = rings_reference(topo, sources, depth)
+    assert owner.dtype == face.dtype == np.int64
+    np.testing.assert_array_equal(np.stack((owner, face)), want)
+    # The deepest source reaches every other face of its (connected) mesh.
+    assert (owner == 11).sum() == topo.n_faces - 1
+
+
+def test_rings_of_no_sources_are_empty():
+    empty = np.empty(0, dtype=np.int64)
+    owner, face = _rings(cube(2).topology, empty, empty)
+    assert owner.shape == face.shape == (0,)
+    assert owner.dtype == face.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
