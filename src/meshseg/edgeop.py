@@ -98,6 +98,6 @@ def write_norms_csv(topo: TopologyCache, norms: np.ndarray, path) -> None:
     table[:, 0] = np.arange(topo.n_edges)
     table[:, 1:3] = topo.edges
     table[:, 3] = norms
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("edge_id,v0,v1,norm\n")
+    with open(path, "wb") as fh:
+        fh.write(b"edge_id,v0,v1,norm\n")
         _write_rows(fh, "{},{},{},{!r}\n", table)

@@ -1,4 +1,4 @@
-"""Wavefront OBJ reading/writing and colored PLY export.
+"""Wavefront OBJ reading/writing, label files and colored PLY export.
 
 Only the tiny OBJ subset needed for triangle meshes is supported:
 ``v x y z`` and ``f i j k`` records (1-based indices, optional ``/vt/vn``
@@ -6,11 +6,21 @@ suffixes). Everything else is ignored. Writing emits one ``v`` line per
 vertex followed by one ``f`` line per face, nothing else, with float
 coordinates in shortest round-trip decimal form so a write/read cycle
 reproduces positions exactly.
+
+The colored PLY is ASCII too, but its header declares ``property float``
+coordinates, so each is written as its float32 value with 9 significant
+digits, ``[-]d.dddddddde±dd``, which a float32 reader parses back to
+exactly ``vertices.astype(np.float32)``. The OBJ keeps shortest
+round-trip doubles, because OBJ round trips feed scores. Integers (face
+rows, colors, labels) print as ``str`` prints them. The PLY floats and
+every integer are formatted by numpy digit arithmetic, ROWS_PER_WRITE
+rows at a time, into a uint8 buffer whose pad bytes are then dropped.
 """
 
 from __future__ import annotations
 
 import colorsys
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,6 +29,11 @@ from .errors import LabelLengthMismatchError, MeshParseError, NonTriangleFaceErr
 
 GOLDEN_RATIO_CONJUGATE = 0.618034
 ROWS_PER_WRITE = 4096
+# 10**0 .. 10**22: every power of ten a float64 holds exactly.
+_POW10 = np.array([float(10**i) for i in range(23)])
+# A mantissa below 1e9 scaled by at most three rounded operations is off by
+# at most 3.4e-7; one nearer a half than this is rounded exactly instead.
+_TIE_MARGIN = 1e-6
 
 
 def read_obj(path) -> TriMesh:
@@ -83,20 +98,118 @@ def read_obj(path) -> TriMesh:
     )
 
 
+def _blocks(n: int):
+    """Row slices of ROWS_PER_WRITE rows covering 0..n-1."""
+    return (slice(i, i + ROWS_PER_WRITE) for i in range(0, n, ROWS_PER_WRITE))
+
+
 def _write_rows(fh, row_format: str, table: np.ndarray) -> None:
-    """Write *row_format* filled with each row of *table*. Values come
-    from ``tolist()``, so floats print as ``repr`` (shortest round-trip)
-    and integers as ``str``; rows are formatted ROWS_PER_WRITE at a time."""
-    for start in range(0, len(table), ROWS_PER_WRITE):
-        rows = table[start:start + ROWS_PER_WRITE]
-        fh.write((row_format * len(rows)).format(*rows.ravel().tolist()))
+    """Write *row_format* filled with each row of *table* to the binary
+    *fh*. Values come from ``tolist()``, so floats print as ``repr``
+    (shortest round-trip) and integers as ``str``."""
+    for block in _blocks(len(table)):
+        rows = table[block]
+        fh.write((row_format * len(rows)).format(*rows.ravel().tolist()).encode())
+
+
+def _put_digits(values: np.ndarray, planes: np.ndarray) -> None:
+    """Fill the (w, ...) uint8 *planes* with the ASCII decimal digits of
+    the non-negative int64 *values*, most significant first, zero-filled."""
+    for plane in planes[::-1]:
+        quotient = values // 10
+        np.subtract(values, quotient * 10, out=plane, casting="unsafe")
+        plane += ord("0")
+        values = quotient
+
+
+def _int_cells(table: np.ndarray) -> np.ndarray:
+    """(n, c, w) uint8 text of the integers of the (n, c) int64 *table*
+    as ``str`` prints them, right-aligned after 0 pad bytes."""
+    magnitude = np.abs(table)
+    width = len(str(magnitude.max(initial=0)))
+    planes = np.empty((width + 1,) + table.shape, dtype=np.uint8)
+    np.multiply(table < 0, ord("-"), out=planes[0], casting="unsafe")
+    _put_digits(magnitude, planes[1:])
+    for j in range(1, width):
+        planes[j] *= magnitude >= 10 ** (width - j)
+    return np.moveaxis(planes, 0, -1)
+
+
+def _scale(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """x * 10**k, in steps that each multiply or divide by an exact power
+    of ten, so every step is one correctly rounded IEEE operation."""
+    while True:
+        step = np.clip(k, -22, 22)
+        x = x * _POW10[np.maximum(step, 0)] / _POW10[np.maximum(-step, 0)]
+        k = k - step
+        if not k.any():
+            return x
+
+
+def _float32_cells(table: np.ndarray) -> np.ndarray:
+    """(n, c, 15) uint8 text of the float32 values of the (n, c) *table*
+    as ``"%.8e" % value`` prints them, a 0 pad byte in place of a sign.
+
+    ``np.log10`` only guesses each decimal exponent; the exponent is then
+    corrected from the scaled mantissa, whose digits come from correctly
+    rounded operations alone (and exact rationals within _TIE_MARGIN of a
+    rounding tie). So the text does not depend on numpy's SIMD path.
+    """
+    value = table.astype(np.float64)
+    magnitude = np.abs(value)
+    nonzero = magnitude > 0
+    guess = np.log10(magnitude, out=np.zeros_like(magnitude), where=nonzero)
+    exponent = np.floor(guess).astype(np.int64)
+    mantissa = _scale(magnitude, 8 - exponent)
+    exponent += (mantissa >= 1e9).astype(np.int64) - (nonzero & (mantissa < 1e8))
+    mantissa = _scale(magnitude, 8 - exponent)
+    rounded = np.rint(mantissa)
+    for i in np.flatnonzero(np.abs(mantissa - np.floor(mantissa) - 0.5) < _TIE_MARGIN):
+        exact = Fraction(float(magnitude.flat[i])) * Fraction(10) ** int(8 - exponent.flat[i])
+        rounded.flat[i] = round(exact)
+    carry = rounded >= 1e9
+    rounded[carry] = 1e8
+    exponent[carry] += 1
+    planes = np.empty((15,) + value.shape, dtype=np.uint8)
+    np.multiply(np.signbit(value), ord("-"), out=planes[0], casting="unsafe")
+    _put_digits(rounded.astype(np.int64), planes[2:11])
+    planes[1] = planes[2]
+    planes[2] = ord(".")
+    planes[11] = ord("e")
+    planes[12] = np.where(exponent < 0, ord("-"), ord("+"))
+    _put_digits(np.abs(exponent), planes[13:])
+    return np.moveaxis(planes, 0, -1)
+
+
+def _text(cells: np.ndarray, prefix: bytes = b"") -> bytes:
+    """One ASCII row per row of the (n, c, w) *cells*: *prefix*, the c
+    cells separated by spaces, a newline; the 0 pad bytes dropped."""
+    n, c, w = cells.shape
+    rows = np.empty((n, len(prefix) + c * (w + 1)), dtype=np.uint8)
+    rows[:, : len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+    body = rows[:, len(prefix) :].reshape(n, c, w + 1)
+    body[..., :w] = cells
+    body[:, :-1, w] = ord(" ")
+    body[:, -1, w] = ord("\n")
+    return rows[rows != 0].tobytes()
+
+
+def _label_array(labels) -> np.ndarray:
+    """*labels* as a 1-D int64 array; ValueError if they are not 1-D integers."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(
+            f"labels must be a 1-D integer array, got {labels.dtype} of shape {labels.shape}"
+        )
+    return labels.astype(np.int64, copy=False)
 
 
 def write_obj(mesh: TriMesh, path) -> None:
     """Write *mesh* to *path*; output is V + F lines, byte-deterministic."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:
         _write_rows(fh, "v {!r} {!r} {!r}\n", mesh.vertices)
-        _write_rows(fh, "f {} {} {}\n", mesh.faces + 1)
+        for block in _blocks(mesh.n_faces):
+            fh.write(_text(_int_cells(mesh.faces[block] + 1), b"f "))
 
 
 def _label_colors(n_labels: int) -> np.ndarray:
@@ -113,38 +226,55 @@ def _label_colors(n_labels: int) -> np.ndarray:
 
 
 def write_ply_colored(mesh: TriMesh, labels, path) -> None:
-    """ASCII PLY with one uchar RGB triple per face, colored by label."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """ASCII PLY with one uchar RGB triple per face, colored by label.
+
+    Coordinates are written as float32, as the header declares, with 9
+    significant digits, so a float32 reader gets exactly
+    ``mesh.vertices.astype(np.float32)``. *labels* must be one
+    non-negative integer per face, and every coordinate must be finite
+    as a float32; otherwise this raises before the file is opened.
+    """
+    labels = _label_array(labels)
     if labels.shape != (mesh.n_faces,):
-        raise LabelLengthMismatchError(
-            f"got {labels.shape[0] if labels.ndim else 'scalar'} labels "
-            f"for {mesh.n_faces} faces"
-        )
+        raise LabelLengthMismatchError(f"got {len(labels)} labels for {mesh.n_faces} faces")
     if labels.min(initial=0) < 0:
         raise ValueError("labels must be non-negative")
-    face_colors = _label_colors(int(labels.max(initial=-1)) + 1)[labels]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("ply\n")
-        fh.write("format ascii 1.0\n")
-        fh.write(f"element vertex {mesh.n_vertices}\n")
-        fh.write("property float x\n")
-        fh.write("property float y\n")
-        fh.write("property float z\n")
-        fh.write(f"element face {mesh.n_faces}\n")
-        fh.write("property list uchar int vertex_indices\n")
-        fh.write("property uchar red\n")
-        fh.write("property uchar green\n")
-        fh.write("property uchar blue\n")
-        fh.write("end_header\n")
-        _write_rows(fh, "{!r} {!r} {!r}\n", mesh.vertices)
-        _write_rows(fh, "3 {} {} {} {} {} {}\n", np.hstack((mesh.faces, face_colors)))
+    with np.errstate(over="ignore"):
+        coordinates = mesh.vertices.astype(np.float32)
+    if not np.isfinite(coordinates).all():
+        raise ValueError("vertex coordinates must lie within float32's finite range")
+    colors = _label_colors(int(labels.max(initial=-1)) + 1)
+    header = (
+        "ply\n"
+        "format ascii 1.0\n"
+        f"element vertex {mesh.n_vertices}\n"
+        "property float x\n"
+        "property float y\n"
+        "property float z\n"
+        f"element face {mesh.n_faces}\n"
+        "property list uchar int vertex_indices\n"
+        "property uchar red\n"
+        "property uchar green\n"
+        "property uchar blue\n"
+        "end_header\n"
+    )
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for block in _blocks(mesh.n_vertices):
+            fh.write(_text(_float32_cells(coordinates[block])))
+        for block in _blocks(mesh.n_faces):
+            rows = np.hstack((mesh.faces[block], colors[labels[block]]))
+            fh.write(_text(_int_cells(rows), b"3 "))
 
 
 def write_labels(labels, path) -> None:
-    """One integer label per line, in face order."""
-    labels = np.asarray(labels, dtype=np.int64)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_rows(fh, "{}\n", labels[:, None])
+    """One integer label per line, in face order. *labels* must be a 1-D
+    integer array; otherwise this raises ValueError before the file is
+    opened."""
+    labels = _label_array(labels)
+    with open(path, "wb") as fh:
+        for block in _blocks(len(labels)):
+            fh.write(_text(_int_cells(labels[block, None])))
 
 
 def read_labels(path) -> np.ndarray:

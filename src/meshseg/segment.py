@@ -139,7 +139,10 @@ def region_grow(topo: TopologyCache, measure: np.ndarray, d_thr: float) -> Clust
             f"got {len(measure)} edge values, topology has {topo.n_edges} edges"
         )
     a, b = topo.edge_faces[(measure < d_thr) & ~topo.boundary_edge_mask].T
-    labels = np.unique(components(topo.n_faces, a, b), return_inverse=True)[1]
+    roots = components(topo.n_faces, a, b)
+    # Each root is its component's minimum face id, so ranking the roots
+    # in face order numbers the components as np.unique does, without a sort.
+    labels = np.cumsum(roots == np.arange(topo.n_faces))[roots] - 1
     return ClusterLabels.from_array(labels, topo.n_faces)
 
 

@@ -1,5 +1,7 @@
 """Tests for OBJ/PLY readers and writers and the label files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,7 +136,9 @@ def _rows_one_by_one(mesh, labels):
     obj = "".join(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n" for x, y, z in mesh.vertices)
     obj += "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.faces)
     colors = _label_colors(int(labels.max()) + 1)[labels]
-    ply = "".join(f"{float(x)!r} {float(y)!r} {float(z)!r}\n" for x, y, z in mesh.vertices)
+    ply = "".join(
+        " ".join(f"{float(np.float32(x)):.8e}" for x in row) + "\n" for row in mesh.vertices
+    )
     ply += "".join(
         f"3 {a} {b} {c} {r} {g} {b_}\n" for (a, b, c), (r, g, b_) in zip(mesh.faces, colors)
     )
@@ -144,7 +148,8 @@ def _rows_one_by_one(mesh, labels):
 @pytest.mark.parametrize("rows_per_write", [fileio.ROWS_PER_WRITE, 7])
 def test_writers_match_row_by_row_formatting(tmp_path, monkeypatch, rows_per_write):
     """Signed zero, a tiny value and an inexact sum print exactly as the
-    per-row formatter prints them, also when the rows span several writes."""
+    per-row formatter prints them, also when the rows span several writes:
+    as repr in the OBJ, as their float32 values with 9 digits in the PLY."""
     monkeypatch.setattr(fileio, "ROWS_PER_WRITE", rows_per_write)
     mesh = add_noise(cube(2), NoiseSpec(0.3, "normal", seed=3))
     vertices = mesh.vertices.copy()
@@ -158,7 +163,7 @@ def test_writers_match_row_by_row_formatting(tmp_path, monkeypatch, rows_per_wri
     assert (tmp_path / "m.obj").read_text().startswith("v -0.0 1e-300 0.30000000000000004\n")
     ply_bytes = (tmp_path / "m.ply").read_bytes()
     assert ply_bytes.split(b"end_header\n", 1)[1] == ply.encode()
-    assert ply.startswith("-0.0 1e-300 0.30000000000000004\n")
+    assert ply.startswith("-0.00000000e+00 0.00000000e+00 3.00000012e-01\n")
     write_labels(labels, tmp_path / "m.txt")
     assert (tmp_path / "m.txt").read_text() == "".join(f"{int(lab)}\n" for lab in labels)
 
@@ -185,5 +190,105 @@ def test_ply_of_no_faces_bytes(tmp_path):
         b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
         b"property float y\nproperty float z\nelement face 0\n"
         b"property list uchar int vertex_indices\nproperty uchar red\n"
-        b"property uchar green\nproperty uchar blue\nend_header\n0.0 1.5 -2.0\n"
+        b"property uchar green\nproperty uchar blue\nend_header\n"
+        b"0.00000000e+00 1.50000000e+00 -2.00000000e+00\n"
     )
+
+
+def test_ply_coordinates_parse_back_as_float32(tmp_path):
+    """Every coordinate prints as ``%.8e`` of its float32 value and parses
+    back to exactly that float32: signed zero, an underflow, float32's
+    extremes, powers of ten with their neighbours, a mantissa that carries
+    to the next power, and two values whose scaled mantissa rounds to a
+    half in float64 though it lies just off one."""
+    f32 = np.finfo(np.float32)
+    values = [-0.0, 1e-300, f32.smallest_subnormal, f32.max, -f32.max, 0.99999999]
+    values += [4.500175e-05, -9.310197e-05]
+    for k in range(-30, 31):
+        power = np.float32(10.0**k)
+        values += [power, np.nextafter(power, np.float32(np.inf)), np.nextafter(power, np.float32(0))]
+    values += [0.0] * (-len(values) % 3)
+    vertices = np.array(values, dtype=np.float32).astype(np.float64).reshape(-1, 3)
+    mesh = TriMesh(vertices, np.zeros((0, 3), dtype=np.int64))
+    write_ply_colored(mesh, np.zeros(0, dtype=np.int64), tmp_path / "m.ply")
+    body = (tmp_path / "m.ply").read_bytes().split(b"end_header\n", 1)[1]
+    assert body.decode().split() == [f"{float(x):.8e}" for x in vertices.ravel()]
+    back = np.array(body.split(), dtype=np.float32).reshape(-1, 3)
+    np.testing.assert_array_equal(back.view(np.uint32), mesh.vertices.astype(np.float32).view(np.uint32))
+
+
+def test_ply_text_does_not_trust_log10(tmp_path, monkeypatch):
+    """The decimal exponent is corrected after np.log10's guess, so a guess
+    one decade off either way writes the same bytes."""
+    mesh = add_noise(icosahedron(2), NoiseSpec(0.3, "normal", seed=5))
+    mesh = mesh.with_vertices(mesh.vertices * np.logspace(-12, 12, mesh.n_vertices)[:, None])
+    labels = np.zeros(mesh.n_faces, dtype=np.int64)
+    write_ply_colored(mesh, labels, tmp_path / "true.ply")
+    log10 = np.log10
+
+    def off_by_a_decade(x, out, where):
+        shift = np.where(np.arange(x.size).reshape(x.shape) % 2, 0.9, -0.9)
+        return np.add(log10(x, out=out, where=where), shift, out=out, where=where)
+
+    monkeypatch.setattr(np, "log10", off_by_a_decade)
+    write_ply_colored(mesh, labels, tmp_path / "guessed.ply")
+    assert (tmp_path / "guessed.ply").read_bytes() == (tmp_path / "true.ply").read_bytes()
+
+
+@pytest.mark.parametrize("coordinate", [3.5e38, -1e39])
+def test_ply_rejects_coordinates_beyond_float32(tmp_path, coordinate):
+    mesh = cube(1)
+    vertices = mesh.vertices.copy()
+    vertices[0, 1] = coordinate
+    path = tmp_path / "big.ply"
+    with pytest.raises(ValueError, match="float32"):
+        write_ply_colored(mesh.with_vertices(vertices), np.zeros(mesh.n_faces, dtype=np.int64), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "labels", [np.array([0.0, 1.7, 2.2]), np.array([[0, 1], [1, 0]])], ids=["float", "2d"]
+)
+def test_label_file_rejects_labels_that_are_not_1d_integers(tmp_path, labels):
+    path = tmp_path / "labels.txt"
+    with pytest.raises(ValueError, match="1-D integer"):
+        write_labels(labels, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [np.arange(12) * 0.5, np.zeros((12, 1), dtype=np.int64)],
+    ids=["float", "column"],
+)
+def test_ply_rejects_labels_that_are_not_1d_integers(tmp_path, labels):
+    path = tmp_path / "seg.ply"
+    with pytest.raises(ValueError, match="1-D integer"):
+        write_ply_colored(cube(1), labels, path)
+    assert not path.exists()
+
+
+def test_label_file_keeps_negative_and_wide_labels(tmp_path):
+    labels = np.array([-7, 0, 10, -10**12, 2**62, 9, -1])
+    write_labels(labels, tmp_path / "labels.txt")
+    assert (tmp_path / "labels.txt").read_text() == "".join(f"{lab}\n" for lab in labels.tolist())
+
+
+# tracemalloc peak of the row-formatting writer this one replaced, on the
+# same call: icosahedron(32) with 37 labels.
+FORMAT_WRITER_PLY_PEAK = 1_920_729
+
+
+def test_ply_write_allocates_no_more_than_the_format_writer(tmp_path):
+    """Formatting ROWS_PER_WRITE rows at a time keeps the peak allocation
+    of a PLY write at or below the row-formatting writer's."""
+    mesh = icosahedron(32)
+    labels = np.arange(mesh.n_faces) % 37
+    write_ply_colored(mesh, labels, tmp_path / "warm.ply")
+    tracemalloc.start()
+    try:
+        write_ply_colored(mesh, labels, tmp_path / "seg.ply")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= FORMAT_WRITER_PLY_PEAK

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshseg import TriMesh, cube, icosahedron, plane
-from meshseg.core import TopologyCache, build_topology, face_geometry
+from meshseg.core import TopologyCache, build_topology, components, face_geometry
 from meshseg.edgeop import edge_operator_field
 from meshseg.noise import NoiseSpec, add_noise
 from meshseg.prefilter import PrefilterParams, prefilter
@@ -214,6 +214,26 @@ def test_rings_of_no_sources_are_empty():
     owner, face = _rings(cube(2).topology, empty, empty)
     assert owner.shape == face.shape == (0,)
     assert owner.dtype == face.dtype == np.int64
+
+
+@pytest.mark.parametrize("mesh", [cube(8), icosahedron(8), plane(8)], ids=repr)
+def test_region_grow_numbers_components_as_unique_does(mesh):
+    """region_grow ranks each component's root (its minimum face id) in
+    face order; that is np.unique's inverse of the roots, also on a noisy
+    mesh with shuffled vertex and face ids and at thresholds from every
+    face alone to one cluster per connected component."""
+    rng = np.random.default_rng(3)
+    vertex_order = rng.permutation(mesh.n_vertices)
+    face_order = rng.permutation(mesh.n_faces)
+    shuffled = TriMesh(mesh.vertices[vertex_order], np.argsort(vertex_order)[mesh.faces[face_order]])
+    noisy = add_noise(shuffled, NoiseSpec(0.5, "normal", seed=23))
+    topo = build_topology(noisy)
+    norms = edge_operator_field(noisy, topo)
+    for d_thr in (0.0, 0.02 * topo.mean_edge_length, 0.06 * topo.mean_edge_length, np.inf):
+        a, b = topo.edge_faces[(norms < d_thr) & ~topo.boundary_edge_mask].T
+        roots = components(topo.n_faces, a, b)
+        labels = region_grow(topo, norms, d_thr).labels
+        np.testing.assert_array_equal(labels, np.unique(roots, return_inverse=True)[1])
 
 
 # ---------------------------------------------------------------------------
