@@ -8,6 +8,7 @@ filtering + vertex fitting) and score the result against ground truth.
 """
 
 from .core import (
+    ClusterLabels,
     FaceGeometry,
     TopologyCache,
     TriMesh,
@@ -30,7 +31,7 @@ from .denoise import (
     params_from_tuple,
     vertex_update,
 )
-from .edgeop import edge_operator_field, write_norms_csv
+from .edgeop import edge_operator_field
 from .errors import (
     ConnectivityMismatchError,
     DegenerateFaceError,
@@ -47,12 +48,12 @@ from .errors import (
     SolverDivergedError,
     ZeroAreaFaceError,
 )
-from .fileio import read_labels, read_obj, write_labels, write_obj, write_ply_colored
+from .fileio import read_labels, read_obj, write_labels, write_norms_csv, write_obj, write_ply_colored
 from .fixtures import cube, icosahedron, make_fixture, plane
 from .metrics import ev, msae
 from .noise import NoiseSpec, add_noise
 from .prefilter import PrefilterParams, prefilter
-from .segment import ClusterLabels, SegmentParams, refine, region_grow, segment
+from .segment import SegmentParams, refine, region_grow, segment
 
 __version__ = "0.1.0"
 

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bench import parse_config, run_bench
 from .denoise import PARAM_TYPES, denoise, params_from_tuple
-from .edgeop import edge_operator_field, write_norms_csv
+from .edgeop import edge_operator_field
 from .errors import ConnectivityMismatchError, MeshError
-from .fileio import read_obj, write_labels, write_obj, write_ply_colored
+from .fileio import read_obj, write_labels, write_norms_csv, write_obj, write_ply_colored
 from .fixtures import FIXTURE_SHAPES, make_fixture
 from .metrics import ev, msae
 from .noise import NOISE_MODES, NoiseSpec, add_noise
@@ -213,8 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--params",
         required=True,
-        help="comma tuple; unf/bnf/l1: (x, n_iter, v_iter), "
-        "gnf: (r, sigma_s_mult, sigma_r, n_iter, v_iter)",
+        help="comma tuple; " + ", ".join(
+            f"{name}: ({', '.join(f.name for f in fields(kind))})"
+            for name, kind in sorted(PARAM_TYPES.items())
+        ),
     )
     p.add_argument("--use-clusters", action="store_true")
     _add_segment_flags(p)

@@ -4,12 +4,13 @@ The mesh is storage (positions + index triples) plus its connectivity, a
 :class:`TopologyCache` built on first use of :attr:`TriMesh.topology`,
 kept, and carried to the meshes :meth:`TriMesh.with_vertices` makes from
 it. :class:`FaceGeometry` depends on positions and is built where needed.
+Every stage checks face labels with :func:`label_array` and weighs
+with one Gaussian, :func:`gaussian`.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import (
     DegenerateFaceError,
     InconsistentWindingError,
+    LabelLengthMismatchError,
     NonFiniteVertexError,
     NonManifoldEdgeError,
     NonManifoldVertexError,
@@ -82,9 +84,8 @@ class TriMesh:
         moved.faces = self.faces
         moved._topology = None
         if self._topology is not None:
-            topo = copy.copy(self._topology)
-            topo.mean_edge_length = _mean_edge_length(moved.vertices, topo.edges)
-            moved._topology = topo
+            length = _mean_edge_length(moved.vertices, self._topology.edges)
+            moved._topology = replace(self._topology, mean_edge_length=length)
         return moved
 
     def __repr__(self) -> str:
@@ -112,6 +113,7 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class TopologyCache:
     """Edge list and adjacency tables derived from one mesh's faces.
 
@@ -142,19 +144,19 @@ class TopologyCache:
         higher-id faces at p2, p4.
     mean_edge_length : float
         Mean over all edges at the mesh's positions; 0.0 without edges.
+    n_faces : int
+        Number of faces of the mesh.
     """
 
-    __slots__ = (
-        "edges",
-        "edge_faces",
-        "face_edges",
-        "face_adjacent",
-        "vertex_face_offsets",
-        "interior_edge_ids",
-        "flap_vertices",
-        "mean_edge_length",
-        "n_faces",
-    )
+    edges: np.ndarray
+    edge_faces: np.ndarray
+    face_edges: np.ndarray
+    face_adjacent: np.ndarray
+    vertex_face_offsets: np.ndarray
+    interior_edge_ids: np.ndarray
+    flap_vertices: np.ndarray
+    mean_edge_length: float
+    n_faces: int
 
     @property
     def n_edges(self) -> int:
@@ -178,9 +180,6 @@ def build_topology(mesh: TriMesh) -> TopologyCache:
     NonManifoldVertexError
         If the faces around a vertex form more than one fan.
     """
-    topo = TopologyCache.__new__(TopologyCache)
-    topo.n_faces = mesh.n_faces
-
     faces = mesh.faces
     # Halfedges in corner order: (v0,v1), (v1,v2), (v2,v0) per face, each
     # sorted and keyed as v0 * V + v1, which orders edges like their rows.
@@ -235,15 +234,13 @@ def build_topology(mesh: TriMesh) -> TopologyCache:
     tables = (edges, edge_faces, face_edges, face_adjacent, vertex_face_offsets)
     for arr in (*tables, interior_edge_ids, flap_vertices):
         arr.setflags(write=False)
-    topo.edges = edges
-    topo.edge_faces = edge_faces
-    topo.face_edges = face_edges
-    topo.face_adjacent = face_adjacent
-    topo.vertex_face_offsets = vertex_face_offsets
-    topo.interior_edge_ids = interior_edge_ids
-    topo.flap_vertices = flap_vertices
-    topo.mean_edge_length = _mean_edge_length(mesh.vertices, edges)
-    return topo
+    return TopologyCache(
+        *tables,
+        interior_edge_ids,
+        flap_vertices,
+        _mean_edge_length(mesh.vertices, edges),
+        mesh.n_faces,
+    )
 
 
 def _reject_bowties(faces: np.ndarray, one: np.ndarray, two: np.ndarray) -> None:
@@ -326,13 +323,14 @@ def row_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def sum_terms(terms) -> np.ndarray:
+def sum_terms(terms, out: np.ndarray | None = None) -> np.ndarray:
     """The sum of a few equal-shape arrays (a sequence, or an array's
     leading axis) as numpy sums the axis that stacks them: its add-reduce
     starts from +0.0, so ((0.0 + t0) + t1) + t2. Plain (t0 + t1) + t2
-    differs where every term is −0.0."""
+    differs where every term is −0.0. Written into *out* if given. A ring's
+    slot sum, einsum("fk,fki->fi"), is ``sum_terms((w * ring).swapaxes(0, 1))``."""
     first, *rest = terms
-    out = np.add(first, 0.0)
+    out = np.add(first, 0.0, out=out)
     for term in rest:
         out += term
     return out
@@ -353,6 +351,56 @@ def mean_terms(terms) -> np.ndarray:
     out = sum_terms(terms)
     out /= len(terms)
     return out
+
+
+def gaussian(d2, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(−d2 / 2σ²) into *out* if given (it may be *d2*), with the bits of
+    ``np.exp(-d2 / (2.0 * sigma * sigma))``: IEEE negation is exact, so
+    dividing by the negated denominator gives the negated quotient."""
+    out = np.divide(d2, -2.0 * sigma * sigma, out=out)
+    return np.exp(out, out=out)
+
+
+@dataclass(frozen=True)
+class ClusterLabels:
+    """Face labels 0..cluster_count-1; cluster_sizes[k] counts label k."""
+
+    labels: np.ndarray
+    cluster_count: int
+    cluster_sizes: np.ndarray
+
+    @classmethod
+    def from_array(cls, labels, n_faces: int | None = None) -> "ClusterLabels":
+        """Frozen labels from anything :func:`label_array` accepts; they
+        must be non-negative and use every id 0..max (ValueError)."""
+        labels = label_array(labels, n_faces)
+        count = int(labels.max(initial=-1)) + 1
+        if labels.min(initial=0) < 0:
+            raise ValueError("labels must be non-negative")
+        sizes = np.bincount(labels, minlength=count)
+        if (sizes == 0).any():
+            raise ValueError("labels must be contiguous: every id 0..max used")
+        labels = labels.copy()
+        labels.setflags(write=False)
+        sizes.setflags(write=False)
+        return cls(labels=labels, cluster_count=count, cluster_sizes=sizes)
+
+
+def label_array(labels, n_faces: int | None = None) -> np.ndarray:
+    """The face labels of *labels*, a :class:`ClusterLabels` or an array, as
+    1-D int64. ValueError unless 1-D integers (not bool or float; empty
+    passes, as ``np.asarray([])`` is float); LabelLengthMismatchError if
+    *n_faces* is given and differs."""
+    if isinstance(labels, ClusterLabels):
+        labels = labels.labels
+    arr = np.asarray(labels)
+    if arr.ndim != 1 or (arr.size and not np.issubdtype(arr.dtype, np.integer)):
+        raise ValueError(
+            f"labels must be a 1-D integer array, got {arr.dtype} of shape {arr.shape}"
+        )
+    if n_faces is not None and len(arr) != n_faces:
+        raise LabelLengthMismatchError(f"expected {n_faces} labels, got {len(arr)}")
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Four normal-filter backends share one dispatch (:func:`filter_normals`).
 The three edge-ring filters (unf, bnf, l1) also share one sweep loop,
 :func:`_ring_sweeps`, which gathers each face's ring normals and hands
 them to the filter's per-sweep step, and bnf and l1 share one spatial
-kernel, :func:`_ring_spatial`:
+kernel, :func:`_ring_spatial`. Every Gaussian weight, spatial or range,
+is :func:`~meshseg.core.gaussian`, the prefilter's too:
 
 - ``unf``: edge-ring normals whose dot with the center normal exceeds a
   threshold T, each weighted by area·(dot − T)²; the face itself always
@@ -21,8 +22,9 @@ kernel, :func:`_ring_spatial`:
   within an angular gate. The Weiszfeld loop steps only the faces with
   gated weight.
 
-Passing cluster labels restricts every neighborhood (and the gnf
-guidance patches) to faces of the same cluster, which is what keeps
+Passing cluster labels (a ClusterLabels or a 1-D integer array, checked
+by :func:`~meshseg.core.label_array`) restricts every neighborhood (and
+the gnf guidance patches) to faces of the same cluster, which is what keeps
 filtering from bleeding across feature lines; a face whose constrained
 neighborhood is empty keeps its own normal. Neighbor sums always run in
 ascending face id, so results are reproducible bit-for-bit.
@@ -46,10 +48,11 @@ allocated once per call, and each sweep writes the blend weights
 straight into the data array of its sparse matrix. numpy's ``einsum``
 and its short-axis reductions (``.sum(axis=1)``, ``.mean(axis=1)``,
 ``np.linalg.norm(axis=1)``, ``np.cross``) run a 3- or 4-long axis one
-row at a time, several times slower. So every such sum here is written out, through
-:func:`~meshseg.core.dot_terms`, :func:`~meshseg.core.sum_terms`,
-:func:`~meshseg.core.mean_terms`, :func:`~meshseg.core.row_norms`,
-:func:`~meshseg.core.row_cross` and :func:`_slot_sum`, in the order
+row at a time, several times slower. So every such sum here is written
+out, through :func:`~meshseg.core.dot_terms`,
+:func:`~meshseg.core.sum_terms` (slot sums included),
+:func:`~meshseg.core.mean_terms`, :func:`~meshseg.core.row_norms` and
+:func:`~meshseg.core.row_cross`, in the order
 numpy's row-major form sums it, so the results keep its bits, signed
 zeros included. Other per-sweep gathers use ``np.take(a, idx, axis=0)``
 rather than ``a[idx]``: the same array, but ``take`` copies whole rows,
@@ -78,13 +81,13 @@ from .core import (
     check_count,
     dot_terms,
     face_geometry,
+    gaussian,
+    label_array,
     mean_terms,
     row_norms,
     stencil_pairs,
     sum_terms,
 )
-from .errors import LabelLengthMismatchError
-from .segment import ClusterLabels
 
 WEISZFELD_MAX_ITER = 20
 WEISZFELD_MOVE_TOL = 1e-8
@@ -191,33 +194,20 @@ def params_from_tuple(method: str, values) -> DenoiseParams:
     return PARAM_TYPES[method](*head, *tail)
 
 
-def _as_label_array(labels, n_faces: int):
-    """None, ClusterLabels, or raw array -> validated int64 array or None."""
-    if labels is None:
-        return None
-    if isinstance(labels, ClusterLabels):
-        arr = labels.labels
-    else:
-        arr = np.asarray(labels, dtype=np.int64)
-    if arr.shape != (n_faces,):
-        raise LabelLengthMismatchError(
-            f"expected {n_faces} labels, got shape {arr.shape}"
-        )
-    return arr
-
-
-def _ring_tables(topo: TopologyCache, label_array):
+def _ring_tables(topo: TopologyCache, labels):
     """(safe, valid): each face's edge ring in ascending face id with
     boundary slots last. Boundary slots read face 0 in *safe* and False
-    in *valid*, which with labels is also False for other clusters."""
+    in *valid*, which with *labels* (checked by
+    :func:`~meshseg.core.label_array`) is also False for other clusters."""
     ring = topo.face_adjacent.copy()
     sentinel = np.iinfo(np.int64).max
     ring[ring < 0] = sentinel
     ring.sort(axis=1)
     valid = ring != sentinel
     safe = np.where(valid, ring, 0)
-    if label_array is not None:
-        valid &= label_array[safe] == label_array[:, None]
+    if labels is not None:
+        labels = label_array(labels, topo.n_faces)
+        valid &= labels[safe] == labels[:, None]
     return safe, valid
 
 
@@ -269,7 +259,7 @@ def _ring_spatial(topo: TopologyCache, geometry: FaceGeometry, safe: np.ndarray)
     sigma_c = mean_adjacent_centroid_distance(topo, geometry)
     centroids = np.ascontiguousarray(geometry.centroids.T)
     cdiff = centroids[:, None, :] - np.take(centroids, safe.T, axis=1)
-    return np.exp(-dot_terms(cdiff, cdiff) / (2.0 * sigma_c * sigma_c))
+    return gaussian(dot_terms(cdiff, cdiff), sigma_c)
 
 
 def filter_unf(
@@ -281,7 +271,7 @@ def filter_unf(
     normal is weighted by its area·(dot − t)²; the face itself is
     weighted by its area·(1 − t)².
     """
-    safe, valid = _ring_tables(topo, _as_label_array(labels, topo.n_faces))
+    safe, valid = _ring_tables(topo, labels)
     valid = valid.T
     areas = geometry.areas
     nbr_areas = areas[safe.T]
@@ -292,7 +282,7 @@ def filter_unf(
     def step(normals, ring, scratch):
         dots = dot_terms(normals[:, None, :], ring, scratch)
         weights = np.where(valid & (dots > threshold), nbr_areas * (dots - threshold) ** 2, 0.0)
-        summed = _slot_sum(weights, ring, ring, np.empty_like(normals))
+        summed = sum_terms(np.multiply(weights, ring, out=ring).swapaxes(0, 1))
         summed += self_w * normals
         return _normalize_rows(summed.T, normals.T).T
 
@@ -303,31 +293,20 @@ def filter_bnf(
     topo: TopologyCache, geometry: FaceGeometry, params: BnfParams, labels=None
 ) -> np.ndarray:
     """n_iter sweeps of the bilateral normal filter."""
-    safe, valid = _ring_tables(topo, _as_label_array(labels, topo.n_faces))
+    safe, valid = _ring_tables(topo, labels)
     areas = geometry.areas
     base_w = np.where(valid.T, areas[safe.T] * _ring_spatial(topo, geometry, safe), 0.0)
-    two_sr2 = 2.0 * params.sigma_r * params.sigma_r
 
     def step(normals, ring, scratch):
         ndiff = np.subtract(normals[:, None, :], ring, out=scratch)
-        weights = base_w * np.exp(-dot_terms(ndiff, ndiff, ndiff) / two_sr2)
-        summed = _slot_sum(weights, ring, ring, np.empty_like(normals))
+        weights = gaussian(dot_terms(ndiff, ndiff, ndiff), params.sigma_r)
+        weights *= base_w
+        summed = sum_terms(np.multiply(weights, ring, out=ring).swapaxes(0, 1))
         # Self term: both kernels evaluate to 1 at zero distance.
         summed += areas * normals
         return _normalize_rows(summed.T, normals.T).T
 
     return _ring_sweeps(geometry, safe, params.n_iter, step)
-
-
-def _slot_sum(weights, points, prod, out):
-    """out[i] = ((0.0 + w0·p0[i]) + w1·p1[i]) + w2·p2[i] for (3 slots, A)
-    *weights* and (3 components, 3 slots, A) *points*, einsum("fk,fki->fi")'s
-    order: like :func:`~meshseg.core.sum_terms`, it starts from +0.0, so three
-    −0.0 products sum to +0.0. *prod* may be *points* itself."""
-    np.multiply(weights, points, out=prod)
-    np.add(prod[:, 0], 0.0, out=out)
-    np.add(out, prod[:, 1], out=out)
-    return np.add(out, prod[:, 2], out=out)
 
 
 class _WeiszfeldWork:
@@ -383,7 +362,8 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray, work) 
     n = len(wsum)
     prod, inv, candidate = work.prod[..., :n], work.inv[:, :n], work.candidate[:, :n]
     inv_sum, move, flags = work.inv_sum[:n], work.move[:n], work.flags[:n]
-    median = _slot_sum(weights, points, prod, work.median[:, :n])
+    median = work.median[:, :n]
+    sum_terms(np.multiply(weights, points, out=prod).swapaxes(0, 1), out=median)
     np.divide(median, wsum, out=median)
     result, columns = None, None  # the output, and each working column's place in it
     for _step in range(WEISZFELD_MAX_ITER):
@@ -396,7 +376,7 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray, work) 
         np.divide(weights, inv, out=inv)
         np.add(inv[0], inv[1], out=inv_sum)
         np.add(inv_sum, inv[2], out=inv_sum)
-        _slot_sum(inv, points, prod, candidate)
+        sum_terms(np.multiply(inv, points, out=prod).swapaxes(0, 1), out=candidate)
         np.logical_not(np.greater(inv_sum, 0.0, out=flags), out=flags)  # stuck
         np.copyto(inv_sum, 1.0, where=flags)
         np.divide(candidate, inv_sum, out=candidate)
@@ -447,7 +427,7 @@ def filter_l1median(
     take Weiszfeld steps (see :func:`_weiszfeld`); the others keep their
     normal.
     """
-    safe, valid = _ring_tables(topo, _as_label_array(labels, topo.n_faces))
+    safe, valid = _ring_tables(topo, labels)
     valid = valid.T
     spatial = _ring_spatial(topo, geometry, safe)
     cos_gate = float(np.cos(np.radians(params.angle_max_deg)))
@@ -467,7 +447,7 @@ def filter_l1median(
     return _ring_sweeps(geometry, safe, params.n_iter, step)
 
 
-def _radius_pairs(centroids: np.ndarray, radius: float, label_array=None):
+def _radius_pairs(centroids: np.ndarray, radius: float, labels=None):
     """(first, second, d2): each unordered pair of faces whose centroids lie
     within *radius* (same cluster only when labels given) once, with its
     squared centroid distance. Candidates come from one :func:`stencil_pairs`
@@ -488,8 +468,8 @@ def _radius_pairs(centroids: np.ndarray, radius: float, label_array=None):
         diff = np.take(axis_centroids, q, axis=1) - np.take(axis_centroids, s, axis=1)
         d2 = dot_terms(diff, diff, diff)
         keep = d2 <= r2
-        if label_array is not None:
-            keep &= label_array[q] == label_array[s]
+        if labels is not None:
+            keep &= labels[q] == labels[s]
         firsts.append(q[keep])
         seconds.append(s[keep])
         dists.append(d2[keep])
@@ -569,7 +549,8 @@ def filter_gnf(
     patch consistency (over the 6 unordered member pairs). The sweep runs
     axis-major, in buffers allocated once per call.
     """
-    label_array = _as_label_array(labels, topo.n_faces)
+    if labels is not None:
+        labels = label_array(labels, topo.n_faces)
     n_faces = topo.n_faces
     areas = geometry.areas
     centroids = geometry.centroids
@@ -577,10 +558,10 @@ def filter_gnf(
     sigma_s = params.sigma_s_mult * sigma_c
     radius = params.r * topo.mean_edge_length
 
-    first, second, pair_d2 = _radius_pairs(centroids, radius, label_array)
+    first, second, pair_d2 = _radius_pairs(centroids, radius, labels)
     nbr_ids, offsets, slot_pair = _pair_csr(first, second, n_faces)
     # fl(a - b) = -fl(b - a), so a pair's squared distance serves both slots.
-    slot_spatial = np.take(np.exp(-pair_d2 / (2.0 * sigma_s * sigma_s)), slot_pair)
+    slot_spatial = np.take(gaussian(pair_d2, sigma_s, out=pair_d2), slot_pair)
     slot_spatial *= areas[nbr_ids]
     del pair_d2
 
@@ -592,7 +573,7 @@ def filter_gnf(
 
     # Patch membership: self + (constrained) edge ring, padded to 4, as
     # (4 members, F) rows.
-    safe, ring_valid = _ring_tables(topo, label_array)
+    safe, ring_valid = _ring_tables(topo, labels)
     members = np.concatenate([np.arange(n_faces)[None, :], safe.T])
     member_valid = np.concatenate([np.ones((1, n_faces), dtype=bool), ring_valid.T])
     member_area = areas[members] * member_valid
@@ -611,7 +592,6 @@ def filter_gnf(
 
     pair_a, pair_b = np.triu_indices(4, 1)
     pair_mask = member_valid[pair_a] & member_valid[pair_b]
-    two_sr2 = 2.0 * params.sigma_r * params.sigma_r
     normals = np.ascontiguousarray(geometry.normals.T)
     member_normals = np.empty((3,) + members.shape)
     member_diffs = np.empty((3, len(pair_a), n_faces))
@@ -634,10 +614,7 @@ def filter_gnf(
         np.take(guidance, first, axis=1, out=gdiff, mode="clip")
         np.take(guidance, second, axis=1, out=second_guidance, mode="clip")
         np.subtract(gdiff, second_guidance, out=gdiff)
-        weight = dot_terms(gdiff, gdiff, gdiff)
-        np.negative(weight, out=weight)
-        weight /= two_sr2
-        np.exp(weight, out=weight)
+        weight = gaussian(dot_terms(gdiff, gdiff, gdiff), params.sigma_r)
         np.take(weight, slot_pair, out=blend.data, mode="clip")
         blend.data *= slot_spatial
         summed = np.ascontiguousarray((blend @ normals.T).T)

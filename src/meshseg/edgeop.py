@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import TopologyCache, TriMesh, dot_terms, row_cross, row_norms
 from .errors import DegenerateFlapError
-from .fileio import _write_rows
 
 #: Flap faces with area not above AREA_EPS_FACTOR * l_e^2 are degenerate.
 AREA_EPS_FACTOR = 1e-12
@@ -89,15 +88,3 @@ def edge_operator_field(mesh: TriMesh, topo: TopologyCache) -> np.ndarray:
     norms.setflags(write=False)
     return norms
 
-
-def write_norms_csv(topo: TopologyCache, norms: np.ndarray, path) -> None:
-    """CSV dump ``edge_id,v0,v1,norm`` of the (E,) *norms* (boundary: inf)."""
-    # An object table, so that tolist() gives ints for the ids and floats
-    # (repr, inf included) for the norms.
-    table = np.empty((topo.n_edges, 4), dtype=object)
-    table[:, 0] = np.arange(topo.n_edges)
-    table[:, 1:3] = topo.edges
-    table[:, 3] = norms
-    with open(path, "wb") as fh:
-        fh.write(b"edge_id,v0,v1,norm\n")
-        _write_rows(fh, "{},{},{},{!r}\n", table)

@@ -1,4 +1,5 @@
-"""Wavefront OBJ reading/writing, label files and colored PLY export.
+"""Wavefront OBJ reading/writing, label files, colored PLY export and the
+per-edge norms CSV.
 
 Only the tiny OBJ subset needed for triangle meshes is supported:
 ``v x y z`` and ``f i j k`` records (1-based indices, optional ``/vt/vn``
@@ -24,8 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import TriMesh
-from .errors import LabelLengthMismatchError, MeshParseError, NonTriangleFaceError
+from .core import TopologyCache, TriMesh, label_array
+from .errors import MeshParseError, NonTriangleFaceError
 
 GOLDEN_RATIO_CONJUGATE = 0.618034
 ROWS_PER_WRITE = 4096
@@ -194,16 +195,6 @@ def _text(cells: np.ndarray, prefix: bytes = b"") -> bytes:
     return rows[rows != 0].tobytes()
 
 
-def _label_array(labels) -> np.ndarray:
-    """*labels* as a 1-D int64 array; ValueError if they are not 1-D integers."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
-        raise ValueError(
-            f"labels must be a 1-D integer array, got {labels.dtype} of shape {labels.shape}"
-        )
-    return labels.astype(np.int64, copy=False)
-
-
 def write_obj(mesh: TriMesh, path) -> None:
     """Write *mesh* to *path*; output is V + F lines, byte-deterministic."""
     with open(path, "wb") as fh:
@@ -234,9 +225,7 @@ def write_ply_colored(mesh: TriMesh, labels, path) -> None:
     non-negative integer per face, and every coordinate must be finite
     as a float32; otherwise this raises before the file is opened.
     """
-    labels = _label_array(labels)
-    if labels.shape != (mesh.n_faces,):
-        raise LabelLengthMismatchError(f"got {len(labels)} labels for {mesh.n_faces} faces")
+    labels = label_array(labels, mesh.n_faces)
     if labels.min(initial=0) < 0:
         raise ValueError("labels must be non-negative")
     with np.errstate(over="ignore"):
@@ -268,10 +257,10 @@ def write_ply_colored(mesh: TriMesh, labels, path) -> None:
 
 
 def write_labels(labels, path) -> None:
-    """One integer label per line, in face order. *labels* must be a 1-D
-    integer array; otherwise this raises ValueError before the file is
-    opened."""
-    labels = _label_array(labels)
+    """One integer label per line, in face order. *labels* must be a
+    :class:`~meshseg.core.ClusterLabels` or a 1-D integer array; otherwise
+    this raises ValueError before the file is opened."""
+    labels = label_array(labels)
     with open(path, "wb") as fh:
         for block in _blocks(len(labels)):
             fh.write(_text(_int_cells(labels[block, None])))
@@ -282,3 +271,16 @@ def read_labels(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         labels = [int(line) for line in fh if line.strip()]
     return np.asarray(labels, dtype=np.int64)
+
+
+def write_norms_csv(topo: TopologyCache, norms: np.ndarray, path) -> None:
+    """CSV dump ``edge_id,v0,v1,norm`` of the (E,) *norms* (boundary: inf)."""
+    # An object table, so that tolist() gives ints for the ids and floats
+    # (repr, inf included) for the norms.
+    table = np.empty((topo.n_edges, 4), dtype=object)
+    table[:, 0] = np.arange(topo.n_edges)
+    table[:, 1:3] = topo.edges
+    table[:, 3] = norms
+    with open(path, "wb") as fh:
+        fh.write(b"edge_id,v0,v1,norm\n")
+        _write_rows(fh, "{},{},{},{!r}\n", table)

@@ -34,7 +34,7 @@ from typing import ClassVar
 import numpy as np
 import scipy.sparse as sp
 
-from .core import FaceGeometry, TopologyCache, TriMesh, dot_terms, face_geometry
+from .core import FaceGeometry, TopologyCache, TriMesh, dot_terms, face_geometry, gaussian
 from .edgeop import _flap_coefficients
 from .errors import SolverDivergedError
 
@@ -70,8 +70,7 @@ def edge_weights(topo: TopologyCache, geometry: FaceGeometry, sigma_w: float) ->
     interior = topo.interior_edge_ids
     pairs = np.take(geometry.normals.T, topo.edge_faces[interior].T, axis=1)  # (3, 2, n)
     diff = pairs[:, 0] - pairs[:, 1]
-    diff2 = dot_terms(diff, diff, prod=diff)
-    weights[interior] = np.exp(-diff2 / (2.0 * sigma_w * sigma_w))
+    weights[interior] = gaussian(dot_terms(diff, diff, prod=diff), sigma_w)
     return weights
 
 

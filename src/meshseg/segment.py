@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ClusterLabels,
     FaceGeometry,
     TopologyCache,
     TriMesh,
@@ -65,33 +66,6 @@ class SegmentParams:
                 f"baseline_mode must be one of {BASELINE_MODES}, "
                 f"got {self.baseline_mode!r}"
             )
-
-
-@dataclass(frozen=True)
-class ClusterLabels:
-    """Face labels 0..cluster_count-1; cluster_sizes[k] counts label k."""
-
-    labels: np.ndarray
-    cluster_count: int
-    cluster_sizes: np.ndarray
-
-    @classmethod
-    def from_array(cls, labels: np.ndarray, n_faces: int | None = None) -> "ClusterLabels":
-        labels = np.asarray(labels, dtype=np.int64)
-        if n_faces is not None and labels.shape != (n_faces,):
-            raise LabelLengthMismatchError(
-                f"expected {n_faces} labels, got shape {labels.shape}"
-            )
-        count = int(labels.max(initial=-1)) + 1
-        if labels.min(initial=0) < 0:
-            raise ValueError("labels must be non-negative")
-        sizes = np.bincount(labels, minlength=count)
-        if (sizes == 0).any():
-            raise ValueError("labels must be contiguous: every id 0..max used")
-        labels = labels.copy()
-        labels.setflags(write=False)
-        sizes.setflags(write=False)
-        return cls(labels=labels, cluster_count=count, cluster_sizes=sizes)
 
 
 def _rings(topo: TopologyCache, sources: np.ndarray, depth: np.ndarray):
@@ -139,11 +113,15 @@ def region_grow(topo: TopologyCache, measure: np.ndarray, d_thr: float) -> Clust
             f"got {len(measure)} edge values, topology has {topo.n_edges} edges"
         )
     a, b = topo.edge_faces[(measure < d_thr) & ~topo.boundary_edge_mask].T
-    roots = components(topo.n_faces, a, b)
-    # Each root is its component's minimum face id, so ranking the roots
-    # in face order numbers the components as np.unique does, without a sort.
-    labels = np.cumsum(roots == np.arange(topo.n_faces))[roots] - 1
+    # Each root is its component's minimum face id: ranks number them in face order.
+    labels = _dense_ranks(components(topo.n_faces, a, b), topo.n_faces)
     return ClusterLabels.from_array(labels, topo.n_faces)
+
+
+def _dense_ranks(values: np.ndarray, n: int) -> np.ndarray:
+    """Each of the *values*, all in 0..n-1, replaced by its rank among the
+    distinct values: ``np.unique(values, return_inverse=True)[1]`` without a sort."""
+    return (np.cumsum(np.bincount(values, minlength=n) > 0) - 1)[values]
 
 
 def _hops(topo: TopologyCache, is_source: np.ndarray) -> np.ndarray:
@@ -210,8 +188,7 @@ def refine(
     first = order[np.diff(owner[order], prepend=-1) != 0]
     new_labels[sources[owner[first]]] = label[first]
 
-    _, compact = np.unique(new_labels, return_inverse=True)
-    return ClusterLabels.from_array(compact.astype(np.int64), topo.n_faces)
+    return ClusterLabels.from_array(_dense_ranks(new_labels, n_labels), topo.n_faces)
 
 
 def _dihedral_angles(topo: TopologyCache, geometry: FaceGeometry) -> np.ndarray:

@@ -2,7 +2,8 @@
 no module under ``src/meshseg`` imports a name or takes a parameter it
 never uses, only ``core`` calls ``build_topology`` (every other module
 reads ``mesh.topology``), short-axis sums, means, norms, cross
-products and ``einsum`` dots go through the helpers in ``core``, every
+products and ``einsum`` dots go through the helpers in ``core``, only
+``core.gaussian`` calls ``np.exp``, every
 error class in ``errors`` is raised or subclassed somewhere in the
 package, every private top-level function is called or passed on
 inside the package (not only by tests), every float field of a
@@ -202,6 +203,52 @@ def test_short_axis_reductions_use_core_helpers(path):
     ``dot_terms`` give the same bits several times faster; numpy 2.4's
     einsum runs a 3-long axis one row at a time."""
     assert short_axis_reductions(path.read_text(encoding="utf-8")) == []
+
+
+def exp_calls(source: str) -> list[str]:
+    """``function:line`` of each ``np.exp`` or ``numpy.exp`` in *source*,
+    called or passed on, and of each ``exp`` imported from numpy."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "exp"
+            and ast.unparse(node.value) in ("np", "numpy")
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "numpy"
+            and any(a.name == "exp" for a in node.names)
+        ):
+            found.append(f"{function}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_exp_calls_are_found():
+    source = (
+        "from numpy import exp\n"
+        "def f(a):\n"
+        "    b = np.exp(a) + numpy.exp(-a)\n"
+        "    return map(np.exp, b), math.exp(1.0), np.expm1(a), a.exp\n"
+    )
+    assert exp_calls(source) == ["<module>:1", "f:3", "f:3", "f:4"]
+
+
+def test_only_core_gaussian_calls_exp():
+    """Every Gaussian weight goes through ``core.gaussian``, so the
+    package's ``exp`` bits are made at one call site."""
+    found = [
+        f"{path.name}:{site}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for site in exp_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert [site.rsplit(":", 1)[0] for site in found] == ["core.py:gaussian"], found
 
 
 def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:

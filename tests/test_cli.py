@@ -2,6 +2,7 @@
 harness config parser. Commands run in-process through main(argv)."""
 
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from meshseg.cli import (
     main,
 )
 from meshseg.core import TriMesh, build_topology
+from meshseg.denoise import PARAM_TYPES
 from meshseg.edgeop import edge_operator_field
 from meshseg.fileio import read_labels, read_obj, write_obj
 from meshseg.metrics import msae
@@ -167,6 +169,16 @@ def test_segment_missing_file(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # denoise
 # ---------------------------------------------------------------------------
+
+
+def test_denoise_params_help_names_each_methods_fields(capsys):
+    """The --params help reads each method's fields, so it cannot drift
+    from the tuple ``params_from_tuple`` takes."""
+    with pytest.raises(SystemExit):
+        main(["denoise", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for method, kind in PARAM_TYPES.items():
+        assert f"{method}: ({', '.join(f.name for f in fields(kind))})" in help_text
 
 
 def test_denoise_plain(tmp_path):

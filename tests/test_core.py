@@ -18,6 +18,7 @@ from meshseg.core import (
     build_topology,
     cell_block,
     face_geometry,
+    gaussian,
     stencil_pairs,
     vertex_normals,
 )
@@ -733,3 +734,23 @@ def test_stencil_pairs_frees_set_up_before_first_yield():
     finally:
         tracemalloc.stop()
     assert held < 2 * needed
+
+
+@pytest.mark.parametrize("sigma", [0.35, 1e-3, 2.0, 1e150])
+def test_gaussian_has_the_bits_of_the_written_out_kernel(sigma):
+    """``gaussian`` divides by −2σ² where the filters negated d2 first;
+    IEEE negation is exact, so it gives ``np.exp(-d2 / (2.0 * s * s))``'s
+    bytes, returned fresh, into a given ``out`` and in place, on 0,
+    subnormals, 1e300, inf and random magnitudes."""
+    rng = np.random.default_rng(5)
+    special = [0.0, 5e-324, 2.2e-310, 2.2250738585072014e-308, 1e300, np.inf]
+    d2 = np.concatenate([special, rng.random(1001) * 10.0 ** rng.uniform(-30, 30, 1001)])
+    with np.errstate(all="ignore"):
+        want = np.exp(-d2 / (2.0 * sigma * sigma)).tobytes()
+        assert gaussian(d2, sigma).tobytes() == want
+        out = np.full_like(d2, np.nan)
+        assert gaussian(d2, sigma, out=out) is out
+        assert out.tobytes() == want
+        in_place = d2.copy()
+        gaussian(in_place, sigma, out=in_place)
+        assert in_place.tobytes() == want

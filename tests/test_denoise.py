@@ -17,7 +17,11 @@ from meshseg.denoise import (
     _radius_pairs,
     _ring_tables,
     denoise,
+    filter_bnf,
+    filter_gnf,
+    filter_l1median,
     filter_normals,
+    filter_unf,
     mean_adjacent_centroid_distance,
     params_from_tuple,
     vertex_update,
@@ -198,6 +202,30 @@ def test_denoise_rejects_wrong_label_count(params):
     for labels in (short, ClusterLabels.from_array(short)):
         with pytest.raises(LabelLengthMismatchError):
             denoise(mesh, params, labels=labels)
+
+
+NOT_INTEGER_LABELS = {
+    # At 0.7 on 10 faces, int64 truncation made one cluster of these.
+    "float": np.where(np.arange(48) < 10, 0.7, 0.0),
+    "bool": np.arange(48) % 2 == 0,
+    "2d": np.zeros((48, 1), dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("labels", NOT_INTEGER_LABELS.values(), ids=list(NOT_INTEGER_LABELS))
+@pytest.mark.parametrize(
+    "params, backend",
+    list(zip(ALL_PARAMS, (filter_unf, filter_bnf, filter_gnf, filter_l1median))),
+    ids=lambda value: getattr(value, "__name__", None) or type(value).__name__,
+)
+def test_labels_that_are_not_1d_integers_are_rejected(params, backend, labels):
+    """Float, bool and 2-D labels raise ValueError in ``denoise`` and in
+    each filter; they are not cast to int64."""
+    mesh = cube(2)
+    with pytest.raises(ValueError, match="1-D integer"):
+        denoise(mesh, params, labels=labels)
+    with pytest.raises(ValueError, match="1-D integer"):
+        backend(mesh.topology, face_geometry(mesh), params, labels)
 
 
 @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: type(p).__name__)

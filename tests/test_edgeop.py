@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from meshseg import cube, fileio, icosahedron, plane
 from meshseg.core import TriMesh, build_topology
-from meshseg.edgeop import edge_operator_field, operator_coefficients, write_norms_csv
+from meshseg.edgeop import edge_operator_field, operator_coefficients
 from meshseg.errors import DegenerateFlapError
+from meshseg.fileio import write_norms_csv
 from meshseg.noise import NoiseSpec, add_noise
 
 from flap_oracle import Flap, edge_operator, flap_of_edge

@@ -25,10 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshseg import cube, icosahedron, plane
-from meshseg.core import TopologyCache, TriMesh, build_topology, face_geometry
+from meshseg.core import TopologyCache, TriMesh, build_topology, face_geometry, label_array
 from meshseg.denoise import (
     GnfParams,
-    _as_label_array,
     _normalize_rows,
     _guidance_candidates,
     _pair_csr,
@@ -310,7 +309,7 @@ def test_rank_candidates_matches_lexsort(case):
 def reference_filter_gnf(topo, geometry, params, labels=None):
     """The guided filter with a full lexsort of the guidance candidates
     on every sweep and a per-axis ``bincount`` blend."""
-    label_array = _as_label_array(labels, topo.n_faces)
+    face_labels = None if labels is None else label_array(labels, topo.n_faces)
     n_faces = topo.n_faces
     areas = geometry.areas
     centroids = geometry.centroids
@@ -318,7 +317,7 @@ def reference_filter_gnf(topo, geometry, params, labels=None):
     sigma_s = params.sigma_s_mult * sigma_c
     radius = params.r * topo.mean_edge_length
 
-    nbr_ids, offsets = radius_csr(centroids, radius, label_array)
+    nbr_ids, offsets = radius_csr(centroids, radius, face_labels)
     owner = np.repeat(np.arange(n_faces, dtype=np.int64), np.diff(offsets))
     pair_cdiff = centroids[owner] - centroids[nbr_ids]
     pair_spatial = areas[nbr_ids] * np.exp(
@@ -331,7 +330,7 @@ def reference_filter_gnf(topo, geometry, params, labels=None):
     cand_owner = np.concatenate((np.arange(n_faces), owner))
     cand_starts = offsets[:-1] + np.arange(n_faces)
 
-    safe, ring_valid = _ring_tables(topo, label_array)
+    safe, ring_valid = _ring_tables(topo, face_labels)
     members = np.concatenate([np.arange(n_faces)[:, None], safe], axis=1)
     member_valid = np.concatenate(
         [np.ones((n_faces, 1), dtype=bool), ring_valid], axis=1

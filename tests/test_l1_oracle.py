@@ -16,16 +16,14 @@ import numpy as np
 import pytest
 
 from meshseg import cube, icosahedron, plane
-from meshseg.core import TriMesh, build_topology, face_geometry
+from meshseg.core import TriMesh, build_topology, face_geometry, sum_terms
 from meshseg.denoise import (
     WEISZFELD_DIST_FLOOR,
     WEISZFELD_MAX_ITER,
     WEISZFELD_MOVE_TOL,
     L1Params,
-    _as_label_array,
     _normalize_rows,
     _ring_tables,
-    _slot_sum,
     _weiszfeld,
     _WeiszfeldWork,
     filter_normals,
@@ -37,8 +35,7 @@ from meshseg.noise import NoiseSpec, add_noise
 def reference_filter_l1median(topo, geometry, params, labels=None):
     """The geometric-median filter with a row-major Weiszfeld loop over
     every face."""
-    label_array = _as_label_array(labels, topo.n_faces)
-    safe, valid = _ring_tables(topo, label_array)
+    safe, valid = _ring_tables(topo, labels)
     sigma_c = mean_adjacent_centroid_distance(topo, geometry)
     cdiff = geometry.centroids[:, None, :] - geometry.centroids[safe]
     spatial = np.exp(
@@ -142,20 +139,17 @@ def test_einsum_squared_distance_order():
 
 
 def test_slot_sum_matches_einsum_signed_zeros():
-    """``_slot_sum`` gives einsum("fk,fki->fi")'s bytes where every product
-    is a zero: einsum's sum starts from +0.0, so three −0.0 products sum
-    to +0.0, not −0.0."""
+    """``sum_terms`` over the slot axis gives einsum("fk,fki->fi")'s bytes
+    where every product is a zero: einsum's sum starts from +0.0, so three
+    −0.0 products sum to +0.0, not −0.0."""
     rng = np.random.default_rng(8)
     weights = rng.choice([0.0, -0.0, 1.0], size=(20_000, 3))
     points = rng.choice([0.0, -0.0, -1.0], size=(20_000, 3, 3))
     want = np.einsum("fk,fki->fi", weights, points)
     prod = np.empty((3, 3, 20_000))
-    got = _slot_sum(
-        np.ascontiguousarray(weights.T),
-        np.ascontiguousarray(points.transpose(2, 1, 0)),
-        prod,
-        np.empty((3, 20_000)),
-    )
+    points_t = np.ascontiguousarray(points.transpose(2, 1, 0))
+    np.multiply(np.ascontiguousarray(weights.T), points_t, out=prod)
+    got = sum_terms(prod.swapaxes(0, 1), out=np.empty((3, 20_000)))
     products = weights[:, :, None] * points
     plain = (products[:, 0] + products[:, 1]) + products[:, 2]
     assert np.signbit(plain[plain == 0.0]).any(), "no row sums to -0.0 without the +0.0 start"
@@ -184,7 +178,7 @@ def full_weiszfeld(points, weights, wsum):
     inv_sum = np.empty_like(wsum)
     move = np.empty_like(wsum)
     stuck = np.empty(wsum.shape, dtype=bool)
-    median = _slot_sum(weights, points, prod, np.empty_like(points[:, 0]))
+    median = sum_terms(np.multiply(weights, points, out=prod).swapaxes(0, 1))
     np.divide(median, wsum, out=median)
     candidate = np.empty_like(median)
     for _step in range(WEISZFELD_MAX_ITER):
@@ -197,7 +191,7 @@ def full_weiszfeld(points, weights, wsum):
         np.divide(weights, inv, out=inv)
         np.add(inv[0], inv[1], out=inv_sum)
         np.add(inv_sum, inv[2], out=inv_sum)
-        _slot_sum(inv, points, prod, candidate)
+        sum_terms(np.multiply(inv, points, out=prod).swapaxes(0, 1), out=candidate)
         np.logical_not(np.greater(inv_sum, 0.0, out=stuck), out=stuck)
         np.copyto(inv_sum, 1.0, where=stuck)
         np.divide(candidate, inv_sum, out=candidate)

@@ -18,7 +18,6 @@ from meshseg.core import build_topology, face_geometry
 from meshseg.denoise import (
     BnfParams,
     UnfParams,
-    _as_label_array,
     _normalize_rows,
     _ring_tables,
     filter_normals,
@@ -29,8 +28,7 @@ from meshseg.noise import NoiseSpec, add_noise
 
 def reference_filter_unf(topo, geometry, params, labels=None):
     """The thresholded normal filter with fancy-index gathers."""
-    label_array = _as_label_array(labels, topo.n_faces)
-    safe, valid = _ring_tables(topo, label_array)
+    safe, valid = _ring_tables(topo, labels)
     areas = geometry.areas
     nbr_areas = areas[safe]
     threshold = params.t
@@ -47,8 +45,7 @@ def reference_filter_unf(topo, geometry, params, labels=None):
 
 def reference_filter_bnf(topo, geometry, params, labels=None):
     """The bilateral normal filter with fancy-index gathers."""
-    label_array = _as_label_array(labels, topo.n_faces)
-    safe, valid = _ring_tables(topo, label_array)
+    safe, valid = _ring_tables(topo, labels)
     areas = geometry.areas
     sigma_c = mean_adjacent_centroid_distance(topo, geometry)
     cdiff = geometry.centroids[:, None, :] - geometry.centroids[safe]

@@ -72,6 +72,17 @@ def test_cluster_labels_from_array_checks_contiguity():
         ClusterLabels.from_array(np.array([0, 1]), n_faces=3)
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [np.linspace(0, 1.9, 48), [True, False, True], np.zeros((48, 1), dtype=np.int64)],
+    ids=["float", "bool", "2d"],
+)
+def test_cluster_labels_from_array_rejects_labels_that_are_not_1d_integers(labels):
+    """Truncated to int64, the floats made 2 clusters and the bools [1 0 1]."""
+    with pytest.raises(ValueError, match="1-D integer"):
+        ClusterLabels.from_array(labels)
+
+
 # ---------------------------------------------------------------------------
 # Region growing
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ exactly; the library adds the cosines in another order, which could only
 matter where two labels' sums agree to rounding.
 """
 
+import sys
 from collections import deque
 
 import numpy as np
@@ -216,24 +217,55 @@ def test_rings_of_no_sources_are_empty():
     assert owner.dtype == face.dtype == np.int64
 
 
-@pytest.mark.parametrize("mesh", [cube(8), icosahedron(8), plane(8)], ids=repr)
-def test_region_grow_numbers_components_as_unique_does(mesh):
-    """region_grow ranks each component's root (its minimum face id) in
-    face order; that is np.unique's inverse of the roots, also on a noisy
-    mesh with shuffled vertex and face ids and at thresholds from every
-    face alone to one cluster per connected component."""
+def shuffled_noisy(mesh):
+    """*mesh* with shuffled vertex and face ids and noise, its topology and
+    edge-operator norms, and the thresholds to grow it at: from every face
+    alone to one cluster per connected component."""
     rng = np.random.default_rng(3)
     vertex_order = rng.permutation(mesh.n_vertices)
     face_order = rng.permutation(mesh.n_faces)
     shuffled = TriMesh(mesh.vertices[vertex_order], np.argsort(vertex_order)[mesh.faces[face_order]])
     noisy = add_noise(shuffled, NoiseSpec(0.5, "normal", seed=23))
     topo = build_topology(noisy)
-    norms = edge_operator_field(noisy, topo)
-    for d_thr in (0.0, 0.02 * topo.mean_edge_length, 0.06 * topo.mean_edge_length, np.inf):
+    mel = topo.mean_edge_length
+    return noisy, topo, edge_operator_field(noisy, topo), (0.0, 0.02 * mel, 0.06 * mel, np.inf)
+
+
+@pytest.mark.parametrize("mesh", [cube(8), icosahedron(8), plane(8)], ids=repr)
+def test_region_grow_numbers_components_as_unique_does(mesh):
+    """region_grow ranks each component's root (its minimum face id) in
+    face order; that is np.unique's inverse of the roots."""
+    _, topo, norms, thresholds = shuffled_noisy(mesh)
+    for d_thr in thresholds:
         a, b = topo.edge_faces[(norms < d_thr) & ~topo.boundary_edge_mask].T
         roots = components(topo.n_faces, a, b)
         labels = region_grow(topo, norms, d_thr).labels
         np.testing.assert_array_equal(labels, np.unique(roots, return_inverse=True)[1])
+
+
+@pytest.mark.parametrize("mesh", [cube(8), icosahedron(8), plane(8)], ids=repr)
+def test_refine_numbers_labels_as_unique_does(mesh, monkeypatch):
+    """refine compacts its reassigned labels with the renumbering that
+    region_grow uses; its output is np.unique's inverse of that input,
+    whose absorbed labels leave gaps."""
+    noisy, topo, norms, thresholds = shuffled_noisy(mesh)
+    module = sys.modules["meshseg.segment"]
+    dense_ranks, inputs = module._dense_ranks, []
+
+    def spy(values, n):
+        inputs.append(values.copy())
+        return dense_ranks(values, n)
+
+    monkeypatch.setattr(module, "_dense_ranks", spy)
+    gaps = 0
+    for d_thr in thresholds:
+        raw = region_grow(topo, norms, d_thr)
+        refined = refine(topo, face_geometry(noisy), raw, SegmentParams(d_thr, min_cluster_size=10))
+        if refined is not raw:
+            values = inputs[-1]
+            gaps += len(np.unique(values)) < raw.cluster_count
+            np.testing.assert_array_equal(refined.labels, np.unique(values, return_inverse=True)[1])
+    assert gaps >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from meshseg.core import dot_terms, mean_terms, row_cross, row_norms, sum_terms
-from meshseg.denoise import _slot_sum
 
 SPECIAL = np.array(
     [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.1e-310, 1e308, -1e308, 1.0, -1.0, 3.0, 1e16, -1e16]
@@ -198,10 +197,12 @@ def test_ring_squared_distance_order(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_ring_slot_sum_order(seed):
-    """The weighted slot sums of unf and bnf: ((0.0 + w0·r0) + w1·r1) + w2·r2,
-    written into the gathered ring as the filters do."""
+    """The weighted slot sums of unf, bnf and the Weiszfeld steps:
+    ((0.0 + w0·r0) + w1·r1) + w2·r2, the products written into the
+    gathered ring as the filters do, then ``sum_terms`` over the slots."""
     weights, ring, weights_t, ring_t = ring_arrays(seed)
     with np.errstate(all="ignore"):
         want = np.einsum("fk,fki->fi", weights, ring)
-        got = _slot_sum(weights_t, ring_t, ring_t, np.empty((3, len(weights))))
-        ring_same_bytes(got, want, '"fk,fki->fi"', "_slot_sum (filter_unf, filter_bnf)")
+        prod = np.multiply(weights_t, ring_t, out=ring_t)
+        got = sum_terms(prod.swapaxes(0, 1), out=np.empty((3, len(weights))))
+        ring_same_bytes(got, want, '"fk,fki->fi"', "sum_terms (filter_unf, filter_bnf, _weiszfeld)")
