@@ -389,8 +389,8 @@ class ClusterLabels:
 def label_array(labels, n_faces: int | None = None) -> np.ndarray:
     """The face labels of *labels*, a :class:`ClusterLabels` or an array, as
     1-D int64. ValueError unless 1-D integers (not bool or float; empty
-    passes, as ``np.asarray([])`` is float); LabelLengthMismatchError if
-    *n_faces* is given and differs."""
+    passes, as ``np.asarray([])`` is float) within int64's range;
+    LabelLengthMismatchError if *n_faces* is given and differs."""
     if isinstance(labels, ClusterLabels):
         labels = labels.labels
     arr = np.asarray(labels)
@@ -398,6 +398,9 @@ def label_array(labels, n_faces: int | None = None) -> np.ndarray:
         raise ValueError(
             f"labels must be a 1-D integer array, got {arr.dtype} of shape {arr.shape}"
         )
+    int64_max = np.iinfo(np.int64).max
+    if arr.dtype == np.uint64 and arr.max(initial=0) > int64_max:
+        raise ValueError(f"labels must be at most {int64_max}, got {arr.max()}")
     if n_faces is not None and len(arr) != n_faces:
         raise LabelLengthMismatchError(f"expected {n_faces} labels, got {len(arr)}")
     return arr.astype(np.int64, copy=False)

@@ -19,8 +19,8 @@ is :func:`~meshseg.core.gaussian`, the prefilter's too:
   each unordered face pair once, and it is tested and weighed once, its
   weight read into both faces' rows.
 - ``l1``: weighted geometric median (Weiszfeld) of edge-ring normals
-  within an angular gate. The Weiszfeld loop steps only the faces with
-  gated weight.
+  within an angular gate. The Weiszfeld loop steps only the ring entries
+  with positive (gated) weight, packed by column.
 
 Passing cluster labels (a ClusterLabels or a 1-D integer array, checked
 by :func:`~meshseg.core.label_array`) restricts every neighborhood (and
@@ -36,7 +36,7 @@ whole contiguous rows of F. The ring and one scratch array of its size
 are allocated once per call, not per sweep: at 9F doubles they are
 usually above the C allocator's mmap threshold, so a fresh array maps and
 faults in new pages on every sweep. The l1 filter's Weiszfeld steps
-likewise work in one :class:`_WeiszfeldWork` per call: their slot
+likewise work in one :class:`_WeiszfeldWork` per call: their entry
 products, inverse-distance weights, moves, flags and iterates, 161 bytes
 a face. Allocated and freed on every sweep, those buffers left a heap
 top above the allocator's trim threshold, which it handed back to the
@@ -309,17 +309,28 @@ def filter_bnf(
     return _ring_sweeps(geometry, safe, params.n_iter, step)
 
 
+# For each gate pattern g (bit s set where slot s has positive weight): the
+# slots in the order a column's entries are packed, gated slots first,
+# ascending, then the others; and the column's sort key, its count of
+# slots without weight.
+_GATED_FIRST = np.array(
+    [[0, 1, 2], [0, 1, 2], [1, 0, 2], [0, 1, 2], [2, 0, 1], [0, 2, 1], [1, 2, 0], [0, 1, 2]]
+)
+_UNGATED_COUNT = np.array([3, 2, 2, 1, 2, 1, 1, 0], dtype=np.uint8)
+
+
 class _WeiszfeldWork:
-    """The working set of :func:`_weiszfeld`'s steps for up to *n* columns:
-    the squared differences and slot products *prod* (3, 3, n), the
-    inverse-distance weights *inv* (3, n) and their sums *inv_sum* (n,),
+    """The working set of :func:`_weiszfeld`'s steps for up to *n* columns,
+    161 bytes a column: the squared differences and entry products *prod*
+    (3, 3n) and the inverse-distance weights *inv* (3n,), of which a step
+    uses the first E entries; the inverse-distance sums *inv_sum* (n,),
     the squared moves *move* (n,), the stuck or settled *flags* (n,), and
-    the *median* and *candidate* iterates (3, n). A call on A columns works
-    in views of their first A columns."""
+    the *median* and *candidate* iterates (3, n), of which a step uses the
+    first A columns."""
 
     def __init__(self, n: int):
-        self.prod = np.empty((3, 3, n))
-        self.inv = np.empty((3, n))
+        self.prod = np.empty((3, 3 * n))
+        self.inv = np.empty(3 * n)
         self.inv_sum = np.empty(n)
         self.move = np.empty(n)
         self.flags = np.empty(n, dtype=bool)
@@ -327,24 +338,75 @@ class _WeiszfeldWork:
         self.candidate = np.empty((3, n))
 
 
+def _pack(points: np.ndarray, weights: np.ndarray):
+    """(points, weights, columns, ends): the (3, E) points and (E,) weights
+    of the E (slot, column) entries with positive weight, and the A
+    columns that have any, *columns* in packed order. Columns run by their
+    count of gated slots (3, then 2, then 1; stable), and block k of the
+    entries holds the k-th gated slot, in ascending slot order, of the
+    column prefix ``columns[:ends[k]]``."""
+    n = weights.shape[-1]
+    gated = (weights > 0.0).view(np.uint8)
+    pattern = gated[0] | gated[1] << 1 | gated[2] << 2
+    rank = np.take(_UNGATED_COUNT, pattern)
+    order = np.argsort(rank, kind="stable")
+    ends = np.cumsum(np.bincount(rank, minlength=4)[:3])[::-1].tolist()
+    columns = order[: ends[0]]
+    pattern = np.take(pattern, columns)
+    entries = np.concatenate(
+        [np.take(_GATED_FIRST[:, k] * n, pattern[:end]) + columns[:end] for k, end in enumerate(ends)]
+    )
+    return (
+        np.take(points.reshape(3, -1), entries, axis=1),
+        np.take(weights.reshape(-1), entries),
+        columns,
+        ends,
+    )
+
+
+def _slot_sums(entries: np.ndarray, ends, out: np.ndarray) -> np.ndarray:
+    """Each packed column's entries summed into *out* in slot order from
+    +0.0, as :func:`~meshseg.core.sum_terms` sums the slots: block k is
+    added onto the column prefix ``[:ends[k]]``."""
+    start = 0
+    for k, end in enumerate(ends):
+        block = entries[..., start : start + end]
+        if k == 0:
+            np.add(block, 0.0, out=out)
+        else:
+            np.add(out[..., :end], block, out=out[..., :end])
+        start += end
+    return out
+
+
 def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray, work) -> np.ndarray:
     """Weighted geometric median of each column's three ring normals.
 
-    Component-major: *points* is (3 components, 3 ring slots, A), *weights*
-    (3 slots, A) and *wsum* (A,) their positive sums. Starts from the
-    weighted mean and takes Weiszfeld steps until no column moves by
-    WEISZFELD_MOVE_TOL. Every sum keeps the order numpy's einsum/sum give
-    the row-major form (squared distance (x² + z²) + y², slot sums
-    ((0.0 + s0) + s1) + s2, squared move (x² + y²) + z²), so the median is
-    bit-identical to it, signed zeros included. Returns the (3, A) median,
-    which may be a view of *work*, valid until *work* is used again.
+    Component-major: *points* is (3 components, 3 ring slots, F), *weights*
+    (3 slots, F), each zero or positive, and *wsum* (F,) their sums.
+    Returns the (3, F) medians; a column with no positive weight gives 0.
+    Starts from the weighted mean and takes Weiszfeld steps until no
+    column moves by WEISZFELD_MOVE_TOL. Every sum keeps the order numpy's
+    einsum/sum give the row-major form (squared distance (x² + z²) + y²,
+    slot sums ((0.0 + s0) + s1) + s2, squared move (x² + y²) + z²), so
+    the median is bit-identical to it, signed zeros included.
 
-    The steps write into *work*, a :class:`_WeiszfeldWork` of at least A
-    columns. :func:`filter_l1median` hands
-    every sweep the one workspace it allocated for the call: buffers
-    allocated and freed on every sweep leave a heap top that the C
-    allocator trims, so the next sweep faults the same pages in again. A
-    workspace is never shared between calls, so filters may run in threads.
+    Only the E entries with positive weight take part (:func:`_pack`): a
+    step's differences, squares, distances, floors, divisions and products
+    are each one call over the entries, and its slot sums add each block
+    onto a prefix of the columns (:func:`_slot_sums`). A zero-weight slot
+    adds a zero of either sign to each dense slot sum, and +0.0 to the
+    inverse-distance sum. The slot sums start from +0.0 and no
+    inverse-distance term is negative, so no partial sum is −0.0, and
+    adding a zero to one changes no bit: the dense form's bits are kept
+    while its 3F slots shrink to E entries.
+
+    The steps write into *work*, a :class:`_WeiszfeldWork` of at least F
+    columns. :func:`filter_l1median` hands every sweep the one workspace
+    it allocated for the call: buffers allocated and freed on every sweep
+    leave a heap top that the C allocator trims, so the next sweep faults
+    the same pages in again. A workspace is never shared between calls,
+    so filters may run in threads.
 
     Settled columns drop out. A column settles when its step returns a
     median equal (``==``) to the one it started from: the step reads the
@@ -353,35 +415,42 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray, work) 
     positive inverse-distance weight, keeps its median anyway), and its
     later moves are exactly 0, which leaves the stopping test as it was.
     Once settled columns make up a quarter of the working ones, they are
-    written out and the working arrays compacted to the rest; in the ring
-    filters about a third of the columns, most with one gated slot,
-    settle within two steps. Settling is tested with ``==``; a zero
-    squared move only picks the steps worth comparing, since a move below
-    1.5e-162 squares to 0 although the median changed.
+    written out and the working entries and columns compacted to the
+    rest; in the ring filters about a third of the columns, most with one
+    gated slot, settle within two steps. Settling is tested with ``==``; a
+    zero squared move only picks the steps worth comparing, since a move
+    below 1.5e-162 squares to 0 although the median changed.
     """
-    n = len(wsum)
-    prod, inv, candidate = work.prod[..., :n], work.inv[:, :n], work.candidate[:, :n]
+    result = np.zeros((3, weights.shape[-1]))
+    points, weights, columns, ends = _pack(points, weights)
+    n, n_entries = ends[0], sum(ends)
+    prod, inv = work.prod[:, :n_entries], work.inv[:n_entries]
     inv_sum, move, flags = work.inv_sum[:n], work.move[:n], work.flags[:n]
-    median = work.median[:, :n]
-    sum_terms(np.multiply(weights, points, out=prod).swapaxes(0, 1), out=median)
-    np.divide(median, wsum, out=median)
-    result, columns = None, None  # the output, and each working column's place in it
+    median, candidate = work.median[:, :n], work.candidate[:, :n]
+    _slot_sums(np.multiply(weights, points, out=prod), ends, median)
+    np.divide(median, np.take(wsum, columns), out=median)
     for _step in range(WEISZFELD_MAX_ITER):
-        np.subtract(median[:, None, :], points, out=prod)
+        start = 0
+        for end in ends:
+            stop = start + end
+            np.subtract(median[:, :end], points[:, start:stop], out=prod[:, start:stop])
+            start = stop
         np.multiply(prod, prod, out=prod)
         np.add(prod[0], prod[2], out=inv)
         np.add(inv, prod[1], out=inv)
         np.sqrt(inv, out=inv)
         np.maximum(inv, WEISZFELD_DIST_FLOOR, out=inv)
         np.divide(weights, inv, out=inv)
-        np.add(inv[0], inv[1], out=inv_sum)
-        np.add(inv_sum, inv[2], out=inv_sum)
-        sum_terms(np.multiply(inv, points, out=prod).swapaxes(0, 1), out=candidate)
-        np.logical_not(np.greater(inv_sum, 0.0, out=flags), out=flags)  # stuck
-        np.copyto(inv_sum, 1.0, where=flags)
+        _slot_sums(inv, ends, inv_sum)
+        _slot_sums(np.multiply(inv, points, out=prod), ends, candidate)
+        stuck = not inv_sum.all()  # a column without inverse-distance weight is rare
+        if stuck:
+            np.logical_not(np.greater(inv_sum, 0.0, out=flags), out=flags)
+            np.copyto(inv_sum, 1.0, where=flags)
         np.divide(candidate, inv_sum, out=candidate)
-        np.copyto(candidate, median, where=flags)
-        delta = prod[0]
+        if stuck:
+            np.copyto(candidate, median, where=flags)
+        delta = prod[:, :n]
         np.subtract(candidate, median, out=delta)
         np.multiply(delta, delta, out=delta)
         np.add(delta[0], delta[1], out=move)
@@ -390,7 +459,6 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray, work) 
         # sqrt is monotone, so the root of the largest square is the largest move.
         if np.sqrt(move.max(initial=0.0)) < WEISZFELD_MOVE_TOL:
             break
-        n = len(move)
         # Cheap first: every settled column has a zero squared move.
         if 4 * np.count_nonzero(np.equal(move, 0.0, out=flags)) < n:
             continue
@@ -398,18 +466,17 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray, work) 
         settled = same[0] & same[1] & same[2]
         if 4 * np.count_nonzero(settled) < n:
             continue
-        if result is None:
-            result, columns = np.empty_like(median), np.arange(n)
         result[:, columns[settled]] = median[:, settled]
         keep = ~settled
         columns = columns[keep]
+        kept = np.concatenate([keep[:end] for end in ends])
+        ends = [np.count_nonzero(keep[:end]) for end in ends]
         # compress, unlike a mask index, keeps the arrays C-contiguous.
-        points, weights, median = (np.compress(keep, a, axis=-1) for a in (points, weights, median))
-        n = len(columns)
-        prod, inv, candidate = prod[..., :n], inv[:, :n], candidate[:, :n]
+        points, weights = (np.compress(kept, a, axis=-1) for a in (points, weights))
+        median = np.compress(keep, median, axis=-1)
+        n, n_entries = ends[0], sum(ends)
+        prod, inv, candidate = prod[:, :n_entries], inv[:n_entries], candidate[:, :n]
         inv_sum, move, flags = inv_sum[:n], move[:n], flags[:n]
-    if result is None:
-        return median
     result[:, columns] = median
     return result
 
@@ -437,12 +504,8 @@ def filter_l1median(
         dots = dot_terms(normals[:, None, :], ring, scratch)
         weights = np.where(valid & (dots >= cos_gate), spatial, 0.0)
         wsum = sum_terms(weights)
-        has = wsum > 0.0
-        median = np.zeros_like(normals)
-        median[:, has] = _weiszfeld(
-            np.compress(has, ring, axis=-1), np.compress(has, weights, axis=-1), wsum[has], work
-        )
-        return np.where(has, _normalize_rows(median.T, normals.T).T, normals)
+        median = _weiszfeld(ring, weights, wsum, work)
+        return np.where(wsum > 0.0, _normalize_rows(median.T, normals.T).T, normals)
 
     return _ring_sweeps(geometry, safe, params.n_iter, step)
 
@@ -648,9 +711,16 @@ def vertex_update(
         )
     # Axis-major arrays, (3 axes, 3 corners, F) per iteration, so every
     # operation runs over whole columns. Each vertex sums its faces' pulls
-    # in ascending face id: the bincount reads them face-major.
+    # in ascending face id, from +0.0: row v of the incidence matrix holds
+    # a 1.0 at column corner·F + face for each face corner on v, and
+    # scipy's matvec adds 1.0·pull, which is exact, in column order.
     faces = mesh.faces
-    incident = faces.ravel()
+    n_faces = mesh.n_faces
+    by_vertex = np.argsort(faces.ravel(), kind="stable")  # face·3 + corner
+    incidence = sp.csr_array(
+        (np.ones(len(by_vertex)), by_vertex % 3 * n_faces + by_vertex // 3, topo.vertex_face_offsets),
+        shape=(mesh.n_vertices, 3 * n_faces),
+    )
     divisor = np.where(isolated, 1, counts).astype(np.float64)
     axis_normals = np.ascontiguousarray(normals.T)[:, None, :]  # (3 axes, 1, F)
 
@@ -661,10 +731,7 @@ def vertex_update(
         np.subtract(cent[:, None, :], tri, out=tri)
         gap = dot_terms(tri, axis_normals, tri)  # n · (centroid − corner)
         pull = np.multiply(axis_normals, gap, out=tri)
-        shift = np.stack([
-            np.bincount(incident, weights=pull[a].T.ravel(), minlength=mesh.n_vertices)
-            for a in range(3)
-        ])
+        shift = np.stack([incidence @ pull[a].reshape(-1) for a in range(3)])
         positions = positions + shift / divisor
     return mesh.with_vertices(positions.T)
 

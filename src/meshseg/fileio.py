@@ -126,7 +126,8 @@ def _put_digits(values: np.ndarray, planes: np.ndarray) -> None:
 def _int_cells(table: np.ndarray) -> np.ndarray:
     """(n, c, w) uint8 text of the integers of the (n, c) int64 *table*
     as ``str`` prints them, right-aligned after 0 pad bytes."""
-    magnitude = np.abs(table)
+    # int64's minimum is its own absolute value; its bits read 2**63 unsigned.
+    magnitude = np.abs(table).view(np.uint64)
     width = len(str(magnitude.max(initial=0)))
     planes = np.empty((width + 1,) + table.shape, dtype=np.uint8)
     np.multiply(table < 0, ord("-"), out=planes[0], casting="unsafe")

@@ -74,7 +74,7 @@ def _rings(topo: TopologyCache, sources: np.ndarray, depth: np.ndarray):
 
     All sources advance one BFS level per step over ``face_adjacent``.
     A level is kept as ascending keys owner * F + face; each expansion is
-    sorted and its repeats dropped with an adjacent-difference mask. On an
+    sorted and its repeats dropped (:func:`_distinct`). On an
     undirected graph the neighbours of level k lie in levels k - 1, k and
     k + 1, so the two latest levels are all that must be removed from
     each expansion.
@@ -89,8 +89,7 @@ def _rings(topo: TopologyCache, sources: np.ndarray, depth: np.ndarray):
             break
         face = level % n
         step = topo.face_adjacent[face]
-        following = np.sort((step + (level - face)[:, None])[step >= 0])
-        following = following[np.diff(following, prepend=-1) != 0]
+        following = _distinct((step + (level - face)[:, None])[step >= 0])
         seen = np.concatenate((previous, level))
         following = following[~np.isin(following, seen, assume_unique=True)]
         reached.append(following)
@@ -124,10 +123,30 @@ def _dense_ranks(values: np.ndarray, n: int) -> np.ndarray:
     return (np.cumsum(np.bincount(values, minlength=n) > 0) - 1)[values]
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct non-negative *values* ascending, as ``np.unique`` gives
+    them, from a sort and an adjacent-difference mask."""
+    values = np.sort(values)
+    return values[np.diff(values, prepend=-1) != 0]
+
+
+def _key_groups(keys: np.ndarray):
+    """(distinct, group): the distinct non-negative *keys* ascending and
+    each key's index among them, as ``np.unique(keys, return_inverse=True)``
+    gives them, from an argsort and a cumsum of the first-of-run mask."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    first = np.diff(ordered, prepend=-1) != 0
+    group = np.empty_like(order)
+    group[order] = np.cumsum(first) - 1
+    return ordered[first], group
+
+
 def _hops(topo: TopologyCache, is_source: np.ndarray) -> np.ndarray:
     """(F,) float hop counts, across interior edges, from each face to the
     nearest face where *is_source* is True; inf where none is reached.
-    One breadth-first level per step from all sources at once."""
+    One breadth-first level per step from all sources at once, each level
+    ascending without repeats (:func:`_distinct`)."""
     hops = np.full(topo.n_faces, np.inf)
     level = np.flatnonzero(is_source)
     hops[level] = 0.0
@@ -136,7 +155,7 @@ def _hops(topo: TopologyCache, is_source: np.ndarray) -> np.ndarray:
         hop += 1
         step = topo.face_adjacent[level].ravel()
         step = step[step >= 0]
-        level = np.unique(step[hops[step] == np.inf])
+        level = _distinct(step[hops[step] == np.inf])
         hops[level] = hop
     return hops
 
@@ -180,7 +199,7 @@ def refine(
     normals = geometry.normals
     cosines = dot_terms(normals[face].T, normals[sources[owner]].T)
     n_labels = clusters.cluster_count
-    keys, group = np.unique(owner * n_labels + snapshot[face], return_inverse=True)
+    keys, group = _key_groups(owner * n_labels + snapshot[face])
     score = np.bincount(group, weights=cosines)
     owner, label = keys // n_labels, keys % n_labels
     # Per owner: highest score first, ties to the lowest label.

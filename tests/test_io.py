@@ -269,9 +269,21 @@ def test_ply_rejects_labels_that_are_not_1d_integers(tmp_path, labels):
 
 
 def test_label_file_keeps_negative_and_wide_labels(tmp_path):
-    labels = np.array([-7, 0, 10, -10**12, 2**62, 9, -1])
+    """int64's minimum included: ``np.abs`` leaves it negative."""
+    labels = np.array([-7, 0, 10, -10**12, 2**62, 9, -1, -2**63, 2**63 - 1])
     write_labels(labels, tmp_path / "labels.txt")
     assert (tmp_path / "labels.txt").read_text() == "".join(f"{lab}\n" for lab in labels.tolist())
+
+
+def test_label_file_rejects_uint64_labels_beyond_int64(tmp_path):
+    """A uint64 label above int64's range is an error, not a wrapped
+    negative label; int64's maximum still passes."""
+    path = tmp_path / "labels.txt"
+    with pytest.raises(ValueError, match="at most"):
+        write_labels(np.array([5, 2**63], dtype=np.uint64), path)
+    assert not path.exists()
+    write_labels(np.array([5, 2**63 - 1], dtype=np.uint64), path)
+    assert path.read_text() == "5\n9223372036854775807\n"
 
 
 # tracemalloc peak of the row-formatting writer this one replaced, on the

@@ -23,7 +23,7 @@ from meshseg.core import TopologyCache, build_topology, components, face_geometr
 from meshseg.edgeop import edge_operator_field
 from meshseg.noise import NoiseSpec, add_noise
 from meshseg.prefilter import PrefilterParams, prefilter
-from meshseg.segment import ClusterLabels, SegmentParams, _rings, refine, region_grow
+from meshseg.segment import ClusterLabels, SegmentParams, _hops, _rings, refine, region_grow
 
 PREFILTER = PrefilterParams(5, 5, 2)
 
@@ -266,6 +266,59 @@ def test_refine_numbers_labels_as_unique_does(mesh, monkeypatch):
             gaps += len(np.unique(values)) < raw.cluster_count
             np.testing.assert_array_equal(refined.labels, np.unique(values, return_inverse=True)[1])
     assert gaps >= 1
+
+
+def hops_with_unique(topo: TopologyCache, is_source) -> np.ndarray:
+    """``segment._hops`` with each breadth-first level taken by np.unique."""
+    hops = np.full(topo.n_faces, np.inf)
+    level = np.flatnonzero(is_source)
+    hops[level] = 0.0
+    hop = 0
+    while level.size:
+        hop += 1
+        step = topo.face_adjacent[level].ravel()
+        step = step[step >= 0]
+        level = np.unique(step[hops[step] == np.inf])
+        hops[level] = hop
+    return hops
+
+
+@pytest.mark.parametrize("mesh", [cube(8), icosahedron(8), plane(8)], ids=repr)
+def test_hops_levels_are_the_ones_unique_gives(mesh):
+    """On shuffled face ids, from no source, a few, and many."""
+    _, topo, _, _ = shuffled_noisy(mesh)
+    rng = np.random.default_rng(4)
+    for share in (0.0, 0.01, 0.3):
+        is_source = rng.random(topo.n_faces) < share
+        assert _hops(topo, is_source).tobytes() == hops_with_unique(topo, is_source).tobytes()
+
+
+@pytest.mark.parametrize("mesh", [cube(8), icosahedron(8), plane(8)], ids=repr)
+def test_refine_groups_its_scores_as_unique_does(mesh, monkeypatch):
+    """refine groups its (owner, label) keys, which repeat, into the
+    distinct keys and inverse of np.unique(..., return_inverse=True).
+    Below 0.1 mean edge lengths these meshes have no large cluster, so no
+    keys."""
+    noisy, topo, norms, _ = shuffled_noisy(mesh)
+    thresholds = [k * topo.mean_edge_length for k in (0.1, 0.2, 0.4)]
+    module = sys.modules["meshseg.segment"]
+    key_groups, calls = module._key_groups, []
+
+    def spy(keys):
+        got = key_groups(keys)
+        calls.append((keys.copy(), got))
+        return got
+
+    monkeypatch.setattr(module, "_key_groups", spy)
+    for d_thr in thresholds:
+        raw = region_grow(topo, norms, d_thr)
+        refine(topo, face_geometry(noisy), raw, SegmentParams(d_thr, min_cluster_size=10))
+    assert len(calls) == len(thresholds)
+    for keys, (distinct, group) in calls:
+        want_distinct, want_group = np.unique(keys, return_inverse=True)
+        assert distinct.tobytes() == want_distinct.tobytes()
+        assert group.tobytes() == want_group.tobytes()
+    assert any(len(distinct) < len(keys) for keys, (distinct, _) in calls)
 
 
 # ---------------------------------------------------------------------------
