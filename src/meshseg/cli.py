@@ -142,8 +142,11 @@ def cmd_denoise(args) -> int:
             raise ValueError("--use-clusters requires --dthr")
         pf = _prefilter_params(args) if args.prefilter else None
         labels = segment(mesh, _segment_params(args), prefilter_params=pf)
-    elif args.dthr is not None:
-        print("warning: --dthr is ignored without --use-clusters", file=sys.stderr)
+    else:
+        if args.dthr is not None:
+            print("warning: --dthr is ignored without --use-clusters", file=sys.stderr)
+        if args.prefilter:
+            print("warning: --prefilter is ignored without --use-clusters", file=sys.stderr)
 
     result = denoise(mesh, params, labels=labels)
     out = args.output

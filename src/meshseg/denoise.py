@@ -32,20 +32,20 @@ ascending face id, so results are reproducible bit-for-bit.
 The ring sweeps run axis-major: the normals are held as (3, F), and each
 sweep gathers the ring as (3 components, 3 slots, F) with one ``np.take``
 along the face axis, so every dot, weight and slot sum is arithmetic on
-whole contiguous rows of F. The ring and one scratch array of its size
-are allocated once per call, not per sweep: at 9F doubles they are
-usually above the C allocator's mmap threshold, so a fresh array maps and
-faults in new pages on every sweep. The l1 filter's Weiszfeld steps
-likewise work in one :class:`_WeiszfeldWork` per call: their entry
-products, inverse-distance weights, moves, flags and iterates, 161 bytes
-a face. Allocated and freed on every sweep, those buffers left a heap
-top above the allocator's trim threshold, which it handed back to the
-system, so the next sweep faulted the same pages in again. No two calls
-share a working set, so filters may run in threads. The gnf sweep works
-the same way: its patch members, their pairwise differences and the
-guidance differences of its face pairs are (3, ·) arrays in buffers
-allocated once per call, and each sweep writes the blend weights
-straight into the data array of its sparse matrix. numpy's ``einsum``
+whole contiguous rows of F. Two buffer sets are allocated once per call
+and reused by every sweep, each because it was measured to pay. The ring
+and one scratch array of its size: at 9F doubles they usually lie above
+the C allocator's mmap threshold, so fresh ones fault in new pages on
+every sweep, and the README round trip took 5 % longer with them
+allocated per sweep. The gnf sweep's patch members, their pairwise
+differences and the guidance differences of its face pairs, (3, ·)
+arrays, plus the data array of its sparse blend matrix, into which each
+sweep writes the weights: allocated per sweep, they raised the peak
+resident memory of a gnf run on cube(16) by about 2.7 MB. The l1
+filter's Weiszfeld buffers are allocated per :func:`_weiszfeld` call,
+at their packed size; a working set shared by a call's sweeps saved no
+time and held more memory. No buffer outlives its call, so filters may
+run in threads. numpy's ``einsum``
 and its short-axis reductions (``.sum(axis=1)``, ``.mean(axis=1)``,
 ``np.linalg.norm(axis=1)``, ``np.cross``) run a 3- or 4-long axis one
 row at a time, several times slower. So every such sum here is written
@@ -319,25 +319,6 @@ _GATED_FIRST = np.array(
 _UNGATED_COUNT = np.array([3, 2, 2, 1, 2, 1, 1, 0], dtype=np.uint8)
 
 
-class _WeiszfeldWork:
-    """The working set of :func:`_weiszfeld`'s steps for up to *n* columns,
-    161 bytes a column: the squared differences and entry products *prod*
-    (3, 3n) and the inverse-distance weights *inv* (3n,), of which a step
-    uses the first E entries; the inverse-distance sums *inv_sum* (n,),
-    the squared moves *move* (n,), the stuck or settled *flags* (n,), and
-    the *median* and *candidate* iterates (3, n), of which a step uses the
-    first A columns."""
-
-    def __init__(self, n: int):
-        self.prod = np.empty((3, 3 * n))
-        self.inv = np.empty(3 * n)
-        self.inv_sum = np.empty(n)
-        self.move = np.empty(n)
-        self.flags = np.empty(n, dtype=bool)
-        self.median = np.empty((3, n))
-        self.candidate = np.empty((3, n))
-
-
 def _pack(points: np.ndarray, weights: np.ndarray):
     """(points, weights, columns, ends): the (3, E) points and (E,) weights
     of the E (slot, column) entries with positive weight, and the A
@@ -379,7 +360,7 @@ def _slot_sums(entries: np.ndarray, ends, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray, work) -> np.ndarray:
+def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray) -> np.ndarray:
     """Weighted geometric median of each column's three ring normals.
 
     Component-major: *points* is (3 components, 3 ring slots, F), *weights*
@@ -401,12 +382,9 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray, work) 
     adding a zero to one changes no bit: the dense form's bits are kept
     while its 3F slots shrink to E entries.
 
-    The steps write into *work*, a :class:`_WeiszfeldWork` of at least F
-    columns. :func:`filter_l1median` hands every sweep the one workspace
-    it allocated for the call: buffers allocated and freed on every sweep
-    leave a heap top that the C allocator trims, so the next sweep faults
-    the same pages in again. A workspace is never shared between calls,
-    so filters may run in threads.
+    The steps write into buffers allocated once per call at their packed
+    size: (3, E) and (E,) for the entries, (A,) and (3, A) for the A
+    working columns.
 
     Settled columns drop out. A column settles when its step returns a
     median equal (``==``) to the one it started from: the step reads the
@@ -424,9 +402,9 @@ def _weiszfeld(points: np.ndarray, weights: np.ndarray, wsum: np.ndarray, work) 
     result = np.zeros((3, weights.shape[-1]))
     points, weights, columns, ends = _pack(points, weights)
     n, n_entries = ends[0], sum(ends)
-    prod, inv = work.prod[:, :n_entries], work.inv[:n_entries]
-    inv_sum, move, flags = work.inv_sum[:n], work.move[:n], work.flags[:n]
-    median, candidate = work.median[:, :n], work.candidate[:, :n]
+    prod, inv = np.empty((3, n_entries)), np.empty(n_entries)
+    inv_sum, move, flags = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    median, candidate = np.empty((3, n)), np.empty((3, n))
     _slot_sums(np.multiply(weights, points, out=prod), ends, median)
     np.divide(median, np.take(wsum, columns), out=median)
     for _step in range(WEISZFELD_MAX_ITER):
@@ -498,13 +476,12 @@ def filter_l1median(
     valid = valid.T
     spatial = _ring_spatial(topo, geometry, safe)
     cos_gate = float(np.cos(np.radians(params.angle_max_deg)))
-    work = _WeiszfeldWork(topo.n_faces)  # this call's own, reused by every sweep
 
     def step(normals, ring, scratch):
         dots = dot_terms(normals[:, None, :], ring, scratch)
         weights = np.where(valid & (dots >= cos_gate), spatial, 0.0)
         wsum = sum_terms(weights)
-        median = _weiszfeld(ring, weights, wsum, work)
+        median = _weiszfeld(ring, weights, wsum)
         return np.where(wsum > 0.0, _normalize_rows(median.T, normals.T).T, normals)
 
     return _ring_sweeps(geometry, safe, params.n_iter, step)

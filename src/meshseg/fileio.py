@@ -204,15 +204,16 @@ def write_obj(mesh: TriMesh, path) -> None:
             fh.write(_text(_int_cells(mesh.faces[block] + 1), b"f "))
 
 
-def _label_colors(n_labels: int) -> np.ndarray:
-    """(n_labels, 3) uint8 RGB table built by golden-ratio hue stepping.
+def _label_colors(labels: np.ndarray) -> np.ndarray:
+    """(N, 3) uint8 RGB of each of the N int64 *labels*, by golden-ratio
+    hue stepping.
 
     Hue of label k is fract(k * 0.618034) at full saturation and value,
     which keeps any <= 256 labels pairwise distinct after 8-bit
     quantization while spreading neighboring labels far apart on the
     color wheel.
     """
-    hues = (np.arange(n_labels) * GOLDEN_RATIO_CONJUGATE) % 1.0
+    hues = (labels * GOLDEN_RATIO_CONJUGATE) % 1.0
     rgb = np.array([colorsys.hsv_to_rgb(h, 1.0, 1.0) for h in hues]).reshape(-1, 3)
     return np.clip(np.round(rgb * 255.0), 0, 255).astype(np.uint8)
 
@@ -233,7 +234,10 @@ def write_ply_colored(mesh: TriMesh, labels, path) -> None:
         coordinates = mesh.vertices.astype(np.float32)
     if not np.isfinite(coordinates).all():
         raise ValueError("vertex coordinates must lie within float32's finite range")
-    colors = _label_colors(int(labels.max(initial=-1)) + 1)
+    # One color per label present, so the work follows the face count,
+    # not the largest label.
+    present, index = np.unique(labels, return_inverse=True)
+    colors = _label_colors(present)
     header = (
         "ply\n"
         "format ascii 1.0\n"
@@ -253,7 +257,7 @@ def write_ply_colored(mesh: TriMesh, labels, path) -> None:
         for block in _blocks(mesh.n_vertices):
             fh.write(_text(_float32_cells(coordinates[block])))
         for block in _blocks(mesh.n_faces):
-            rows = np.hstack((mesh.faces[block], colors[labels[block]]))
+            rows = np.hstack((mesh.faces[block], colors[index[block]]))
             fh.write(_text(_int_cells(rows), b"3 "))
 
 

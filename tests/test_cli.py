@@ -264,6 +264,18 @@ def test_denoise_dthr_without_clusters_warns(tmp_path, capsys):
     assert "ignored without --use-clusters" in capsys.readouterr().err
 
 
+def test_denoise_prefilter_without_clusters_warns(tmp_path, capsys):
+    noisy_path = write_fixture(tmp_path, "m.obj", cube(2))
+    out = tmp_path / "plain.obj"
+    args = ["denoise", str(noisy_path), "--method", "unf", "--params", "0.5,2,2", "-o", str(out)]
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    plain = out.read_bytes()
+    assert main(args + ["--prefilter"]) == EXIT_OK
+    assert capsys.readouterr().err == "warning: --prefilter is ignored without --use-clusters\n"
+    assert out.read_bytes() == plain
+
+
 def test_denoise_usage_errors(tmp_path, capsys):
     noisy_path = write_fixture(tmp_path, "m.obj", cube(2))
     # wrong arity for the method

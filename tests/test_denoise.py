@@ -1,12 +1,14 @@
 """Tests for the two-step normal-filtering denoisers and their
 cluster-constrained variants."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
-from meshseg import cube, plane
+from meshseg import cube, icosahedron, plane
 from meshseg.core import TriMesh, build_topology, face_geometry
 from meshseg.denoise import (
     BnfParams,
@@ -290,6 +292,28 @@ def test_denoise_is_deterministic():
     a = denoise(mesh, params)
     b = denoise(mesh, params)
     assert a.vertices.tobytes() == b.vertices.tobytes()
+
+
+@pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: type(p).__name__)
+def test_calls_in_threads_give_the_serial_bytes(params):
+    """``meshseg bench`` runs filters in a thread pool. Calls on two
+    meshes of other sizes run at once, more threads than cores, with a
+    short switch interval: each result equals its serial bytes, so no
+    call reads another's buffers."""
+    jobs = []
+    for mesh in (cube(8), icosahedron(8)):
+        mesh = add_noise(mesh, NoiseSpec(0.5, "normal", seed=23))
+        jobs.append((mesh.topology, face_geometry(mesh)))
+    serial = [filter_normals(topo, geometry, params).tobytes() for topo, geometry in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(filter_normals, *job, params) for job in jobs * 3]
+            got = [future.result(timeout=120).tobytes() for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == serial * 3
 
 
 def test_gnf_guidance_differs_from_bnf_on_crease():

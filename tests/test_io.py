@@ -96,17 +96,29 @@ def test_obj_reader_rejects_nonpositive_index(tmp_path):
 
 
 def test_colormap_distinct_up_to_256():
-    colors = _label_colors(256)
+    colors = _label_colors(np.arange(256))
     assert colors.shape == (256, 3) and colors.dtype == np.uint8
     assert len({tuple(row) for row in colors.tolist()}) == 256
 
 
 def test_colormap_indexing():
     """Label k's color is row k: label 0 is pure red (hue 0)."""
-    colors = _label_colors(3)
+    colors = _label_colors(np.arange(3))
     assert colors[0].tolist() == [255, 0, 0]
-    assert _label_colors(2).tolist() == colors[:2].tolist()
-    assert _label_colors(0).shape == (0, 3)
+    assert _label_colors(np.array([2, 0, 2])).tolist() == colors[[2, 0, 2]].tolist()
+    assert _label_colors(np.zeros(0, dtype=np.int64)).shape == (0, 3)
+
+
+def test_ply_colors_labels_far_beyond_the_face_count(tmp_path):
+    """Labels {0, 2**62} on 48 faces: only the labels present are
+    colored, so no table up to 2**62 is built. In float64,
+    2**62 · 0.618034 is a whole number, so both hues are 0: pure red."""
+    mesh = cube(2)
+    labels = np.where(np.arange(mesh.n_faces) % 2 == 0, 0, 2**62)
+    write_ply_colored(mesh, labels, tmp_path / "far.ply")
+    rows = (tmp_path / "far.ply").read_text().splitlines()[-mesh.n_faces :]
+    colors = [[int(v) for v in row.split()[4:]] for row in rows]
+    assert colors == [[255, 0, 0]] * mesh.n_faces
 
 
 def test_ply_structure(tmp_path):
@@ -123,7 +135,7 @@ def test_ply_structure(tmp_path):
     body = lines[header_end + 1 :]
     assert len(body) == mesh.n_vertices + mesh.n_faces
     face_rows = body[mesh.n_vertices :]
-    colors = _label_colors(3)
+    colors = _label_colors(np.arange(3))
     for fid, row in enumerate(face_rows):
         parts = row.split()
         assert parts[0] == "3"
@@ -135,7 +147,7 @@ def _rows_one_by_one(mesh, labels):
     """OBJ and PLY bodies formatted one NumPy-scalar row at a time."""
     obj = "".join(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n" for x, y, z in mesh.vertices)
     obj += "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.faces)
-    colors = _label_colors(int(labels.max()) + 1)[labels]
+    colors = _label_colors(labels)
     ply = "".join(
         " ".join(f"{float(np.float32(x)):.8e}" for x in row) + "\n" for row in mesh.vertices
     )

@@ -25,7 +25,6 @@ from meshseg.denoise import (
     _normalize_rows,
     _ring_tables,
     _weiszfeld,
-    _WeiszfeldWork,
     filter_normals,
     mean_adjacent_centroid_distance,
 )
@@ -165,7 +164,7 @@ def test_weiszfeld_median_of_negative_zeros():
     points[0, :, 0] = [-0.0, -1.0, -1.0]
     points[2, :, 0] = 1.0
     weights = np.array([[1.0], [0.0], [0.0]])
-    got = _weiszfeld(points, weights, np.array([1.0]), _WeiszfeldWork(1))
+    got = _weiszfeld(points, weights, np.array([1.0]))
     assert got[:, 0].tolist() == [0.0, 0.0, 1.0]
     assert not np.signbit(got[0, 0])
 
@@ -242,7 +241,11 @@ def _compactions(monkeypatch):
 
 
 def _same_as_full(points, weights, wsum):
-    got = _weiszfeld(points, weights, wsum, _WeiszfeldWork(len(wsum)))
+    """``_weiszfeld`` gives the loop's bytes without dropping, and leaves
+    its inputs as they were."""
+    inputs = [a.tobytes() for a in (points, weights, wsum)]
+    got = _weiszfeld(points, weights, wsum)
+    assert [a.tobytes() for a in (points, weights, wsum)] == inputs
     want = full_weiszfeld(points, weights, wsum)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()

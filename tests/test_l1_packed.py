@@ -6,12 +6,15 @@ A zero-weight slot adds a zero to each dense sum; these tests place such
 zeros where a sum that did not start from +0.0 would keep a −0.0, check
 that columns without weight come back as 0 without touching the others,
 that a slot whose spatial weight underflows is left out like an ungated
-one, and that the loop's work is the count of positive weights.
+one, and that the loop's work is the count of positive weights and its
+memory a bounded number of bytes per face.
 """
 
 import sys
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from meshseg import cube, plane
 from meshseg.core import build_topology, face_geometry
@@ -20,11 +23,12 @@ from meshseg.denoise import (
     _ring_spatial,
     _ring_tables,
     _weiszfeld,
-    _WeiszfeldWork,
     filter_l1median,
     filter_normals,
 )
 from meshseg.noise import NoiseSpec, add_noise
+from meshseg.prefilter import PrefilterParams
+from meshseg.segment import SegmentParams, segment
 from test_l1_oracle import full_weiszfeld, reference_filter_l1median, ring_columns
 
 DENOISE = sys.modules["meshseg.denoise"]  # meshseg.denoise is the function
@@ -43,7 +47,7 @@ def test_zero_weight_slots_before_gated_slots():
     weights[2, ::4] = 0.0  # ... and, in half of those, no other gated slot
     points[1:, 2, ::4] = -1.0
     wsum = weights.sum(axis=0)
-    got = _weiszfeld(points, weights, wsum, _WeiszfeldWork(len(wsum)))
+    got = _weiszfeld(points, weights, wsum)
     want = full_weiszfeld(points, weights, wsum)
     assert got.tobytes() == want.tobytes()
     assert (got[0, ::4] == 0.0).all()
@@ -55,7 +59,7 @@ def test_columns_without_weight_are_zero_and_leave_the_others_alone():
     empty = np.array([0, 77, 599])
     weights[:, empty] = 0.0
     wsum[empty] = 0.0
-    got = _weiszfeld(points, weights, wsum, _WeiszfeldWork(len(wsum)))
+    got = _weiszfeld(points, weights, wsum)
     assert got[:, empty].tobytes() == np.zeros((3, len(empty))).tobytes()
     rest = np.setdiff1d(np.arange(len(wsum)), empty)
     want = full_weiszfeld(*(np.ascontiguousarray(a[..., rest]) for a in (points, weights, wsum)))
@@ -93,11 +97,11 @@ def test_the_loop_steps_only_the_entries_with_positive_weight(monkeypatch):
     calls = []  # per call: (positive weights, dense slots, distances per step)
     active = []  # the step list of the call running now
 
-    def spy_weiszfeld(points, weights, wsum, work):
+    def spy_weiszfeld(points, weights, wsum):
         calls.append((np.count_nonzero(weights > 0), 3 * np.count_nonzero(wsum > 0), []))
         active.append(calls[-1][2])
         try:
-            return weiszfeld(points, weights, wsum, work)
+            return weiszfeld(points, weights, wsum)
         finally:
             active.pop()
 
@@ -117,3 +121,30 @@ def test_the_loop_steps_only_the_entries_with_positive_weight(monkeypatch):
         assert positive < dense
         assert steps[0] == positive
         assert max(steps) == positive
+
+
+# tracemalloc peak of one filter_l1median call, in bytes per face, on the
+# four cases below: 583.6-596.9 measured, 621.5-630.3 with a working set
+# of all F columns shared by a call's sweeps. The bound leaves 2.2 %
+# headroom above the largest.
+L1_PEAK_BYTES_PER_FACE = 610
+
+
+@pytest.mark.parametrize("subdiv", [16, 32])
+def test_an_l1_call_allocates_a_bounded_number_of_bytes_per_face(subdiv):
+    """A memory guard without a clock: plain and with the labels of a
+    segmentation at k = 0.06, as perfbench's ring-sweep runs it."""
+    mesh = add_noise(cube(subdiv), NoiseSpec(0.5, "normal", seed=23))
+    topo, geometry = mesh.topology, face_geometry(mesh)
+    segment_params = SegmentParams(0.06 * topo.mean_edge_length)
+    labels = segment(mesh, segment_params, prefilter_params=PrefilterParams(5, 5, 2))
+    assert labels.cluster_count > 1
+    params = L1Params(40.0, 20, 10)
+    for case in (None, labels):
+        tracemalloc.start()
+        try:
+            filter_l1median(topo, geometry, params, case)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / topo.n_faces <= L1_PEAK_BYTES_PER_FACE
