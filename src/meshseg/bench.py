@@ -97,7 +97,10 @@ def parse_config(path) -> BenchConfig:
                 numbers = tuple(float(x) for x in value.split(","))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad sweep tuple {value!r}") from exc
-            params_from_tuple(method, numbers)  # validates arity and ranges
+            try:  # validates the method, arity and ranges
+                params_from_tuple(method, numbers)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             sweep.append((method, numbers))
         elif key in values:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")

@@ -41,54 +41,64 @@ def _parse_tuple(text: str):
     return tuple(float(x) for x in text.split(","))
 
 
+# Params field -> option string. These options default to None, so a
+# value given on the command line can be told from the params default.
+PREFILTER_FLAGS = {"alpha": "--alpha", "beta": "--beta", "sigma_w": "--sigma-w"}
+SEGMENT_FLAGS = {"d_thr": "--dthr", "min_cluster_size": "--min-cluster",
+                 "ring_depth": "--ring-depth", "baseline_mode": "--baseline"}
+
+
+def _given(args, flags: dict) -> dict:
+    """{field: value} of the *flags* given on the command line."""
+    return {dest: getattr(args, dest) for dest in flags if getattr(args, dest) is not None}
+
+
+def _warn_ignored(args, flags: dict, without: str) -> None:
+    for dest in _given(args, flags):
+        print(f"warning: {flags[dest]} is ignored without {without}", file=sys.stderr)
+
+
 def _prefilter_params(args) -> PrefilterParams:
-    return PrefilterParams(alpha=args.alpha, beta=args.beta, sigma_w=args.sigma_w)
+    return PrefilterParams(**_given(args, PREFILTER_FLAGS))
 
 
 def _segment_params(args) -> SegmentParams:
-    return SegmentParams(
-        d_thr=args.dthr,
-        min_cluster_size=args.min_cluster,
-        ring_depth=args.ring_depth,
-        baseline_mode=args.baseline,
-    )
+    return SegmentParams(**_given(args, SEGMENT_FLAGS))
+
+
+def _prefilter_or_warn(args) -> PrefilterParams | None:
+    """Under ``--prefilter`` its params; else None, warning of each one given."""
+    if args.prefilter:
+        return _prefilter_params(args)
+    _warn_ignored(args, PREFILTER_FLAGS, "--prefilter")
+    return None
 
 
 def _add_prefilter_flags(parser):
     parser.add_argument(
         "--prefilter",
         action="store_true",
+        default=None,
         help="relax positions before segmentation (never before denoising)",
     )
-    parser.add_argument(
-        "--alpha", type=float, default=PrefilterParams.alpha, help="operator energy weight"
-    )
-    parser.add_argument(
-        "--beta", type=float, default=PrefilterParams.beta, help="flap smoothness weight"
-    )
-    parser.add_argument(
-        "--sigma-w",
-        type=float,
-        default=PrefilterParams.sigma_w,
-        help="edge weight normal-difference scale",
-    )
+    parser.add_argument("--alpha", type=float, help="operator energy weight")
+    parser.add_argument("--beta", type=float, help="flap smoothness weight")
+    parser.add_argument("--sigma-w", type=float, help="edge weight normal-difference scale")
 
 
 def _add_segment_flags(parser):
-    parser.add_argument("--dthr", type=float, help="region-growing bound on ||D(e)||")
+    parser.add_argument("--dthr", type=float, dest="d_thr", help="region-growing bound on ||D(e)||")
     parser.add_argument(
         "--min-cluster",
         type=int,
-        default=SegmentParams.min_cluster_size,
+        dest="min_cluster_size",
         help="clusters smaller than this get absorbed (1 keeps the raw labels)",
     )
-    parser.add_argument(
-        "--ring-depth", type=int, default=SegmentParams.ring_depth, help="refinement ring radius"
-    )
+    parser.add_argument("--ring-depth", type=int, help="refinement ring radius")
     parser.add_argument(
         "--baseline",
         choices=BASELINE_MODES,
-        default=SegmentParams.baseline_mode,
+        dest="baseline_mode",
         help="growing predicate (normal-angle exists for comparisons)",
     )
 
@@ -106,13 +116,14 @@ def cmd_noise(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    if args.dthr is None:
+    if args.d_thr is None:
         raise ValueError("segment requires --dthr")
     mesh = read_obj(args.mesh)
     params = _segment_params(args)
+    pf = _prefilter_or_warn(args)
     # segment() would prefilter the same way; doing it here lets the norms
     # CSV reuse the relaxed mesh and its carried topology, with no second solve.
-    work = prefilter(mesh, _prefilter_params(args)) if args.prefilter else mesh
+    work = mesh if pf is None else prefilter(mesh, pf)
     clusters = segment(work, params)
     prefix = Path(args.out_prefix) if args.out_prefix else Path(args.mesh).with_suffix("")
     labels_path = prefix.parent / f"{prefix.name}_labels.txt"
@@ -138,15 +149,12 @@ def cmd_denoise(args) -> int:
 
     labels = None
     if args.use_clusters:
-        if args.dthr is None:
+        if args.d_thr is None:
             raise ValueError("--use-clusters requires --dthr")
-        pf = _prefilter_params(args) if args.prefilter else None
-        labels = segment(mesh, _segment_params(args), prefilter_params=pf)
+        labels = segment(mesh, _segment_params(args), prefilter_params=_prefilter_or_warn(args))
     else:
-        if args.dthr is not None:
-            print("warning: --dthr is ignored without --use-clusters", file=sys.stderr)
-        if args.prefilter:
-            print("warning: --prefilter is ignored without --use-clusters", file=sys.stderr)
+        flags = {**SEGMENT_FLAGS, "prefilter": "--prefilter", **PREFILTER_FLAGS}
+        _warn_ignored(args, flags, "--use-clusters")
 
     result = denoise(mesh, params, labels=labels)
     out = args.output

@@ -10,12 +10,12 @@ below ``d_thr`` and takes their connected components with the package's
 own :func:`~meshseg.core.components`, numbered by their minimum face id,
 so labels are deterministic. Refinement reassigns every face of each
 undersized cluster to the large cluster in its surrounding ring whose
-normals agree best (sum of cosines); the ring reaches at least as far as
-the nearest large-cluster face. Both breadth-first searches, the hop
-counts (:func:`_hops`) and the rings (:func:`_rings`), walk the
-topology's ``face_adjacent`` table, the one face graph. Decisions read a
-snapshot of the pre-refinement labels, so they cannot cascade. The
-module uses numpy only.
+normals agree best (sum of cosines). One breadth-first walk
+(:func:`_rings`) over the topology's ``face_adjacent`` table, the one
+face graph, grows every small face's ring until it is ``ring_depth``
+hops deep and holds a large-cluster face. Decisions read a snapshot of
+the pre-refinement labels, so they cannot cascade. The module uses numpy
+only.
 """
 
 from __future__ import annotations
@@ -68,32 +68,38 @@ class SegmentParams:
             )
 
 
-def _rings(topo: TopologyCache, sources: np.ndarray, depth: np.ndarray):
-    """Pairs (i, g), as two arrays, of every face g within depth[i]
-    edge-adjacency hops of face sources[i], the source itself excluded.
+def _rings(topo: TopologyCache, sources: np.ndarray, depth: int, target: np.ndarray):
+    """Pairs (i, g), as two arrays, of every face g within max(*depth*,
+    hops to the nearest *target* face) edge-adjacency hops of face
+    sources[i], the source itself excluded; a source whose component
+    holds no target other than itself covers that whole component.
 
-    All sources advance one BFS level per step over ``face_adjacent``.
-    A level is kept as ascending keys owner * F + face; each expansion is
-    sorted and its repeats dropped (:func:`_distinct`). On an
-    undirected graph the neighbours of level k lie in levels k - 1, k and
-    k + 1, so the two latest levels are all that must be removed from
+    All sources advance one BFS level per step over ``face_adjacent``,
+    and past *depth* only those whose ring holds no (F,) *target* face
+    yet. A level is kept as ascending keys owner * F + face; each
+    expansion is sorted and its repeats dropped (:func:`_distinct`). On
+    an undirected graph the neighbours of level k lie in levels k - 1, k
+    and k + 1, so the two latest levels are all that must be removed from
     each expansion.
     """
     n = topo.n_faces
     level = np.arange(len(sources), dtype=np.int64) * n + sources
     previous = level[:0]
     reached = [previous]
-    for hop in range(1, int(depth.max(initial=0)) + 1):
-        level = level[depth[level // n] >= hop]
-        if level.size == 0:
-            break
+    found = np.zeros(len(sources), dtype=bool)
+    hop = 1
+    while level.size:
+        if hop > depth:
+            level = level[~found[level // n]]
         face = level % n
         step = topo.face_adjacent[face]
         following = _distinct((step + (level - face)[:, None])[step >= 0])
         seen = np.concatenate((previous, level))
         following = following[~np.isin(following, seen, assume_unique=True)]
+        found[following[target[following % n]] // n] = True
         reached.append(following)
         previous, level = level, following
+        hop += 1
     keys = np.concatenate(reached)
     return keys // n, keys % n
 
@@ -130,36 +136,6 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.diff(values, prepend=-1) != 0]
 
 
-def _key_groups(keys: np.ndarray):
-    """(distinct, group): the distinct non-negative *keys* ascending and
-    each key's index among them, as ``np.unique(keys, return_inverse=True)``
-    gives them, from an argsort and a cumsum of the first-of-run mask."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    first = np.diff(ordered, prepend=-1) != 0
-    group = np.empty_like(order)
-    group[order] = np.cumsum(first) - 1
-    return ordered[first], group
-
-
-def _hops(topo: TopologyCache, is_source: np.ndarray) -> np.ndarray:
-    """(F,) float hop counts, across interior edges, from each face to the
-    nearest face where *is_source* is True; inf where none is reached.
-    One breadth-first level per step from all sources at once, each level
-    ascending without repeats (:func:`_distinct`)."""
-    hops = np.full(topo.n_faces, np.inf)
-    level = np.flatnonzero(is_source)
-    hops[level] = 0.0
-    hop = 0
-    while level.size:
-        hop += 1
-        step = topo.face_adjacent[level].ravel()
-        step = step[step >= 0]
-        level = _distinct(step[hops[step] == np.inf])
-        hops[level] = hop
-    return hops
-
-
 def refine(
     topo: TopologyCache, geometry: FaceGeometry, clusters: ClusterLabels, params: SegmentParams
 ) -> ClusterLabels:
@@ -168,8 +144,8 @@ def refine(
     Every face of an undersized cluster is reassigned to the large
     cluster with the highest sum of normal cosines over the face's ring:
     the faces within max(``ring_depth``, hops to the nearest large-cluster
-    face) edge-adjacency hops, found by one multi-source breadth-first
-    search from all large-cluster faces. Ties pick the lowest label.
+    face) edge-adjacency hops, found by one breadth-first walk from all
+    small faces at once (:func:`_rings`). Ties pick the lowest label.
     Faces whose connectivity component contains no large cluster fall
     back to the globally largest cluster, so if *no* cluster is large,
     everything merges into the largest one. Decisions read a snapshot of
@@ -184,26 +160,29 @@ def refine(
     snapshot = clusters.labels
     new_labels = snapshot.copy()
     is_small = small_label[snapshot]
-    hops = _hops(topo, ~is_small)
     small_faces = np.flatnonzero(is_small)
-    # With no large face, every distance is inf: all small faces are
-    # stranded. Ties on size go to the lowest label id (np.argmax).
-    stranded = np.isinf(hops[small_faces])
+    # A small face is stranded when its connectivity component holds no
+    # large face; with no large face at all, every small face is. Ties on
+    # size go to the lowest label id (np.argmax).
+    root = components(topo.n_faces, *topo.edge_faces[topo.interior_edge_ids].T)
+    has_large = np.zeros(topo.n_faces, dtype=bool)
+    has_large[root[~is_small]] = True
+    stranded = ~has_large[root[small_faces]]
     new_labels[small_faces[stranded]] = np.argmax(sizes)
     sources = small_faces[~stranded]
-    depth = np.maximum(params.ring_depth, hops[sources]).astype(np.int64)
 
-    owner, face = _rings(topo, sources, depth)
+    owner, face = _rings(topo, sources, params.ring_depth, ~is_small)
     large = ~is_small[face]
     owner, face = owner[large], face[large]
     normals = geometry.normals
     cosines = dot_terms(normals[face].T, normals[sources[owner]].T)
     n_labels = clusters.cluster_count
-    keys, group = _key_groups(owner * n_labels + snapshot[face])
+    keys, group = np.unique(owner * n_labels + snapshot[face], return_inverse=True)
     score = np.bincount(group, weights=cosines)
     owner, label = keys // n_labels, keys % n_labels
-    # Per owner: highest score first, ties to the lowest label.
-    order = np.lexsort((label, -score, owner))
+    # Per owner: highest score first. The keys ascend and the sort is
+    # stable, so tied scores keep the lowest label first.
+    order = np.lexsort((-score, owner))
     first = order[np.diff(owner[order], prepend=-1) != 0]
     new_labels[sources[owner[first]]] = label[first]
 

@@ -276,6 +276,54 @@ def test_denoise_prefilter_without_clusters_warns(tmp_path, capsys):
     assert out.read_bytes() == plain
 
 
+UNF = ["--method", "unf", "--params", "0.5,2,2"]
+
+
+@pytest.mark.parametrize(
+    "argv, extra, without",
+    [
+        (
+            ["segment", "--dthr", "0.3"],
+            ["--alpha", "5", "--beta", "9", "--sigma-w", "4"],
+            "--prefilter",
+        ),
+        (
+            ["denoise", *UNF],
+            ["--dthr", "0.02", "--min-cluster", "5", "--ring-depth", "3"]
+            + ["--baseline", "normal-angle", "--prefilter", "--alpha", "5", "--beta", "9"]
+            + ["--sigma-w", "4"],
+            "--use-clusters",
+        ),
+        (
+            ["denoise", *UNF, "--use-clusters", "--dthr", "0.3"],
+            ["--beta", "9", "--sigma-w", "4"],
+            "--prefilter",
+        ),
+    ],
+    ids=["segment", "denoise", "denoise-use-clusters"],
+)
+def test_flags_that_cannot_take_effect_warn(tmp_path, capsys, argv, extra, without):
+    """Each ignored flag is named on stderr, and every output byte is the
+    same as without it."""
+    mesh = write_fixture(tmp_path, "m.obj", add_noise(cube(3), NoiseSpec(0.3, "normal", seed=2)))
+    command, *rest = argv
+    if command == "segment":
+        out = ["--out-prefix", str(tmp_path / "m")]
+    else:
+        out = ["-o", str(tmp_path / "d.obj")]
+    outputs, errors = [], []
+    for flags in ([], extra):
+        assert main([command, str(mesh), *rest, *out, *flags]) == EXIT_OK
+        written = [path for path in tmp_path.iterdir() if path != mesh]
+        outputs.append({path.name: path.read_bytes() for path in written})
+        errors.append(capsys.readouterr().err)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == (2 if command == "segment" else 1)
+    named = [flag for flag in extra if flag.startswith("--")]
+    warnings = "".join(f"warning: {flag} is ignored without {without}\n" for flag in named)
+    assert errors == ["", warnings]
+
+
 def test_denoise_usage_errors(tmp_path, capsys):
     noisy_path = write_fixture(tmp_path, "m.obj", cube(2))
     # wrong arity for the method
@@ -605,15 +653,16 @@ def test_parse_config_defaults_are_bench_config_defaults(tmp_path):
         ("model = c.obj\ndthr = 0.1\n", "no sweep"),
         ("model = c.obj\ndthr = 0.1\nwarp = 1\nsweep.unf = 0.5, 2, 2\n", "unknown keys"),
         ("model = c.obj\ndthr = 0.1\nmodel = d.obj\nsweep.unf = 0.5, 2, 2\n", "duplicate"),
-        ("model = c.obj\ndthr = 0.1\nsweep.unf = 0.5, x, 2\n", "bad sweep tuple"),
-        ("model = c.obj\ndthr = 0.1\nsweep.warp = 1, 2, 2\n", "unknown method"),
+        ("model = c.obj\ndthr = 0.1\nsweep.unf = 0.5, x, 2\n", "cfg:3: bad sweep tuple"),
+        ("model = c.obj\ndthr = 0.1\nsweep.warp = 1, 2, 2\n", "cfg:3: unknown method"),
         ("model = c.obj\ndthr = 0.1\nprefilter = maybe\nsweep.unf = 0.5, 2, 2\n", "boolean"),
         ("model = c.obj\ndthr = 0.1\nmode = salt\nsweep.unf = 0.5, 2, 2\n", "mode"),
         ("model = c.obj\ndthr = oops\nsweep.unf = 0.5, 2, 2\n", "number"),
         ("just some words\n", "key = value"),
-        ("model = c.obj\ndthr = 0.1\nsweep.unf = 0.5, 2.5, 2\n", "integer"),
-        ("model = c.obj\ndthr = 0.1\nsweep.bnf = 0.45, inf, 1\n", "integer"),
-        ("model = c.obj\ndthr = 0.1\nsweep.bnf = nan, 2, 1\n", "sigma_r"),
+        ("model = c.obj\ndthr = 0.1\nsweep.unf = 0.5, 2.5, 2\n", "cfg:3: iteration counts"),
+        ("model = c.obj\ndthr = 0.1\nsweep.bnf = 0.45, inf, 1\n", "cfg:3: iteration counts"),
+        ("model = c.obj\ndthr = 0.1\nsweep.bnf = nan, 2, 1\n", "cfg:3: sigma_r"),
+        ("model = c.obj\ndthr = 0.1\nsweep.unf = 2, 20, 10\n", "cfg:3: t must be a dot product"),
         ("model = c.obj\ndthr = 0.1\nsigma = -0.5\nsweep.unf = 0.5, 2, 2\n", "cfg: sigma_factor"),
         ("model = c.obj\ndthr = 0.1\nsigma = nan\nsweep.unf = 0.5, 2, 2\n", "cfg: sigma_factor"),
         ("model = c.obj\ndthr = 0.1\nsigma = 0\nseed = -4\nsweep.unf = 0.5, 2, 2\n", "cfg: seed"),

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from meshseg import cube, plane
+from meshseg import cube, icosahedron, plane
 from meshseg.core import TriMesh, build_topology, face_geometry
 from meshseg.edgeop import edge_operator_field
 from meshseg.errors import DegenerateFlapError, SolverDivergedError
 from meshseg.noise import NoiseSpec, add_noise
-from meshseg.prefilter import PrefilterParams, assemble_system, edge_weights, prefilter
+from meshseg.prefilter import PrefilterParams, _cg, assemble_system, edge_weights, prefilter
 from meshseg.segment import SegmentParams, segment
 
 from flap_oracle import Flap, quadratic_energy, regularizer
@@ -124,6 +124,23 @@ def test_solver_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(PrefilterParams, "max_iter_for", lambda self, n_vertices: 1)
     with pytest.raises(SolverDivergedError, match="within 1 iterations"):
         prefilter(mesh, PrefilterParams(alpha=50.0, beta=50.0))
+
+
+@pytest.mark.parametrize("seed", [23, 7919])
+@pytest.mark.parametrize(
+    "mesh", [cube(8), cube(16), cube(32), icosahedron(16), icosahedron(32)], ids=repr
+)
+def test_cg_work_is_bounded(mesh, seed):
+    """A work guard without a clock: at the benchmark's noise (0.5 mean
+    edge lengths) and prefilter settings, CG reaches solver_tol on every
+    coordinate within 90 iterations, where the cap ceil(10·√V) allows
+    197 to 1,013. These inputs take 66 to 82 steps."""
+    noisy = add_noise(mesh, NoiseSpec(0.5, "normal", seed=seed))
+    params = PrefilterParams(5, 5, 2)
+    system = assemble_system(noisy, params)
+    # One contiguous row per coordinate, as prefilter passes them.
+    for rhs in noisy.vertices.T.copy():
+        assert _cg(system, rhs, params.solver_tol, 90)[1] == 0
 
 
 def test_prefilter_preserves_connectivity_and_empty_mesh():

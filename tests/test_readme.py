@@ -1,7 +1,8 @@
-"""README names only options that exist: every ``--flag`` of its
-"Command line" section is an option of some ``meshseg`` subcommand, and
-every ``key =`` line of its bench config block is a key that
-``parse_config`` accepts."""
+"""README names only options that exist, and every option: every
+``--flag`` of its "Command line" section is an option of some
+``meshseg`` subcommand, every option of every subcommand appears there
+under one of its option strings, and every ``key =`` line of its bench
+config block is a key that ``parse_config`` accepts."""
 
 import argparse
 import dataclasses
@@ -23,15 +24,35 @@ def _section(title: str) -> str:
     return text[start : None if end < 0 else end]
 
 
-def test_readme_flags_are_cli_options():
-    options = set()
+def _subcommands() -> dict:
+    """{name: parser} of the ``meshseg`` subcommands."""
     for action in build_parser()._actions:
         if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                options.update(sub._option_string_actions)
+            return action.choices
+    raise AssertionError("meshseg has no subcommands")
+
+
+def test_readme_flags_are_cli_options():
+    options = set()
+    for sub in _subcommands().values():
+        options.update(sub._option_string_actions)
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", _section("Command line")))
     assert flags, "no --flag found in the Command line section"
     assert sorted(flags - options) == []
+
+
+def test_cli_options_are_in_readme():
+    """``-o`` counts for ``-o/--output``: README shows either one."""
+    text = _section("Command line")
+    missing = []
+    for name, sub in _subcommands().items():
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction) or not action.option_strings:
+                continue
+            patterns = (rf"(?<![\w-]){re.escape(o)}(?![\w-])" for o in action.option_strings)
+            if not any(re.search(pattern, text) for pattern in patterns):
+                missing.append(f"{name} {'/'.join(action.option_strings)}")
+    assert missing == []
 
 
 def test_readme_bench_keys_are_config_keys():

@@ -1,11 +1,11 @@
 """The package's own conjugate gradients, connected components and
-breadth-first hop counts against the scipy calls they stand in for.
+breadth-first rings against the scipy calls they stand in for.
 
 The package loads only ``scipy.sparse``; these tests import
 ``scipy.sparse.linalg.cg``, ``csgraph.connected_components`` and
 ``csgraph.dijkstra`` as oracles. ``_cg`` must give scipy 1.17's bits and
-``info``; the components and hop counts must be the same partition and
-the same integers.
+``info``; the components must be the same partition, and the rings must
+reach as far as dijkstra's hop counts say.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from meshseg import cube, icosahedron, make_fixture, plane
 from meshseg.core import components
 from meshseg.noise import NoiseSpec, add_noise
 from meshseg.prefilter import PrefilterParams, _cg, assemble_system
-from meshseg.segment import _hops
+from meshseg.segment import _rings
 
 PERFBENCH_PREFILTER = PrefilterParams(5, 5, 2)
 
@@ -123,21 +123,22 @@ def test_components_of_shuffled_paths(length, n_paths, seed):
 
 @pytest.mark.parametrize("mesh", [cube(8), icosahedron(8), plane(8)], ids=repr)
 @pytest.mark.parametrize("share", [0.0, 0.002, 0.05, 0.5, 1.0])
-def test_hops_match_dijkstra(mesh, share):
-    """Hop counts from random source masks, the empty one included, are
-    the integers of an unweighted multi-source dijkstra; the plane's
-    boundary edges join nothing."""
+def test_rings_match_dijkstra(mesh, share):
+    """Each ring holds the faces within max(2, hops to the nearest target)
+    of its source, by unweighted dijkstra hop counts, in the order (hop,
+    source, face). Targets are a random mask, the empty and the full one
+    included; sources are up to 40 faces outside it. With no target a
+    ring is the source's whole component; the plane's boundary edges
+    join nothing."""
     topo = mesh.topology
-    is_source = np.random.default_rng(int(share * 1000)).random(topo.n_faces) < share
+    rng = np.random.default_rng(int(share * 1000))
+    target = rng.random(topo.n_faces) < share
+    sources = rng.permutation(np.flatnonzero(~target))[:40]
     a, b = topo.edge_faces[topo.interior_edge_ids].T
     graph = sp.csr_matrix((np.ones(len(a)), (a, b)), shape=(topo.n_faces, topo.n_faces))
-    want = csgraph.dijkstra(
-        graph,
-        directed=False,
-        indices=np.flatnonzero(is_source),
-        unweighted=True,
-        min_only=True,
-    )
-    got = _hops(topo, is_source)
-    assert got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
+    hops = csgraph.dijkstra(graph, directed=False, indices=sources, unweighted=True)
+    reach = np.maximum(2, np.where(target, hops, np.inf).min(axis=1))
+    owner, face = np.nonzero((hops > 0) & (hops <= reach[:, None]) & np.isfinite(hops))
+    order = np.lexsort((face, owner, hops[owner, face]))
+    got = _rings(topo, sources, 2, target)
+    np.testing.assert_array_equal(np.stack(got), np.stack((owner[order], face[order])))

@@ -1,7 +1,7 @@
 """Scalar reference for region growing and refinement, and the property
-tests that hold ``meshseg.segment``, whose breadth-first searches walk
-the topology's ``face_adjacent`` table level by level for all sources at
-once, to it label for label and ring pair for ring pair.
+tests that hold ``meshseg.segment``, whose one breadth-first walk steps
+through the topology's ``face_adjacent`` table level by level for all
+sources at once, to it label for label and ring pair for ring pair.
 
 The reference walks faces one at a time: a breadth-first flood fill for
 growing and, for refinement, a ring around each small-cluster face that
@@ -23,7 +23,7 @@ from meshseg.core import TopologyCache, build_topology, components, face_geometr
 from meshseg.edgeop import edge_operator_field
 from meshseg.noise import NoiseSpec, add_noise
 from meshseg.prefilter import PrefilterParams, prefilter
-from meshseg.segment import ClusterLabels, SegmentParams, _hops, _rings, refine, region_grow
+from meshseg.segment import ClusterLabels, SegmentParams, _rings, refine, region_grow
 
 PREFILTER = PrefilterParams(5, 5, 2)
 
@@ -172,47 +172,63 @@ def test_face_ring_grows_monotonically():
 # ---------------------------------------------------------------------------
 
 
-def rings_reference(topo: TopologyCache, sources, depth) -> np.ndarray:
+def ring_depth_reference(topo: TopologyCache, source: int, depth: int, target) -> int:
+    """max(*depth*, the first hop whose face_ring holds a *target* face);
+    the hop where the ring stops growing, if that comes first."""
+    hop, ring = 1, face_ring(topo, source, 1)
+    while hop < depth or not any(target[g] for g in ring):
+        bigger = face_ring(topo, source, hop + 1)
+        if len(bigger) == len(ring):
+            break
+        hop, ring = hop + 1, bigger
+    return hop
+
+
+def rings_reference(topo: TopologyCache, sources, depth: int, target):
     """(2, n) pairs (i, g) in the library's order: by hop, then source
     index, then face id; face g lies exactly that many hops from
-    sources[i], at most depth[i]. Stops at the first hop where no ring
-    grows."""
-    rings = [set() for _ in sources]
-    pairs = []
-    hop, grown = 0, True
-    while grown:
-        hop += 1
-        grown = False
-        for i, (source, limit) in enumerate(zip(sources, depth)):
-            if limit >= hop:
-                ring = face_ring(topo, int(source), hop)
-                pairs += [(i, g) for g in sorted(ring - rings[i])]
-                grown |= len(ring) > len(rings[i])
-                rings[i] = ring
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    sources[i], at most its ring_depth_reference. Also those depths."""
+    depths = [ring_depth_reference(topo, int(s), depth, target) for s in sources]
+    pairs = sorted(
+        (hop, i, g)
+        for i, (source, reach) in enumerate(zip(sources, depths))
+        for hop in range(1, reach + 1)
+        for g in face_ring(topo, int(source), hop) - face_ring(topo, int(source), hop - 1)
+    )
+    want = np.array([(i, g) for _, i, g in pairs], dtype=np.int64).reshape(-1, 2).T
+    return want, depths
 
 
 @pytest.mark.parametrize("mesh", [cube(8), icosahedron(8), plane(8)], ids=repr)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_rings_match_the_reference(mesh, seed):
-    """Random sources (repeats allowed) at depths 1-4, the last one deeper
-    than the mesh's diameter; the plane has boundary slots (-1)."""
+    """Random sources (repeats allowed) at depth 1-3, toward a sparse
+    random target mask and toward the last source's own face alone; the
+    plane has boundary slots (-1)."""
     topo = mesh.topology
     rng = np.random.default_rng(seed)
     sources = rng.integers(0, topo.n_faces, size=12)
-    depth = rng.integers(1, 5, size=12)
-    depth[-1] = topo.n_faces
-    owner, face = _rings(topo, sources, depth)
-    want = rings_reference(topo, sources, depth)
-    assert owner.dtype == face.dtype == np.int64
-    np.testing.assert_array_equal(np.stack((owner, face)), want)
-    # The deepest source reaches every other face of its (connected) mesh.
+    depth = int(rng.integers(1, 4))
+    alone = np.zeros(topo.n_faces, dtype=bool)
+    alone[sources[-1]] = True
+    beyond = 0
+    for target in (rng.random(topo.n_faces) < 0.02, alone):
+        owner, face = _rings(topo, sources, depth, target)
+        want, depths = rings_reference(topo, sources, depth, target)
+        assert owner.dtype == face.dtype == np.int64
+        np.testing.assert_array_equal(np.stack((owner, face)), want)
+        beyond += sum(reach > depth for reach in depths)
+    # Some source's nearest target lies beyond depth, and the last source,
+    # its own only target, reaches every other face of its (connected)
+    # mesh: it walks deeper than the mesh's diameter.
+    assert beyond >= 1
     assert (owner == 11).sum() == topo.n_faces - 1
 
 
 def test_rings_of_no_sources_are_empty():
+    topo = cube(2).topology
     empty = np.empty(0, dtype=np.int64)
-    owner, face = _rings(cube(2).topology, empty, empty)
+    owner, face = _rings(topo, empty, 2, np.zeros(topo.n_faces, dtype=bool))
     assert owner.shape == face.shape == (0,)
     assert owner.dtype == face.dtype == np.int64
 
@@ -266,59 +282,6 @@ def test_refine_numbers_labels_as_unique_does(mesh, monkeypatch):
             gaps += len(np.unique(values)) < raw.cluster_count
             np.testing.assert_array_equal(refined.labels, np.unique(values, return_inverse=True)[1])
     assert gaps >= 1
-
-
-def hops_with_unique(topo: TopologyCache, is_source) -> np.ndarray:
-    """``segment._hops`` with each breadth-first level taken by np.unique."""
-    hops = np.full(topo.n_faces, np.inf)
-    level = np.flatnonzero(is_source)
-    hops[level] = 0.0
-    hop = 0
-    while level.size:
-        hop += 1
-        step = topo.face_adjacent[level].ravel()
-        step = step[step >= 0]
-        level = np.unique(step[hops[step] == np.inf])
-        hops[level] = hop
-    return hops
-
-
-@pytest.mark.parametrize("mesh", [cube(8), icosahedron(8), plane(8)], ids=repr)
-def test_hops_levels_are_the_ones_unique_gives(mesh):
-    """On shuffled face ids, from no source, a few, and many."""
-    _, topo, _, _ = shuffled_noisy(mesh)
-    rng = np.random.default_rng(4)
-    for share in (0.0, 0.01, 0.3):
-        is_source = rng.random(topo.n_faces) < share
-        assert _hops(topo, is_source).tobytes() == hops_with_unique(topo, is_source).tobytes()
-
-
-@pytest.mark.parametrize("mesh", [cube(8), icosahedron(8), plane(8)], ids=repr)
-def test_refine_groups_its_scores_as_unique_does(mesh, monkeypatch):
-    """refine groups its (owner, label) keys, which repeat, into the
-    distinct keys and inverse of np.unique(..., return_inverse=True).
-    Below 0.1 mean edge lengths these meshes have no large cluster, so no
-    keys."""
-    noisy, topo, norms, _ = shuffled_noisy(mesh)
-    thresholds = [k * topo.mean_edge_length for k in (0.1, 0.2, 0.4)]
-    module = sys.modules["meshseg.segment"]
-    key_groups, calls = module._key_groups, []
-
-    def spy(keys):
-        got = key_groups(keys)
-        calls.append((keys.copy(), got))
-        return got
-
-    monkeypatch.setattr(module, "_key_groups", spy)
-    for d_thr in thresholds:
-        raw = region_grow(topo, norms, d_thr)
-        refine(topo, face_geometry(noisy), raw, SegmentParams(d_thr, min_cluster_size=10))
-    assert len(calls) == len(thresholds)
-    for keys, (distinct, group) in calls:
-        want_distinct, want_group = np.unique(keys, return_inverse=True)
-        assert distinct.tobytes() == want_distinct.tobytes()
-        assert group.tobytes() == want_group.tobytes()
-    assert any(len(distinct) < len(keys) for keys, (distinct, _) in calls)
 
 
 # ---------------------------------------------------------------------------
