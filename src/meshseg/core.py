@@ -495,7 +495,7 @@ def stencil_pairs(query_points, sites, cell: float, offsets):
     del query_cells
     columns_at = None
     for ix, iy, iz in zip(*(which for _, which in steps)):
-        if columns_at != (ix, iy):  # offsets in cell_block order share columns
+        if columns_at != (ix, iy):  # consecutive offsets of one column share it
             x, y, columns_at = rx[ix], ry[iy], (ix, iy)
             column = np.where((x >= 0) & (y >= 0), _rank(columns, x * len(ys) + y), -1)
         z = rz[iz]

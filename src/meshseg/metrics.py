@@ -6,15 +6,19 @@
   normalized by the squared truth bounding-box diagonal. Distances are
   exact point-to-triangle distances over the triangles that cell grids,
   one per triangle size tier, gather near each point; a brute-force scan
-  with the same arithmetic is the reference it is tested against.
+  with the same arithmetic is the reference it is tested against. The
+  gathering is a branch and bound: cells nearest the point come first,
+  and a triangle whose bounding box lies, less a rounding allowance, no
+  nearer than the point's best distance so far is not measured. Such a
+  triangle cannot hold a smaller distance, so the minimum keeps its bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import TriMesh, cell_block, dot_terms, face_geometry, stencil_pairs
-from .errors import ConnectivityMismatchError, EmptyMeshError
+from .core import TriMesh, cell_block, dot_terms, face_geometry, stencil_pairs, sum_terms
+from .errors import ConnectivityMismatchError, EmptyMeshError, NonFiniteVertexError
 
 # (point, triangle) pairs per distance evaluation in sq_distances: caps
 # the working memory of its per-pair temporaries.
@@ -81,7 +85,7 @@ def point_triangles_sq_distance(point: np.ndarray, triangles: np.ndarray) -> np.
 
     def settle(mask, points):
         fresh = mask & ~done
-        closest[:, fresh] = points[:, fresh]
+        np.copyto(closest, points, where=fresh)
         done[fresh] = True
 
     settle((d1 <= 0) & (d2 <= 0), a)  # vertex region A
@@ -126,26 +130,70 @@ def sq_distances(points, truth: TriMesh) -> np.ndarray:
     tier, a point whose best d² is below h² is settled (the tier's other
     triangles are farther than h); the rest gather within 2h (exact below
     (2h)²), then scan the tier's triangles.
+
+    A gathering is a branch and bound. It visits the cells nearest the
+    point's own first, column by column, so that best d² falls early and
+    prunes more of the later cells' pairs. It evaluates a gathered pair
+    only if the squared distance b from the point to the triangle's box,
+    less an allowance for rounding, is below the point's best d² so far.
+    A skipped pair's computed d² is at or above that best, so the minimum
+    is the float that evaluating every pair gives.
+
+    The allowance is 2⁻²⁰·b + 2⁻⁶⁹·M², M the largest coordinate magnitude
+    of the points and the truth. Exactly, b is at most the triangle's d²,
+    d. Computed, b is within 2⁻⁵⁰·b of exact (five roundings of
+    u = 2⁻⁵³), and d² is, within 2⁻⁴⁸ relative, the squared distance to a
+    closest point that lies within E = 2⁻⁴⁵·M of the triangle (a few
+    roundings of coordinates below M), so it is at least
+    (√d − E)²·(1 − 2⁻⁴⁸). As 2√d·E ≤ 2⁻²¹·d + 2²¹·E², that is at least
+    b − allowance, with room for the rounding of the test itself.
+
+    Raises NonFiniteVertexError if a point has a NaN or infinite
+    coordinate.
     """
     points = np.asarray(points, dtype=np.float64)
+    if not np.isfinite(points).all():
+        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))[:8].tolist()
+        raise NonFiniteVertexError(f"points with non-finite coordinates: {bad}")
     triangles = truth.vertices[truth.faces]
     lo = triangles.min(axis=1)
-    extent = (triangles.max(axis=1) - lo).max(axis=1)
+    hi = triangles.max(axis=1)
+    extent = (hi - lo).max(axis=1)
     power = np.frexp(extent)[1]
     tiers = [np.flatnonzero(power == p) for p in np.unique(power)]
     best = np.full(len(points), np.inf)
+    scale = float(max(np.abs(points).max(initial=0.0), np.abs(truth.vertices).max(initial=0.0)))
+    slack = 2.0**-69 * scale * scale
+    # Axis-major, (3 axes, N), for the box bound's whole-row arithmetic.
+    points_t, lo_t, hi_t = (np.ascontiguousarray(a.T) for a in (points, lo, hi))
+
+    def near(ids, tri):
+        # Whether each pair's box bound, less the allowance, is below best.
+        p = np.take(points_t, ids, axis=1)
+        gap = np.take(lo_t, tri, axis=1) - p
+        np.maximum(gap, p - np.take(hi_t, tri, axis=1), out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        bound = dot_terms(gap, gap, prod=gap)
+        return bound * (1.0 - 2.0**-20) - slack < best[ids]
 
     def gather(todo, faces, reach):
         # A box spans at most h per axis, so the low corner of one within
         # reach * h of a point lies reach + 1 cells below to reach above.
         h = extent[faces].max()
-        block = cell_block(range(-reach - 1, reach + 1))
+        # Nearest first, a whole column of cells at a time, as stencil_pairs
+        # shares one lookup among a column's cells: steps from the point's
+        # own cell outward, then the columns stably by their (dx, dy).
+        block = cell_block(sorted(range(-reach - 1, reach + 1), key=lambda s: abs(s + 0.5)))
+        block = block[np.argsort(sum_terms(np.abs(block.T[:2] + 0.5)), kind="stable")]
         for q, t in stencil_pairs(points[todo], lo[faces], h, block):
             for start in range(0, len(q), _PAIR_BATCH):
                 chunk = slice(start, start + _PAIR_BATCH)
-                ids = todo[q[chunk]]
-                d2 = point_triangles_sq_distance(points[ids], triangles[faces[t[chunk]]])
-                np.minimum.at(best, ids, d2)
+                ids, tri = todo[q[chunk]], faces[t[chunk]]
+                keep = near(ids, tri)
+                ids, tri = ids[keep], tri[keep]
+                if len(ids):
+                    d2 = point_triangles_sq_distance(points[ids], triangles[tri])
+                    np.minimum.at(best, ids, d2)
         return todo[best[todo] >= (reach * h) ** 2]
 
     everyone = np.arange(len(points))

@@ -2,12 +2,16 @@
 normalized vertex-to-surface distance) and the cell-grid distance
 search behind them."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from meshseg import cube, plane
+from meshseg import cube, icosahedron, make_fixture, plane
 from meshseg.core import TriMesh
-from meshseg.errors import ConnectivityMismatchError, EmptyMeshError
+from meshseg.errors import ConnectivityMismatchError, EmptyMeshError, NonFiniteVertexError
 import meshseg.metrics
 from meshseg.metrics import (
     brute_force_sq_distances,
@@ -169,7 +173,7 @@ def test_bvh_matches_brute_force():
             sq_distances(points, truth),
             brute_force_sq_distances(points, truth),
             rtol=0.0,
-            atol=1e-12,
+            atol=0.0,
         )
 
 
@@ -283,27 +287,174 @@ def _record_pair_batches(monkeypatch):
 
 
 def test_sq_distances_batches_cap_memory(monkeypatch):
-    """The candidate pairs of one stencil offset are evaluated in slices
-    of at most _PAIR_BATCH, which together cover every yielded pair, and
-    the distances keep their bits at any slice size."""
-    truth = cube(4)
-    points = add_noise(truth, NoiseSpec(0.4, "normal", seed=9)).vertices
-    want = sq_distances(points, truth)
-    yielded = []
-    stencil = meshseg.metrics.stencil_pairs
+    """The candidate pairs of one stencil offset are bounded and evaluated
+    in slices of at most _PAIR_BATCH. The evaluated pairs are among the
+    yielded ones, each yielded pair left out is no nearer than its point's
+    result, and the distances keep their bits at any slice size.
 
-    def counting_stencil(*args):
-        for q, t in stencil(*args):
-            yielded.append(len(q))
+    The truth is cube(4)'s triangles as a jittered soup, so that each
+    triangle has a box low corner of its own: the test names a yielded
+    pair's triangle by the low corner the grid gathered it by."""
+    base = cube(4)
+    corners = base.vertices[base.faces].reshape(-1, 3)
+    corners = corners + np.random.default_rng(9).normal(0.0, 1e-3, corners.shape)
+    truth = TriMesh(corners, np.arange(len(corners)).reshape(-1, 3))
+    triangles = truth.vertices[truth.faces]
+    lo = triangles.min(axis=1)
+    face_of_lo = {row.tobytes(): f for f, row in enumerate(lo)}
+    assert len(face_of_lo) == truth.n_faces
+    points = add_noise(base, NoiseSpec(0.4, "normal", seed=9)).vertices
+    point_of = {row.tobytes(): i for i, row in enumerate(points)}
+    want = sq_distances(points, truth)
+
+    yielded, evaluated, offset_sizes, slice_sizes = set(), set(), [], []
+    stencil = meshseg.metrics.stencil_pairs
+    evaluate = meshseg.metrics.point_triangles_sq_distance
+
+    def recording_stencil(query_points, sites, cell, offsets):
+        for q, t in stencil(query_points, sites, cell, offsets):
+            offset_sizes.append(len(q))
+            yielded.update(
+                (point_of[query_points[i].tobytes()], face_of_lo[sites[j].tobytes()])
+                for i, j in zip(q, t)
+            )
             yield q, t
 
-    monkeypatch.setattr(meshseg.metrics, "stencil_pairs", counting_stencil)
+    def recording_evaluate(point, tri):
+        if np.ndim(point) == 2:
+            slice_sizes.append(len(tri))
+            evaluated.update(
+                (point_of[p.tobytes()], face_of_lo[corner.tobytes()])
+                for p, corner in zip(point, tri.min(axis=1))
+            )
+        return evaluate(point, tri)
+
+    monkeypatch.setattr(meshseg.metrics, "stencil_pairs", recording_stencil)
+    monkeypatch.setattr(meshseg.metrics, "point_triangles_sq_distance", recording_evaluate)
     monkeypatch.setattr(meshseg.metrics, "_PAIR_BATCH", 7)
-    batches = _record_pair_batches(monkeypatch)
     got = sq_distances(points, truth)
+    monkeypatch.undo()
+
     assert got.tobytes() == want.tobytes()
-    assert max(yielded) > 7 and max(batches) == 7
-    assert sum(batches) == sum(yielded)
+    assert max(offset_sizes) > 7 and max(slice_sizes) == 7
+    assert evaluated <= yielded
+    left_out = sorted(yielded - evaluated)
+    assert len(left_out) > len(evaluated)
+    ids, faces = np.array(left_out).T
+    assert (point_triangles_sq_distance(points[ids], triangles[faces]) >= got[ids]).all()
+
+
+def test_sq_distances_holds_one_slice_of_pair_temporaries(monkeypatch):
+    """Working one stencil offset's pairs, on plane(32) plus a triangle
+    spanning it, takes memory for one slice of _PAIR_BATCH pairs, about
+    650 bytes a pair, not for the whole offset: here one offset holds
+    about 4,000 pairs and a slice 64."""
+    base = plane(32)
+    n = base.n_vertices
+    truth = TriMesh(
+        np.vstack([base.vertices, [[0.0, 0.0, -0.5], [1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]]),
+        np.vstack([base.faces, [[n, n + 1, n + 2]]]),
+    )
+    rng = np.random.default_rng(3)
+    points = np.column_stack([rng.uniform(0.0, 1.0, (4096, 2)), rng.normal(0.0, 0.01, 4096)])
+    sizes, extra = [], []
+    stencil = meshseg.metrics.stencil_pairs
+
+    def watching_stencil(*args):
+        for q, t in stencil(*args):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            yield q, t
+            extra.append(tracemalloc.get_traced_memory()[1] - held)
+            sizes.append(len(q))
+
+    monkeypatch.setattr(meshseg.metrics, "stencil_pairs", watching_stencil)
+    monkeypatch.setattr(meshseg.metrics, "_PAIR_BATCH", 64)
+    tracemalloc.start()
+    try:
+        sq_distances(points, truth)
+    finally:
+        tracemalloc.stop()
+    assert max(sizes) > 50 * 64
+    assert max(extra) < 1024 * 64
+
+
+@pytest.mark.parametrize("seed", [23, 7919])
+@pytest.mark.parametrize("shape, subdiv", [("cube", 8), ("cube", 20), ("icosahedron", 16)])
+def test_sq_distances_evaluates_a_few_pairs_a_point(monkeypatch, shape, subdiv, seed):
+    """A clock-free work guard: the box bound leaves at most 12 exact
+    distance evaluations a point of the 40-odd gathered triangles, for
+    the vertices of a noisy mesh against its clean truth."""
+    truth = make_fixture(shape, subdiv)
+    points = add_noise(truth, NoiseSpec(0.5, "normal", seed=seed)).vertices
+    batches = _record_pair_batches(monkeypatch)
+    sq_distances(points, truth)
+    monkeypatch.undo()
+    assert sum(batches) <= 12 * len(points)
+
+
+def test_sq_distances_keeps_a_near_tie_from_a_later_cell():
+    """Two triangles 1 wide on either side of a point, their nearest
+    vertices 0.75 and 0.75 + 2^-48 from it. The farther one's cell comes
+    first in the stencil order and sets best; the nearer one's box bound
+    then lies 2^-46 below best, so the pair must be evaluated."""
+    e = 2.0**-48
+    truth = TriMesh(
+        np.array(
+            [
+                [-1.25 - e, 0.5, 0.5], [-0.25 - e, 0.5, 0.5], [-0.25 - e, 1.5, 0.5],
+                [1.25, 0.5, 0.5], [2.25, 0.5, 0.5], [1.25, 1.5, 0.5],
+            ]
+        ),
+        np.array([[0, 1, 2], [3, 4, 5]]),
+    )
+    got = sq_distances(np.array([[0.5, 0.5, 0.5]]), truth)
+    assert got[0] == 0.75**2 < (0.75 + e) ** 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sq_distances_rejects_non_finite_points(bad):
+    points = np.array([[0.5, 0.5, 0.5], [0.0, bad, 0.0]])
+    with pytest.raises(NonFiniteVertexError, match=r"\[1\]"):
+        sq_distances(points, cube(4))
+
+
+def _tight_points(truth, where, far):
+    """Points where a triangle's box bound equals its distance: truth
+    vertices, edge midpoints or face centroids, each moved *far* truth
+    diagonals along an axis (the box side facing it)."""
+    corners = truth.vertices[truth.faces]
+    on = {
+        "vertices": truth.vertices,
+        "midpoints": 0.5 * (corners + np.roll(corners, 1, axis=1)).reshape(-1, 3),
+        "centroids": corners.mean(axis=1),
+    }[where]
+    diagonal = np.linalg.norm(truth.vertices.max(axis=0) - truth.vertices.min(axis=0))
+    step = np.zeros((len(on), 3))
+    step[np.arange(len(on)), np.arange(len(on)) % 3] = far * diagonal
+    return on + step * np.where(np.arange(len(on)) % 2, 1.0, -1.0)[:, None]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from(["noisy cube", "icosahedron", "plane"]),
+    seed=st.integers(0, 7),
+    where=st.sampled_from(["vertices", "midpoints", "centroids"]),
+    far=st.sampled_from([0.0, 1e-9, 1e-3, 3.0]),
+)
+def test_sq_distances_has_the_bits_of_brute_force_where_bounds_are_tight(shape, seed, where, far):
+    """On truth vertices, edge midpoints and face centroids, and far
+    outside the box along an axis, the box bound equals a triangle's
+    distance, and skipping on it must still give brute force's bits; the
+    icosahedron's triangles fall into two size tiers."""
+    truth = {
+        "noisy cube": lambda: add_noise(cube(3), NoiseSpec(0.3, "normal", seed=seed)),
+        "icosahedron": lambda: icosahedron(4),
+        "plane": lambda: plane(6),
+    }[shape]()
+    points = _tight_points(truth, where, far)
+    got = sq_distances(points, truth)
+    assert got.tobytes() == brute_force_sq_distances(points, truth).tobytes()
 
 
 def test_sq_distances_tiny_triangles_far_apart():
