@@ -353,10 +353,19 @@ def mean_terms(terms) -> np.ndarray:
     return out
 
 
+def check_sigma(name: str, sigma) -> None:
+    """ValueError unless *sigma* is a scale :func:`gaussian` can use: > 0
+    (NaN fails) with 2σ² not rounding to 0, where the weight at distance 0
+    would be exp(0 / −0.0), NaN."""
+    if not (sigma > 0 and 2.0 * sigma * sigma > 0):
+        raise ValueError(f"{name} must be > 0 with 2*{name}**2 > 0, got {sigma!r}")
+
+
 def gaussian(d2, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
     """exp(−d2 / 2σ²) into *out* if given (it may be *d2*), with the bits of
     ``np.exp(-d2 / (2.0 * sigma * sigma))``: IEEE negation is exact, so
-    dividing by the negated denominator gives the negated quotient."""
+    dividing by the negated denominator gives the negated quotient. Check
+    σ with :func:`check_sigma`."""
     out = np.divide(d2, -2.0 * sigma * sigma, out=out)
     return np.exp(out, out=out)
 
@@ -443,6 +452,19 @@ def _rank(table, values):
     return np.where(table[at] == values, at, -1)
 
 
+# Cell coordinates of sites must lie within ±2**61 and those of queries
+# are clipped to ±2**62, so both cast to int64, and a clipped query stays
+# 2**61 cells from every site, beyond any stencil's reach.
+_SITE_CELLS = 2.0**61
+
+
+def _cells(points, cell: float) -> np.ndarray:
+    """floor(points / cell) as floats; a quotient beyond float range is
+    ±inf, and NaN where *cell* is 0 and a coordinate too."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.floor(points / cell)
+
+
 def _cell_index(sites, cell: float):
     """Each site in the one cell that holds it, as (the occupied cells'
     keys ascending, where each cell's run starts in the site order plus
@@ -452,8 +474,16 @@ def _cell_index(sites, cell: float):
     A cell is keyed by the ranks of its occupied coordinates: the x and
     y ranks give a column, whose rank pairs with the z rank. Keys stay
     below the number of sites squared however far apart the sites are.
+    ValueError if a site's cell coordinate reaches 2**61 in magnitude,
+    which takes a *cell* far too small for the site coordinates.
     """
-    cells = np.floor(sites / cell).astype(np.int64)
+    cells = _cells(sites, cell)
+    if not np.abs(cells).max() < _SITE_CELLS:  # also catches inf and NaN
+        raise ValueError(
+            f"cell size {float(cell)!r} is too small for site coordinates up to "
+            f"{float(np.abs(sites).max())!r}: cell coordinates must stay below 2**61"
+        )
+    cells = cells.astype(np.int64)
     (xs, ix), (ys, iy), (zs, iz) = (np.unique(c, return_inverse=True) for c in cells.T)
     columns, site_columns = np.unique(ix * len(ys) + iy, return_inverse=True)
     site_keys = site_columns * len(zs) + iz
@@ -477,7 +507,9 @@ def stencil_pairs(query_points, sites, cell: float, offsets):
     A site sits in the one cell that holds it; for each (dx, dy, dz) row
     of *offsets* a query gathers the cell at that offset from its own
     (see :func:`cell_block`). So with distinct offsets each (query, site)
-    pair is yielded at most once per call.
+    pair is yielded at most once per call. A query may lie any finite
+    distance from the sites; a *cell* too small for the sites raises
+    ValueError (see :func:`_cell_index`).
     """
     if len(query_points) == 0 or len(sites) == 0:
         return
@@ -487,7 +519,8 @@ def stencil_pairs(query_points, sites, cell: float, offsets):
     # site ranks and keys to -1. A generator keeps its locals across
     # yields, so the set-up arrays are freed first.
     steps = [np.unique(axis_steps, return_inverse=True) for axis_steps in np.asarray(offsets).T]
-    query_cells = np.floor(query_points / cell).astype(np.int64)
+    limit = 2.0 * _SITE_CELLS
+    query_cells = np.clip(_cells(query_points, cell), -limit, limit).astype(np.int64)
     rx, ry, rz = (
         _rank(coords, query_cells[:, i, None] + step).T
         for i, (coords, (step, _)) in enumerate(zip((xs, ys, zs), steps))

@@ -79,6 +79,7 @@ from .core import (
     TriMesh,
     cell_block,
     check_count,
+    check_sigma,
     dot_terms,
     face_geometry,
     gaussian,
@@ -125,7 +126,7 @@ class BnfParams:
     method = "bnf"
 
     def __post_init__(self):
-        _positive("sigma_r", self.sigma_r)
+        check_sigma("sigma_r", self.sigma_r)
         check_count("n_iter", self.n_iter, 0)
         check_count("v_iter", self.v_iter, 0)
 
@@ -149,7 +150,7 @@ class GnfParams:
     def __post_init__(self):
         _positive("r", self.r)
         _positive("sigma_s_mult", self.sigma_s_mult)
-        _positive("sigma_r", self.sigma_r)
+        check_sigma("sigma_r", self.sigma_r)
         check_count("n_iter", self.n_iter, 0)
         check_count("v_iter", self.v_iter, 0)
 
@@ -529,27 +530,17 @@ def _pair_csr(first: np.ndarray, second: np.ndarray, n_faces: int):
     return nbr, offsets, order
 
 
-def _guidance_candidates(owner: np.ndarray, nbr_ids: np.ndarray, offsets: np.ndarray):
-    """(cand_ids, cand_owner): each face itself and every pair of a radius
-    CSR, in (owner, id) order, each face inserted after its neighbors
-    below it. Owner i's run starts at offsets[i] + i and is never empty."""
-    n_faces = len(offsets) - 1
-    below = np.bincount(owner[nbr_ids < owner], minlength=n_faces)
-    cand_ids = np.insert(nbr_ids, offsets[:-1] + below, np.arange(n_faces))
-    return cand_ids, np.repeat(np.arange(n_faces), np.diff(offsets) + 1)
+def _rank_candidates(owner: np.ndarray, ids: np.ndarray, gap: np.ndarray, n_faces: int) -> np.ndarray:
+    """The order ``np.lexsort((ids, gap, owner))`` gives candidates in any
+    order: by owner, then gap, then id, each id at most once per owner.
 
-
-def _rank_candidates(owner: np.ndarray, gap: np.ndarray, n_faces: int) -> np.ndarray:
-    """The order of candidates laid out in (owner, id) order by (owner,
-    gap, id), as ``np.lexsort((ids, gap, owner))`` gives it.
-
-    A by-gap order that keeps ties in (owner, id) order comes first. Where
-    no two gaps are equal (−0.0 equals +0.0), numpy's unstable argsort
-    gives it; otherwise a second unstable argsort on the unique int64
-    keys dense gap rank × M + position, M candidates. A stable sort by
-    owner, cast to the smallest unsigned type that holds *n_faces* so
-    that numpy sorts it by radix, then keeps each owner's run in (gap, id)
-    order.
+    A by-gap order that keeps an owner's ties in id order comes first.
+    Where no two gaps are equal (−0.0 equals +0.0), numpy's unstable
+    argsort gives it; otherwise a second unstable argsort on the int64
+    keys dense gap rank × *n_faces* + id, unique within an owner. A stable
+    sort by owner, cast to the smallest unsigned type that holds
+    *n_faces* so that numpy sorts it by radix, then keeps each owner's run
+    in (gap, id) order.
     """
     by_gap = np.argsort(gap)
     sorted_gap = np.take(gap, by_gap)
@@ -557,7 +548,7 @@ def _rank_candidates(owner: np.ndarray, gap: np.ndarray, n_faces: int) -> np.nda
     if not steps.all():
         rank = np.empty_like(by_gap)
         rank[by_gap] = np.concatenate(([0], np.cumsum(steps)))
-        by_gap = np.argsort(rank * len(gap) + np.arange(len(gap)))
+        by_gap = np.argsort(rank * n_faces + ids)
     key = owner.astype(np.min_scalar_type(n_faces))[by_gap]
     return by_gap[np.argsort(key, kind="stable")]
 
@@ -574,13 +565,13 @@ def filter_gnf(
     patch-centroid distance, then smaller face id) and adopts its
     area-weighted normal as guidance g_i. Only the consistencies change
     between sweeps, so the tie-break order is ranked once and a sweep
-    takes the first minimum in it. The candidates are laid out in
-    (owner, id) order, each face's own slot among its neighbors, so a
-    by-gap sort and a stable by-owner sort rank them (see
-    :func:`_rank_candidates`). The new normal is then the joint
-    bilateral blend of neighbor normals with spatial weights on centroid
-    distance and range weights on guidance difference, summed in
-    ascending neighbor id.
+    takes the first minimum in it. The candidates, each radius pair both
+    ways and each face itself, go to :func:`_rank_candidates` in no
+    particular order, and its keys break gap ties on the id; face i's run
+    of the ranking starts at offsets[i] + i of the CSR. The new normal is
+    then the joint bilateral blend of neighbor normals with spatial
+    weights on centroid distance and range weights on guidance
+    difference, summed in ascending neighbor id.
 
     The neighborhood is symmetric, so each unordered face pair is
     evaluated once: the radius test and centroid distance in
@@ -605,16 +596,16 @@ def filter_gnf(
     slot_spatial *= areas[nbr_ids]
     del pair_d2
 
-    owner = np.repeat(np.arange(n_faces, dtype=np.int64), np.diff(offsets))
-    cand_ids, cand_owner = _guidance_candidates(owner, nbr_ids, offsets)
-    del owner
-    cand_starts = offsets[:-1] + np.arange(n_faces)
+    faces = np.arange(n_faces)
+    cand_owner = np.concatenate((first, second, faces))
+    cand_ids = np.concatenate((second, first, faces))
+    cand_starts = offsets[:-1] + faces
     run_lengths = np.diff(offsets) + 1
 
     # Patch membership: self + (constrained) edge ring, padded to 4, as
     # (4 members, F) rows.
     safe, ring_valid = _ring_tables(topo, labels)
-    members = np.concatenate([np.arange(n_faces)[None, :], safe.T])
+    members = np.concatenate([faces[None, :], safe.T])
     member_valid = np.concatenate([np.ones((1, n_faces), dtype=bool), ring_valid.T])
     member_area = areas[members] * member_valid
     axis_centroids = np.ascontiguousarray(centroids.T)
@@ -623,8 +614,8 @@ def filter_gnf(
     cand_centroid_dist = row_norms(
         (np.take(patch_centroid, cand_ids, axis=1) - np.take(axis_centroids, cand_owner, axis=1)).T
     )
-    ranked_ids = cand_ids[_rank_candidates(cand_owner, cand_centroid_dist, n_faces)]
-    del cand_ids, cand_owner, cand_centroid_dist, patch_centroid
+    ranked_ids = cand_ids[_rank_candidates(cand_owner, cand_ids, cand_centroid_dist, n_faces)]
+    del faces, cand_ids, cand_owner, cand_centroid_dist, patch_centroid
     # Sparse rows in ascending neighbor id; each sweep writes their
     # weights into the data array the CSR owns (slot_spatial stays as is).
     blend = sp.csr_array((np.empty(len(nbr_ids)), nbr_ids, offsets), shape=(n_faces, n_faces))

@@ -149,12 +149,17 @@ def sq_distances(points, truth: TriMesh) -> np.ndarray:
     b − allowance, with room for the rounding of the test itself.
 
     Raises NonFiniteVertexError if a point has a NaN or infinite
-    coordinate.
+    coordinate, and ZeroAreaFaceError if a truth triangle has zero area
+    (a tier of zero-extent triangles would have no cell size). A point
+    may lie any finite distance from the truth, but a triangle's box
+    corner 2**61 of its tier's cells from the origin raises ValueError
+    (see :func:`~meshseg.core.stencil_pairs`).
     """
     points = np.asarray(points, dtype=np.float64)
     if not np.isfinite(points).all():
         bad = np.flatnonzero(~np.isfinite(points).all(axis=1))[:8].tolist()
         raise NonFiniteVertexError(f"points with non-finite coordinates: {bad}")
+    face_geometry(truth)  # raises ZeroAreaFaceError
     triangles = truth.vertices[truth.faces]
     lo = triangles.min(axis=1)
     hi = triangles.max(axis=1)
@@ -213,10 +218,10 @@ def ev(result: TriMesh, truth: TriMesh) -> float:
         raise EmptyMeshError("ev needs a truth mesh with faces")
     if result.n_vertices == 0:
         raise EmptyMeshError("ev needs result vertices")
-    face_geometry(truth)  # rejects zero-area truth triangles early
+    distances = sq_distances(result.vertices, truth)
     extent = truth.vertices.max(axis=0) - truth.vertices.min(axis=0)
     diag2 = float(extent @ extent)
     if diag2 == 0.0:
         raise ValueError("truth bounding box is a point; ev is undefined")
-    return float(sq_distances(result.vertices, truth).mean() / diag2)
+    return float(distances.mean() / diag2)
 

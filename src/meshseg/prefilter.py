@@ -34,7 +34,7 @@ from typing import ClassVar
 import numpy as np
 import scipy.sparse as sp
 
-from .core import FaceGeometry, TopologyCache, TriMesh, dot_terms, face_geometry, gaussian
+from .core import FaceGeometry, TopologyCache, TriMesh, check_sigma, dot_terms, face_geometry, gaussian
 from .edgeop import _flap_coefficients
 from .errors import SolverDivergedError
 
@@ -53,8 +53,7 @@ class PrefilterParams:
     def __post_init__(self):
         if not (self.alpha >= 0 and self.beta >= 0):  # also rejects NaN
             raise ValueError("alpha and beta must be >= 0")
-        if not self.sigma_w > 0:
-            raise ValueError("sigma_w must be > 0")
+        check_sigma("sigma_w", self.sigma_w)
 
     def max_iter_for(self, n_vertices: int) -> int:
         return max(1, math.ceil(10.0 * math.sqrt(max(n_vertices, 1))))

@@ -5,11 +5,12 @@ reads ``mesh.topology``), short-axis sums, means, norms, cross
 products and ``einsum`` dots go through the helpers in ``core``, only
 ``core.gaussian`` calls ``np.exp``, every
 error class in ``errors`` is raised or subclassed somewhere in the
-package, every private top-level function is called or passed on
-inside the package (not only by tests), every float field of a
-parameter class rejects NaN, only ``denoise`` and ``prefilter`` import
-scipy (and then only ``scipy.sparse``), and the whole pipeline runs
-without loading any part of scipy beyond ``scipy.sparse``.
+package, every private top-level function, class and module-level
+name is read or passed on inside the package (not only by tests),
+every float field of a parameter class rejects NaN, only ``denoise``
+and ``prefilter`` import scipy (and then only ``scipy.sparse``), and
+the whole pipeline runs without loading any part of scipy beyond
+``scipy.sparse``.
 
 The import and parameter checks are small ``ast`` walks rather than a
 linter, so they run wherever the tests run. An imported name counts as
@@ -291,23 +292,40 @@ def test_every_error_class_is_raised():
     assert unraised_errors(errors, sources) == []
 
 
-def unused_private_functions(sources: dict[str, str]) -> list[str]:
-    """``module:function`` for each private top-level function in *sources*
-    (module name -> text) that no source calls or passes on: no bare name
-    or attribute outside the function's own body reads it."""
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+GLOBALS = (ast.ClassDef, ast.Assign, ast.AnnAssign)
+
+
+def _bound_names(top: ast.stmt) -> set[str]:
+    """The names a top-level statement binds: a def's or class's own name,
+    or every name among an assignment's targets."""
+    if isinstance(top, (*FUNCTIONS, ast.ClassDef)):
+        return {top.name}
+    targets = getattr(top, "targets", None) or [getattr(top, "target", None)]
+    nodes = [node for target in targets if target is not None for node in ast.walk(target)]
+    return {node.id for node in nodes if isinstance(node, ast.Name)}
+
+
+def unused_private_names(sources: dict[str, str], kinds) -> list[str]:
+    """``module:name`` for each private name that a top-level statement of
+    one of *kinds* binds in *sources* (module name -> text) and that no
+    source reads or passes on: no bare name or attribute outside the
+    statement that binds it reads it. Dunder names are not private."""
     defined, read = [], set()
     for module, source in sources.items():
         for top in ast.parse(source).body:
-            own = getattr(top, "name", None)
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) and own.startswith("_"):
-                defined.append((module, own))
+            own = _bound_names(top)
+            if isinstance(top, kinds):
+                defined += [
+                    (module, name) for name in own if name.startswith("_") and not name.endswith("__")
+                ]
             for node in ast.walk(top):
                 name = getattr(node, "id", None) if isinstance(node, ast.Name) else None
                 if isinstance(node, ast.Attribute):
                     name = node.attr
-                if name is not None and name != own:
+                if name is not None and name not in own:
                     read.add(name)
-    return sorted(f"{module}:{name}" for module, name in defined if name not in read)
+    return sorted({f"{module}:{name}" for module, name in defined if name not in read})
 
 
 def test_unused_private_functions_are_found():
@@ -327,14 +345,43 @@ def test_unused_private_functions_are_found():
             "pool.submit(_passed_on, 1)\n"
         ),
     }
-    assert unused_private_functions(sources) == ["a:_recursive", "a:_unused"]
+    assert unused_private_names(sources, FUNCTIONS) == ["a:_recursive", "a:_unused"]
 
 
 def test_every_private_function_is_used_in_the_package():
     """A private helper that only tests call is test code: it belongs
     with the tests."""
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE_DIR.glob("*.py"))}
-    assert unused_private_functions(sources) == []
+    assert unused_private_names(sources, FUNCTIONS) == []
+
+
+def test_unused_private_globals_are_found():
+    sources = {
+        "a": (
+            "_TABLE = [1, 2]\n"
+            "_ORPHAN = {}\n"
+            "_FIRST, _SECOND = 1, 2\n"
+            "_TYPED: int = 3\n"
+            "_SELF = 4\n"
+            "_SELF = _SELF + 1\n"
+            "__version__ = '1'\n"
+            "class _Used:\n    pass\n"
+            "class _Unused:\n    pass\n"
+            "def _helper():\n    pass\n"
+            "def public():\n    return _TABLE[0] + _helper.x + _SECOND\n"
+        ),
+        "b": "x = a._TYPED\nisinstance(x, _Used)\n",
+    }
+    assert unused_private_names(sources, GLOBALS) == [
+        "a:_FIRST", "a:_ORPHAN", "a:_SELF", "a:_Unused"
+    ]
+
+
+def test_every_private_global_is_used_in_the_package():
+    """A private table or class that nothing in the package reads is left
+    over from code that is gone."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert unused_private_names(sources, GLOBALS) == []
 
 
 def scipy_imports(source: str) -> list[str]:
@@ -411,6 +458,23 @@ def test_params_reject_nan(params, field):
     ``value <= 0`` lets it through; each float field must reject it."""
     with pytest.raises(ValueError):
         dataclasses.replace(params, **{field: float("nan")})
+
+
+@pytest.mark.parametrize(
+    "params, field",
+    [
+        (meshseg.BnfParams(0.45, 2, 1), "sigma_r"),
+        (meshseg.GnfParams(2, 2, 0.35, 2, 1), "sigma_r"),
+        (meshseg.PrefilterParams(), "sigma_w"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else type(value).__name__,
+)
+def test_params_reject_a_gaussian_scale_whose_square_vanishes(params, field):
+    """2σ² rounds to 0 at σ = 1e-170, and the Gaussian weight at distance
+    0 is then exp(0 / −0.0), NaN; σ = 1e-150 is still a scale."""
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(params, **{field: 1e-170})
+    dataclasses.replace(params, **{field: 1e-150})
 
 
 @pytest.mark.parametrize(

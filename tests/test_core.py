@@ -700,6 +700,26 @@ def test_stencil_pairs_edge_cases():
     assert found == {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)}
 
 
+def test_stencil_pairs_far_queries_gather_nothing():
+    """Queries whose cell coordinates lie beyond int64 (1e30 cells out)
+    gather no site, and their cast raises no warning."""
+    sites = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    queries = np.array([[1e30, 0.0, 0.0], [0.1, 0.2, 0.3], [-1e25, 1e25, 1e300]])
+    found = set()
+    for q, s in stencil_pairs(queries, sites, 0.5, cell_block(range(-1, 2))):
+        found |= set(zip(q.tolist(), s.tolist()))
+    assert found == {(1, 0)}
+
+
+@pytest.mark.parametrize("cell", [1e-300, 5e-324])
+def test_stencil_pairs_reject_a_cell_too_small_for_the_sites(cell):
+    """Sites 1e300 (or, past float range, infinitely many) cells from the
+    origin have no int64 cell: a ValueError names the cell size."""
+    sites = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match=f"cell size {cell!r} is too small"):
+        next(stencil_pairs(sites, sites, cell, cell_block(range(-1, 2))))
+
+
 def test_stencil_pairs_yield_one_batch_per_offset():
     """Each offset's pairs come whole, in one batch with the queries
     ascending, and the batches of all offsets add up to every pair

@@ -237,6 +237,14 @@ def test_empty_mesh_denoises_to_empty(params):
     assert (result.n_vertices, result.n_faces) == (0, 0)
 
 
+def test_gnf_radius_too_small_for_the_coordinates_is_a_value_error():
+    """r = 1e-300 mean edge lengths puts the centroids 1e300 cells from the
+    origin: a ValueError naming the cell size, not an undefined int64 cast."""
+    noisy = add_noise(cube(2), NoiseSpec(0.3, "normal", seed=1))
+    with pytest.raises(ValueError, match="cell size .* is too small"):
+        denoise(noisy, GnfParams(1e-300, 2, 0.35, 2, 1))
+
+
 def test_radius_csr_of_no_centroids():
     for labels in (None, np.zeros(0, dtype=np.int64)):
         first, second, d2 = _radius_pairs(np.zeros((0, 3)), 1.0, labels)

@@ -29,7 +29,6 @@ from meshseg.core import TopologyCache, TriMesh, build_topology, face_geometry, 
 from meshseg.denoise import (
     GnfParams,
     _normalize_rows,
-    _guidance_candidates,
     _pair_csr,
     _radius_pairs,
     _rank_candidates,
@@ -231,30 +230,8 @@ def test_radius_search_work_per_face_is_bounded(monkeypatch, m):
     assert len(np.unique(unordered)) == len(unordered)
 
 
-@pytest.mark.parametrize("labelled", [False, True])
-def test_guidance_candidates_run_in_owner_then_id_order(labelled):
-    """Each face's run holds the face itself and its radius neighbors in
-    ascending id, and starts at offsets[i] + i."""
-    mesh = _noisy_cube()
-    topo = build_topology(mesh)
-    n_faces = mesh.n_faces
-    labels = _six_sides(n_faces) if labelled else None
-    nbr_ids, offsets = radius_csr(
-        face_geometry(mesh).centroids, 2.0 * topo.mean_edge_length, labels
-    )
-    owner = np.repeat(np.arange(n_faces), np.diff(offsets))
-    cand_ids, cand_owner = _guidance_candidates(owner, nbr_ids, offsets)
-    all_ids = np.concatenate((np.arange(n_faces), nbr_ids))
-    all_owner = np.concatenate((np.arange(n_faces), owner))
-    order = np.lexsort((all_ids, all_owner))
-    np.testing.assert_array_equal(cand_ids, all_ids[order])
-    np.testing.assert_array_equal(cand_owner, all_owner[order])
-    starts = offsets[:-1] + np.arange(n_faces)
-    np.testing.assert_array_equal(np.searchsorted(cand_owner, np.arange(n_faces)), starts)
-
-
 def _sparse_candidates(n_faces, n_keys, rng):
-    """n_keys distinct (owner, id) candidates in (owner, id) order."""
+    """n_keys distinct (owner, id) candidates."""
     keys = np.sort(rng.choice(n_faces * n_faces, size=n_keys, replace=False))
     return keys // n_faces, keys % n_faces
 
@@ -282,8 +259,8 @@ def _rank_case(case):
         gap = np.concatenate([rng.permutation(12) * 0.125 for _ in range(30)])
         return owner, ids, gap, 30
     assert case == "signed-zero"
-    # -0.0 and +0.0 are equal: ties kept in (owner, id) order, however the
-    # signs alternate, next to a few positive gaps.
+    # -0.0 and +0.0 are equal: ties ranked in id order, however the signs
+    # alternate, next to a few positive gaps.
     owner, ids = _sparse_candidates(20, 300, rng)
     gap = np.where(np.arange(len(owner)) % 2 == 0, -0.0, 0.0)
     gap[rng.choice(len(owner), size=60, replace=False)] = 1e-300
@@ -295,13 +272,16 @@ def _rank_case(case):
     ["50", "3000", "70000", "empty", "all-equal", "shared-across-owners", "signed-zero"],
 )
 def test_rank_candidates_matches_lexsort(case):
-    """Candidates in (owner, id) order ranked by (owner, gap, id). Gaps
-    drawn from four values put most ranks to the id tie-break, for owners
-    that fit a uint8, a uint16 and (70,000 faces, owners above 65,535) a
-    uint32 key; also no candidates, one gap for all, the same gaps in
-    every owner's run, and −0.0 beside +0.0."""
+    """Candidates in any order ranked by (owner, gap, id). Gaps drawn from
+    four values put most ranks to the id tie-break, for owners that fit a
+    uint8, a uint16 and (70,000 faces, owners above 65,535) a uint32 key;
+    also no candidates, one gap for all, the same gaps in every owner's
+    run, and −0.0 beside +0.0. Each case comes shuffled, so no tie can be
+    broken by position."""
     owner, ids, gap, n_faces = _rank_case(case)
-    got = _rank_candidates(owner, gap, n_faces)
+    shuffle = np.random.default_rng(5).permutation(len(owner))
+    owner, ids, gap = owner[shuffle], ids[shuffle], gap[shuffle]
+    got = _rank_candidates(owner, ids, gap, n_faces)
     assert got.dtype.kind == "i" and len(got) == len(owner)
     np.testing.assert_array_equal(got, np.lexsort((ids, gap, owner)))
 

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 from meshseg import cube, icosahedron, make_fixture, plane
 from meshseg.core import TriMesh
-from meshseg.errors import ConnectivityMismatchError, EmptyMeshError, NonFiniteVertexError
+from meshseg.errors import (
+    ConnectivityMismatchError,
+    EmptyMeshError,
+    NonFiniteVertexError,
+    ZeroAreaFaceError,
+)
 import meshseg.metrics
 from meshseg.metrics import (
     brute_force_sq_distances,
@@ -417,6 +422,28 @@ def test_sq_distances_rejects_non_finite_points(bad):
     points = np.array([[0.5, 0.5, 0.5], [0.0, bad, 0.0]])
     with pytest.raises(NonFiniteVertexError, match=r"\[1\]"):
         sq_distances(points, cube(4))
+
+
+def test_sq_distances_far_points_have_the_bits_of_brute_force():
+    """Points 1e19 to 1e120 from the truth, whose cell coordinates lie
+    beyond int64, gather nothing and fall through to the scan: brute
+    force's bits, and no warning from the cast."""
+    truth = cube(2)
+    points = np.array([[1e19, 0.5, 0.5], [-1e100, 1e100, 0.5], [0.2, 0.3, 1e120], [0.5, 0.5, 0.5]])
+    got = sq_distances(points, truth)
+    assert got.tobytes() == brute_force_sq_distances(points, truth).tobytes()
+
+
+def test_zero_area_truth_raises_in_sq_distances_and_ev():
+    """Three vertex ids at one point make a triangle of zero extent, whose
+    size tier has no cell size: both functions raise ZeroAreaFaceError
+    (sq_distances divided by the zero extent before)."""
+    vertices = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5], [5, 5, 5], [5, 5, 5]]
+    truth = TriMesh(vertices, [[0, 1, 2], [3, 4, 5]])
+    with pytest.raises(ZeroAreaFaceError, match=r"\[1\]"):
+        sq_distances([[0.5, 0.5, 0.5]], truth)
+    with pytest.raises(ZeroAreaFaceError, match=r"\[1\]"):
+        ev(truth, truth)
 
 
 def _tight_points(truth, where, far):
