@@ -452,47 +452,6 @@ def _rank(table, values):
     return np.where(table[at] == values, at, -1)
 
 
-# Cell coordinates of sites must lie within ±2**61 and those of queries
-# are clipped to ±2**62, so both cast to int64, and a clipped query stays
-# 2**61 cells from every site, beyond any stencil's reach.
-_SITE_CELLS = 2.0**61
-
-
-def _cells(points, cell: float) -> np.ndarray:
-    """floor(points / cell) as floats; a quotient beyond float range is
-    ±inf, and NaN where *cell* is 0 and a coordinate too."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return np.floor(points / cell)
-
-
-def _cell_index(sites, cell: float):
-    """Each site in the one cell that holds it, as (the occupied cells'
-    keys ascending, where each cell's run starts in the site order plus
-    the number of sites, the site order by cell key, the occupied x/y/z
-    coordinates, the occupied columns).
-
-    A cell is keyed by the ranks of its occupied coordinates: the x and
-    y ranks give a column, whose rank pairs with the z rank. Keys stay
-    below the number of sites squared however far apart the sites are.
-    ValueError if a site's cell coordinate reaches 2**61 in magnitude,
-    which takes a *cell* far too small for the site coordinates.
-    """
-    cells = _cells(sites, cell)
-    if not np.abs(cells).max() < _SITE_CELLS:  # also catches inf and NaN
-        raise ValueError(
-            f"cell size {float(cell)!r} is too small for site coordinates up to "
-            f"{float(np.abs(sites).max())!r}: cell coordinates must stay below 2**61"
-        )
-    cells = cells.astype(np.int64)
-    (xs, ix), (ys, iy), (zs, iz) = (np.unique(c, return_inverse=True) for c in cells.T)
-    columns, site_columns = np.unique(ix * len(ys) + iy, return_inverse=True)
-    site_keys = site_columns * len(zs) + iz
-    order = np.argsort(site_keys, kind="stable")
-    sorted_keys = site_keys[order]
-    starts = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
-    return sorted_keys[starts], np.append(starts, len(order)), order, (xs, ys, zs), columns
-
-
 def cell_block(steps) -> np.ndarray:
     """Every (dx, dy, dz) cell offset whose components are all in *steps*,
     in x-, then y-, then z-major order, as a (K, 3) int array."""
@@ -508,31 +467,48 @@ def stencil_pairs(query_points, sites, cell: float, offsets):
     of *offsets* a query gathers the cell at that offset from its own
     (see :func:`cell_block`). So with distinct offsets each (query, site)
     pair is yielded at most once per call. A query may lie any finite
-    distance from the sites; a *cell* too small for the sites raises
-    ValueError (see :func:`_cell_index`).
+    distance from the sites.
+
+    The cell is first widened to at least 2⁻²⁰ of the sites' bounding-box
+    span and 2⁻⁵⁰ of their largest coordinate magnitude, so the sites'
+    cell coordinates are exact integers below 2⁵⁰, at most 2²⁰ + 2 apart
+    on each axis. An occupied cell is keyed by the mixed-radix offset of
+    its coordinates from the sites' lowest cell, which stays below 2⁶¹.
+    A wider cell only adds candidates, as each offset reaches as far.
     """
     if len(query_points) == 0 or len(sites) == 0:
         return
-    cell_keys, cell_starts, sorted_sites, (xs, ys, zs), columns = _cell_index(sites, cell)
-    # Per axis, the distinct offset steps, and the rank of each query's
-    # coordinate moved by each step; a coordinate or cell that holds no
-    # site ranks and keys to -1. A generator keeps its locals across
-    # yields, so the set-up arrays are freed first.
+    cell = max(cell, np.ptp(sites, axis=0).max() * 2.0**-20, np.abs(sites).max() * 2.0**-50)
+    site_cells = np.floor(sites / cell)
+    corner = site_cells.min(axis=0)
+    sizes = (site_cells.max(axis=0) - corner).astype(np.int64) + 1
+    site_cells = (site_cells - corner).astype(np.int64)
+    site_keys = (site_cells[:, 0] * sizes[1] + site_cells[:, 1]) * sizes[2] + site_cells[:, 2]
+    sorted_sites = np.argsort(site_keys, kind="stable")
+    site_keys = site_keys[sorted_sites]
+    starts = np.flatnonzero(np.diff(site_keys, prepend=-1))
+    cell_keys, cell_starts = site_keys[starts], np.append(starts, len(sites))
+    # Per axis, the distinct offset steps, and each query's cell moved by
+    # each step as an offset from the lowest site cell, -1 outside the
+    # occupied box; the test runs on floats, so no far query is cast. A
+    # generator keeps its locals across yields, so the set-up arrays are
+    # freed first.
     steps = [np.unique(axis_steps, return_inverse=True) for axis_steps in np.asarray(offsets).T]
-    limit = 2.0 * _SITE_CELLS
-    query_cells = np.clip(_cells(query_points, cell), -limit, limit).astype(np.int64)
+    with np.errstate(over="ignore"):  # a far query's quotient may pass float range
+        query_cells = np.floor(query_points / cell) - corner
+    moved = (query_cells[:, i] + step[:, None] for i, (step, _) in enumerate(steps))
     rx, ry, rz = (
-        _rank(coords, query_cells[:, i, None] + step).T
-        for i, (coords, (step, _)) in enumerate(zip((xs, ys, zs), steps))
+        np.where((at >= 0) & (at < size), at, -1).astype(np.int64)
+        for at, size in zip(moved, sizes)
     )
-    del query_cells
+    del site_cells, site_keys, starts, query_cells
     columns_at = None
     for ix, iy, iz in zip(*(which for _, which in steps)):
         if columns_at != (ix, iy):  # consecutive offsets of one column share it
             x, y, columns_at = rx[ix], ry[iy], (ix, iy)
-            column = np.where((x >= 0) & (y >= 0), _rank(columns, x * len(ys) + y), -1)
+            column = np.where((x >= 0) & (y >= 0), x * sizes[1] + y, -1)
         z = rz[iz]
-        at = _rank(cell_keys, np.where((column >= 0) & (z >= 0), column * len(zs) + z, -1))
+        at = _rank(cell_keys, np.where((column >= 0) & (z >= 0), column * sizes[2] + z, -1))
         first = cell_starts[at]
         counts = np.where(at >= 0, cell_starts[at + 1] - first, 0)
         ends = np.cumsum(counts)

@@ -48,13 +48,16 @@ def msae(result: TriMesh, truth: TriMesh) -> float:
     return float(np.mean(angles * angles))
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def point_triangles_sq_distance(point: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Exact squared distance from *point* to each triangle, (K,).
 
     Vectorized closest-point-on-triangle (Ericson, "Real-Time Collision
     Detection", section 5.1.5). Triangles are (K, 3, 3); *point* is one
     point (3,) or one point per triangle (K, 3). Degenerate triangles are
-    the caller's problem.
+    the caller's problem. Float overflow is silent: a point whose squared
+    distance passes float range gets inf, as long as its dot products with
+    the edge vectors stay in range (|p − a|·|b − a| below about 1e308).
     """
     # Axis-major, (3 axes, K) per corner, so every operation, the dots
     # included, runs over whole contiguous rows.
@@ -92,18 +95,17 @@ def point_triangles_sq_distance(point: np.ndarray, triangles: np.ndarray) -> np.
     settle((d3 >= 0) & (d4 <= d3), b)  # vertex region B
     settle((d6 >= 0) & (d5 <= d6), c)  # vertex region C
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v_ab = d1 / (d1 - d3)
-        settle((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + v_ab * ab)
-        v_ac = d2 / (d2 - d6)
-        settle((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + v_ac * ac)
-        v_bc = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        settle(
-            (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),
-            b + v_bc * (c - b),
-        )
-        denom = va + vb + vc
-        inner = a + (vb / denom) * ab + (vc / denom) * ac
+    v_ab = d1 / (d1 - d3)
+    settle((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + v_ab * ab)
+    v_ac = d2 / (d2 - d6)
+    settle((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + v_ac * ac)
+    v_bc = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+    settle(
+        (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),
+        b + v_bc * (c - b),
+    )
+    denom = va + vb + vc
+    inner = a + (vb / denom) * ab + (vc / denom) * ac
     settle(np.ones(len(vc), dtype=bool), inner)  # face interior
 
     delta = closest - p
@@ -151,9 +153,12 @@ def sq_distances(points, truth: TriMesh) -> np.ndarray:
     Raises NonFiniteVertexError if a point has a NaN or infinite
     coordinate, and ZeroAreaFaceError if a truth triangle has zero area
     (a tier of zero-extent triangles would have no cell size). A point
-    may lie any finite distance from the truth, but a triangle's box
-    corner 2**61 of its tier's cells from the origin raises ValueError
-    (see :func:`~meshseg.core.stencil_pairs`).
+    may lie any finite distance from the truth; one so far that its d²
+    passes float range gets inf. The grid widens a tier's cell to at
+    least 2⁻²⁰ of the tier's box-corner span and 2⁻⁵⁰ of their largest
+    magnitude (see :func:`~meshseg.core.stencil_pairs`), as for a tiny
+    triangle far from the origin or from its tier's others. A wider cell
+    only adds candidates, so the settle tests at h still hold.
     """
     points = np.asarray(points, dtype=np.float64)
     if not np.isfinite(points).all():
@@ -178,8 +183,9 @@ def sq_distances(points, truth: TriMesh) -> np.ndarray:
         gap = np.take(lo_t, tri, axis=1) - p
         np.maximum(gap, p - np.take(hi_t, tri, axis=1), out=gap)
         np.maximum(gap, 0.0, out=gap)
-        bound = dot_terms(gap, gap, prod=gap)
-        return bound * (1.0 - 2.0**-20) - slack < best[ids]
+        with np.errstate(over="ignore", invalid="ignore"):  # a far point's bound is inf
+            bound = dot_terms(gap, gap, prod=gap)
+            return bound * (1.0 - 2.0**-20) - slack < best[ids]
 
     def gather(todo, faces, reach):
         # A box spans at most h per axis, so the low corner of one within

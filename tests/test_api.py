@@ -10,7 +10,9 @@ name is read or passed on inside the package (not only by tests),
 every float field of a parameter class rejects NaN, only ``denoise``
 and ``prefilter`` import scipy (and then only ``scipy.sparse``), and
 the whole pipeline runs without loading any part of scipy beyond
-``scipy.sparse``.
+``scipy.sparse``, and every hypothesis ``@given`` test under ``tests/``
+sets ``derandomize=True`` and ``database=None``, so the suite draws the
+same examples on every machine.
 
 The import and parameter checks are small ``ast`` walks rather than a
 linter, so they run wherever the tests run. An imported name counts as
@@ -33,6 +35,7 @@ import pytest
 import meshseg
 
 PACKAGE_DIR = Path(meshseg.__file__).resolve().parent
+TESTS_DIR = Path(__file__).resolve().parent
 
 
 def test_all_names_resolve_once():
@@ -530,3 +533,49 @@ def test_pipeline_loads_only_scipy_sparse():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def _decorator_calls(node, name: str) -> list[ast.Call]:
+    """The decorators of *node* that call *name*, bare or as an attribute."""
+    return [
+        d
+        for d in node.decorator_list
+        if isinstance(d, ast.Call) and name in (getattr(d.func, "id", None), getattr(d.func, "attr", None))
+    ]
+
+
+def unpinned_given_tests(source: str) -> list[str]:
+    """Names of the ``@given`` functions in *source* whose ``@settings``
+    does not set both ``derandomize=True`` and ``database=None``."""
+    pinned = {("derandomize", True), ("database", None)}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _decorator_calls(node, "given"):
+            keywords = {
+                (k.arg, k.value.value)
+                for call in _decorator_calls(node, "settings")
+                for k in call.keywords
+                if isinstance(k.value, ast.Constant)
+            }
+            if not pinned <= keywords:
+                found.append(node.name)
+    return sorted(found)
+
+
+def test_unpinned_given_tests_are_found():
+    source = (
+        "@settings(max_examples=5, derandomize=True, database=None)\n"
+        "@given(st.integers())\ndef test_pinned(x):\n    pass\n"
+        "@hypothesis.settings(derandomize=True)\n"
+        "@hypothesis.given(st.integers())\ndef test_no_database(x):\n    pass\n"
+        "@settings(derandomize=False, database=None)\n"
+        "@given(st.integers())\ndef test_random(x):\n    pass\n"
+        "@given(st.integers())\ndef test_bare(x):\n    pass\n"
+        "@settings(derandomize=True, database=None)\ndef helper():\n    pass\n"
+    )
+    assert unpinned_given_tests(source) == ["test_bare", "test_no_database", "test_random"]
+
+
+@pytest.mark.parametrize("path", sorted(TESTS_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_given_tests_draw_the_same_examples_everywhere(path):
+    assert unpinned_given_tests(path.read_text(encoding="utf-8")) == []

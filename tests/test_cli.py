@@ -382,20 +382,30 @@ def test_denoise_rejects_non_finite_params(tmp_path, capsys, method, params):
 @pytest.mark.parametrize(
     "method, params, message",
     [
-        ("gnf", "1e-300,2,0.35,2,1", "cell size"),
         ("gnf", "2,2,1e-170,2,1", "sigma_r"),
         ("bnf", "1e-170,2,1", "sigma_r"),
     ],
 )
 def test_denoise_rejects_scales_below_float_range(tmp_path, capsys, method, params, message):
-    """A gnf radius too small for the coordinates' cells and a range scale
-    whose 2σ² rounds to 0 are usage errors, and no mesh is written."""
+    """A range scale whose 2σ² rounds to 0 is a usage error, and no mesh
+    is written."""
     noisy_path = write_fixture(tmp_path, "m.obj", cube(2))
     out = tmp_path / "out.obj"
     argv = ["denoise", str(noisy_path), "--method", method, "--params", params, "-o", str(out)]
     assert main(argv) == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_denoise_gnf_radius_below_float_range_writes_the_mesh(tmp_path):
+    """A gnf radius of 1e-300 mean edge lengths is far below the cells the
+    coordinates allow; the grid widens its cell, and the mesh is written."""
+    noisy_path = write_fixture(tmp_path, "m.obj", cube(2))
+    out = tmp_path / "out.obj"
+    params = "1e-300,2,0.35,2,1"
+    argv = ["denoise", str(noisy_path), "--method", "gnf", "--params", params, "-o", str(out)]
+    assert main(argv) == EXIT_OK
+    assert read_obj(out).n_faces == cube(2).n_faces
 
 
 def test_no_subcommand_is_usage_error(capsys):

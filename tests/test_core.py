@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meshseg.core
 from meshseg import cube, icosahedron, plane
@@ -712,12 +714,49 @@ def test_stencil_pairs_far_queries_gather_nothing():
 
 
 @pytest.mark.parametrize("cell", [1e-300, 5e-324])
-def test_stencil_pairs_reject_a_cell_too_small_for_the_sites(cell):
-    """Sites 1e300 (or, past float range, infinitely many) cells from the
-    origin have no int64 cell: a ValueError names the cell size."""
+def test_stencil_pairs_widen_a_cell_too_small_for_the_sites(cell):
+    """Sites 1e300 (or, past float range, infinitely many) cells apart:
+    the grid widens the cell to 2⁻²⁰ of their span, still 2²⁰ cells
+    apart, so each site meets only itself."""
     sites = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-    with pytest.raises(ValueError, match=f"cell size {cell!r} is too small"):
-        next(stencil_pairs(sites, sites, cell, cell_block(range(-1, 2))))
+    found = set()
+    for q, s in stencil_pairs(sites, sites, cell, cell_block(range(-1, 2))):
+        found |= set(zip(q.tolist(), s.tolist()))
+    assert found == {(0, 0), (1, 1)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sites=st.integers(1, 40),
+    shift=st.sampled_from([0.0, 1.0, -3e5, 1e12, -1e12]),
+    spread=st.sampled_from([1e-6, 1.0, 1e3]),
+    cell_power=st.integers(-300, 0),
+    reach=st.integers(1, 2),
+)
+def test_stencil_pairs_find_near_pairs_at_any_cell(seed, n_sites, shift, spread, cell_power, reach):
+    """Clouds translated by up to 1e12, with cells down to 1e-300 of the
+    sites' span: every (query, site) pair within reach · cell on each axis
+    comes out, and none twice. Some queries repeat sites, some sit within
+    reach · cell of one, so near pairs exist at every cell size."""
+    rng = np.random.default_rng(seed)
+    sites = shift + rng.normal(size=(n_sites, 3)) * spread
+    span = float(np.ptp(sites, axis=0).max()) or spread
+    cell = span * 10.0**cell_power
+    picks = rng.integers(0, n_sites, size=10)
+    queries = np.vstack(
+        [
+            sites[picks[:5]],
+            sites[picks[5:]] + rng.uniform(-1.0, 1.0, size=(5, 3)) * (reach * cell),
+            shift + rng.normal(size=(20, 3)) * spread,
+        ]
+    )
+    batches = list(stencil_pairs(queries, sites, cell, cell_block(range(-reach - 1, reach + 2))))
+    pairs = np.concatenate([q * n_sites + s for q, s in batches])
+    assert len(np.unique(pairs)) == len(pairs)
+    gap = np.abs(sites[None] - queries[:, None]).max(axis=2)
+    near = np.flatnonzero((gap <= reach * cell).ravel())
+    assert len(near) >= 5 and np.isin(near, pairs).all()
 
 
 def test_stencil_pairs_yield_one_batch_per_offset():

@@ -237,12 +237,15 @@ def test_empty_mesh_denoises_to_empty(params):
     assert (result.n_vertices, result.n_faces) == (0, 0)
 
 
-def test_gnf_radius_too_small_for_the_coordinates_is_a_value_error():
+def test_gnf_radius_below_float_range_keeps_the_normals():
     """r = 1e-300 mean edge lengths puts the centroids 1e300 cells from the
-    origin: a ValueError naming the cell size, not an undefined int64 cast."""
+    origin; the grid widens its cell, no pair of faces lies within r, so
+    every face keeps its normal and only the vertex update moves them."""
     noisy = add_noise(cube(2), NoiseSpec(0.3, "normal", seed=1))
-    with pytest.raises(ValueError, match="cell size .* is too small"):
-        denoise(noisy, GnfParams(1e-300, 2, 0.35, 2, 1))
+    result = denoise(noisy, GnfParams(1e-300, 2, 0.35, 2, 1))
+    unfiltered = face_geometry(noisy).normals
+    want = vertex_update(noisy, noisy.topology, unfiltered, 1)
+    assert result.vertices.tobytes() == want.vertices.tobytes()
 
 
 def test_radius_csr_of_no_centroids():

@@ -485,8 +485,8 @@ def test_sq_distances_has_the_bits_of_brute_force_where_bounds_are_tight(shape, 
 
 
 def test_sq_distances_tiny_triangles_far_apart():
-    """Two triangles 1e-3 across and 1e4 apart: the grid spans 1e7 cells
-    per axis and still answers exactly."""
+    """Two triangles 1e-3 across and 1e4 apart, 1e7 cells per axis: the
+    grid widens its cell to 2⁻²⁰ of the span and still answers exactly."""
     small = np.array([[0.0, 0.0, 0.0], [1e-3, 0.0, 0.0], [0.0, 1e-3, 0.0]])
     truth = TriMesh(
         np.vstack([small, small + 1e4]), np.array([[0, 1, 2], [3, 4, 5]])
@@ -499,3 +499,55 @@ def test_sq_distances_tiny_triangles_far_apart():
         atol=0.0,
     )
     assert np.isfinite(ev(truth.with_vertices(truth.vertices + 1e-5), truth))
+
+
+def _found_mesh():
+    """A unit triangle beside one 1e-30 across lying flat along z = 1,
+    whose size tier puts its box corner 1e30 cells from the origin."""
+    vertices = [[0, 0, 1], [1e-30, 0, 1], [0, 1e-30, 1], [2, 0, 0], [3, 0, 0], [2, 1, 0]]
+    return TriMesh(vertices, [[0, 1, 2], [3, 4, 5]])
+
+
+def _points_around(truth, scale):
+    """The truth vertices, and points *scale* to 100 *scale* from them."""
+    rng = np.random.default_rng(3)
+    moved = [truth.vertices + rng.normal(size=truth.vertices.shape) * s for s in (scale, 100 * scale)]
+    return np.vstack([truth.vertices, *moved])
+
+
+def test_sq_distances_tiny_triangle_far_from_the_origin():
+    """The grid widens the tiny triangle's tier cell to 2⁻⁵⁰ of its
+    coordinate magnitude: brute force's distances, and ev(t, t) == 0."""
+    truth = _found_mesh()
+    for scale in (1e-31, 1e-3):
+        points = _points_around(truth, scale)
+        got = sq_distances(points, truth)
+        np.testing.assert_allclose(got, brute_force_sq_distances(points, truth), rtol=0.0, atol=0.0)
+    assert ev(truth, truth) == 0.0
+
+
+def test_sq_distances_tiny_triangles_one_apart_in_one_tier():
+    """Two 1e-30 triangles 1 apart in z share a size tier whose box
+    corners span 1e30 cells: the grid widens the cell to 2⁻²⁰ of that span."""
+    small = np.array([[0.0, 0.0, 0.0], [1e-30, 0.0, 0.0], [0.0, 1e-30, 0.0]])
+    truth = TriMesh(np.vstack([small, small + [0.0, 0.0, 1.0]]), [[0, 1, 2], [3, 4, 5]])
+    for scale in (1e-31, 1e-3):
+        points = _points_around(truth, scale)
+        got = sq_distances(points, truth)
+        np.testing.assert_allclose(got, brute_force_sq_distances(points, truth), rtol=0.0, atol=0.0)
+    assert ev(truth, truth) == 0.0
+
+
+def test_far_points_are_inf_without_a_warning():
+    """Points 1e155 and more from the truth, in several directions: their
+    squared distance passes float range, so sq_distances, brute force and
+    ev give inf, not NaN, and numpy's overflow warnings stay inside."""
+    truth = cube(2)
+    directions = np.vstack([np.eye(3), -np.eye(3), [[1, 1, 1], [-1, 1, 0], [1, -1, -1]]])
+    points = [[1e160, 0.5, 0.5], [0.5, 0.5, 1e300], [1e170] * 3, [-1e300, 1e300, 0.5]]
+    points += [d * m for d in directions for m in (1e155, 1e200, 1e300)]
+    points = np.array(points, dtype=np.float64)
+    assert np.isposinf(sq_distances(points, truth)).all()
+    assert np.isposinf(brute_force_sq_distances(points, truth)).all()
+    for p in points:
+        assert ev(TriMesh(np.vstack([truth.vertices[:-1], p]), truth.faces), truth) == np.inf
