@@ -424,8 +424,20 @@ class FaceGeometry:
     centroids: np.ndarray
 
 
+# A cross product's norm below this, or an overflowed one, is measured
+# again at a power-of-two scale: its squared components left float range.
+_TINY_NORM = 2.0**-500
+
+
 def face_geometry(mesh: TriMesh) -> FaceGeometry:
     """Unit normals, areas, and centroids for every face.
+
+    A face whose cross product's norm overflows or falls below 2⁻⁵⁰⁰
+    (its squared components left float range) is measured again from its
+    edge vectors scaled by the power of two of their largest component,
+    so a mesh scaled by any power of two keeps its normals bit for bit.
+    Every other face keeps the bits of the plain formula. An area past
+    float range reads 0.0 or inf; only an undefined normal is an error.
 
     Raises
     ------
@@ -433,12 +445,23 @@ def face_geometry(mesh: TriMesh) -> FaceGeometry:
         If any face has exactly zero area (undefined normal).
     """
     corners = np.take(mesh.vertices, mesh.faces.T, axis=0)  # (3 corners, F, 3)
-    cross = row_cross(corners[1] - corners[0], corners[2] - corners[0])
-    twice_area = row_norms(cross)
+    edges = corners[1:] - corners[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = row_cross(edges[0], edges[1])
+        twice_area = row_norms(cross)
+    redo = np.flatnonzero(~(twice_area >= _TINY_NORM) | (twice_area == np.inf))
+    if len(redo):
+        power = np.frexp(np.abs(edges[:, redo]).max(axis=(0, 2)))[1]
+        scaled = np.ldexp(edges[:, redo], -power[:, None])
+        cross[redo] = row_cross(scaled[0], scaled[1])
+        twice_area[redo] = row_norms(cross[redo])
     if np.any(twice_area == 0.0):
         bad = np.flatnonzero(twice_area == 0.0)[:8].tolist()
         raise ZeroAreaFaceError(f"faces with zero area: {bad}")
     normals = cross / twice_area[:, None]
+    if len(redo):
+        with np.errstate(over="ignore"):
+            twice_area[redo] = np.ldexp(twice_area[redo], 2 * power)
     areas = 0.5 * twice_area
     centroids = mean_terms(corners)
     for arr in (normals, areas, centroids):

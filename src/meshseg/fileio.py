@@ -3,7 +3,15 @@ per-edge norms CSV.
 
 Only the tiny OBJ subset needed for triangle meshes is supported:
 ``v x y z`` and ``f i j k`` records (1-based indices, optional ``/vt/vn``
-suffixes). Everything else is ignored. Writing emits one ``v`` line per
+suffixes). Everything else is ignored. Reading takes READ_BLOCK_CHARS of
+text at a time (whole lines, universal newlines): it splits the block's
+lines, picks its ``v`` and ``f`` records, and converts all of its
+coordinates with one ``map(float, ...)`` and all of its face indices with
+one ``map(int, ...)``. If anything in a block fails, a record-by-record
+scan of that block raises the error of its first malformed line, so the
+first error in file order wins, as in a line-by-line reader; a face
+index past the vertex count is reported only after every block has
+parsed. Writing emits one ``v`` line per
 vertex followed by one ``f`` line per face, nothing else, with float
 coordinates in shortest round-trip decimal form so a write/read cycle
 reproduces positions exactly.
@@ -22,6 +30,8 @@ from __future__ import annotations
 
 import colorsys
 from fractions import Fraction
+from itertools import chain, compress
+from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -30,6 +40,11 @@ from .errors import MeshParseError, NonTriangleFaceError
 
 GOLDEN_RATIO_CONJUGATE = 0.618034
 ROWS_PER_WRITE = 4096
+# Characters of OBJ text read and parsed at a time.
+READ_BLOCK_CHARS = 1 << 14
+_INT64_MAX = 2**63 - 1
+_CORNERS = itemgetter(1, 2, 3)
+_SPLIT_SLASH = methodcaller("partition", "/")
 # 10**0 .. 10**22: every power of ten a float64 holds exactly.
 _POW10 = np.array([float(10**i) for i in range(23)])
 # A mantissa below 1e9 scaled by at most three rounded operations is off by
@@ -41,62 +56,105 @@ def read_obj(path) -> TriMesh:
     """Parse *path* as OBJ, returning the mesh.
 
     Raises MeshParseError (with file and line number) on malformed
-    records, NonTriangleFaceError on faces that are not triangles.
+    records, NonTriangleFaceError on faces that are not triangles; the
+    first malformed line in the file decides. A face index past the
+    vertex count raises MeshParseError once the whole file has parsed.
+    Bytes that are not UTF-8 raise UnicodeDecodeError as their block is
+    read, ahead of a malformed line up to a block before them.
     """
-    vertices: list[tuple[float, float, float]] = []
-    faces: list[tuple[int, int, int]] = []
+    vertex_blocks = [np.empty(0)]
+    face_blocks = [np.empty(0, dtype=np.int64)]
+    n_vertices = top = lineno = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            tag = parts[0]
-            if tag == "v":
-                if len(parts) < 4:
-                    raise MeshParseError(
-                        f"{path}:{lineno}: vertex record needs 3 coordinates: {line!r}"
-                    )
+        while lines := fh.readlines(READ_BLOCK_CHARS):
+            try:
+                coordinates, heads = _parse_block(lines)
+            except (IndexError, ValueError):
+                _raise_first_error(path, lines, lineno)
+                raise  # only if the scan and the block parse disagree
+            n_vertices += len(coordinates) // 3
+            top = max(top, max(heads, default=0))
+            vertex_blocks.append(coordinates)
+            # An index past int64 cannot be cast, but the range error
+            # below is then certain, so the array is never needed.
+            if top <= _INT64_MAX:
+                face_blocks.append(np.array(heads, dtype=np.int64))
+            lineno += len(lines)
+    if top > n_vertices:
+        raise MeshParseError(
+            f"{path}: face references vertex {top} but only "
+            f"{n_vertices} vertices are defined"
+        )
+    faces = np.concatenate(face_blocks)
+    faces -= 1
+    return TriMesh(np.concatenate(vertex_blocks).reshape(-1, 3), faces.reshape(-1, 3))
+
+
+def _parse_block(lines: list[str]) -> tuple[np.ndarray, list[int]]:
+    """The coordinates (float64, flat) of the ``v`` records and the
+    1-based vertex indices (Python ints, flat) of the ``f`` records in
+    *lines*. Raises IndexError or ValueError on any malformed record."""
+    records = list(filter(None, map(str.split, lines)))
+    tags = list(map(itemgetter(0), records))
+    vertices = list(compress(records, map("v".__eq__, tags)))
+    faces = list(compress(records, map("f".__eq__, tags)))
+    if set(map(len, faces)) - {4}:
+        raise ValueError("a face is not a triangle")
+    refs = chain.from_iterable(map(_CORNERS, faces))
+    if "/" in "".join(lines):
+        refs = map(itemgetter(0), map(_SPLIT_SLASH, refs))
+    heads = list(map(int, refs))
+    if min(heads, default=1) < 1:
+        raise ValueError("a face index is not positive")
+    coordinates = np.fromiter(
+        map(float, chain.from_iterable(map(_CORNERS, vertices))),
+        dtype=np.float64,
+        count=3 * len(vertices),
+    )
+    return coordinates, heads
+
+
+def _raise_first_error(path, lines: list[str], before: int) -> None:
+    """Scan *lines*, which follow line *before* of *path*, record by
+    record, and raise the error of the first malformed one."""
+    for lineno, raw in enumerate(lines, start=before + 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        tag = parts[0]
+        if tag == "v":
+            if len(parts) < 4:
+                raise MeshParseError(
+                    f"{path}:{lineno}: vertex record needs 3 coordinates: {line!r}"
+                )
+            try:
+                for x in parts[1:4]:
+                    float(x)
+            except ValueError as exc:
+                raise MeshParseError(
+                    f"{path}:{lineno}: bad vertex coordinate: {line!r}"
+                ) from exc
+        elif tag == "f":
+            refs = parts[1:]
+            if len(refs) != 3:
+                raise NonTriangleFaceError(
+                    f"{path}:{lineno}: face has {len(refs)} vertices, "
+                    f"only triangles are supported: {line!r}"
+                )
+            for ref in refs:
+                head = ref.split("/", 1)[0]
                 try:
-                    vertices.append(tuple(float(x) for x in parts[1:4]))
+                    i = int(head)
                 except ValueError as exc:
                     raise MeshParseError(
-                        f"{path}:{lineno}: bad vertex coordinate: {line!r}"
+                        f"{path}:{lineno}: bad face index {ref!r}"
                     ) from exc
-            elif tag == "f":
-                refs = parts[1:]
-                if len(refs) != 3:
-                    raise NonTriangleFaceError(
-                        f"{path}:{lineno}: face has {len(refs)} vertices, "
-                        f"only triangles are supported: {line!r}"
+                if i < 1:
+                    raise MeshParseError(
+                        f"{path}:{lineno}: face indices must be positive "
+                        f"(1-based), got {i}"
                     )
-                idx = []
-                for ref in refs:
-                    head = ref.split("/", 1)[0]
-                    try:
-                        i = int(head)
-                    except ValueError as exc:
-                        raise MeshParseError(
-                            f"{path}:{lineno}: bad face index {ref!r}"
-                        ) from exc
-                    if i < 1:
-                        raise MeshParseError(
-                            f"{path}:{lineno}: face indices must be positive "
-                            f"(1-based), got {i}"
-                        )
-                    idx.append(i - 1)
-                faces.append(tuple(idx))
-            # Any other record type (vn, vt, o, g, s, mtllib, ...) is skipped.
-    fmax = max((max(f) for f in faces), default=-1)
-    if fmax >= len(vertices):
-        raise MeshParseError(
-            f"{path}: face references vertex {fmax + 1} but only "
-            f"{len(vertices)} vertices are defined"
-        )
-    return TriMesh(
-        np.array(vertices, dtype=np.float64).reshape(-1, 3),
-        np.array(faces, dtype=np.int64).reshape(-1, 3),
-    )
 
 
 def _blocks(n: int):
@@ -272,10 +330,22 @@ def write_labels(labels, path) -> None:
 
 
 def read_labels(path) -> np.ndarray:
-    """Read a label file written by :func:`write_labels`."""
+    """Read a label file written by :func:`write_labels`: one integer a
+    line, blank lines skipped. Raises MeshParseError, naming the file and
+    line, on the first line that is not an integer."""
     with open(path, "r", encoding="utf-8") as fh:
-        labels = [int(line) for line in fh if line.strip()]
-    return np.asarray(labels, dtype=np.int64)
+        try:
+            return np.array(list(map(int, filter(str.strip, fh))), dtype=np.int64)
+        except ValueError:
+            fh.seek(0)
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    int(line)
+                except ValueError as exc:
+                    raise MeshParseError(f"{path}:{lineno}: bad label {line.strip()!r}") from exc
+            raise
 
 
 def write_norms_csv(topo: TopologyCache, norms: np.ndarray, path) -> None:

@@ -56,13 +56,31 @@ def point_triangles_sq_distance(point: np.ndarray, triangles: np.ndarray) -> np.
     Detection", section 5.1.5). Triangles are (K, 3, 3); *point* is one
     point (3,) or one point per triangle (K, 3). Degenerate triangles are
     the caller's problem. Float overflow is silent: a point whose squared
-    distance passes float range gets inf, as long as its dot products with
-    the edge vectors stay in range (|p − a|·|b − a| below about 1e308).
+    distance passes float range gets inf. A pair whose dot products left
+    float range (|p − a|·|b − a| above about 1e308) comes out NaN and is
+    measured again on its four points scaled by the power of two of their
+    largest coordinate, its d² scaled back.
     """
+    p = np.asarray(point, dtype=np.float64)
+    d2 = _sq_distance(p, triangles)
+    lost = np.flatnonzero(np.isnan(d2))
+    if len(lost):
+        p = np.broadcast_to(p, (len(triangles), 3))[lost]
+        tri = triangles[lost]
+        power = np.frexp(np.maximum(np.abs(p).max(axis=1), np.abs(tri).max(axis=(1, 2))))[1]
+        d2[lost] = np.ldexp(
+            _sq_distance(np.ldexp(p, -power[:, None]), np.ldexp(tri, -power[:, None, None])),
+            2 * power,
+        )
+    return d2
+
+
+def _sq_distance(p: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """The arithmetic of :func:`point_triangles_sq_distance`, on a float64
+    point (3,) or points (K, 3), with no overflow fallback."""
     # Axis-major, (3 axes, K) per corner, so every operation, the dots
     # included, runs over whole contiguous rows.
     a, b, c = np.ascontiguousarray(triangles.transpose(1, 2, 0))
-    p = np.asarray(point, dtype=np.float64)
     p = np.ascontiguousarray(p.T) if p.ndim == 2 else p[:, None]
 
     ab = b - a

@@ -3,6 +3,7 @@
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -486,6 +487,21 @@ def test_face_geometry_zero_area_rejected():
     vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     with pytest.raises(ZeroAreaFaceError):
         face_geometry(TriMesh(vertices=vertices, faces=np.array([[0, 1, 2]])))
+
+
+@pytest.mark.parametrize("k", [-300, -260, 330])
+def test_face_geometry_of_a_mesh_scaled_past_float_range_squares(k):
+    """cube(3) scaled by 2**k, whose cross products square to below or
+    above float range: the normals keep cube(3)'s bits, the areas scale
+    by exactly 2**(2k), and no warning escapes."""
+    mesh = cube(3)
+    scaled = TriMesh(np.ldexp(mesh.vertices, k), mesh.faces)
+    geo = face_geometry(mesh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        geo2 = face_geometry(scaled)
+    assert geo2.normals.tobytes() == geo.normals.tobytes()
+    assert geo2.areas.tobytes() == np.ldexp(geo.areas, 2 * k).tobytes()
 
 
 def test_face_order_permutation_consistency():

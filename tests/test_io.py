@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import obj_oracle
 
 from meshseg import TriMesh, cube, icosahedron
 from meshseg.errors import (
@@ -93,6 +96,122 @@ def test_obj_reader_rejects_nonpositive_index(tmp_path):
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 0\n")
     with pytest.raises(MeshParseError, match=r"1-based"):
         read_obj(path)
+
+
+SEPARATORS = [" ", "\t", "\x0b", "\x0c", "\x1c", " \t "]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+COORDINATES = ["0.25", "-3", "+2", "007", "1_0", "-0.0", "1e-320", "nan", "inf", "1e400", "x", "1..0"]
+# Valid heads weigh more, so that about half of the texts parse.
+REFS = ["1", "2", "3", "4", "5", "+2", "007", "1_0", "1/2/3", "2//3", "3/1", "4/4/4"] * 2 + [
+    "x", "0", "-1", "/1", "99999", str(2**63), str(2**64 + 7),
+]
+# Ignored records and blank lines; a vertex's fourth coordinate is ignored.
+OTHER_RECORDS = ["vn 0 0 1", "vt 0.5 0.5", "o part", "# f 1 2", "#v 1 2", "", "g a/b", "v 1 2 3 4"]
+WRONG_LENGTHS = ["v 1 2", "v", "f 1 2", "f 1 2 3 4", "f"]
+
+
+def _obj_outcome(read, path):
+    """The arrays *read* parses from *path*, or the type and message of
+    what it raises."""
+    try:
+        mesh = read(path)
+    except Exception as exc:  # every error must match the reference's
+        return type(exc), str(exc)
+    return mesh.vertices.tobytes(), mesh.faces.tobytes(), mesh.vertices.shape, mesh.faces.shape
+
+
+_SPECIAL_RECORDS = st.one_of(
+    st.lists(st.sampled_from(COORDINATES), min_size=3, max_size=3).map(lambda c: ["v", *c]),
+    st.lists(st.sampled_from(REFS), min_size=3, max_size=3).map(lambda r: ["f", *r]),
+    st.sampled_from(OTHER_RECORDS).map(str.split),
+    st.sampled_from(WRONG_LENGTHS).map(str.split),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    filler=st.integers(500, 1500),
+    filler_end=st.sampled_from(LINE_ENDS),
+    specials=st.lists(
+        st.tuples(
+            st.integers(0, 1500),
+            _SPECIAL_RECORDS,
+            st.sampled_from(SEPARATORS),
+            st.sampled_from(LINE_ENDS),
+        ),
+        max_size=5,
+    ),
+)
+def test_obj_reader_matches_the_line_by_line_reader(tmp_path_factory, seed, filler, filler_end, specials):
+    """OBJ texts of 20-60 KB, several read blocks: plain rows, with drawn
+    records inserted anywhere, most of them past the first block. Exotic
+    numbers and refs, odd separators, CR and CRLF line ends, comments and
+    ignored records parse to the reference's arrays bit for bit; short
+    rows, quads, bad or non-positive refs, refs past the vertex count or
+    past int64 and non-finite coordinates raise its exception type and
+    message, the first error in file order winning."""
+    rng = np.random.default_rng(seed)
+    rows = [
+        f"v {x!r} {y!r} {z!r}" if kind else "f {} {} {}".format(*rng.permutation(20)[:3] + 1)
+        for kind, (x, y, z) in zip(rng.random(filler) < 0.6, rng.normal(size=(filler, 3)).tolist())
+    ]
+    lines = [row + filler_end for row in rows]
+    for at, tokens, separator, end in sorted(specials, key=lambda s: s[0]):
+        lines.insert(at, separator + separator.join(tokens) + end)
+    path = tmp_path_factory.mktemp("obj") / "drawn.obj"
+    path.write_bytes("".join(lines).encode())
+    assert path.stat().st_size > fileio.READ_BLOCK_CHARS
+    assert _obj_outcome(read_obj, path) == _obj_outcome(obj_oracle.read_obj, path)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("v 1 2\n", "f 1 2 3 4\n"),
+        ("f 1 2 3 4\n", "v 1 2\n"),
+        ("f 1 2 0\n", "v 1 x 2\n"),
+        ("f 1 2 99999\n", "f 1 2 x\n"),
+        (f"f 1 2 {2**63}\n", "f 1 2 -1\n"),
+        (f"f 1 2 {2**63}\n", "v nan 0 0\n"),
+        ("f 1 2 3\n", "f 1//2 x 2\n"),
+        ("v inf 0 0\n", "f 1 2 3\n"),
+        ("f 3 1 3\n", "vn 0 0 1\n"),
+    ],
+)
+def test_obj_reader_raises_the_first_error_across_blocks(tmp_path, monkeypatch, first, second):
+    """With blocks of a few lines, the error of the earlier block wins,
+    and a reference past the vertex count (past int64 too) is raised only
+    once every block has parsed, before the mesh's own checks: as the
+    line-by-line reader does."""
+    monkeypatch.setattr(fileio, "READ_BLOCK_CHARS", 40)
+    body = "".join(f"v {i} {i % 7} {i % 3}\n" for i in range(12))
+    path = tmp_path / "bad.obj"
+    path.write_text(first + body + second + body)
+    expected = _obj_outcome(obj_oracle.read_obj, path)
+    assert isinstance(expected[0], type) and issubclass(expected[0], Exception)
+    assert _obj_outcome(read_obj, path) == expected
+
+
+# tracemalloc peak of one read_obj of noisy icosahedron(32)'s OBJ, per
+# line of the file, that whole-file token lists would exceed (about 475).
+READ_OBJ_PEAK_PER_LINE = 100
+
+
+def test_obj_read_allocates_at_most_100_bytes_a_line(tmp_path):
+    """Parsing a block at a time keeps the peak allocation of a read
+    near the arrays it returns, not the file's token lists."""
+    path = tmp_path / "noisy.obj"
+    write_obj(add_noise(icosahedron(32), NoiseSpec(0.5, "normal", seed=23)), path)
+    n_lines = path.read_bytes().count(b"\n")
+    read_obj(path)
+    tracemalloc.start()
+    try:
+        read_obj(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= READ_OBJ_PEAK_PER_LINE * n_lines
 
 
 def test_colormap_distinct_up_to_256():
@@ -192,6 +311,16 @@ def test_labels_round_trip(tmp_path):
     write_labels(labels, path)
     assert path.read_text() == "0\n2\n1\n1\n0\n5\n"
     np.testing.assert_array_equal(read_labels(path), labels)
+
+
+@pytest.mark.parametrize("bad, lineno", [("1.5", 3), ("x", 3), ("", 0), ("1 2", 3)])
+def test_label_file_names_the_line_that_is_not_an_integer(tmp_path, bad, lineno):
+    """Blank lines are skipped; the first line that is not an integer
+    raises MeshParseError with the file and line."""
+    path = tmp_path / "labels.txt"
+    path.write_text(f"4\n\n{bad}\n-2\n x \n")
+    with pytest.raises(MeshParseError, match=rf"labels\.txt:{lineno or 5}: bad label"):
+        read_labels(path)
 
 
 def test_ply_of_no_faces_bytes(tmp_path):

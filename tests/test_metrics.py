@@ -3,6 +3,7 @@ normalized vertex-to-surface distance) and the cell-grid distance
 search behind them."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -551,3 +552,36 @@ def test_far_points_are_inf_without_a_warning():
     assert np.isposinf(brute_force_sq_distances(points, truth)).all()
     for p in points:
         assert ev(TriMesh(np.vstack([truth.vertices[:-1], p]), truth.faces), truth) == np.inf
+
+
+def test_ev_of_a_mesh_whose_cross_products_overflow_when_squared():
+    """cube(3) scaled by 1e100: its face geometry is measured at a
+    power-of-two scale, so ev of the mesh against itself is 0."""
+    truth = cube(3)
+    truth = TriMesh(truth.vertices * 1e100, truth.faces)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ev(truth, truth) == 0.0
+
+
+@pytest.mark.parametrize("distance", [1e305, 1.7e308])
+def test_far_point_over_a_triangle_is_not_nan(distance):
+    """9,000 points this far from random triangles up to 1e3 across: where
+    a point's dot products with the edges leave float range the pair is
+    measured again at a power-of-two scale, so d² is inf, not NaN."""
+    rng = np.random.default_rng(5)
+    triangles = rng.uniform(-500.0, 500.0, size=(9000, 3, 3))
+    direction = rng.normal(size=(9000, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    points = triangles.mean(axis=1) + distance * direction
+    assert np.isposinf(point_triangles_sq_distance(points, triangles)).all()
+
+
+def test_point_over_a_huge_triangle_has_a_finite_distance():
+    """A triangle 2**665 (about 1.3e200) across and a point 2**498 (about
+    8e149) above its interior: the dot products overflow, the rescaled
+    pair does not, and d² is exactly 2**996."""
+    triangle = np.array([[[0.0, 0.0, 0.0], [2.0**665, 0.0, 0.0], [0.0, 2.0**665, 0.0]]])
+    point = np.array([2.0**663, 2.0**663, 2.0**498])
+    assert point_triangles_sq_distance(point, triangle).tolist() == [2.0**996]
+    assert brute_force_sq_distances(point[None], TriMesh(triangle[0], [[0, 1, 2]])).tolist() == [2.0**996]
