@@ -489,8 +489,10 @@ def stencil_pairs(query_points, sites, cell: float, offsets):
     A site sits in the one cell that holds it; for each (dx, dy, dz) row
     of *offsets* a query gathers the cell at that offset from its own
     (see :func:`cell_block`). So with distinct offsets each (query, site)
-    pair is yielded at most once per call. A query may lie any finite
-    distance from the sites.
+    pair is yielded at most once per call. Offsets are independent: each
+    builds its cell keys and makes one lookup, so the caller's order of
+    *offsets* is the order of the batches and costs nothing. A query may
+    lie any finite distance from the sites.
 
     The cell is first widened to at least 2⁻²⁰ of the sites' bounding-box
     span and 2⁻⁵⁰ of their largest coordinate magnitude, so the sites'
@@ -525,13 +527,10 @@ def stencil_pairs(query_points, sites, cell: float, offsets):
         for at, size in zip(moved, sizes)
     )
     del site_cells, site_keys, starts, query_cells
-    columns_at = None
     for ix, iy, iz in zip(*(which for _, which in steps)):
-        if columns_at != (ix, iy):  # consecutive offsets of one column share it
-            x, y, columns_at = rx[ix], ry[iy], (ix, iy)
-            column = np.where((x >= 0) & (y >= 0), x * sizes[1] + y, -1)
-        z = rz[iz]
-        at = _rank(cell_keys, np.where((column >= 0) & (z >= 0), column * sizes[2] + z, -1))
+        x, y, z = rx[ix], ry[iy], rz[iz]
+        inside = (x >= 0) & (y >= 0) & (z >= 0)
+        at = _rank(cell_keys, np.where(inside, (x * sizes[1] + y) * sizes[2] + z, -1))
         first = cell_starts[at]
         counts = np.where(at >= 0, cell_starts[at + 1] - first, 0)
         ends = np.cumsum(counts)

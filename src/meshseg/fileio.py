@@ -332,18 +332,18 @@ def write_labels(labels, path) -> None:
 def read_labels(path) -> np.ndarray:
     """Read a label file written by :func:`write_labels`: one integer a
     line, blank lines skipped. Raises MeshParseError, naming the file and
-    line, on the first line that is not an integer."""
+    line, on the first line that is not an integer within int64's range."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return np.array(list(map(int, filter(str.strip, fh))), dtype=np.int64)
-        except ValueError:
+        except (ValueError, OverflowError):
             fh.seek(0)
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    int(line)
-                except ValueError as exc:
+                    np.int64(int(line))
+                except (ValueError, OverflowError) as exc:
                     raise MeshParseError(f"{path}:{lineno}: bad label {line.strip()!r}") from exc
             raise
 

@@ -11,6 +11,9 @@
   and a triangle whose bounding box lies, less a rounding allowance, no
   nearer than the point's best distance so far is not measured. Such a
   triangle cannot hold a smaller distance, so the minimum keeps its bits.
+  Both meshes are first scaled by the power of two that brings the
+  truth's largest coordinate magnitude into [1, 2), so ev has the same
+  bits at any scale.
 """
 
 from __future__ import annotations
@@ -139,6 +142,15 @@ def brute_force_sq_distances(points: np.ndarray, truth: TriMesh) -> np.ndarray:
     return out
 
 
+def _unit_power(truth: TriMesh) -> int:
+    """The power of two that scales the truth's largest coordinate
+    magnitude into [1, 2), 1 for a truth at the origin. :func:`ev` and
+    :func:`sq_distances` measure in that frame: the scaling is exact, and
+    there a distance from 2⁻⁵¹¹ to 2⁵¹¹ times that magnitude has a normal
+    float square, however large or small the truth itself."""
+    return 1 - int(np.frexp(np.abs(truth.vertices).max(initial=0.0))[1])
+
+
 def sq_distances(points, truth: TriMesh) -> np.ndarray:
     """Exact squared surface distance per point, gathered on cell grids.
 
@@ -151,13 +163,14 @@ def sq_distances(points, truth: TriMesh) -> np.ndarray:
     triangles are farther than h); the rest gather within 2h (exact below
     (2h)²), then scan the tier's triangles.
 
-    A gathering is a branch and bound. It visits the cells nearest the
-    point's own first, column by column, so that best d² falls early and
-    prunes more of the later cells' pairs. It evaluates a gathered pair
-    only if the squared distance b from the point to the triangle's box,
-    less an allowance for rounding, is below the point's best d² so far.
+    A gathering is a branch and bound. It visits the cells strictly
+    nearest the point's own first, by the sum over the three axes of
+    |step + 0.5|, so that best d² falls early and prunes more of the later
+    cells' pairs. It evaluates a gathered pair only if the squared
+    distance b from the point to the triangle's box, less an allowance
+    for rounding, is below the point's best d² so far.
     A skipped pair's computed d² is at or above that best, so the minimum
-    is the float that evaluating every pair gives.
+    is the float that evaluating every pair gives, in any cell order.
 
     The allowance is 2⁻²⁰·b + 2⁻⁶⁹·M², M the largest coordinate magnitude
     of the points and the truth. Exactly, b is at most the triangle's d²,
@@ -167,6 +180,15 @@ def sq_distances(points, truth: TriMesh) -> np.ndarray:
     roundings of coordinates below M), so it is at least
     (√d − E)²·(1 − 2⁻⁴⁸). As 2√d·E ≤ 2⁻²¹·d + 2²¹·E², that is at least
     b − allowance, with room for the rounding of the test itself.
+
+    All of it runs on the points and the truth scaled by the power of two
+    that brings the truth's largest coordinate magnitude into [1, 2), and
+    d² is scaled back with ``ldexp``. The scaling is exact, so scaling both
+    inputs by 2ᵏ scales the result by exactly 2²ᵏ wherever it stays in
+    float range, and the cell sizes, below 4 there, and the settle bounds
+    cannot overflow. A point that passes float range in that frame, over
+    2¹⁰²³ truth sizes away, is measured as given by a scan of every
+    triangle.
 
     Raises NonFiniteVertexError if a point has a NaN or infinite
     coordinate, and ZeroAreaFaceError if a truth triangle has zero area
@@ -178,19 +200,25 @@ def sq_distances(points, truth: TriMesh) -> np.ndarray:
     triangle far from the origin or from its tier's others. A wider cell
     only adds candidates, so the settle tests at h still hold.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if not np.isfinite(points).all():
-        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))[:8].tolist()
+    given = np.asarray(points, dtype=np.float64)
+    if not np.isfinite(given).all():
+        bad = np.flatnonzero(~np.isfinite(given).all(axis=1))[:8].tolist()
         raise NonFiniteVertexError(f"points with non-finite coordinates: {bad}")
     face_geometry(truth)  # raises ZeroAreaFaceError
-    triangles = truth.vertices[truth.faces]
+    frame = _unit_power(truth)
+    vertices = np.ldexp(truth.vertices, frame)
+    with np.errstate(over="ignore"):
+        points = np.ldexp(given, frame)
+    far = np.flatnonzero(np.isinf(points).any(axis=1))
+    points[far] = 0.0  # measured as given, below
+    triangles = vertices[truth.faces]
     lo = triangles.min(axis=1)
     hi = triangles.max(axis=1)
     extent = (hi - lo).max(axis=1)
     power = np.frexp(extent)[1]
     tiers = [np.flatnonzero(power == p) for p in np.unique(power)]
     best = np.full(len(points), np.inf)
-    scale = float(max(np.abs(points).max(initial=0.0), np.abs(truth.vertices).max(initial=0.0)))
+    scale = float(max(np.abs(points).max(initial=0.0), np.abs(vertices).max(initial=0.0)))
     slack = 2.0**-69 * scale * scale
     # Axis-major, (3 axes, N), for the box bound's whole-row arithmetic.
     points_t, lo_t, hi_t = (np.ascontiguousarray(a.T) for a in (points, lo, hi))
@@ -209,11 +237,11 @@ def sq_distances(points, truth: TriMesh) -> np.ndarray:
         # A box spans at most h per axis, so the low corner of one within
         # reach * h of a point lies reach + 1 cells below to reach above.
         h = extent[faces].max()
-        # Nearest first, a whole column of cells at a time, as stencil_pairs
-        # shares one lookup among a column's cells: steps from the point's
-        # own cell outward, then the columns stably by their (dx, dy).
+        # Nearest first: the cells stably by Σ|step + 0.5| over the three
+        # axes (steps -1 and 0 hold the boxes that may reach the point's
+        # own cell), ties in the block's order, each axis nearest first.
         block = cell_block(sorted(range(-reach - 1, reach + 1), key=lambda s: abs(s + 0.5)))
-        block = block[np.argsort(sum_terms(np.abs(block.T[:2] + 0.5)), kind="stable")]
+        block = block[np.argsort(sum_terms(np.abs(block.T + 0.5)), kind="stable")]
         for q, t in stencil_pairs(points[todo], lo[faces], h, block):
             for start in range(0, len(q), _PAIR_BATCH):
                 chunk = slice(start, start + _PAIR_BATCH)
@@ -229,20 +257,35 @@ def sq_distances(points, truth: TriMesh) -> np.ndarray:
     unsettled = [gather(everyone, faces, 1) for faces in tiers]
     for faces, todo in zip(tiers, unsettled):
         todo = gather(todo[best[todo] >= extent[faces].max() ** 2], faces, 2)
-        part = TriMesh(truth.vertices, truth.faces[faces])
-        best[todo] = np.minimum(best[todo], brute_force_sq_distances(points[todo], part))
+        if len(todo):
+            tier = triangles[faces]
+            scan = [point_triangles_sq_distance(p, tier).min() for p in points[todo]]
+            best[todo] = np.minimum(best[todo], scan)
+    with np.errstate(over="ignore"):
+        best = np.ldexp(best, -2 * frame)
+    if len(far):
+        best[far] = brute_force_sq_distances(given[far], truth)
     return best
 
 
 def ev(result: TriMesh, truth: TriMesh) -> float:
     """Mean squared vertex-to-truth-surface distance over the squared
     truth bounding-box diagonal, with exact distances from
-    :func:`sq_distances`."""
+    :func:`sq_distances`. Both meshes and the diagonal are measured where
+    the truth's largest coordinate magnitude lies in [1, 2), so meshes
+    scaled together, exactly, by a power of two give the same bits;
+    a vertex over 2¹⁰²³ truth sizes away gives inf."""
     if truth.n_faces == 0 or truth.n_vertices == 0:
         raise EmptyMeshError("ev needs a truth mesh with faces")
     if result.n_vertices == 0:
         raise EmptyMeshError("ev needs result vertices")
-    distances = sq_distances(result.vertices, truth)
+    frame = _unit_power(truth)
+    truth = truth.with_vertices(np.ldexp(truth.vertices, frame))
+    with np.errstate(over="ignore"):
+        points = np.ldexp(result.vertices, frame)
+    if np.isinf(points).any():  # over 2¹⁰²³ truth sizes away: ev passes float range
+        return np.inf
+    distances = sq_distances(points, truth)
     extent = truth.vertices.max(axis=0) - truth.vertices.min(axis=0)
     diag2 = float(extent @ extent)
     if diag2 == 0.0:

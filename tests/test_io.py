@@ -323,6 +323,22 @@ def test_label_file_names_the_line_that_is_not_an_integer(tmp_path, bad, lineno)
         read_labels(path)
 
 
+@pytest.mark.parametrize("label", ["9223372036854775808", "-9223372036854775809"])
+def test_label_file_names_a_label_past_int64(tmp_path, label):
+    """A label that is an integer but not an int64 raises MeshParseError
+    naming its line, not a bare OverflowError from the cast."""
+    path = tmp_path / "labels.txt"
+    path.write_text(f"1\n{label}\n")
+    with pytest.raises(MeshParseError, match=rf"labels\.txt:2: bad label '{label}'"):
+        read_labels(path)
+
+
+def test_label_file_reads_int64_extremes(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("1\n9223372036854775807\n-9223372036854775808\n")
+    assert read_labels(path).tolist() == [1, 2**63 - 1, -(2**63)]
+
+
 def test_ply_of_no_faces_bytes(tmp_path):
     mesh = TriMesh([[0.0, 1.5, -2.0]], np.zeros((0, 3), dtype=np.int64))
     path = tmp_path / "none.ply"

@@ -202,23 +202,24 @@ def test_sq_distances_single_triangle_and_every_exit(monkeypatch):
 
     passes, scanned = [], []
     stencil = meshseg.metrics.stencil_pairs
-    brute = meshseg.metrics.brute_force_sq_distances
+    evaluate = meshseg.metrics.point_triangles_sq_distance
 
     def counting_stencil(query_points, sites, cell, offsets):
         passes.append((int(offsets[-1][0]), len(query_points)))  # (reach, reach, reach) comes last
         return stencil(query_points, sites, cell, offsets)
 
-    def counting_brute(pts, mesh):
-        scanned.append(len(pts))
-        return brute(pts, mesh)
+    def counting_scan(point, triangles):
+        if np.ndim(point) == 1:  # the last-resort scan measures one point at a time
+            scanned.append(len(triangles))
+        return evaluate(point, triangles)
 
     monkeypatch.setattr(meshseg.metrics, "stencil_pairs", counting_stencil)
-    monkeypatch.setattr(meshseg.metrics, "brute_force_sq_distances", counting_brute)
+    monkeypatch.setattr(meshseg.metrics, "point_triangles_sq_distance", counting_scan)
     got = sq_distances(points, truth)
     monkeypatch.undo()
 
     assert passes == [(1, 12), (2, 8)]
-    assert scanned == [4]
+    assert scanned == [truth.n_faces] * 4
     np.testing.assert_allclose(
         got, brute_force_sq_distances(points, truth), rtol=0.0, atol=0.0
     )
@@ -585,3 +586,64 @@ def test_point_over_a_huge_triangle_has_a_finite_distance():
     point = np.array([2.0**663, 2.0**663, 2.0**498])
     assert point_triangles_sq_distance(point, triangle).tolist() == [2.0**996]
     assert brute_force_sq_distances(point[None], TriMesh(triangle[0], [[0, 1, 2]])).tolist() == [2.0**996]
+
+
+@pytest.mark.parametrize("k", [-600, -520, -300, 300, 520, 1000])
+@pytest.mark.parametrize("shape, subdiv", [("cube", 3), ("icosahedron", 4)])
+def test_ev_is_exact_at_any_power_of_two_scale(shape, subdiv, k):
+    """ev measures where the truth's largest magnitude lies in [1, 2), so
+    both meshes scaled by 2**k give the unscaled value bit for bit, with
+    no warning, far past where d² or the diagonal leaves float range."""
+    truth = make_fixture(shape, subdiv)
+    result = add_noise(truth, NoiseSpec(0.3, "normal", seed=5))
+    base = ev(result, truth)
+    result_k, truth_k = (TriMesh(np.ldexp(m.vertices, k), m.faces) for m in (result, truth))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ev(result_k, truth_k) == base
+        assert ev(truth_k, truth_k) == 0.0
+
+
+@pytest.mark.parametrize("k", [-300, 300])
+def test_sq_distances_scale_by_the_square_of_a_power_of_two(k):
+    truth = cube(3)
+    points = add_noise(truth, NoiseSpec(0.3, "normal", seed=5)).vertices
+    scaled = sq_distances(np.ldexp(points, k), TriMesh(np.ldexp(truth.vertices, k), truth.faces))
+    assert np.array_equal(scaled, np.ldexp(sq_distances(points, truth), 2 * k))
+
+
+@pytest.mark.parametrize("factor", [1e160, 1e200, 1e300])
+def test_sq_distances_of_a_huge_truth_have_the_bits_of_brute_force(factor):
+    """Noisy cube(3) and its truth scaled by 1e160 and more: the squared
+    distances pass float range, and sq_distances gives brute force's inf
+    with no warning."""
+    truth = cube(3)
+    points = add_noise(truth, NoiseSpec(0.3, "normal", seed=5)).vertices * factor
+    truth = TriMesh(truth.vertices * factor, truth.faces)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sq_distances(points, truth)
+    np.testing.assert_array_equal(got, brute_force_sq_distances(points, truth))
+
+
+def test_ev_of_a_vertex_too_far_for_the_truths_frame_is_inf():
+    """icosahedron(1) lies within 1 of the origin, so ev doubles both
+    meshes; a result vertex at 1.7e308 then passes float range, and ev,
+    over 2**1023 truth sizes, is inf, with no warning."""
+    truth = icosahedron(1)
+    result = TriMesh(np.vstack([truth.vertices[:-1], [[1.7e308, 0.0, 0.0]]]), truth.faces)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ev(result, truth) == np.inf
+
+
+def test_point_too_far_for_a_tiny_truths_frame_is_measured_as_given():
+    """cube(2) scaled by 2**-520 and points 2**505 and 1e308 away: scaled
+    into the truth's frame they pass float range, so they are measured as
+    given, where d² of the first is finite."""
+    truth = cube(2)
+    truth = TriMesh(np.ldexp(truth.vertices, -520), truth.faces)
+    points = np.vstack([truth.vertices[:3], [[2.0**505, 0.0, 0.0], [-1e308, 1e308, 5.0]]])
+    got = sq_distances(points, truth)
+    assert np.isfinite(got[3])
+    np.testing.assert_array_equal(got, brute_force_sq_distances(points, truth))
