@@ -15,7 +15,11 @@ system (identity plus PSD terms), solved per coordinate by conjugate
 gradients started at the input positions — so the objective can only
 move downhill from the input even if CG stops early. The CG loop is the
 package's own (:func:`_cg`); it repeats scipy 1.17's ``cg`` operation
-for operation, so only ``scipy.sparse`` is loaded.
+for operation, so only ``scipy.sparse`` is loaded. Its dots go through
+:func:`_dot`, which never hands more than 10,000 entries to one BLAS
+call, so its bits do not depend on the BLAS thread count. On a large
+mesh the three coordinates are solved on concurrent threads, as the
+sparse matvec and the dots release the GIL.
 
 :func:`assemble_system` forms each energy term with one sparse product,
 the edge weights folded into its left factor, and keeps the bits of the
@@ -27,7 +31,10 @@ denoising proper always restarts from the original noisy mesh.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -37,6 +44,15 @@ import scipy.sparse as sp
 from .core import FaceGeometry, TopologyCache, TriMesh, check_sigma, dot_terms, face_geometry, gaussian
 from .edgeop import _flap_coefficients
 from .errors import SolverDivergedError
+
+# The largest dot OpenBLAS computes on one thread; see _dot.
+_DOT_BLOCK = 10_000
+# Below this many vertices the coordinates are solved one after the
+# other: numpy hands the GIL over on every operation of a CG step, and
+# on a small system the hand-overs cost more than the overlap saves
+# (noisy cube(16), 1,538 vertices: 9.5 ms serial, 14.5 ms on two
+# threads; cube(32), 6,146 vertices: 25 ms against 21 ms; 2 vCPUs).
+_THREADED_VERTICES = 5_000
 
 
 @dataclass(frozen=True)
@@ -116,15 +132,29 @@ def assemble_system(mesh: TriMesh, params: PrefilterParams) -> sp.csr_matrix:
     return system.tocsr()
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.float64:
+    """a·b as one ``np.dot`` per block of ``_DOT_BLOCK`` entries, the
+    block results summed left to right. OpenBLAS splits a dot among its
+    threads only above 10,000 entries, so no block starts a BLAS thread
+    and the bits are the same for any thread count; up to 10,000 entries
+    this is the one ``np.dot``."""
+    total = np.dot(a[:_DOT_BLOCK], b[:_DOT_BLOCK])
+    for start in range(_DOT_BLOCK, len(a), _DOT_BLOCK):
+        total += np.dot(a[start : start + _DOT_BLOCK], b[start : start + _DOT_BLOCK])
+    return total
+
+
 def _cg(system: sp.csr_matrix, rhs: np.ndarray, rtol: float, max_iter: int):
     """(x, info) of conjugate gradients on the SPD *system* from x = *rhs*:
     info is 0 once ||r|| < rtol * ||rhs||, else *max_iter*. It repeats
     ``scipy.sparse.linalg.cg(system, rhs, x0=rhs.copy(), rtol=rtol,
     atol=0.0, maxiter=max_iter)`` of scipy 1.17 operation for operation,
-    except that its norm test reads ||r|| off rho = r·r, as numpy computes
-    it, so it gives the same bits for a contiguous *rhs*. A zero *rhs* is
+    with every dot and norm taken by :func:`_dot` (a norm as the square
+    root of rho = r·r, as numpy computes it). Up to 10,000 entries that
+    is numpy's own dot, so a contiguous *rhs* gets scipy's bits; above,
+    scipy's with its reductions blocked the same way. A zero *rhs* is
     returned as it is."""
-    rhs_norm = np.linalg.norm(rhs)
+    rhs_norm = math.sqrt(_dot(rhs, rhs))
     if rhs_norm == 0:
         return rhs, 0
     atol = rtol * rhs_norm
@@ -132,7 +162,7 @@ def _cg(system: sp.csr_matrix, rhs: np.ndarray, rtol: float, max_iter: int):
     r = rhs - system @ x
     p = rho_prev = None
     for iteration in range(max_iter):
-        rho = np.dot(r, r)  # np.linalg.norm(r) is sqrt(r.dot(r))
+        rho = _dot(r, r)
         if math.sqrt(rho) < atol:
             return x, 0
         if iteration:
@@ -141,11 +171,28 @@ def _cg(system: sp.csr_matrix, rhs: np.ndarray, rtol: float, max_iter: int):
         else:
             p = r.copy()
         q = system @ p
-        alpha = rho / np.dot(p, q)
+        alpha = rho / _dot(p, q)
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
     return x, max_iter
+
+
+def _solve_columns(
+    system: sp.csr_matrix, columns: np.ndarray, rtol: float, max_iter: int, workers: int
+) -> list:
+    """``_cg(system, rhs, rtol, max_iter)`` for each row *rhs* of
+    *columns*, in order, on *workers* threads that end before this
+    returns. Each solve runs in its own copy of the caller's context,
+    which carries numpy's error state (``np.errstate``)."""
+    if workers == 1:
+        return [_cg(system, rhs, rtol, max_iter) for rhs in columns]
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [
+            pool.submit(contextvars.copy_context().run, _cg, system, rhs, rtol, max_iter)
+            for rhs in columns
+        ]
+        return [future.result() for future in futures]
 
 
 def prefilter(mesh: TriMesh, params: PrefilterParams | None = None) -> TriMesh:
@@ -156,30 +203,32 @@ def prefilter(mesh: TriMesh, params: PrefilterParams | None = None) -> TriMesh:
     positions are returned bit-for-bit. CG starts from the input
     positions, so each coordinate solve only descends the objective.
 
-    The dot products of CG go through numpy's BLAS, which splits a dot
-    over more than 10,000 entries among its threads. So above that many
-    vertices the last bits of the positions depend on the BLAS thread
-    count (``OPENBLAS_NUM_THREADS``) of the machine; the labels of the
-    benchmark inputs do not.
+    From 5,000 vertices the coordinates are solved at once, one thread
+    per CPU this process may run on (at most three). The positions have
+    the same bits on any number of threads, and, since every CG dot is
+    blocked (:func:`_dot`), for any BLAS thread count.
 
     Raises
     ------
     DegenerateFlapError
         If a flap face of *mesh* is degenerate, as in the edge field.
     SolverDivergedError
-        If CG fails to reach ``solver_tol`` within the iteration cap.
+        If CG fails to reach ``solver_tol`` within the iteration cap; it
+        names the first such coordinate.
     """
     if params is None:
         params = PrefilterParams()
     system = assemble_system(mesh, params)
     max_iter = params.max_iter_for(mesh.n_vertices)
-    out = np.empty_like(mesh.vertices)
     # One contiguous row per coordinate, as scipy's cg ravels its rhs.
-    for k, rhs in enumerate(mesh.vertices.T.copy()):
-        out[:, k], info = _cg(system, rhs, params.solver_tol, max_iter)
+    columns = mesh.vertices.T.copy()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(3, cpus or 1) if mesh.n_vertices >= _THREADED_VERTICES else 1
+    solved = _solve_columns(system, columns, params.solver_tol, max_iter, workers)
+    for k, (_, info) in enumerate(solved):
         if info != 0:
             raise SolverDivergedError(
                 f"CG on coordinate {k} did not reach rtol={params.solver_tol:g} "
                 f"within {max_iter} iterations (info={info})"
             )
-    return mesh.with_vertices(out)
+    return mesh.with_vertices(np.stack([x for x, _ in solved], axis=1))

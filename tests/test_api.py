@@ -3,7 +3,8 @@ no module under ``src/meshseg`` imports a name or takes a parameter it
 never uses, only ``core`` calls ``build_topology`` (every other module
 reads ``mesh.topology``), short-axis sums, means, norms, cross
 products and ``einsum`` dots go through the helpers in ``core``, only
-``core.gaussian`` calls ``np.exp``, every
+``core.gaussian`` calls ``np.exp``, only ``prefilter._dot`` takes a
+BLAS dot in the prefilter, every
 error class in ``errors`` is raised or subclassed somewhere in the
 package, every private top-level function, class and module-level
 name is read or passed on inside the package (not only by tests),
@@ -253,6 +254,50 @@ def test_only_core_gaussian_calls_exp():
         for site in exp_calls(path.read_text(encoding="utf-8"))
     ]
     assert [site.rsplit(":", 1)[0] for site in found] == ["core.py:gaussian"], found
+
+
+def blas_reductions(source: str) -> list[str]:
+    """``function:name`` of each dot or norm in *source* that numpy could
+    hand to BLAS, called or passed on: ``np.dot``, ``np.vdot``,
+    ``np.inner``, ``np.linalg.norm``, a ``.dot`` method, and any of these
+    imported from numpy."""
+    names = ("dot", "vdot", "inner", "norm")
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append(f"{function}:{ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            found.extend(f"{function}:{a.name}" for a in node.names if a.name in names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_blas_reductions_are_found():
+    source = (
+        "from numpy.linalg import norm\n"
+        "def f(a, b):\n"
+        "    c = np.dot(a, b) + a.dot(b) + np.vdot(a, b) + numpy.inner(a, b)\n"
+        "    return np.linalg.norm(a), map(np.dot, a, b), a @ b, np.dot_terms\n"
+    )
+    assert blas_reductions(source) == [
+        "<module>:norm", "f:np.dot", "f:a.dot", "f:np.vdot", "f:numpy.inner",
+        "f:np.linalg.norm", "f:np.dot",
+    ]
+
+
+def test_prefilter_dots_are_blocked():
+    """Above 10,000 entries OpenBLAS splits a dot among its threads, which
+    moves the last bits with the thread count; ``prefilter._dot`` never
+    hands it that many, and nothing else in the prefilter takes a BLAS
+    dot or norm."""
+    source = (PACKAGE_DIR / "prefilter.py").read_text(encoding="utf-8")
+    assert blas_reductions(source) == ["_dot:np.dot", "_dot:np.dot"]
 
 
 def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:

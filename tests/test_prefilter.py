@@ -1,6 +1,8 @@
 """Tests for the quadratic relaxation stage used before segmentation."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +13,14 @@ from meshseg.core import TriMesh, build_topology, face_geometry
 from meshseg.edgeop import edge_operator_field
 from meshseg.errors import DegenerateFlapError, SolverDivergedError
 from meshseg.noise import NoiseSpec, add_noise
-from meshseg.prefilter import PrefilterParams, _cg, assemble_system, edge_weights, prefilter
+from meshseg.prefilter import (
+    PrefilterParams,
+    _cg,
+    _solve_columns,
+    assemble_system,
+    edge_weights,
+    prefilter,
+)
 from meshseg.segment import SegmentParams, segment
 
 from flap_oracle import Flap, quadratic_energy, regularizer
@@ -120,10 +129,55 @@ def test_system_is_symmetric_positive_definite():
 
 
 def test_solver_iteration_cap_raises(monkeypatch):
-    mesh = add_noise(cube(3), NoiseSpec(0.5, "normal", seed=1))
+    """Every coordinate stops at the cap; the error names the first, also
+    when cube(32)'s coordinates are solved on threads."""
     monkeypatch.setattr(PrefilterParams, "max_iter_for", lambda self, n_vertices: 1)
-    with pytest.raises(SolverDivergedError, match="within 1 iterations"):
-        prefilter(mesh, PrefilterParams(alpha=50.0, beta=50.0))
+    for mesh in (cube(3), cube(32)):
+        noisy = add_noise(mesh, NoiseSpec(0.5, "normal", seed=1))
+        with pytest.raises(SolverDivergedError, match="coordinate 0 .* within 1 iterations"):
+            prefilter(noisy, PrefilterParams(alpha=50.0, beta=50.0))
+
+
+@pytest.mark.parametrize("mesh", [cube(16), icosahedron(32)], ids=repr)
+def test_worker_count_does_not_move_bits(mesh):
+    """The three coordinate solves give the same bits one after the other
+    and on three threads, below 10,000 vertices and above, where CG's
+    dots are blocked. No thread outlives the call."""
+    noisy = add_noise(mesh, NoiseSpec(0.5, "normal", seed=23))
+    params = PrefilterParams(5, 5, 2)
+    system = assemble_system(noisy, params)
+    columns = noisy.vertices.T.copy()
+    max_iter = params.max_iter_for(noisy.n_vertices)
+    threads = threading.active_count()
+    serial, threaded = (
+        _solve_columns(system, columns, params.solver_tol, max_iter, workers) for workers in (1, 3)
+    )
+    assert threading.active_count() == threads
+    assert [info for _, info in serial] == [info for _, info in threaded] == [0, 0, 0]
+    for (x, _), (y, _) in zip(serial, threaded):
+        assert x.tobytes() == y.tobytes()
+
+
+def test_solver_threads_see_the_callers_error_state(monkeypatch):
+    """numpy's error state is a context variable, which a thread does
+    not inherit: each solve runs in a copy of the caller's context."""
+    module = sys.modules["meshseg.prefilter"]
+    seen = []
+
+    def recording_cg(*args):
+        seen.append(np.geterr())
+        return real_cg(*args)
+
+    real_cg = module._cg
+    monkeypatch.setattr(module, "_cg", recording_cg)
+    noisy = add_noise(cube(4), NoiseSpec(0.5, "normal", seed=23))
+    params = PrefilterParams(5, 5, 2)
+    system = assemble_system(noisy, params)
+    with np.errstate(over="ignore", divide="raise", invalid="print", under="warn"):
+        caller = np.geterr()
+        _solve_columns(system, noisy.vertices.T.copy(), params.solver_tol, 50, 3)
+    assert caller != np.geterr()
+    assert seen == [caller] * 3
 
 
 @pytest.mark.parametrize("seed", [23, 7919])

@@ -4,8 +4,10 @@ breadth-first rings against the scipy calls they stand in for.
 The package loads only ``scipy.sparse``; these tests import
 ``scipy.sparse.linalg.cg``, ``csgraph.connected_components`` and
 ``csgraph.dijkstra`` as oracles. ``_cg`` must give scipy 1.17's bits and
-``info``; the components must be the same partition, and the rings must
-reach as far as dijkstra's hop counts say.
+``info`` (above 10,000 vertices, scipy's with numpy's dot and norm
+blocked as the prefilter blocks its dots); the components must be the
+same partition, and the rings must reach as far as dijkstra's hop
+counts say.
 """
 
 import numpy as np
@@ -38,9 +40,35 @@ PREFILTER_SYSTEMS = [
 ]
 
 
+# OpenBLAS's largest single-thread dot, the prefilter's block.
+DOT_BLOCK = 10_000
+NUMPY_DOT = np.dot
+
+
+def _blocked_dot(a, b):
+    """a·b as one numpy dot per DOT_BLOCK entries, summed left to right."""
+    total = NUMPY_DOT(a[:DOT_BLOCK], b[:DOT_BLOCK])
+    for start in range(DOT_BLOCK, len(a), DOT_BLOCK):
+        total += NUMPY_DOT(a[start : start + DOT_BLOCK], b[start : start + DOT_BLOCK])
+    return total
+
+
+def _blocked_norm(x):
+    """numpy's 1-D norm, sqrt(x·x), with the dot blocked."""
+    assert x.ndim == 1
+    return np.sqrt(_blocked_dot(x, x))
+
+
 def _scipy_cg(system, rhs, rtol, max_iter):
-    """The call the prefilter made before it ran its own loop."""
-    return cg(system, rhs, x0=rhs.copy(), rtol=rtol, atol=0.0, maxiter=max_iter)
+    """The call the prefilter made before it ran its own loop. Above
+    DOT_BLOCK entries numpy's dot and 1-D norm are blocked for the call,
+    as the prefilter blocks its own, so that scipy still pins ``_cg``
+    operation for operation."""
+    with pytest.MonkeyPatch.context() as patch:
+        if len(rhs) > DOT_BLOCK:
+            patch.setattr(np, "dot", _blocked_dot)
+            patch.setattr(np.linalg, "norm", _blocked_norm)
+        return cg(system, rhs, x0=rhs.copy(), rtol=rtol, atol=0.0, maxiter=max_iter)
 
 
 @pytest.mark.parametrize(
